@@ -20,6 +20,17 @@ probabilities vanish identically (the dark state) terminate a
 trajectory outright: with the strict threshold comparison a
 zero-probability step can never fire.
 
+Building a flow is the one long sequential computation: the renormalized
+no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| over the whole horizon.
+``_build_flow`` runs only that chain step by step, into a buffer of
+``_FLOW_CHUNK`` states, and derives everything else (jump amplitudes,
+jump probabilities, observables, amplitude norms, the ray check) once per
+chunk with vectorized calls.  The chain and the amplitudes come from the
+same helpers as the direct engine's chunks (``mcwf._no_jump_chain`` and
+``mcwf._chunk_amplitudes``), whose per-state numbers are bitwise those of
+one step at a time: amplitudes stay one matrix-vector product per state (a
+single matrix-matrix product over the chunk sums in another order).
+
 Agreement with the direct engine is exact for the first segment and for
 all jump bookkeeping, and up to the arbitrary post-jump global phase
 (last-ulp differences in expectations, threshold comparisons on razor
@@ -43,7 +54,9 @@ from .mcwf import (
     MAX_DP_PER_STEP,
     JumpEvent,
     TrajectoryRecord,
-    _jump_probabilities,
+    _chunk_amplitudes,
+    _no_jump_chain,
+    _norm,
     _select_channel,
     run_trajectory,
 )
@@ -63,6 +76,12 @@ RAY_TOL = 1e-10
 
 # Uniform words are scanned in growing chunks to amortize stream setup.
 _CHUNK0, _CHUNK_MAX = 8192, 65536
+
+# States per chunk of the flow builder.  Larger chunks amortize more
+# per-chunk overhead but hold (chunk x channels x dimension) amplitudes at
+# once: a 3000-trajectory Fig. 2b run peaks at 233.5 MB with 512 and at
+# 253 MB with 2048, against 233.0 MB for the per-step builder.
+_FLOW_CHUNK = 512
 
 
 @dataclass
@@ -91,35 +110,45 @@ def _build_flow(
 ) -> _Flow:
     """Propagate the normalized no-jump chain and collect per-age arrays.
 
-    Per-step quantities are computed with the same calls as the direct
-    engine, so the root flow's numbers match it bitwise.
+    Only the chain psi_{k+1} = U psi_k / ||U psi_k|| is sequential; it fills
+    a buffer of ``_FLOW_CHUNK`` states through the direct engine's
+    ``_no_jump_chain``.  Everything else is computed once per chunk, and only
+    with operations whose per-state result is bitwise that of the per-step
+    call, so the root flow matches the direct engine exactly:
+
+    - amplitudes S^+_m psi_k as a C-looped stack of per-state matrix-vector
+      products, ``matmul(plus_stack[None], states[:, None, :, None])``.  One
+      GEMM over the chunk would block the sums differently and change the
+      last bits;
+    - squared amplitude norms as ``einsum("kmd,kmd->km", ...)``, whose sum
+      over d runs in the same order as the per-state ``einsum("md,md->m")``
+      for any number of channels; ``dp`` scales them and the observables
+      are their first three columns;
+    - amplitude norms as ``np.linalg.norm(amps, axis=2)``, the same
+      reduction as the per-state ``axis=1`` call, so the stored jump images
+      keep their bits.
+
+    The ray check (do jump images stay on one ray up to phase?) is a
+    thresholded comparison and uses einsum rather than a BLAS product,
+    which on a chunk-sized operand would wake the BLAS worker threads.  A
+    broken ray is therefore seen at the end of the chunk that holds it.
     """
     plus_stack, rates = system.plus_stack, system.rates
     n_channels = rates.size
+    scale = dt * rates
     dp = np.empty((n_channels, n_steps))
     obs = np.empty((3, n_steps + 1))
     refs: list[np.ndarray | None] = [None] * n_channels
-    ray_ok = True
+    states = np.empty((min(_FLOW_CHUNK, n_steps + 1), state0.size), dtype=complex)
     psi = state0
-    for k in range(n_steps + 1):
-        dp_k, amps = _jump_probabilities(psi, dt, plus_stack, rates)
-        obs[:, k] = np.einsum("md,md->m", amps[:3].conj(), amps[:3]).real
-        norms = np.linalg.norm(amps, axis=1)
-        if k < n_steps:
-            dp[:, k] = dp_k
-        for m in range(n_channels):
-            if rates[m] == 0.0 or norms[m] <= JUMP_NORM_FLOOR:
-                continue
-            if refs[m] is None:
-                refs[m] = amps[m] / norms[m]
-            elif abs(abs(np.vdot(refs[m], amps[m])) - norms[m]) > RAY_TOL * norms[m]:
-                ray_ok = False
-        if not ray_ok or k == n_steps:
-            break
-        phi = propagator @ psi
-        psi = phi / np.linalg.norm(phi)
-    if not ray_ok:
-        raise _Ungroupable()
+    for start in range(0, n_steps + 1, _FLOW_CHUNK):
+        block = states[: min(_FLOW_CHUNK, n_steps + 1 - start)]
+        psi = _no_jump_chain(psi, propagator.__matmul__, block)
+        stop = start + len(block)
+        amps, sq = _chunk_amplitudes(block, plus_stack)
+        dp[:, start : min(stop, n_steps)] = (scale * sq)[: n_steps - start].T
+        obs[:, start:stop] = sq[:, :3].T
+        _check_rays(amps, np.linalg.norm(amps, axis=2), rates, refs)
     viol = np.flatnonzero((dp.max(axis=0) >= MAX_DP_PER_STEP) | (dp.sum(axis=0) >= 1.0))
     return _Flow(
         state0=state0,
@@ -131,6 +160,28 @@ def _build_flow(
         first_violation=int(viol[0]) if viol.size else n_steps + 1,
         dark=bool(dp.max(initial=0.0) == 0.0),
     )
+
+
+def _check_rays(
+    amps: np.ndarray, norms: np.ndarray, rates: np.ndarray,
+    refs: list[np.ndarray | None],
+) -> None:
+    """Raise _Ungroupable unless each channel's jump images lie on one ray.
+
+    ``amps`` and ``norms`` are one chunk of amplitudes (state, channel, d)
+    and their norms.  A channel's first image above the norm floor becomes
+    its reference, stored in ``refs``.
+    """
+    for m in np.flatnonzero(rates != 0.0):
+        live = np.flatnonzero(norms[:, m] > JUMP_NORM_FLOOR)
+        if live.size == 0:
+            continue
+        if refs[m] is None:
+            refs[m] = amps[live[0], m] / norms[live[0], m]
+        n = norms[live, m]
+        overlap = np.abs(np.einsum("d,kd->k", refs[m].conj(), amps[live, m]))
+        if np.any(np.abs(overlap - n) > RAY_TOL * n):
+            raise _Ungroupable()
 
 
 class _Ungroupable(Exception):
@@ -178,7 +229,7 @@ def _state_at_age(state0: np.ndarray, powers: list[np.ndarray], age: int) -> np.
             psi = powers[bit] @ psi
         age >>= 1
         bit += 1
-    return psi / np.linalg.norm(psi)
+    return psi / _norm(psi)
 
 
 def _sample_grouped(
@@ -309,10 +360,12 @@ def run_ensemble(
                 ) from None
 
     if flows is None:
+        start_cache: dict = {}
+
         def one(i: int) -> TrajectoryRecord:
             return run_trajectory(
                 p, psi0, t_final, dt=dt, seed=master_seed, traj_index=i,
-                record_every=record_every, system=system,
+                record_every=record_every, system=system, start_cache=start_cache,
             )
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -45,6 +45,7 @@ from .mcwf import (
     TrajectoryRecord,
     _check_dp,
     _jump_probabilities,
+    _norm,
     _select_channel,
 )
 from .model import SystemParams
@@ -142,7 +143,7 @@ def homodyne_step(
         if dp.sum() > eps:
             m = _select_channel(dp, rng.channel.take_one())
             phi = amps[m]
-            norm = np.linalg.norm(phi)
+            norm = _norm(phi)
             if norm < JUMP_NORM_FLOOR:
                 raise NumericalInconsistencyError(
                     f"channel {channels_jump[m].label} selected "
@@ -156,7 +157,7 @@ def homodyne_step(
     phi = propagator @ psi if propagator is not None else psi - 1j * dt * (h @ psi)
     dw = noise.increments(len(channels_homodyne))
     phi = phi + _diffusive_increment(phi, dt, channels_homodyne, dw, drift_mode)
-    return phi / np.linalg.norm(phi), None
+    return phi / _norm(phi), None
 
 
 def run_trajectory_homodyne(

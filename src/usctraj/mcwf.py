@@ -10,10 +10,23 @@ Propagation is by the exact exponential of the non-Hermitian matrix over one
 step (precomputed once; the dimension never exceeds a few dozen), so the
 timestep affects only jump-probability discretization, not the oscillation
 frequencies.  A first-order Euler mode is available for comparison.
+
+``run_trajectory`` evaluates a trajectory in chunks of steps.  Only the
+no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| runs step by step; the jump
+probabilities and observables of a chunk come from one vectorized call, and
+the threshold words of the chunk are read ahead (word k of the threshold
+stream always belongs to step k).  At the first step whose jump fires, the
+rest of the chunk is discarded and a new chunk starts from the post-jump
+state.  Every number that decides or is recorded is bitwise the one of the
+step-at-a-time loop; the helpers below say which operations keep that so.
+Trajectories of one ensemble walk the same chunks until their first jump;
+``run_ensemble`` hands them a shared ``start_cache`` so those chunks are
+evaluated once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +53,13 @@ MAX_DP_PER_STEP = 0.1
 JUMP_NORM_FLOOR = 1e-14
 
 DEFAULT_DT = 0.5
+
+# States per chunk of the direct engine's vectorized no-jump evaluation.
+# A chunk starts small after every jump (the rest of a chunk past a jump is
+# discarded) and doubles while no jump fires.
+_STEP_CHUNK0, _STEP_CHUNK_MAX = 16, 512
+# Relative slack of the vectorized row sums that preselect jump candidates.
+_SUM_SLACK = 1e-9
 
 PROPAGATION_MODES = ("exact", "first-order")
 
@@ -119,6 +139,18 @@ def non_hermitian_hamiltonian(
     )
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D complex vector, bitwise equal to np.linalg.norm.
+
+    This is the expression ``np.linalg.norm`` evaluates for a 1-D complex
+    input, without its argument dispatch.  Every state renormalization
+    (jump engine, homodyne engine, flow builder) goes through it, so the
+    engines agree on every bit by construction.
+    """
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _jump_probabilities(
     psi: np.ndarray, dt: float, plus_stack: np.ndarray, rates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,6 +158,55 @@ def _jump_probabilities(
     amps = plus_stack @ psi
     dp = dt * rates * np.einsum("md,md->m", amps.conj(), amps).real
     return dp, amps
+
+
+def _no_jump_chain(psi: np.ndarray, advance, out: np.ndarray) -> np.ndarray:
+    """Write the renormalized no-jump chain from psi into the rows of out.
+
+    ``advance`` maps a state to its unnormalized successor.  Returns the
+    state that follows the last row.
+    """
+    for i in range(len(out)):
+        out[i] = psi
+        phi = advance(psi)
+        psi = phi / _norm(phi)
+    return psi
+
+
+def _chunk_amplitudes(
+    states: np.ndarray, plus_stack: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jump amplitudes (state, channel, d) of a chunk and their squared norms.
+
+    Each state's numbers are bitwise those of ``_jump_probabilities``: the
+    amplitudes are a C-looped stack of per-state matrix-vector products (one
+    matrix-matrix product over the chunk would block its sums differently),
+    and the squared norms sum over d in the order of the per-state einsum.
+    """
+    amps = np.matmul(plus_stack[None], states[:, None, :, None])[..., 0]
+    return amps, np.einsum("kmd,kmd->km", amps.conj(), amps).real
+
+
+def _first_jump(dp: np.ndarray, eps: np.ndarray) -> int:
+    """First row of dp (steps, channels) whose jump fires against eps.
+
+    Returns ``len(dp)`` when none fires.  Raises TimestepError at the first
+    row ``_check_dp`` rejects unless an earlier row fires.  The vectorized
+    row sums only preselect candidate rows, because a 2-D reduction does
+    not promise the per-step summation order; each candidate is decided by
+    the per-step expressions themselves.
+    """
+    total = dp.sum(axis=1)
+    suspect = (
+        ~(total <= eps * (1.0 - _SUM_SLACK))
+        | (total >= 1.0 - _SUM_SLACK)
+        | (dp.max(axis=1, initial=0.0) >= MAX_DP_PER_STEP)
+    )
+    for i in np.flatnonzero(suspect):
+        _check_dp(dp[i])
+        if not dp[i].sum() <= eps[i]:
+            return int(i)
+    return len(dp)
 
 
 def step(
@@ -153,10 +234,10 @@ def step(
     # the measure-zero draw eps = 0.0.
     if dp.sum() <= eps:
         phi = propagator @ psi if propagator is not None else psi - 1j * dt * (h @ psi)
-        return phi / np.linalg.norm(phi), None
+        return phi / _norm(phi), None
     m = _select_channel(dp, rng.channel.take_one())
     phi = amps[m]
-    norm = np.linalg.norm(phi)
+    norm = _norm(phi)
     if norm < JUMP_NORM_FLOOR:
         raise NumericalInconsistencyError(
             f"channel {channels[m].label} selected but ||S^+ psi|| = {norm:.3e}"
@@ -193,12 +274,22 @@ def run_trajectory(
     propagation: str = "exact",
     store_states: bool = False,
     system: DissipativeSystem | None = None,
+    start_cache: dict | None = None,
 ) -> TrajectoryRecord:
     """Run one trajectory; deterministic in (params, psi0, dt, seed, traj_index).
 
     The jump recorded at time (k+1) dt replaces the coherent propagation of
     step k, so grid samples always show the post-jump state.  Pass ``system``
     to reuse a prebuilt assembly (the Hamiltonian choice must then match).
+    Steps are evaluated in chunks (see the module docstring) with the same
+    results, bit for bit, as one step at a time.
+
+    ``start_cache`` is a dict shared by trajectories that differ only in
+    ``traj_index`` (same system, psi0, t_final, dt and propagation).  Before
+    their first jump such trajectories walk the same chunks of the same
+    no-jump chain; the cache keeps each chunk's jump probabilities,
+    observables and end states, so an ensemble evaluates them once.  It is
+    ignored when ``store_states`` is set.
     """
     if propagation not in PROPAGATION_MODES:
         raise ConfigError(f"propagation must be one of {PROPAGATION_MODES}")
@@ -223,38 +314,74 @@ def run_trajectory(
     snapshots = np.empty((rec_steps.size, psi.size), dtype=complex) if store_states else None
     jumps: list[JumpEvent] = []
 
+    if propagator is not None:
+        def advance(v):
+            return propagator @ v
+    else:
+        def advance(v):
+            return v - 1j * dt * (h @ v)
+    scale = dt * rates
+    states = np.empty((min(_STEP_CHUNK_MAX, n_steps + 1), psi.size), dtype=complex)
+    size = _STEP_CHUNK0
     rec_i = 0
-    for k in range(n_steps + 1):
-        if rec_i < rec_steps.size and k == rec_steps[rec_i]:
-            amps3 = plus_stack[:3] @ psi
-            series[:, rec_i] = np.einsum("md,md->m", amps3.conj(), amps3).real
-            if snapshots is not None:
-                snapshots[rec_i] = psi
-            rec_i += 1
-        if k == n_steps:
-            break
-        dp, amps = _jump_probabilities(psi, dt, plus_stack, rates)
-        _check_dp(dp)
-        eps = streams.threshold.take_one()
-        if dp.sum() <= eps:
-            phi = propagator @ psi if propagator is not None else psi - 1j * dt * (h @ psi)
-            psi = phi / np.linalg.norm(phi)
+    k = 0  # step index of psi, the first row of the next chunk
+    if store_states:
+        start_cache = None
+    while True:
+        block = states[: min(size, n_steps + 1 - k)]
+        n_dec = min(len(block), n_steps - k)
+        shared = start_cache is not None and not jumps
+        if shared and k in start_cache:
+            first, last, after, sq, dp = start_cache[k]
+            amps = None
         else:
-            m = _select_channel(dp, streams.channel.take_one())
-            phi = amps[m]
-            norm = np.linalg.norm(phi)
-            if norm < JUMP_NORM_FLOOR:
-                raise NumericalInconsistencyError(
-                    f"channel {system.channels[m].label} selected but ||S^+ psi|| = {norm:.3e}"
-                )
-            psi = phi / norm
-            jumps.append(
-                JumpEvent(
-                    time=(k + 1) * dt,
-                    channel=system.channels[m].label,
-                    pre_jump_norm_probabilities=dp,
-                )
+            after = _no_jump_chain(psi, advance, block)
+            amps, sq = _chunk_amplitudes(block, plus_stack)
+            dp = scale * sq[:n_dec]
+            first, last = block[0], block[-1]
+            if shared:
+                start_cache[k] = (first.copy(), last.copy(), after, sq, dp)
+        fired = _first_jump(dp, streams.threshold.peek(n_dec))
+        valid = fired + 1 if fired < n_dec else len(block)
+        rec_hi = int(np.searchsorted(rec_steps, k + valid))
+        rows = rec_steps[rec_i:rec_hi] - k
+        series[:, rec_i:rec_hi] = sq[rows, :3].T
+        if snapshots is not None:
+            snapshots[rec_i:rec_hi] = block[rows]
+        rec_i = rec_hi
+        if fired == n_dec:
+            streams.threshold.skip(n_dec)
+            k += len(block)
+            if k > n_steps:
+                psi = last.copy()
+                break
+            psi = after
+            size = min(2 * size, _STEP_CHUNK_MAX)
+            continue
+        streams.threshold.skip(fired + 1)
+        m = _select_channel(dp[fired], streams.channel.take_one())
+        if amps is None:
+            # a cached chunk keeps no amplitudes: rerun its chain to the jump
+            _no_jump_chain(first, advance, block[: fired + 1])
+            fired_amps = _chunk_amplitudes(block[fired : fired + 1], plus_stack)[0][0]
+        else:
+            fired_amps = amps[fired]
+        phi = fired_amps[m]
+        norm = _norm(phi)
+        if norm < JUMP_NORM_FLOOR:
+            raise NumericalInconsistencyError(
+                f"channel {system.channels[m].label} selected but ||S^+ psi|| = {norm:.3e}"
             )
+        psi = phi / norm
+        k += fired + 1
+        jumps.append(
+            JumpEvent(
+                time=k * dt,
+                channel=system.channels[m].label,
+                pre_jump_norm_probabilities=dp[fired].copy(),
+            )
+        )
+        size = _STEP_CHUNK0
 
     return TrajectoryRecord(
         params=p,

@@ -29,14 +29,9 @@ _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter tick
 def _generator_at(master_seed: int, traj_index: int, purpose: int, block: int) -> Generator:
     if traj_index < 0 or master_seed < 0:
         raise ValueError("master_seed and traj_index must be non-negative")
-    bg = Philox(key=[master_seed, (traj_index << 2) | purpose])
-    st = bg.state
-    st["state"]["counter"][:] = 0
-    st["state"]["counter"][0] = block
-    st["buffer_pos"] = _WORDS_PER_BLOCK
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
-    bg.state = st
+    # Philox increments the counter before it draws a block, so words
+    # 4 block .. 4 block + 3 come from counter block + 1.
+    bg = Philox(key=[master_seed, (traj_index << 2) | purpose], counter=[block, 0, 0, 0])
     return Generator(bg)
 
 
@@ -98,7 +93,7 @@ class StreamCursor:
         while filled < n:
             rel = self._pos - self._buf_start
             avail = self._buf.size - rel
-            if avail <= 0:
+            if rel < 0 or avail <= 0:
                 self._buf_start = self._pos
                 want = max(self._chunk, n - filled)
                 fetch = normal_words if self._normal else uniform_words
@@ -112,3 +107,14 @@ class StreamCursor:
 
     def take_one(self) -> float:
         return float(self.take(1)[0])
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next n words, leaving the position where it was."""
+        pos = self._pos
+        out = self.take(n)
+        self._pos = pos
+        return out
+
+    def skip(self, n: int) -> None:
+        """Advance the position past n words without reading them."""
+        self._pos += n

@@ -41,6 +41,8 @@ from usctraj.oracles import (
 from usctraj.stats import conditional_second_jump_histogram, first_jump_histogram
 from usctraj.system import build_system
 
+pytestmark = pytest.mark.acceptance
+
 
 @pytest.fixture(scope="module")
 def announce(pytestconfig):

@@ -272,6 +272,35 @@ prefix = c
     assert data.shape[1] == 10  # time + (lme, mcwf, se) x 3
 
 
+def test_compare_lme_deviation_is_finite_while_trajectories_share_a_state(
+    tmp_path, capsys
+):
+    # all 40 trajectories are still in the shared no-jump state at early
+    # samples, where the standard error is zero but the mean differs from
+    # the LME; the report divides by 3 SE + 3/N, so it stays finite
+    cfg = write_config(
+        tmp_path, "shared.ini", """
+[run]
+solver = mcwf
+hamiltonian = full
+t_final = 60
+dt = 0.5
+n_trajectories = 40
+master_seed = 11
+record_every = 10
+method = direct
+
+[output]
+prefix = s
+""",
+    )
+    assert main(["compare-lme", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    text = capsys.readouterr().out
+    line = next(l for l in text.splitlines() if l.startswith("max deviation "))
+    fraction = float(line.split()[2])
+    assert np.isfinite(fraction) and 0.0 < fraction <= 1.0
+
+
 def test_homodyne_solver_from_cli(tmp_path):
     cfg = write_config(
         tmp_path, "hom.ini", """

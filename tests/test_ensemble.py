@@ -9,11 +9,13 @@ after jumps (post-jump states are stored with a canonical global phase).
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from usctraj import ensemble
 from usctraj.ensemble import ENSEMBLE_METHODS, run_ensemble
 from usctraj.errors import ConfigError, TimestepError
 from usctraj.hilbert import build_layout
-from usctraj.mcwf import run_trajectory
+from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, _jump_probabilities, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.system import build_system
 
@@ -188,4 +190,88 @@ def test_unknown_method_rejected(busy_params):
         run_ensemble(
             busy_params, "1gg", 100.0, 1, master_seed=0,
             hamiltonian="effective", n_fock=6, method="fancy",
+        )
+
+
+def _reference_build_flow(state0, system, propagator, n_steps, dt):
+    """The flow builder one step at a time, with the direct engine's calls."""
+    plus_stack, rates = system.plus_stack, system.rates
+    n_channels = rates.size
+    dp = np.empty((n_channels, n_steps))
+    obs = np.empty((3, n_steps + 1))
+    refs = [None] * n_channels
+    psi = state0
+    for k in range(n_steps + 1):
+        dp_k, amps = _jump_probabilities(psi, dt, plus_stack, rates)
+        obs[:, k] = np.einsum("md,md->m", amps[:3].conj(), amps[:3]).real
+        norms = np.linalg.norm(amps, axis=1)
+        if k < n_steps:
+            dp[:, k] = dp_k
+        for m in range(n_channels):
+            if rates[m] == 0.0 or norms[m] <= JUMP_NORM_FLOOR:
+                continue
+            if refs[m] is None:
+                refs[m] = amps[m] / norms[m]
+            elif abs(abs(np.vdot(refs[m], amps[m])) - norms[m]) > ensemble.RAY_TOL * norms[m]:
+                raise ensemble._Ungroupable()
+        if k == n_steps:
+            break
+        phi = propagator @ psi
+        psi = phi / np.linalg.norm(phi)
+    viol = np.flatnonzero((dp.max(axis=0) >= MAX_DP_PER_STEP) | (dp.sum(axis=0) >= 1.0))
+    return ensemble._Flow(
+        state0=state0,
+        dp=dp,
+        dp_sum=dp.sum(axis=0),
+        obs=obs,
+        image_flow=np.full(n_channels, -1, dtype=int),
+        image_state=[None if r is None else ensemble._canonical_phase(r) for r in refs],
+        first_violation=int(viol[0]) if viol.size else n_steps + 1,
+        dark=bool(dp.max(initial=0.0) == 0.0),
+    )
+
+
+@pytest.fixture(scope="module")
+def busy_effective(busy_params):
+    system = build_system(busy_params, n_fock=6, hamiltonian="effective")
+    return system, expm(-1j * system.h_nh * 0.5)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, ensemble._FLOW_CHUNK])
+def test_chunked_flows_equal_the_per_step_reference(busy_effective, chunk, monkeypatch):
+    system, propagator = busy_effective
+    monkeypatch.setattr(ensemble, "_FLOW_CHUNK", chunk)
+    # the root flow and the flows its jump images enter
+    entries = [system.initial_state("1gg")]
+    root = _reference_build_flow(entries[0], system, propagator, 2 * chunk + 3, 0.5)
+    entries += [s for s in root.image_state if s is not None]
+    for n_steps in sorted({1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3}):
+        for state0 in entries:
+            ref = _reference_build_flow(state0, system, propagator, n_steps, 0.5)
+            got = ensemble._build_flow(state0, system, propagator, n_steps, 0.5)
+            for name in ("dp", "dp_sum", "obs"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+            assert len(got.image_state) == len(ref.image_state)
+            for a, b in zip(got.image_state, ref.image_state):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_array_equal(a, b)
+            assert got.first_violation == ref.first_violation
+            assert got.dark == ref.dark
+
+
+def test_grouped_refuses_a_ray_broken_after_the_first_chunk(busy_params, monkeypatch):
+    # a one-state first chunk only sets the reference images; the full
+    # Hamiltonian's step-dependent dressing breaks the ray at the next state
+    monkeypatch.setattr(ensemble, "_FLOW_CHUNK", 1)
+    system = build_system(busy_params, n_fock=6, hamiltonian="full")
+    propagator = expm(-1j * system.h_nh * 0.5)
+    psi0 = system.initial_state("1gg")
+    ensemble._build_flow(psi0, system, propagator, 0, 0.5)
+    with pytest.raises(ensemble._Ungroupable):
+        ensemble._build_flow(psi0, system, propagator, 1, 0.5)
+    with pytest.raises(ConfigError):
+        run_ensemble(
+            busy_params, "1gg", 200.0, 3, dt=0.5, master_seed=5,
+            hamiltonian="full", n_fock=6, method="grouped",
         )

@@ -5,12 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
+from usctraj import mcwf
 from usctraj.errors import NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
 from usctraj.mcwf import (
     JumpEvent,
     JumpStreams,
     TrajectoryRecord,
+    _check_dp,
+    _first_jump,
+    _jump_probabilities,
+    _select_channel,
     ensemble_average,
     non_hermitian_hamiltonian,
     run_trajectory,
@@ -242,3 +249,161 @@ def test_store_states_shape(system_eff):
     assert rec.states.shape == (len(rec.time_grid), system_eff.dimension)
     norms = np.linalg.norm(rec.states, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+
+def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every, propagation):
+    """The direct engine one step at a time: (series, jumps, final, states)."""
+    psi = np.asarray(psi0, dtype=complex)
+    propagator = expm(-1j * system.h_nh * dt) if propagation == "exact" else None
+    h, plus_stack, rates = system.h_nh, system.plus_stack, system.rates
+    streams = JumpStreams.for_trajectory(seed, traj_index)
+    n_steps = int(round(t_final / dt))
+    rec_steps = np.arange(0, n_steps + 1, record_every)
+    series = np.empty((3, rec_steps.size))
+    snapshots = np.empty((rec_steps.size, psi.size), dtype=complex)
+    jumps = []
+    rec_i = 0
+    for k in range(n_steps + 1):
+        if rec_i < rec_steps.size and k == rec_steps[rec_i]:
+            amps3 = plus_stack[:3] @ psi
+            series[:, rec_i] = np.einsum("md,md->m", amps3.conj(), amps3).real
+            snapshots[rec_i] = psi
+            rec_i += 1
+        if k == n_steps:
+            break
+        dp, amps = _jump_probabilities(psi, dt, plus_stack, rates)
+        _check_dp(dp)
+        if dp.sum() <= streams.threshold.take_one():
+            phi = propagator @ psi if propagator is not None else psi - 1j * dt * (h @ psi)
+            psi = phi / np.linalg.norm(phi)
+        else:
+            m = _select_channel(dp, streams.channel.take_one())
+            psi = amps[m] / np.linalg.norm(amps[m])
+            jumps.append(((k + 1) * dt, system.channels[m].label, dp))
+    return series, jumps, psi, snapshots
+
+
+@pytest.fixture(scope="module")
+def busy_system():
+    """Jumps every few hundred steps, a collective channel included."""
+    layout = build_layout(4)
+    base = SystemParams(kappa=2e-3, gamma1=3e-3, gamma2=2e-3, gamma_c=1e-3)
+    p = calibrate_resonance(base, layout, which="effective")
+    return build_system(p, n_fock=4, hamiltonian="effective")
+
+
+@pytest.fixture(scope="module")
+def busy_references(busy_system):
+    """Per-step reference runs keyed by (init, t_final, record_every, propagation, index)."""
+    refs = {}
+    for case in [
+        ("0ee", 1500.0, 1, "exact"),
+        ("1gg", 1000.5, 7, "exact"),
+        ("0ee", 600.0, 5, "first-order"),
+        ("1gg", 0.5, 1, "exact"),
+        ("1gg", 0.0, 1, "exact"),
+    ]:
+        init, t_final, record_every, propagation = case
+        for traj_index in range(6):
+            refs[case + (traj_index,)] = _reference_run(
+                busy_system, busy_system.initial_state(init), t_final, 0.5, 11,
+                traj_index, record_every, propagation,
+            )
+    return refs
+
+
+@pytest.mark.parametrize("chunk0, chunk_max", [(1, 1), (1, 4), (3, 5), (16, 512)])
+def test_chunked_engine_equals_the_per_step_reference(
+    busy_system, busy_references, chunk0, chunk_max, monkeypatch
+):
+    monkeypatch.setattr(mcwf, "_STEP_CHUNK0", chunk0)
+    monkeypatch.setattr(mcwf, "_STEP_CHUNK_MAX", chunk_max)
+    system, n_jumps = busy_system, 0
+    for key, (series, jumps, final, states) in busy_references.items():
+        init, t_final, record_every, propagation, traj_index = key
+        psi0 = system.initial_state(init)
+        rec = run_trajectory(
+            system.params, psi0, t_final, dt=0.5, seed=11, traj_index=traj_index,
+            record_every=record_every, propagation=propagation, store_states=True,
+            system=system,
+        )
+        for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
+            np.testing.assert_array_equal(rec.expectations[label], row)
+        np.testing.assert_array_equal(rec.states, states)
+        np.testing.assert_array_equal(rec.final_state, final)
+        assert [(j.time, j.channel) for j in rec.jumps] == [j[:2] for j in jumps]
+        for got, ref in zip(rec.jumps, jumps):
+            np.testing.assert_array_equal(got.pre_jump_norm_probabilities, ref[2])
+        n_jumps += len(jumps)
+    assert n_jumps > 20
+
+
+@pytest.mark.parametrize("chunk_max", [4, 512])
+def test_start_cache_reproduces_uncached_trajectories(busy_system, chunk_max, monkeypatch):
+    monkeypatch.setattr(mcwf, "_STEP_CHUNK_MAX", chunk_max)
+    psi0 = busy_system.initial_state("1gg")
+    cache, first_jumps = {}, []
+    for traj_index in range(12):
+        kwargs = dict(dt=0.5, seed=3, traj_index=traj_index, record_every=3, system=busy_system)
+        ref = run_trajectory(busy_system.params, psi0, 800.0, **kwargs)
+        got = run_trajectory(busy_system.params, psi0, 800.0, start_cache=cache, **kwargs)
+        for label in ref.expectations:
+            np.testing.assert_array_equal(got.expectations[label], ref.expectations[label])
+        np.testing.assert_array_equal(got.final_state, ref.final_state)
+        assert [(j.time, j.channel) for j in got.jumps] == [(j.time, j.channel) for j in ref.jumps]
+        for a, b in zip(got.jumps, ref.jumps):
+            np.testing.assert_array_equal(a.pre_jump_norm_probabilities, b.pre_jump_norm_probabilities)
+        first_jumps.append(ref.jumps[0].time if ref.jumps else None)
+    # later trajectories jump inside chunks an earlier one cached, at many ages
+    assert len(cache) > 1
+    assert len({t for t in first_jumps if t is not None}) >= 8
+
+
+def test_chunked_engine_stops_at_the_reference_timestep_error(monkeypatch):
+    # dp grows with the cavity population; a jump may come before the cap
+    layout = build_layout(4)
+    p = calibrate_resonance(SystemParams(kappa=2e-3), layout, which="effective")
+    system = build_system(p, n_fock=4, hamiltonian="effective")
+    psi0 = system.initial_state("0ee")
+
+    def outcome(run, *args, **kwargs):
+        try:
+            rec = run(*args, **kwargs)
+        except TimestepError as err:
+            return str(err)
+        return [j[:2] for j in rec[1]] if isinstance(rec, tuple) else [
+            (j.time, j.channel) for j in rec.jumps
+        ]
+
+    for chunk_max in (1, 512):
+        monkeypatch.setattr(mcwf, "_STEP_CHUNK_MAX", chunk_max)
+        outcomes, cache = [], {}
+        for traj_index in range(8):
+            ref = outcome(_reference_run, system, psi0, 6000.0, 60.0, 2, traj_index, 1, "exact")
+            for start_cache in (None, cache):
+                got = outcome(
+                    run_trajectory, p, psi0, 6000.0, dt=60.0, seed=2,
+                    traj_index=traj_index, system=system, start_cache=start_cache,
+                )
+                assert got == ref
+            outcomes.append(ref)
+        assert any(isinstance(o, str) for o in outcomes)
+        assert any(isinstance(o, list) and o for o in outcomes)
+
+
+def test_first_jump_follows_the_per_step_rule():
+    eps = np.array([0.1, 0.05, 0.06, 0.0])
+    # a total equal to its threshold does not fire (strict comparison)
+    level = np.array([[0.05, 0.05], [0.025, 0.025], [0.03, 0.03], [0.0, 0.0]])
+    assert _first_jump(level, eps) == 4
+    level[2, 0] = 0.04
+    assert _first_jump(level, eps) == 2
+    # a zero-probability row never fires, even against a zero threshold
+    assert _first_jump(np.zeros((4, 2)), eps) == 4
+    # the step cap raises only when no earlier row fires
+    capped = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [0.0, 0.0]])
+    with pytest.raises(TimestepError):
+        _first_jump(capped, eps)
+    capped[1] = [0.03, 0.03]
+    assert _first_jump(capped, eps) == 1
+    assert _first_jump(np.empty((0, 2)), np.empty(0)) == 0

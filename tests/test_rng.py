@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from usctraj.rng import (
     PURPOSE_CHANNEL,
@@ -79,9 +80,47 @@ def test_stream_cursor_take_block():
     np.testing.assert_array_equal(np.concatenate([first, rest]), whole)
 
 
+def test_stream_cursor_peek_and_skip():
+    whole = uniform_words(13, 1, PURPOSE_JUMP, 0, 3000)
+    cur = StreamCursor(13, 1, PURPOSE_JUMP, chunk=16)
+    pos = 0
+    # peeks across buffer boundaries, then skips short of, onto and past them
+    for peek, skip in [(5, 3), (20, 20), (40, 7), (1, 0), (0, 0), (100, 99), (600, 1), (2, 2000)]:
+        np.testing.assert_array_equal(cur.peek(peek), whole[pos : pos + peek])
+        assert cur.position == pos
+        cur.skip(skip)
+        pos += skip
+        assert cur.position == pos
+    np.testing.assert_array_equal(cur.take(50), whole[pos : pos + 50])
+
+
 def test_invalid_arguments_and_empty_request():
     with pytest.raises(ValueError):
         uniform_words(-1, 0, PURPOSE_JUMP, 0, 4)
     with pytest.raises(ValueError):
         uniform_words(0, -1, PURPOSE_JUMP, 0, 4)
     assert uniform_words(0, 0, PURPOSE_JUMP, 0, 0).size == 0
+
+
+def _words_via_state_dict(master_seed, traj_index, purpose, start, count):
+    """The stream as first defined: Philox positioned through its state dict."""
+    block, offset = divmod(start, 4)
+    bg = Philox(key=[master_seed, (traj_index << 2) | purpose])
+    st = bg.state
+    st["state"]["counter"][:] = 0
+    st["state"]["counter"][0] = block
+    st["buffer_pos"] = 4
+    st["has_uint32"] = 0
+    st["uinteger"] = 0
+    bg.state = st
+    return Generator(bg).random(offset + count)[offset:]
+
+
+@pytest.mark.parametrize("purpose", [PURPOSE_JUMP, PURPOSE_CHANNEL, PURPOSE_NOISE])
+@pytest.mark.parametrize("traj_index", [0, 5, 2**40 + 3])
+def test_words_pinned_to_state_dict_construction(purpose, traj_index):
+    for start in list(range(8)) + [2**32 + 6, 10**12 + 1]:
+        np.testing.assert_array_equal(
+            uniform_words(9, traj_index, purpose, start, 13),
+            _words_via_state_dict(9, traj_index, purpose, start, 13),
+        )
