@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -60,36 +59,23 @@ from .system import (
 SOLVERS = ("mcwf", "homodyne", "mixed", "lme")
 CALIBRATION_CHOICES = ("none", "full", "effective")
 HISTOGRAM_CHOICES = ("none", "first", "conditional", "both")
-THREADS_ENV = "USCTRAJ_THREADS"
 
 # Highest-Fock-level occupation allowed by --check-truncation.
 TRUNCATION_CEILING = 1e-6
 
 _FLOAT_FMT = "%.12g"
 
-_SYSTEM_KEYS = {
-    "omega0", "delta", "omega_c", "g", "theta",
-    "kappa", "gamma1", "gamma2", "gamma_c", "n_fock", "calibrate",
-    "qubit_exchange",
-}
-_RUN_KEYS = {
-    "solver", "hamiltonian", "t_final", "dt", "n_trajectories",
-    "master_seed", "initial_state", "observables", "record_every",
-    "method", "drift_mode", "homodyne_channels",
-    "delta_min", "delta_max", "delta_points", "levels",
-}
-_OUTPUT_KEYS = {
-    "directory", "prefix", "formats", "histogram", "first_bin_width",
-    "conditional_bin_width", "trigger_channel", "normalization",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One archived experiment: system block, run block, output block."""
+    """One archived experiment: system block, run block, output block.
 
-    # [system]
-    omega0: float = 1.0
+    The fields are the config schema, in header order.  A field whose
+    metadata names a "section" opens that INI section for itself and the
+    fields after it; a key's type is the type of its default.
+    """
+
+    omega0: float = field(default=1.0, metadata={"section": "system"})
     delta: float = 0.0
     omega_c: float = 2.0
     g: float = 0.1
@@ -104,8 +90,7 @@ class ExperimentConfig:
     # qubits; "on"/"off" force it, e.g. to keep the effective spectrum
     # smooth through the branch point.
     qubit_exchange: str = "auto"
-    # [run]
-    solver: str = "mcwf"
+    solver: str = field(default="mcwf", metadata={"section": "run"})
     hamiltonian: str = "full"
     t_final: float = 1000.0
     dt: float = DEFAULT_DT
@@ -121,8 +106,7 @@ class ExperimentConfig:
     delta_max: float = 0.3
     delta_points: int = 61
     levels: int = 6
-    # [output]
-    directory: str = "."
+    directory: str = field(default=".", metadata={"section": "output"})
     prefix: str = "run"
     formats: str = "csv"
     histogram: str = "none"
@@ -159,8 +143,6 @@ class ExperimentConfig:
             raise ConfigError("observables must not be empty")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be >= 1")
-        if self.n_fock < 1:
-            raise ConfigError("n_fock must be >= 1")
         if self.t_final <= 0 or self.dt <= 0:
             raise ConfigError("t_final and dt must be positive")
         if self.record_every < 1:
@@ -179,14 +161,23 @@ class ExperimentConfig:
 
     def system_params(self) -> SystemParams:
         return SystemParams(
-            omega0=self.omega0, delta=self.delta, omega_c=self.omega_c,
-            g=self.g, theta=self.theta, kappa=self.kappa,
-            gamma1=self.gamma1, gamma2=self.gamma2, gamma_c=self.gamma_c,
+            **{f.name: getattr(self, f.name) for f in fields(SystemParams)}
         )
 
 
-def _tuple_field(raw: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in raw.split(",") if s.strip())
+def _sections() -> dict[str, str]:
+    """INI section of every config key, in field order."""
+    sections, section = {}, ""
+    for f in fields(ExperimentConfig):
+        section = f.metadata.get("section", section)
+        sections[f.name] = section
+    return sections
+
+
+def _coerce(kind: type, raw: str):
+    if kind is tuple:
+        return tuple(s.strip() for s in raw.split(",") if s.strip())
+    return kind(raw)
 
 
 def load_config(spec: str) -> ExperimentConfig:
@@ -208,32 +199,20 @@ def load_config(spec: str) -> ExperimentConfig:
 
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(text, source=spec)
-    known = {"system": _SYSTEM_KEYS, "run": _RUN_KEYS, "output": _OUTPUT_KEYS}
-    fields: dict = {"prefix": prefix}
+    sections = _sections()
+    kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+    values: dict = {"prefix": prefix}
     for section in parser.sections():
-        if section not in known:
+        if section not in sections.values():
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in known[section]:
+            if sections.get(key) != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            fields[key] = raw
-    ints = {"n_fock", "n_trajectories", "master_seed", "record_every",
-            "delta_points", "levels"}
-    floats = {"omega0", "delta", "omega_c", "g", "theta", "kappa", "gamma1",
-              "gamma2", "gamma_c", "t_final", "dt", "delta_min", "delta_max",
-              "first_bin_width", "conditional_bin_width"}
-    tuples = {"observables", "homodyne_channels"}
-    for key, raw in list(fields.items()):
-        try:
-            if key in ints:
-                fields[key] = int(raw)
-            elif key in floats:
-                fields[key] = float(raw)
-            elif key in tuples and isinstance(raw, str):
-                fields[key] = _tuple_field(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    return ExperimentConfig(**fields)
+            try:
+                values[key] = _coerce(kinds[key], raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+    return ExperimentConfig(**values)
 
 
 def _resolve_params(cfg: ExperimentConfig) -> SystemParams:
@@ -254,40 +233,14 @@ def _fmt_value(v) -> str:
 
 def _header_lines(cfg: ExperimentConfig, p: SystemParams) -> list[str]:
     """Resolved-config header; omega_c shows the calibrated value."""
+    resolved = replace(cfg, **asdict(p))
     lines = [f"# usctraj {__version__}"]
-    resolved = {
-        "system": [
-            ("omega0", p.omega0), ("delta", p.delta), ("omega_c", p.omega_c),
-            ("g", p.g), ("theta", p.theta), ("kappa", p.kappa),
-            ("gamma1", p.gamma1), ("gamma2", p.gamma2), ("gamma_c", p.gamma_c),
-            ("n_fock", cfg.n_fock), ("calibrate", cfg.calibrate),
-            ("qubit_exchange", cfg.qubit_exchange),
-        ],
-        "run": [
-            ("solver", cfg.solver), ("hamiltonian", cfg.hamiltonian),
-            ("t_final", cfg.t_final), ("dt", cfg.dt),
-            ("n_trajectories", cfg.n_trajectories),
-            ("master_seed", cfg.master_seed),
-            ("initial_state", cfg.initial_state),
-            ("observables", cfg.observables),
-            ("record_every", cfg.record_every), ("method", cfg.method),
-            ("drift_mode", cfg.drift_mode),
-            ("homodyne_channels", cfg.homodyne_channels),
-            ("delta_min", cfg.delta_min), ("delta_max", cfg.delta_max),
-            ("delta_points", cfg.delta_points), ("levels", cfg.levels),
-        ],
-        "output": [
-            ("prefix", cfg.prefix), ("formats", cfg.formats),
-            ("histogram", cfg.histogram),
-            ("first_bin_width", cfg.first_bin_width),
-            ("conditional_bin_width", cfg.conditional_bin_width),
-            ("trigger_channel", cfg.trigger_channel),
-            ("normalization", cfg.normalization),
-        ],
-    }
-    for section, pairs in resolved.items():
-        for key, value in pairs:
-            lines.append(f"# [{section}] {key} = {_fmt_value(value)}")
+    for key, section in _sections().items():
+        # Where the files go is not part of the experiment, and leaving it
+        # out keeps a rerun into another directory byte-identical.
+        if key != "directory":
+            value = _fmt_value(getattr(resolved, key))
+            lines.append(f"# [{section}] {key} = {value}")
     return lines
 
 
@@ -302,38 +255,13 @@ def _write_table(path: Path, header: list[str], columns: list[tuple[str, np.ndar
             fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
 
 
-def _check_truncation_states(states: list[np.ndarray], n_fock: int):
-    """Reject runs whose wave functions reach the top Fock level."""
-    worst = 0.0
-    for psi in states:
-        top = float(np.sum(np.abs(psi[-4:]) ** 2))
-        worst = max(worst, top)
-    if worst > TRUNCATION_CEILING:
-        raise TruncationError(
-            f"top Fock level (n = {n_fock - 1}) population {worst:.3g} exceeds "
-            f"{TRUNCATION_CEILING}; increase n_fock"
-        )
-
-
-def _check_truncation_matrix(rho: np.ndarray, n_fock: int):
-    top = float(np.sum(np.diag(rho).real[-4:]))
+def _check_truncation(top: float, n_fock: int):
+    """Reject runs whose top Fock level population exceeds the ceiling."""
     if top > TRUNCATION_CEILING:
         raise TruncationError(
             f"top Fock level (n = {n_fock - 1}) population {top:.3g} exceeds "
             f"{TRUNCATION_CEILING}; increase n_fock"
         )
-
-
-def _thread_count(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return max(1, flag_value)
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    return 1
 
 
 def _out_dir(cfg: ExperimentConfig, out_flag: str | None) -> Path:
@@ -342,17 +270,13 @@ def _out_dir(cfg: ExperimentConfig, out_flag: str | None) -> Path:
     return out
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out_flag, threads, check_truncation) -> list[Path]:
+def cmd_spectrum(cfg: ExperimentConfig, out_flag, check_truncation) -> list[Path]:
     layout = build_layout(cfg.n_fock)
     deltas = np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_points)
     full_levels = np.empty((cfg.delta_points, cfg.levels))
     eff_levels = np.empty((cfg.delta_points, cfg.levels))
     for i, d in enumerate(deltas):
-        p = SystemParams(
-            omega0=cfg.omega0, delta=float(d), omega_c=cfg.omega_c, g=cfg.g,
-            theta=cfg.theta, kappa=cfg.kappa, gamma1=cfg.gamma1,
-            gamma2=cfg.gamma2, gamma_c=cfg.gamma_c,
-        )
+        p = replace(cfg.system_params(), delta=float(d))
         if cfg.calibrate != "none":
             p = calibrate_resonance(p, layout, which=cfg.calibrate)
         for matrix, store in (
@@ -371,37 +295,59 @@ def cmd_spectrum(cfg: ExperimentConfig, out_flag, threads, check_truncation) -> 
     return [path]
 
 
-def _run_records(cfg: ExperimentConfig, p: SystemParams, threads: int):
-    """Trajectory records for the configured stochastic solver."""
-    system = build_system(
+def _build_system(cfg: ExperimentConfig, p: SystemParams):
+    return build_system(
         p, n_fock=cfg.n_fock, hamiltonian=cfg.hamiltonian,
         include_qubit_exchange=cfg.exchange_flag(),
     )
+
+
+def _run_records(cfg: ExperimentConfig, p: SystemParams, check_truncation: bool):
+    """System and trajectory records for the configured stochastic solver."""
+    system = _build_system(cfg, p)
     psi0 = system.initial_state(cfg.initial_state)
     if cfg.solver == "mcwf":
-        return system, run_ensemble(
+        records = run_ensemble(
             p, psi0, cfg.t_final, cfg.n_trajectories, dt=cfg.dt,
             master_seed=cfg.master_seed, record_every=cfg.record_every,
-            method=cfg.method, threads=threads, system=system,
+            method=cfg.method, system=system,
         )
-    monitored = None if cfg.solver == "homodyne" else cfg.homodyne_channels
-    records = [
-        run_trajectory_homodyne(
-            p, psi0, cfg.t_final, dt=cfg.dt, seed=cfg.master_seed,
-            traj_index=i, record_every=cfg.record_every,
-            homodyne_channels=monitored, drift_mode=cfg.drift_mode,
-            system=system,
+    else:
+        monitored = None if cfg.solver == "homodyne" else cfg.homodyne_channels
+        records = [
+            run_trajectory_homodyne(
+                p, psi0, cfg.t_final, dt=cfg.dt, seed=cfg.master_seed,
+                traj_index=i, record_every=cfg.record_every,
+                homodyne_channels=monitored, drift_mode=cfg.drift_mode,
+                system=system,
+            )
+            for i in range(cfg.n_trajectories)
+        ]
+    if check_truncation:
+        _check_truncation(
+            max(float(np.sum(np.abs(r.final_state[-4:]) ** 2)) for r in records),
+            cfg.n_fock,
         )
-        for i in range(cfg.n_trajectories)
-    ]
     return system, records
 
 
-def cmd_trajectory(cfg, out_flag, threads, check_truncation) -> list[Path]:
-    p = _resolve_params(cfg)
-    system, records = _run_records(cfg, p, threads)
+def _lme_series(cfg: ExperimentConfig, system, check_truncation: bool):
+    """Master-equation series from the configured initial state."""
+    rho0 = density_from_state(system.initial_state(cfg.initial_state), system.layout)
+    series = evolve_lme(
+        rho0, cfg.t_final, cfg.dt, system.hamiltonian, system.channels,
+        record_every=cfg.record_every,
+    )
     if check_truncation:
-        _check_truncation_states([r.final_state for r in records], cfg.n_fock)
+        _check_truncation(
+            float(np.sum(np.diag(series.final_matrix).real[-4:])), cfg.n_fock
+        )
+    return series
+
+
+def cmd_trajectory(cfg, out_flag, check_truncation) -> list[Path]:
+    p = _resolve_params(cfg)
+    system, records = _run_records(cfg, p, check_truncation)
     out = _out_dir(cfg, out_flag)
     header = _header_lines(cfg, p)
     written = []
@@ -448,30 +394,18 @@ def _write_histograms(cfg, records, header, out: Path) -> list[Path]:
     return written
 
 
-def cmd_ensemble(cfg, out_flag, threads, check_truncation) -> list[Path]:
+def cmd_ensemble(cfg, out_flag, check_truncation) -> list[Path]:
     p = _resolve_params(cfg)
     out = _out_dir(cfg, out_flag)
     header = _header_lines(cfg, p)
     if cfg.solver == "lme":
-        system = build_system(
-            p, n_fock=cfg.n_fock, hamiltonian=cfg.hamiltonian,
-            include_qubit_exchange=cfg.exchange_flag(),
-        )
-        rho0 = density_from_state(system.initial_state(cfg.initial_state), system.layout)
-        series = evolve_lme(
-            rho0, cfg.t_final, cfg.dt, system.hamiltonian, system.channels,
-            record_every=cfg.record_every,
-        )
-        if check_truncation:
-            _check_truncation_matrix(series.final_matrix, cfg.n_fock)
+        series = _lme_series(cfg, _build_system(cfg, p), check_truncation)
         cols = [("time", series.time_grid)]
         cols += [(label, series.expectations[label]) for label in cfg.observables]
         path = out / f"{cfg.prefix}_lme.csv"
         _write_table(path, header, cols)
         return [path]
-    system, records = _run_records(cfg, p, threads)
-    if check_truncation:
-        _check_truncation_states([r.final_state for r in records], cfg.n_fock)
+    system, records = _run_records(cfg, p, check_truncation)
     avg = ensemble_average(records)
     cols = [("time", avg.time_grid)]
     for label in cfg.observables:
@@ -482,17 +416,10 @@ def cmd_ensemble(cfg, out_flag, threads, check_truncation) -> list[Path]:
     return [path] + _write_histograms(cfg, records, header, out)
 
 
-def cmd_compare_lme(cfg, out_flag, threads, check_truncation) -> list[Path]:
+def cmd_compare_lme(cfg, out_flag, check_truncation) -> list[Path]:
     p = _resolve_params(cfg)
-    system, records = _run_records(cfg, p, threads)
-    rho0 = density_from_state(system.initial_state(cfg.initial_state), system.layout)
-    series = evolve_lme(
-        rho0, cfg.t_final, cfg.dt, system.hamiltonian, system.channels,
-        record_every=cfg.record_every,
-    )
-    if check_truncation:
-        _check_truncation_states([r.final_state for r in records], cfg.n_fock)
-        _check_truncation_matrix(series.final_matrix, cfg.n_fock)
+    system, records = _run_records(cfg, p, check_truncation)
+    series = _lme_series(cfg, system, check_truncation)
     avg = ensemble_average(records)
     out = _out_dir(cfg, out_flag)
     header = _header_lines(cfg, p)
@@ -550,8 +477,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="config file path or shipped preset name")
         sp.add_argument("--out", default=None,
                         help="output directory (default: config [output] directory)")
-        sp.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default: ${THREADS_ENV} or 1)")
         sp.add_argument("--check-truncation", action="store_true",
                         help="fail if the top Fock level becomes populated")
     return parser
@@ -561,8 +486,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        threads = _thread_count(args.threads)
-        written = _COMMANDS[args.command](cfg, args.out, threads, args.check_truncation)
+        written = _COMMANDS[args.command](cfg, args.out, args.check_truncation)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

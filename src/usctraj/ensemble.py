@@ -41,7 +41,6 @@ falls back to direct per-trajectory integration.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,7 +321,6 @@ def run_ensemble(
     hamiltonian: str = "full",
     record_every: int = 1,
     method: str = "auto",
-    threads: int = 1,
     n_fock: int = 10,
     system: DissipativeSystem | None = None,
 ) -> list[TrajectoryRecord]:
@@ -331,8 +329,7 @@ def run_ensemble(
     ``initial_state`` is a label accepted by ``DissipativeSystem.initial_state``
     or an explicit state vector.  ``method`` "auto" tries flow grouping and
     falls back to direct integration; "grouped" raises ConfigError when the
-    run does not group; "direct" forces per-trajectory integration
-    (parallelized over ``threads`` workers when more than one).
+    run does not group; "direct" forces per-trajectory integration.
     """
     if method not in ENSEMBLE_METHODS:
         raise ConfigError(f"method must be one of {ENSEMBLE_METHODS}")
@@ -361,16 +358,13 @@ def run_ensemble(
 
     if flows is None:
         start_cache: dict = {}
-
-        def one(i: int) -> TrajectoryRecord:
-            return run_trajectory(
+        return [
+            run_trajectory(
                 p, psi0, t_final, dt=dt, seed=master_seed, traj_index=i,
                 record_every=record_every, system=system, start_cache=start_cache,
             )
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(one, range(n_trajectories)))
-        return [one(i) for i in range(n_trajectories)]
+            for i in range(n_trajectories)
+        ]
 
     rec_steps = np.arange(0, n_steps + 1, record_every)
     time_grid = rec_steps * dt

@@ -112,18 +112,28 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
-def _rhs(
-    r: np.ndarray,
-    h: np.ndarray,
-    plus: np.ndarray,
-    rates: np.ndarray,
-    decay: np.ndarray,
-) -> np.ndarray:
-    """Lindblad right-hand side; ``decay`` is sum_m gamma_m S-_m S+_m."""
-    out = -1j * (h @ r - r @ h)
-    out += np.einsum("m,mij,jk,mlk->il", rates, plus, r, plus.conj(), optimize=True)
-    out -= 0.5 * (decay @ r + r @ decay)
-    return out
+def _generator_parts(
+    r: np.ndarray, hm: np.ndarray, channels: list[JumpChannel]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked S^+, rates and ``decay`` = sum_m gamma_m S-_m S+_m.
+
+    Raises DimensionMismatchError unless the Hamiltonian and every channel
+    have the shape of the state ``r``.
+    """
+    if hm.shape != r.shape:
+        raise DimensionMismatchError(
+            f"Hamiltonian shape {hm.shape} does not match state shape {r.shape}"
+        )
+    for c in channels:
+        if c.operator_plus.matrix.shape != r.shape:
+            raise DimensionMismatchError(
+                f"channel {c.label} shape {c.operator_plus.matrix.shape} "
+                f"does not match state shape {r.shape}"
+            )
+    plus = np.stack([c.operator_plus.matrix for c in channels])
+    rates = np.array([c.rate for c in channels])
+    decay = np.einsum("m,mji,mjk->ik", rates, plus.conj(), plus, optimize=True)
+    return plus, rates, decay
 
 
 def _dissipator(
@@ -150,20 +160,8 @@ def lindblad_rhs(rho, h, channels: list[JumpChannel]) -> np.ndarray:
     """
     r = _as_matrix(rho)
     hm = _as_matrix(h)
-    if hm.shape != r.shape:
-        raise DimensionMismatchError(
-            f"Hamiltonian shape {hm.shape} does not match state shape {r.shape}"
-        )
-    for c in channels:
-        if c.operator_plus.matrix.shape != r.shape:
-            raise DimensionMismatchError(
-                f"channel {c.label} shape {c.operator_plus.matrix.shape} "
-                f"does not match state shape {r.shape}"
-            )
-    plus = np.stack([c.operator_plus.matrix for c in channels])
-    rates = np.array([c.rate for c in channels])
-    decay = np.einsum("m,mji,mjk->ik", rates, plus.conj(), plus, optimize=True)
-    return _rhs(r, hm, plus, rates, decay)
+    plus, rates, decay = _generator_parts(r, hm, channels)
+    return -1j * (hm @ r - r @ hm) + _dissipator(r, plus, rates, decay)
 
 
 def evolve_lme(
@@ -185,6 +183,8 @@ def evolve_lme(
 
     Raises
     ------
+    DimensionMismatchError
+        If the Hamiltonian or a channel does not match the state's shape.
     IntegratorInstabilityError
         If the trace leaves 1 by more than ``TRACE_TOL``, Hermiticity
         degrades past ``HERMITICITY_TOL``, or an eigenvalue falls below
@@ -192,13 +192,7 @@ def evolve_lme(
     """
     r = _as_matrix(rho0).copy()
     hm = _as_matrix(h)
-    if hm.shape != r.shape:
-        raise DimensionMismatchError(
-            f"Hamiltonian shape {hm.shape} does not match state shape {r.shape}"
-        )
-    plus = np.stack([c.operator_plus.matrix for c in channels])
-    rates = np.array([c.rate for c in channels])
-    decay = np.einsum("m,mji,mjk->ik", rates, plus.conj(), plus, optimize=True)
+    plus, rates, decay = _generator_parts(r, hm, channels)
     # Observable matrices S^- S^+ per recorded channel (unweighted by rate).
     obs_labels = [c.label for c in channels[:3]]
     obs = np.stack([p.conj().T @ p for p in plus[:3]])

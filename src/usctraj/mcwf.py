@@ -32,22 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .dressed import JumpChannel
 from .errors import (
     ConfigError,
     DimensionMismatchError,
     NumericalInconsistencyError,
     TimestepError,
 )
-from .hilbert import OperatorMatrix
 from .model import SystemParams
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, StreamCursor
-from .system import (
-    OBSERVABLE_LABELS,
-    DissipativeSystem,
-    build_system,
-    non_hermitian_matrix,
-)
+from .system import OBSERVABLE_LABELS, DissipativeSystem, build_system
 
 MAX_DP_PER_STEP = 0.1
 JUMP_NORM_FLOOR = 1e-14
@@ -121,24 +114,6 @@ class JumpStreams:
         )
 
 
-def non_hermitian_hamiltonian(
-    h: OperatorMatrix, channels: list[JumpChannel]
-) -> OperatorMatrix:
-    """H - (i/2) sum_m gamma_m S^-_m S^+_m, wrapped with basis metadata."""
-    for c in channels:
-        if c.operator_plus.layout.dimension != h.layout.dimension:
-            raise DimensionMismatchError(
-                f"channel {c.label} dimension {c.operator_plus.layout.dimension} "
-                f"!= Hamiltonian dimension {h.layout.dimension}"
-            )
-    return OperatorMatrix(
-        h.layout,
-        non_hermitian_matrix(h.matrix, channels),
-        hermitian=False,
-        name="H_nh",
-    )
-
-
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D complex vector, bitwise equal to np.linalg.norm.
 
@@ -207,45 +182,6 @@ def _first_jump(dp: np.ndarray, eps: np.ndarray) -> int:
         if not dp[i].sum() <= eps[i]:
             return int(i)
     return len(dp)
-
-
-def step(
-    psi: np.ndarray,
-    dt: float,
-    channels: list[JumpChannel],
-    h_nh: OperatorMatrix | np.ndarray,
-    rng: JumpStreams,
-    propagator: np.ndarray | None = None,
-    time: float = 0.0,
-) -> tuple[np.ndarray, JumpEvent | None]:
-    """Advance one step; returns the renormalized state and a jump event if one fired.
-
-    ``propagator`` is exp(-i H_nh dt); when omitted, the first-order form
-    (1 - i H_nh dt) psi is used.  The threshold draw happens every step, the
-    channel draw only on steps where a jump fires.
-    """
-    h = h_nh.matrix if isinstance(h_nh, OperatorMatrix) else h_nh
-    plus_stack = np.stack([c.operator_plus.matrix for c in channels])
-    rates = np.array([c.rate for c in channels])
-    dp, amps = _jump_probabilities(psi, dt, plus_stack, rates)
-    _check_dp(dp)
-    eps = rng.threshold.take_one()
-    # Strict comparison: a zero-probability step can never fire, even on
-    # the measure-zero draw eps = 0.0.
-    if dp.sum() <= eps:
-        phi = propagator @ psi if propagator is not None else psi - 1j * dt * (h @ psi)
-        return phi / _norm(phi), None
-    m = _select_channel(dp, rng.channel.take_one())
-    phi = amps[m]
-    norm = _norm(phi)
-    if norm < JUMP_NORM_FLOOR:
-        raise NumericalInconsistencyError(
-            f"channel {channels[m].label} selected but ||S^+ psi|| = {norm:.3e}"
-        )
-    event = JumpEvent(
-        time=time, channel=channels[m].label, pre_jump_norm_probabilities=dp
-    )
-    return phi / norm, event
 
 
 def _check_dp(dp: np.ndarray) -> None:

@@ -88,20 +88,6 @@ def qq_subspace_hamiltonian(
     )
 
 
-def _amplitudes_1p2a(t: np.ndarray, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized amplitudes (alpha on |1,g,g>, beta on |0,e,e>) from |1,g,g>."""
-    ec = effective_couplings(p)
-    gam = big_gamma(p)
-    eta = eta_parameter(p)
-    t = np.asarray(t, dtype=float)
-    damp = np.exp(-0.25 * (p.kappa + gam) * t)
-    c = np.cos(eta * t / 4.0)
-    s_over = _sinq(t, eta)
-    alpha = damp * (c - (p.kappa - gam) * s_over)
-    beta = damp * (-4.0j * ec.omega3 * s_over)
-    return alpha, beta
-
-
 def u_1p2a(t, p: SystemParams, energy: float = 0.0) -> np.ndarray:
     """Propagator on (|1,g,g>, |0,e,e>), shape t.shape + (2, 2).
 
@@ -130,9 +116,9 @@ def expectations_1p2a(t, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     1 - ((kappa - Gamma)/eta) sin(eta t/2) + 2 ((kappa - Gamma)/eta)^2
     sin^2(eta t/4) arises with the cross term linear in sin(eta t/2).
     """
-    alpha, beta = _amplitudes_1p2a(t, p)
-    pa = np.abs(alpha) ** 2
-    pb = np.abs(beta) ** 2
+    column = u_1p2a(t, p)[..., 0]
+    pa = np.abs(column[..., 0]) ** 2
+    pb = np.abs(column[..., 1]) ** 2
     norm = pa + pb
     return pa / norm, pb / norm
 

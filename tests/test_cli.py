@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from usctraj import __version__
 from usctraj.cli import (
     ExperimentConfig,
-    _thread_count,
     load_config,
     main,
 )
@@ -91,6 +91,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     worse.write_text(BASE_SYSTEM + "\n[telemetry]\nx = 1\n")
     with pytest.raises(ConfigError):
         load_config(str(worse))
+    misplaced = write_config(tmp_path, "misplaced.ini", "\n[run]\nkappa = 1\n")
+    with pytest.raises(ConfigError):
+        load_config(misplaced)
 
 
 def test_load_config_rejects_bad_choices(tmp_path):
@@ -324,16 +327,111 @@ prefix = hm
     assert data_rows == []  # full homodyne cannot click
 
 
-def test_thread_count_precedence(monkeypatch):
-    monkeypatch.delenv("USCTRAJ_THREADS", raising=False)
-    assert _thread_count(None) == 1
-    assert _thread_count(4) == 4
-    monkeypatch.setenv("USCTRAJ_THREADS", "3")
-    assert _thread_count(None) == 3
-    assert _thread_count(2) == 2  # flag wins over environment
-    monkeypatch.setenv("USCTRAJ_THREADS", "many")
-    with pytest.raises(ConfigError):
-        _thread_count(None)
+def test_single_fock_level_exits_2_naming_n_fock(tmp_path, capsys):
+    cfg = tmp_path / "one.ini"
+    cfg.write_text(
+        BASE_SYSTEM.replace("n_fock = 6", "n_fock = 1").replace(
+            "calibrate = effective", "calibrate = none"
+        )
+        + "\n[run]\nhamiltonian = effective\nt_final = 5\n"
+    )
+    rc = main(["trajectory", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "n_fock" in capsys.readouterr().err
+
+
+PINNED_CONFIG = """
+[system]
+omega0 = 1.0
+delta = 0.01
+omega_c = 1.98
+g = 0.1
+theta = 0.5
+kappa = 4e-4
+gamma1 = 5e-4
+gamma2 = 3e-4
+gamma_c = 2e-4
+n_fock = 3
+calibrate = none
+qubit_exchange = off
+
+[run]
+solver = mcwf
+hamiltonian = effective
+t_final = 5
+dt = 0.5
+n_trajectories = 2
+master_seed = 4
+initial_state = 1gg
+observables = cavity, qubit2
+record_every = 2
+method = direct
+drift_mode = qsd
+homodyne_channels = cavity, qubit1
+delta_min = -0.1
+delta_max = 0.2
+delta_points = 3
+levels = 2
+
+[output]
+directory = somewhere
+prefix = pinned
+histogram = first
+first_bin_width = 100
+conditional_bin_width = 25.5
+trigger_channel = qubit2
+normalization = per-bin
+"""
+
+PINNED_HEADER = [
+    "# [system] omega0 = 1.0",
+    "# [system] delta = 0.01",
+    "# [system] omega_c = 1.98",
+    "# [system] g = 0.1",
+    "# [system] theta = 0.5",
+    "# [system] kappa = 0.0004",
+    "# [system] gamma1 = 0.0005",
+    "# [system] gamma2 = 0.0003",
+    "# [system] gamma_c = 0.0002",
+    "# [system] n_fock = 3",
+    "# [system] calibrate = none",
+    "# [system] qubit_exchange = off",
+    "# [run] solver = mcwf",
+    "# [run] hamiltonian = effective",
+    "# [run] t_final = 5.0",
+    "# [run] dt = 0.5",
+    "# [run] n_trajectories = 2",
+    "# [run] master_seed = 4",
+    "# [run] initial_state = 1gg",
+    "# [run] observables = cavity, qubit2",
+    "# [run] record_every = 2",
+    "# [run] method = direct",
+    "# [run] drift_mode = qsd",
+    "# [run] homodyne_channels = cavity, qubit1",
+    "# [run] delta_min = -0.1",
+    "# [run] delta_max = 0.2",
+    "# [run] delta_points = 3",
+    "# [run] levels = 2",
+    "# [output] prefix = pinned",
+    "# [output] formats = csv",
+    "# [output] histogram = first",
+    "# [output] first_bin_width = 100.0",
+    "# [output] conditional_bin_width = 25.5",
+    "# [output] trigger_channel = qubit2",
+    "# [output] normalization = per-bin",
+    "# columns: time,cavity,qubit2",
+]
+
+
+def test_header_lines_are_pinned(tmp_path):
+    # every key of all three sections, in order; the output directory is
+    # not part of the experiment and stays out of the header
+    cfg = tmp_path / "pinned.ini"
+    cfg.write_text(PINNED_CONFIG)
+    assert main(["trajectory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    header = read_header(tmp_path / "o" / "pinned_traj0.csv")
+    assert header == [f"# usctraj {__version__}"] + PINNED_HEADER
+    assert not any("directory" in line for line in header)
 
 
 def test_config_validation_direct():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from usctraj.errors import HermiticityError
+from usctraj.errors import DimensionMismatchError, HermiticityError
 from usctraj.hilbert import build_layout
 from usctraj.lme import (
     DensityMatrix,
@@ -136,3 +136,7 @@ def test_rejects_mismatched_hamiltonian(small_system):
     rho0 = density_from_state(sys.initial_state("1gg"), sys.layout)
     with pytest.raises(Exception):
         evolve_lme(rho0, 10.0, 0.5, np.eye(3), list(sys.channels))
+    # a channel of another dimension than the state
+    other = build_system(sys.params, n_fock=4, hamiltonian="effective")
+    with pytest.raises(DimensionMismatchError):
+        evolve_lme(rho0, 10.0, 0.5, sys.hamiltonian, [other.channels[0]])

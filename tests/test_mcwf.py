@@ -19,9 +19,7 @@ from usctraj.mcwf import (
     _jump_probabilities,
     _select_channel,
     ensemble_average,
-    non_hermitian_hamiltonian,
     run_trajectory,
-    step,
 )
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.oracles import expectations_1p2a
@@ -160,44 +158,17 @@ def test_first_order_propagation_approaches_exact(balanced_params):
     )
 
 
-def test_step_function_no_jump_branch(system_eff):
-    from scipy.linalg import expm
-
-    psi = system_eff.initial_state("1gg")
-    h_nh = system_eff.h_nh
-    dt = 0.5
-    propagator = expm(-1j * h_nh * dt)
-    streams = JumpStreams.for_trajectory(0, 0)
-    out, event = step(psi, dt, list(system_eff.channels), h_nh, streams, propagator)
-    assert event is None
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_step_function_jump_branch(system_eff):
-    # force the jump branch with a threshold cursor that always reads ~0
-    class _Zeros:
-        def take_one(self):
-            return 0.0
-
-    psi = system_eff.initial_state("0ee")
-    streams = JumpStreams.for_trajectory(0, 0)
-    streams.threshold = _Zeros()
-    out, event = step(psi, 0.5, list(system_eff.channels), system_eff.h_nh, streams)
-    assert event is not None
-    assert event.channel in ("qubit1", "qubit2")
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-13)
-    assert event.pre_jump_norm_probabilities.shape == (4,)
-
-
 def test_jump_event_validation():
     with pytest.raises(ValueError):
         JumpEvent(time=-1.0, channel="cavity", pre_jump_norm_probabilities=np.zeros(4))
 
 
 def test_non_hermitian_hamiltonian_assembly(system_eff):
-    h_nh = non_hermitian_hamiltonian(system_eff.hamiltonian, list(system_eff.channels))
-    np.testing.assert_allclose(h_nh.matrix, system_eff.h_nh, atol=1e-15)
-    anti = h_nh.matrix - h_nh.matrix.conj().T
+    h_nh = system_eff.h_nh
+    np.testing.assert_allclose(
+        0.5 * (h_nh + h_nh.conj().T), system_eff.hamiltonian.matrix, atol=1e-15
+    )
+    anti = h_nh - h_nh.conj().T
     # i (H_nh - H_nh^dag) = sum gamma_m S^- S^+ must be positive semidefinite
     decay = np.linalg.eigvalsh(1j * anti)
     assert decay.min() >= -1e-15
