@@ -275,6 +275,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_flag, check_truncation) -> list[Path
     deltas = np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_points)
     full_levels = np.empty((cfg.delta_points, cfg.levels))
     eff_levels = np.empty((cfg.delta_points, cfg.levels))
+    top = 0.0  # largest top-Fock population among the kept levels
     for i, d in enumerate(deltas):
         p = replace(cfg.system_params(), delta=float(d))
         if cfg.calibrate != "none":
@@ -285,6 +286,11 @@ def cmd_spectrum(cfg: ExperimentConfig, out_flag, check_truncation) -> list[Path
         ):
             evals = np.linalg.eigvalsh(matrix)
             store[i] = evals[: cfg.levels] - evals[0]
+            if check_truncation:
+                vecs = np.linalg.eigh(matrix)[1][:, : cfg.levels]
+                top = max(top, float(np.max(np.sum(np.abs(vecs[-4:]) ** 2, axis=0))))
+    if check_truncation:
+        _check_truncation(top, cfg.n_fock)
     out = _out_dir(cfg, out_flag)
     header = _header_lines(cfg, cfg.system_params())
     cols = [("delta", deltas)]
@@ -300,6 +306,15 @@ def _build_system(cfg: ExperimentConfig, p: SystemParams):
         p, n_fock=cfg.n_fock, hamiltonian=cfg.hamiltonian,
         include_qubit_exchange=cfg.exchange_flag(),
     )
+
+
+def _require_trajectories(cfg: ExperimentConfig, command: str):
+    """Reject the master-equation solver where trajectories are needed."""
+    if cfg.solver == "lme":
+        raise ConfigError(
+            f"{command} needs a trajectory solver (mcwf, homodyne or mixed); "
+            "solver = lme runs only under ensemble"
+        )
 
 
 def _run_records(cfg: ExperimentConfig, p: SystemParams, check_truncation: bool):
@@ -346,6 +361,7 @@ def _lme_series(cfg: ExperimentConfig, system, check_truncation: bool):
 
 
 def cmd_trajectory(cfg, out_flag, check_truncation) -> list[Path]:
+    _require_trajectories(cfg, "trajectory")
     p = _resolve_params(cfg)
     system, records = _run_records(cfg, p, check_truncation)
     out = _out_dir(cfg, out_flag)
@@ -417,6 +433,7 @@ def cmd_ensemble(cfg, out_flag, check_truncation) -> list[Path]:
 
 
 def cmd_compare_lme(cfg, out_flag, check_truncation) -> list[Path]:
+    _require_trajectories(cfg, "compare-lme")
     p = _resolve_params(cfg)
     system, records = _run_records(cfg, p, check_truncation)
     series = _lme_series(cfg, system, check_truncation)

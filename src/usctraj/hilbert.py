@@ -50,16 +50,6 @@ class BasisLayout:
         psi[self.index(n, s1, s2)] = 1.0
         return psi
 
-    def labels(self) -> list[str]:
-        """Human-readable ket labels in index order."""
-        qs = "ge"
-        return [
-            f"|{n},{qs[s1]},{qs[s2]}>"
-            for n in range(self.n_fock)
-            for s1 in (0, 1)
-            for s2 in (0, 1)
-        ]
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:

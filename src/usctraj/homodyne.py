@@ -10,14 +10,14 @@ measurement back-action of the monitored channels,
 and renormalizes.  The drift and noise coefficients (c_m, n_m) come in
 three conventions selected by ``drift_mode``:
 
-- "as-printed" (default): c_m = gamma_m^2 <S-_m - S+_m>, n_m = gamma_m.
+- "as-printed": c_m = gamma_m^2 <S-_m - S+_m>, n_m = gamma_m.
   The quadratic rate in the drift is unusual (a linear rate with a
-  sqrt-rate noise quadrature is the textbook normalization) but it is
-  kept verbatim as the default; at the rates used here both terms are
+  sqrt-rate noise quadrature is the textbook normalization); it is kept
+  as printed for comparison.  At the rates used here both terms are
   small corrections to the non-Hermitian damping either way.
 - "linear-rate": c_m = gamma_m <S-_m - S+_m>, n_m = sqrt(gamma_m).
   Same structure with the textbook rate powers.
-- "qsd": standard homodyne unravelling of the master equation,
+- "qsd" (default): standard homodyne unravelling of the master equation,
   dpsi += [ gamma_m <X_m> dt + sqrt(gamma_m) dW_m ] S+_m psi with
   X_m = S-_m + S+_m; averaging 2000+ of these trajectories reproduces
   the master-equation evolution.
@@ -30,58 +30,31 @@ consumed only on diffusive steps, one per monitored channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm
 
 from .dressed import JumpChannel
-from .errors import ConfigError, DimensionMismatchError, NumericalInconsistencyError
-from .hilbert import OperatorMatrix
+from .errors import ConfigError
 from .mcwf import (
-    JUMP_NORM_FLOOR,
     JumpEvent,
     JumpStreams,
     TrajectoryRecord,
     _check_dp,
+    _collapse,
     _jump_probabilities,
     _norm,
+    _prepare,
     _select_channel,
 )
 from .model import SystemParams
 from .rng import PURPOSE_NOISE, StreamCursor
-from .system import OBSERVABLE_LABELS, DissipativeSystem, build_system
+from .system import OBSERVABLE_LABELS, DissipativeSystem
 
 DRIFT_MODES = ("as-printed", "linear-rate", "qsd")
 
 # Diffusive runs need a finer step than the jump engine: noise enters at
 # O(sqrt(dt)), so weak-convergence error is controlled by dt itself.
 DEFAULT_DT = 0.1
-
-
-@dataclass
-class NoiseStream:
-    """Per-trajectory Wiener increments, one word per monitored channel per step.
-
-    Increments have zero mean and variance dt.  ``zeroed`` replaces every
-    increment with 0 without consuming words (drift-only runs).
-    """
-
-    cursor: StreamCursor
-    dt: float
-    zeroed: bool = False
-
-    @classmethod
-    def for_trajectory(
-        cls, master_seed: int, traj_index: int, dt: float, zeroed: bool = False
-    ) -> "NoiseStream":
-        cursor = StreamCursor(master_seed, traj_index, PURPOSE_NOISE, normal=True)
-        return cls(cursor=cursor, dt=dt, zeroed=zeroed)
-
-    def increments(self, n_channels: int) -> np.ndarray:
-        if self.zeroed:
-            return np.zeros(n_channels)
-        return np.sqrt(self.dt) * self.cursor.take(n_channels)
 
 
 def _diffusive_increment(
@@ -109,57 +82,6 @@ def _diffusive_increment(
     return out
 
 
-def homodyne_step(
-    psi: np.ndarray,
-    dt: float,
-    channels_homodyne: list[JumpChannel],
-    channels_jump: list[JumpChannel],
-    h_nh: OperatorMatrix | np.ndarray,
-    noise: NoiseStream,
-    rng: JumpStreams | None = None,
-    propagator: np.ndarray | None = None,
-    drift_mode: str = "as-printed",
-    time: float = 0.0,
-) -> tuple[np.ndarray, JumpEvent | None]:
-    """Advance one step of the mixed diffusive/photodetected evolution.
-
-    Photodetected channels are tested first with the jump-engine rule; a
-    hit collapses the state and consumes no Wiener words.  Otherwise the
-    state is propagated exactly under the non-Hermitian matrix (or by a
-    first-order Euler move when ``propagator`` is None), the monitored
-    channels add their drift and noise, and the result is renormalized.
-    """
-    if drift_mode not in DRIFT_MODES:
-        raise ConfigError(f"drift_mode must be one of {DRIFT_MODES}")
-    h = h_nh.matrix if isinstance(h_nh, OperatorMatrix) else h_nh
-    if channels_jump:
-        if rng is None:
-            raise ConfigError("photodetected channels need threshold/channel streams")
-        plus_stack = np.stack([c.operator_plus.matrix for c in channels_jump])
-        rates = np.array([c.rate for c in channels_jump])
-        dp, amps = _jump_probabilities(psi, dt, plus_stack, rates)
-        _check_dp(dp)
-        eps = rng.threshold.take_one()
-        if dp.sum() > eps:
-            m = _select_channel(dp, rng.channel.take_one())
-            phi = amps[m]
-            norm = _norm(phi)
-            if norm < JUMP_NORM_FLOOR:
-                raise NumericalInconsistencyError(
-                    f"channel {channels_jump[m].label} selected "
-                    f"but ||S^+ psi|| = {norm:.3e}"
-                )
-            event = JumpEvent(
-                time=time, channel=channels_jump[m].label,
-                pre_jump_norm_probabilities=dp,
-            )
-            return phi / norm, event
-    phi = propagator @ psi if propagator is not None else psi - 1j * dt * (h @ psi)
-    dw = noise.increments(len(channels_homodyne))
-    phi = phi + _diffusive_increment(phi, dt, channels_homodyne, dw, drift_mode)
-    return phi / _norm(phi), None
-
-
 def run_trajectory_homodyne(
     p: SystemParams,
     psi0: np.ndarray,
@@ -170,7 +92,7 @@ def run_trajectory_homodyne(
     traj_index: int = 0,
     record_every: int = 1,
     homodyne_channels: tuple[str, ...] | None = None,
-    drift_mode: str = "as-printed",
+    drift_mode: str = "qsd",
     store_states: bool = False,
     zero_noise: bool = False,
     system: DissipativeSystem | None = None,
@@ -180,19 +102,12 @@ def run_trajectory_homodyne(
     ``homodyne_channels`` names the monitored channels; None monitors all
     of them (full homodyne, no jumps possible).  The remaining channels
     stay photodetected, as in a cavity-homodyne / qubit-photodetection
-    mixed measurement.
+    mixed measurement.  ``zero_noise`` sets every Wiener increment to 0
+    without drawing words (drift-only runs).
     """
     if drift_mode not in DRIFT_MODES:
         raise ConfigError(f"drift_mode must be one of {DRIFT_MODES}")
-    psi = np.asarray(psi0, dtype=complex)
-    if system is None:
-        if psi.size % 4 != 0:
-            raise DimensionMismatchError(f"state length {psi.size} is not 4 * n_fock")
-        system = build_system(p, n_fock=psi.size // 4, hamiltonian=hamiltonian)
-    if psi.shape != (system.dimension,):
-        raise DimensionMismatchError(
-            f"state shape {psi.shape} does not match system dimension {system.dimension}"
-        )
+    psi, system = _prepare(p, psi0, hamiltonian, system)
     labels = [c.label for c in system.channels]
     if homodyne_channels is None:
         homodyne_channels = tuple(labels)
@@ -200,12 +115,12 @@ def run_trajectory_homodyne(
     if unknown:
         raise ConfigError(f"unknown homodyne channels {sorted(unknown)}")
     hom = [c for c in system.channels if c.label in homodyne_channels]
-    jump = [c for c in system.channels if c.label not in homodyne_channels]
+    jump_idx = [i for i, label in enumerate(labels) if label not in homodyne_channels]
+    jump_stack, jump_rates = system.plus_stack[jump_idx], system.rates[jump_idx]
 
     propagator = expm(-1j * system.h_nh * dt)
-    streams = JumpStreams.for_trajectory(seed, traj_index) if jump else None
-    noise = NoiseStream.for_trajectory(seed, traj_index, dt, zeroed=zero_noise)
-    plus_stack = system.plus_stack
+    streams = JumpStreams.for_trajectory(seed, traj_index) if jump_idx else None
+    noise = None if zero_noise else StreamCursor(seed, traj_index, PURPOSE_NOISE, normal=True)
 
     n_steps = int(round(t_final / dt))
     rec_steps = np.arange(0, n_steps + 1, record_every)
@@ -217,19 +132,28 @@ def run_trajectory_homodyne(
     rec_i = 0
     for k in range(n_steps + 1):
         if rec_i < rec_steps.size and k == rec_steps[rec_i]:
-            amps3 = plus_stack[:3] @ psi
+            amps3 = system.plus_stack[:3] @ psi
             series[:, rec_i] = np.einsum("md,md->m", amps3.conj(), amps3).real
             if snapshots is not None:
                 snapshots[rec_i] = psi
             rec_i += 1
         if k == n_steps:
             break
-        psi, event = homodyne_step(
-            psi, dt, hom, jump, system.h_nh, noise, streams,
-            propagator=propagator, drift_mode=drift_mode, time=(k + 1) * dt,
-        )
-        if event is not None:
-            jumps.append(event)
+        if jump_idx:
+            dp, amps = _jump_probabilities(psi, dt, jump_stack, jump_rates)
+            _check_dp(dp)
+            if dp.sum() > streams.threshold.take_one():
+                m = _select_channel(dp, streams.channel.take_one())
+                label = labels[jump_idx[m]]
+                psi = _collapse(amps, m, label)
+                jumps.append(
+                    JumpEvent(time=(k + 1) * dt, channel=label, pre_jump_norm_probabilities=dp)
+                )
+                continue
+        phi = propagator @ psi
+        dw = np.zeros(len(hom)) if noise is None else np.sqrt(dt) * noise.take(len(hom))
+        phi = phi + _diffusive_increment(phi, dt, hom, dw, drift_mode)
+        psi = phi / _norm(phi)
 
     return TrajectoryRecord(
         params=p,

@@ -9,7 +9,7 @@ in proportion to dp_m, and the state collapses to S^+_m psi (renormalized).
 Propagation is by the exact exponential of the non-Hermitian matrix over one
 step (precomputed once; the dimension never exceeds a few dozen), so the
 timestep affects only jump-probability discretization, not the oscillation
-frequencies.  A first-order Euler mode is available for comparison.
+frequencies.
 
 ``run_trajectory`` evaluates a trajectory in chunks of steps.  Only the
 no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| runs step by step; the jump
@@ -53,8 +53,6 @@ DEFAULT_DT = 0.5
 _STEP_CHUNK0, _STEP_CHUNK_MAX = 16, 512
 # Relative slack of the vectorized row sums that preselect jump candidates.
 _SUM_SLACK = 1e-9
-
-PROPAGATION_MODES = ("exact", "first-order")
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,33 @@ def _norm(v: np.ndarray) -> float:
     """
     re, im = v.real, v.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _prepare(
+    p: SystemParams, psi0: np.ndarray, hamiltonian: str, system: DissipativeSystem | None
+) -> tuple[np.ndarray, DissipativeSystem]:
+    """psi0 as a complex vector and the system it evolves in (built when None)."""
+    psi = np.asarray(psi0, dtype=complex)
+    if system is None:
+        if psi.size % 4 != 0:
+            raise DimensionMismatchError(f"state length {psi.size} is not 4 * n_fock")
+        system = build_system(p, n_fock=psi.size // 4, hamiltonian=hamiltonian)
+    if psi.shape != (system.dimension,):
+        raise DimensionMismatchError(
+            f"state shape {psi.shape} does not match system dimension {system.dimension}"
+        )
+    return psi, system
+
+
+def _collapse(amps: np.ndarray, m: int, label: str) -> np.ndarray:
+    """The normalized post-jump state S^+_m psi from the amplitude rows."""
+    phi = amps[m]
+    norm = _norm(phi)
+    if norm < JUMP_NORM_FLOOR:
+        raise NumericalInconsistencyError(
+            f"channel {label} selected but ||S^+ psi|| = {norm:.3e}"
+        )
+    return phi / norm
 
 
 def _jump_probabilities(
@@ -207,7 +232,6 @@ def run_trajectory(
     hamiltonian: str = "full",
     traj_index: int = 0,
     record_every: int = 1,
-    propagation: str = "exact",
     store_states: bool = False,
     system: DissipativeSystem | None = None,
     start_cache: dict | None = None,
@@ -221,25 +245,14 @@ def run_trajectory(
     results, bit for bit, as one step at a time.
 
     ``start_cache`` is a dict shared by trajectories that differ only in
-    ``traj_index`` (same system, psi0, t_final, dt and propagation).  Before
+    ``traj_index`` (same system, psi0, t_final and dt).  Before
     their first jump such trajectories walk the same chunks of the same
     no-jump chain; the cache keeps each chunk's jump probabilities,
     observables and end states, so an ensemble evaluates them once.  It is
     ignored when ``store_states`` is set.
     """
-    if propagation not in PROPAGATION_MODES:
-        raise ConfigError(f"propagation must be one of {PROPAGATION_MODES}")
-    psi = np.asarray(psi0, dtype=complex)
-    if system is None:
-        if psi.size % 4 != 0:
-            raise DimensionMismatchError(f"state length {psi.size} is not 4 * n_fock")
-        system = build_system(p, n_fock=psi.size // 4, hamiltonian=hamiltonian)
-    if psi.shape != (system.dimension,):
-        raise DimensionMismatchError(
-            f"state shape {psi.shape} does not match system dimension {system.dimension}"
-        )
-    propagator = expm(-1j * system.h_nh * dt) if propagation == "exact" else None
-    h = system.h_nh
+    psi, system = _prepare(p, psi0, hamiltonian, system)
+    advance = expm(-1j * system.h_nh * dt).__matmul__
     plus_stack, rates = system.plus_stack, system.rates
     streams = JumpStreams.for_trajectory(seed, traj_index)
 
@@ -250,12 +263,6 @@ def run_trajectory(
     snapshots = np.empty((rec_steps.size, psi.size), dtype=complex) if store_states else None
     jumps: list[JumpEvent] = []
 
-    if propagator is not None:
-        def advance(v):
-            return propagator @ v
-    else:
-        def advance(v):
-            return v - 1j * dt * (h @ v)
     scale = dt * rates
     states = np.empty((min(_STEP_CHUNK_MAX, n_steps + 1), psi.size), dtype=complex)
     size = _STEP_CHUNK0
@@ -302,13 +309,7 @@ def run_trajectory(
             fired_amps = _chunk_amplitudes(block[fired : fired + 1], plus_stack)[0][0]
         else:
             fired_amps = amps[fired]
-        phi = fired_amps[m]
-        norm = _norm(phi)
-        if norm < JUMP_NORM_FLOOR:
-            raise NumericalInconsistencyError(
-                f"channel {system.channels[m].label} selected but ||S^+ psi|| = {norm:.3e}"
-            )
-        psi = phi / norm
+        psi = _collapse(fired_amps, m, system.channels[m].label)
         k += fired + 1
         jumps.append(
             JumpEvent(

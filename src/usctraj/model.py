@@ -117,23 +117,6 @@ class EffectiveCouplings:
     a2: float
     rwa_active: bool
 
-    @property
-    def shift_1gg(self) -> float:
-        return self.a1 + self.a2
-
-    @property
-    def shift_0ee(self) -> float:
-        return -(self.a1 + self.a2)
-
-    @property
-    def qq_half_splitting_correction(self) -> float:
-        """Second-order correction to the |0,e,g>-|0,g,e> half splitting.
-
-        The dressed half splitting of the single-excitation qubit doublet is
-        delta + (a2 - a1)/2; this returns the (a2 - a1)/2 part.
-        """
-        return 0.5 * (self.a2 - self.a1)
-
 
 def effective_couplings(
     p: SystemParams, include_qubit_exchange: bool | None = None

@@ -14,8 +14,8 @@ concurrent workers can combine in any order.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -221,30 +221,18 @@ def conditional_second_jump_histogram(
     )
 
 
-def write_histogram_csv(
-    hist: JumpHistogram, path_or_file, mode: str = "per-bin", delimiter: str = ","
-) -> None:
-    """Emit bin_start, bin_end, then one column per channel.
+def write_histogram_csv(hist: JumpHistogram, fh: TextIO, mode: str = "per-bin") -> None:
+    """Write bin_start, bin_end, then one column per channel, to an open file.
 
     The header line names the columns and records the normalization mode
     and the number of contributing trajectories.
     """
     values = hist.ratios(mode)
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        fh: io.TextIOBase = open(path_or_file, "w", encoding="utf-8", newline="\n")
-        close = True
-    else:
-        fh = path_or_file
-    try:
-        cols = ["bin_start", "bin_end"] + [f"{m}_{mode}" for m in hist.channel_labels]
-        fh.write("# " + delimiter.join(cols) + "\n")
-        fh.write(f"# trajectories={hist.trajectory_count}\n")
-        fmt = "%.17g" if mode == "absolute" else "%.10g"
-        for b in range(hist.n_bins):
-            row = [fmt % hist.bin_edges[b], fmt % hist.bin_edges[b + 1]]
-            row += [fmt % v for v in values[:, b]]
-            fh.write(delimiter.join(row) + "\n")
-    finally:
-        if close:
-            fh.close()
+    cols = ["bin_start", "bin_end"] + [f"{m}_{mode}" for m in hist.channel_labels]
+    fh.write("# " + ",".join(cols) + "\n")
+    fh.write(f"# trajectories={hist.trajectory_count}\n")
+    fmt = "%.17g" if mode == "absolute" else "%.10g"
+    for b in range(hist.n_bins):
+        row = [fmt % hist.bin_edges[b], fmt % hist.bin_edges[b + 1]]
+        row += [fmt % v for v in values[:, b]]
+        fh.write(",".join(row) + "\n")

@@ -60,12 +60,6 @@ class DissipativeSystem:
     def dimension(self) -> int:
         return self.layout.dimension
 
-    def channel_index(self, label: str) -> int:
-        for i, c in enumerate(self.channels):
-            if c.label == label:
-                return i
-        raise ConfigError(f"unknown channel label {label!r}")
-
     def initial_state(self, label: str) -> np.ndarray:
         """Named initial states used throughout: bare kets, qubit Bell-like
         superpositions chi_pm = (|0,e,g> +/- |0,g,e>)/sqrt(2), and the

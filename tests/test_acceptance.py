@@ -580,7 +580,7 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
     rec_m = run_trajectory_homodyne(
         p_m, system_m.initial_state("0ee"), 2500.0, dt=0.1, seed=1,
         hamiltonian="effective", record_every=5, homodyne_channels=("cavity",),
-        system=system_m,
+        drift_mode="as-printed", system=system_m,
     )
     qjumps = [j for j in rec_m.jumps if j.channel in ("qubit1", "qubit2")]
     cavity_jumps = [j for j in rec_m.jumps if j.channel == "cavity"]

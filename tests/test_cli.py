@@ -201,6 +201,44 @@ prefix = s
     assert np.all(np.diff(data[0, 1:5]) >= 0)
 
 
+def test_spectrum_truncation_check_reads_the_eigenvectors(tmp_path, capsys):
+    # at n_fock = 2 some of the six lowest eigenstates of the full
+    # Hamiltonian sit on the top Fock level
+    cfg = tmp_path / "shallow_spec.ini"
+    cfg.write_text("[system]\nn_fock = 2\n\n[run]\ndelta_points = 3\nlevels = 6\n")
+    plain, checked = tmp_path / "plain", tmp_path / "checked"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(plain)]) == 0
+    rc = main([
+        "spectrum", "--config", str(cfg), "--out", str(checked), "--check-truncation",
+    ])
+    assert rc == 2
+    assert "top Fock level" in capsys.readouterr().err
+    assert not checked.exists()
+
+
+@pytest.mark.parametrize("command", ["trajectory", "compare-lme"])
+def test_lme_solver_is_rejected_where_trajectories_are_needed(tmp_path, capsys, command):
+    cfg = write_config(
+        tmp_path, "lme.ini", """
+[run]
+solver = lme
+hamiltonian = effective
+t_final = 20
+dt = 0.5
+
+[output]
+prefix = x
+""",
+    )
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert command in err and "lme" in err
+    assert not out.exists()
+    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["x_lme.csv"]
+
+
 def test_timestep_failure_exits_3(tmp_path, capsys):
     cfg = tmp_path / "hot.ini"
     cfg.write_text(

@@ -2,12 +2,21 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from usctraj.errors import ConfigError
+from usctraj import mcwf
+from usctraj.errors import ConfigError, NumericalInconsistencyError
 from usctraj.hilbert import build_layout
-from usctraj.homodyne import DRIFT_MODES, run_trajectory_homodyne
-from usctraj.mcwf import run_trajectory
+from usctraj.homodyne import DRIFT_MODES, _diffusive_increment, run_trajectory_homodyne
+from usctraj.mcwf import (
+    JumpStreams,
+    _check_dp,
+    _jump_probabilities,
+    _select_channel,
+    run_trajectory,
+)
 from usctraj.model import SystemParams, calibrate_resonance
+from usctraj.rng import PURPOSE_NOISE, StreamCursor
 from usctraj.system import build_system
 
 
@@ -155,3 +164,140 @@ def test_qsd_ensemble_mean_decays(hom_system):
         assert total[0] == pytest.approx(1.0, abs=1e-6)
         finals.append(total[-1])
     assert np.mean(finals) < 0.98
+
+
+def _reference_homodyne(
+    system, psi0, t_final, dt, seed, traj_index, record_every,
+    homodyne_channels, drift_mode, zero_noise=False,
+):
+    """The homodyne engine one step at a time: (series, jumps, final, states)."""
+    psi = np.asarray(psi0, dtype=complex)
+    if homodyne_channels is None:
+        homodyne_channels = tuple(c.label for c in system.channels)
+    hom = [c for c in system.channels if c.label in homodyne_channels]
+    jump = [c for c in system.channels if c.label not in homodyne_channels]
+    propagator = expm(-1j * system.h_nh * dt)
+    streams = JumpStreams.for_trajectory(seed, traj_index)
+    noise = StreamCursor(seed, traj_index, PURPOSE_NOISE, normal=True)
+    n_steps = int(round(t_final / dt))
+    rec_steps = np.arange(0, n_steps + 1, record_every)
+    series = np.empty((3, rec_steps.size))
+    snapshots = np.empty((rec_steps.size, psi.size), dtype=complex)
+    jumps = []
+    rec_i = 0
+    for k in range(n_steps + 1):
+        if rec_i < rec_steps.size and k == rec_steps[rec_i]:
+            amps3 = system.plus_stack[:3] @ psi
+            series[:, rec_i] = np.einsum("md,md->m", amps3.conj(), amps3).real
+            snapshots[rec_i] = psi
+            rec_i += 1
+        if k == n_steps:
+            break
+        if jump:
+            plus_stack = np.stack([c.operator_plus.matrix for c in jump])
+            rates = np.array([c.rate for c in jump])
+            dp, amps = _jump_probabilities(psi, dt, plus_stack, rates)
+            _check_dp(dp)
+            if dp.sum() > streams.threshold.take_one():
+                m = _select_channel(dp, streams.channel.take_one())
+                norm = np.linalg.norm(amps[m])
+                if norm < mcwf.JUMP_NORM_FLOOR:
+                    raise NumericalInconsistencyError(
+                        f"channel {jump[m].label} selected but ||S^+ psi|| = {norm:.3e}"
+                    )
+                psi = amps[m] / norm
+                jumps.append(((k + 1) * dt, jump[m].label, dp))
+                continue
+        if zero_noise:
+            dw = np.zeros(len(hom))
+        else:
+            dw = np.sqrt(dt) * noise.take(len(hom))
+        phi = propagator @ psi
+        phi = phi + _diffusive_increment(phi, dt, hom, dw, drift_mode)
+        psi = phi / np.linalg.norm(phi)
+    return series, jumps, psi, snapshots
+
+
+@pytest.fixture(scope="module")
+def busy_hom_systems():
+    """Qubit jumps every few hundred steps, a collective channel included."""
+    base = SystemParams(kappa=1e-2, gamma1=2e-2, gamma2=1.5e-2, gamma_c=1e-2)
+    p = calibrate_resonance(base, build_layout(4), which="effective")
+    return {
+        "effective": build_system(p, n_fock=4, hamiltonian="effective"),
+        "full": build_system(p, n_fock=4, hamiltonian="full"),
+    }
+
+
+# (hamiltonian, initial state, t_final, record_every, monitored, drift, zero_noise)
+_REFERENCE_CASES = [
+    ("effective", "1gg", 60.0, 1, None, "qsd", False),
+    ("effective", "1gg", 60.0, 3, None, "as-printed", False),
+    ("effective", "1gg", 60.0, 7, None, "linear-rate", False),
+    ("effective", "0ee", 150.0, 5, ("cavity",), "qsd", False),
+    ("effective", "0ee", 150.0, 4, ("cavity",), "as-printed", False),
+    ("effective", "0ee", 150.0, 1, ("cavity", "collective"), "linear-rate", False),
+    ("full", "0ee", 150.0, 5, ("cavity",), "qsd", False),
+    ("effective", "0ee", 150.0, 5, ("cavity",), "qsd", True),
+    ("effective", "1gg", 40.0, 2, None, "qsd", True),
+]
+
+
+def _outcome(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except NumericalInconsistencyError as err:
+        return str(err)
+
+
+def _assert_matches_reference(rec, ref):
+    series, jumps, final, states = ref
+    for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
+        np.testing.assert_array_equal(rec.expectations[label], row)
+    np.testing.assert_array_equal(rec.states, states)
+    np.testing.assert_array_equal(rec.final_state, final)
+    assert [(j.time, j.channel) for j in rec.jumps] == [j[:2] for j in jumps]
+    for got, want in zip(rec.jumps, jumps):
+        np.testing.assert_array_equal(got.pre_jump_norm_probabilities, want[2])
+
+
+def _compare_with_reference(systems, floor_hit=None):
+    """Run every reference case over three trajectories; count jumps and raises."""
+    n_jumps = n_raised = 0
+    for ham, init, t_final, record_every, monitored, drift, zero_noise in _REFERENCE_CASES:
+        system = systems[ham]
+        psi0 = system.initial_state(init)
+        for traj_index in range(3):
+            ref = _outcome(
+                _reference_homodyne, system, psi0, t_final, 0.1, 13, traj_index,
+                record_every, monitored, drift, zero_noise,
+            )
+            rec = _outcome(
+                run_trajectory_homodyne, system.params, psi0, t_final, dt=0.1, seed=13,
+                traj_index=traj_index, record_every=record_every,
+                homodyne_channels=monitored, drift_mode=drift, store_states=True,
+                zero_noise=zero_noise, system=system,
+            )
+            if isinstance(ref, str):
+                assert rec == ref
+                n_raised += 1
+            else:
+                _assert_matches_reference(rec, ref)
+                n_jumps += len(ref[1])
+    return n_jumps, n_raised
+
+
+def test_homodyne_engine_equals_the_per_step_reference(busy_hom_systems):
+    n_jumps, n_raised = _compare_with_reference(busy_hom_systems)
+    assert n_raised == 0
+    assert n_jumps >= 10
+
+
+def test_homodyne_engine_raises_at_the_reference_norm_floor(busy_hom_systems, monkeypatch):
+    # the selected jump norms here lie between 0.985 and 1; with the floor
+    # inside that range some jumps collapse and others raise, and the engine
+    # must do exactly what the reference does
+    monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", 0.995)
+    n_jumps, n_raised = _compare_with_reference(busy_hom_systems)
+    assert n_raised > 0
+    assert n_jumps > 0

@@ -145,19 +145,6 @@ def test_halving_the_step_changes_little(balanced_params):
     )
 
 
-def test_first_order_propagation_approaches_exact(balanced_params):
-    p = balanced_params
-    system = build_system(p, n_fock=6, hamiltonian="effective")
-    exact = run_trajectory(p, system.initial_state("1gg"), 20.0, dt=0.01, seed=3, record_every=100, system=system)
-    euler = run_trajectory(
-        p, system.initial_state("1gg"), 20.0, dt=0.01, seed=3, record_every=100,
-        propagation="first-order", system=system,
-    )
-    np.testing.assert_allclose(
-        euler.expectations["cavity"], exact.expectations["cavity"], atol=1e-3
-    )
-
-
 def test_jump_event_validation():
     with pytest.raises(ValueError):
         JumpEvent(time=-1.0, channel="cavity", pre_jump_norm_probabilities=np.zeros(4))
@@ -222,11 +209,11 @@ def test_store_states_shape(system_eff):
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
-def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every, propagation):
+def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every):
     """The direct engine one step at a time: (series, jumps, final, states)."""
     psi = np.asarray(psi0, dtype=complex)
-    propagator = expm(-1j * system.h_nh * dt) if propagation == "exact" else None
-    h, plus_stack, rates = system.h_nh, system.plus_stack, system.rates
+    propagator = expm(-1j * system.h_nh * dt)
+    plus_stack, rates = system.plus_stack, system.rates
     streams = JumpStreams.for_trajectory(seed, traj_index)
     n_steps = int(round(t_final / dt))
     rec_steps = np.arange(0, n_steps + 1, record_every)
@@ -245,7 +232,7 @@ def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every, pr
         dp, amps = _jump_probabilities(psi, dt, plus_stack, rates)
         _check_dp(dp)
         if dp.sum() <= streams.threshold.take_one():
-            phi = propagator @ psi if propagator is not None else psi - 1j * dt * (h @ psi)
+            phi = propagator @ psi
             psi = phi / np.linalg.norm(phi)
         else:
             m = _select_channel(dp, streams.channel.take_one())
@@ -265,20 +252,20 @@ def busy_system():
 
 @pytest.fixture(scope="module")
 def busy_references(busy_system):
-    """Per-step reference runs keyed by (init, t_final, record_every, propagation, index)."""
+    """Per-step reference runs keyed by (init, t_final, record_every, index)."""
     refs = {}
     for case in [
-        ("0ee", 1500.0, 1, "exact"),
-        ("1gg", 1000.5, 7, "exact"),
-        ("0ee", 600.0, 5, "first-order"),
-        ("1gg", 0.5, 1, "exact"),
-        ("1gg", 0.0, 1, "exact"),
+        ("0ee", 1500.0, 1),
+        ("1gg", 1000.5, 7),
+        ("0ee", 600.0, 5),
+        ("1gg", 0.5, 1),
+        ("1gg", 0.0, 1),
     ]:
-        init, t_final, record_every, propagation = case
+        init, t_final, record_every = case
         for traj_index in range(6):
             refs[case + (traj_index,)] = _reference_run(
                 busy_system, busy_system.initial_state(init), t_final, 0.5, 11,
-                traj_index, record_every, propagation,
+                traj_index, record_every,
             )
     return refs
 
@@ -291,12 +278,11 @@ def test_chunked_engine_equals_the_per_step_reference(
     monkeypatch.setattr(mcwf, "_STEP_CHUNK_MAX", chunk_max)
     system, n_jumps = busy_system, 0
     for key, (series, jumps, final, states) in busy_references.items():
-        init, t_final, record_every, propagation, traj_index = key
+        init, t_final, record_every, traj_index = key
         psi0 = system.initial_state(init)
         rec = run_trajectory(
             system.params, psi0, t_final, dt=0.5, seed=11, traj_index=traj_index,
-            record_every=record_every, propagation=propagation, store_states=True,
-            system=system,
+            record_every=record_every, store_states=True, system=system,
         )
         for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
             np.testing.assert_array_equal(rec.expectations[label], row)
@@ -350,7 +336,7 @@ def test_chunked_engine_stops_at_the_reference_timestep_error(monkeypatch):
         monkeypatch.setattr(mcwf, "_STEP_CHUNK_MAX", chunk_max)
         outcomes, cache = [], {}
         for traj_index in range(8):
-            ref = outcome(_reference_run, system, psi0, 6000.0, 60.0, 2, traj_index, 1, "exact")
+            ref = outcome(_reference_run, system, psi0, 6000.0, 60.0, 2, traj_index, 1)
             for start_cache in (None, cache):
                 got = outcome(
                     run_trajectory, p, psi0, 6000.0, dt=60.0, seed=2,
