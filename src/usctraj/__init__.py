@@ -5,11 +5,15 @@ Subpackage map:
 - ``hilbert``: truncated cavity (x) qubit (x) qubit space and elementary operators
 - ``model``: full and effective Hamiltonians, closed-form couplings, resonance calibration
 - ``dressed``: dressed bases and positive-frequency (excitation-annihilating) jump channels
-- ``mcwf``: Monte-Carlo wave-function stepping and trajectory records
+- ``system``: the assembled dissipative system shared by all engines
+- ``mcwf``: photodetection (jump) trajectories, trajectory records, ensemble averages
+- ``ensemble``: ensemble driver, grouped no-jump flows or the direct per-trajectory loop
 - ``homodyne``: diffusive and mixed (photodetection + homodyne) unravellings
 - ``lme``: dressed-picture Lindblad master-equation integrator
 - ``oracles``: closed-form two-level subspace propagators and expectations
 - ``stats``: first-jump and conditional second-jump histograms
+- ``rng``: counter-based random words per trajectory and purpose, read by index
+- ``errors``: exception types and the CLI exit codes they map to
 - ``cli``: reproducible experiment runner
 """
 

@@ -40,7 +40,6 @@ class DressedBasis:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     source: OperatorMatrix
-    degeneracy_tolerance: float = DEGENERACY_TOL
 
     @property
     def ground_state(self) -> np.ndarray:
@@ -76,7 +75,7 @@ class JumpChannel:
             raise ValueError(f"channel rate must be >= 0, got {self.rate}")
 
 
-def diagonalize(h: OperatorMatrix, degeneracy_tolerance: float = DEGENERACY_TOL) -> DressedBasis:
+def diagonalize(h: OperatorMatrix) -> DressedBasis:
     """Diagonalize a Hermitian operator with a deterministic phase convention."""
     if not h.hermitian:
         raise HermiticityError("diagonalize requires an operator flagged hermitian")
@@ -85,12 +84,7 @@ def diagonalize(h: OperatorMatrix, degeneracy_tolerance: float = DEGENERACY_TOL)
     lead = np.argmax(np.abs(evecs), axis=0)
     pivots = evecs[lead, np.arange(evecs.shape[1])]
     evecs = evecs * (np.abs(pivots) / pivots)[np.newaxis, :]
-    return DressedBasis(
-        eigenvalues=evals,
-        eigenvectors=evecs,
-        source=h,
-        degeneracy_tolerance=degeneracy_tolerance,
-    )
+    return DressedBasis(eigenvalues=evals, eigenvectors=evecs, source=h)
 
 
 def positive_frequency(s: OperatorMatrix, basis: DressedBasis) -> OperatorMatrix:
@@ -103,7 +97,7 @@ def positive_frequency(s: OperatorMatrix, basis: DressedBasis) -> OperatorMatrix
     if not s.hermitian:
         raise HermiticityError("positive_frequency requires a Hermitian coupling operator")
     e = basis.eigenvalues
-    lowering = e[np.newaxis, :] > e[:, np.newaxis] + basis.degeneracy_tolerance
+    lowering = e[np.newaxis, :] > e[:, np.newaxis] + DEGENERACY_TOL
     s_dressed = basis.to_dressed(s.matrix)
     s_plus = basis.to_product(np.where(lowering, s_dressed, 0.0))
     return OperatorMatrix(s.layout, s_plus, hermitian=False,

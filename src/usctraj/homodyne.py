@@ -25,7 +25,12 @@ three conventions selected by ``drift_mode``:
 In mixed mode a subset of channels stays photodetected: those follow
 the jump-engine step rule (threshold draw each step, collapse on a hit)
 and a jump replaces the diffusive move for that step.  Wiener words are
-consumed only on diffusive steps, one per monitored channel.
+consumed only on diffusive steps, one per monitored channel.  The words are
+read by index, a block of ``_WORD_BLOCK`` steps at a time: that block's
+threshold words, and enough noise words for every step of it to be
+diffusive, starting at the number of noise words consumed so far.  Words a
+jump leaves unread are read again by the next block, so memory does not grow
+with the length of the run.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .dressed import JumpChannel
 from .errors import ConfigError
 from .mcwf import (
     JumpEvent,
-    JumpStreams,
     TrajectoryRecord,
     _check_dp,
     _collapse,
@@ -47,7 +51,7 @@ from .mcwf import (
     _select_channel,
 )
 from .model import SystemParams
-from .rng import PURPOSE_NOISE, StreamCursor
+from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, PURPOSE_NOISE, normal_words, uniform_words
 from .system import OBSERVABLE_LABELS, DissipativeSystem
 
 DRIFT_MODES = ("as-printed", "linear-rate", "qsd")
@@ -55,6 +59,9 @@ DRIFT_MODES = ("as-printed", "linear-rate", "qsd")
 # Diffusive runs need a finer step than the jump engine: noise enters at
 # O(sqrt(dt)), so weak-convergence error is controlled by dt itself.
 DEFAULT_DT = 0.1
+
+# Steps whose random words are drawn in one call per stream.
+_WORD_BLOCK = 4096
 
 
 def _diffusive_increment(
@@ -119,8 +126,6 @@ def run_trajectory_homodyne(
     jump_stack, jump_rates = system.plus_stack[jump_idx], system.rates[jump_idx]
 
     propagator = expm(-1j * system.h_nh * dt)
-    streams = JumpStreams.for_trajectory(seed, traj_index) if jump_idx else None
-    noise = None if zero_noise else StreamCursor(seed, traj_index, PURPOSE_NOISE, normal=True)
 
     n_steps = int(round(t_final / dt))
     rec_steps = np.arange(0, n_steps + 1, record_every)
@@ -130,6 +135,7 @@ def run_trajectory_homodyne(
     jumps: list[JumpEvent] = []
 
     rec_i = 0
+    drawn = used = 0  # noise words before the current block, and read in it
     for k in range(n_steps + 1):
         if rec_i < rec_steps.size and k == rec_steps[rec_i]:
             amps3 = system.plus_stack[:3] @ psi
@@ -139,11 +145,20 @@ def run_trajectory_homodyne(
             rec_i += 1
         if k == n_steps:
             break
+        i = k % _WORD_BLOCK
+        if i == 0:
+            count = min(_WORD_BLOCK, n_steps - k)
+            if jump_idx:
+                thresholds = uniform_words(seed, traj_index, PURPOSE_JUMP, k, count)
+            if not zero_noise:
+                drawn, used = drawn + used, 0
+                noise = normal_words(seed, traj_index, PURPOSE_NOISE, drawn, count * len(hom))
         if jump_idx:
             dp, amps = _jump_probabilities(psi, dt, jump_stack, jump_rates)
             _check_dp(dp)
-            if dp.sum() > streams.threshold.take_one():
-                m = _select_channel(dp, streams.channel.take_one())
+            if dp.sum() > thresholds[i]:
+                eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
+                m = _select_channel(dp, eps_prime)
                 label = labels[jump_idx[m]]
                 psi = _collapse(amps, m, label)
                 jumps.append(
@@ -151,7 +166,8 @@ def run_trajectory_homodyne(
                 )
                 continue
         phi = propagator @ psi
-        dw = np.zeros(len(hom)) if noise is None else np.sqrt(dt) * noise.take(len(hom))
+        dw = np.zeros(len(hom)) if zero_noise else np.sqrt(dt) * noise[used : used + len(hom)]
+        used += len(hom)
         phi = phi + _diffusive_increment(phi, dt, hom, dw, drift_mode)
         psi = phi / _norm(phi)
 

@@ -171,7 +171,6 @@ def evolve_lme(
     h,
     channels: list[JumpChannel],
     record_every: int = 1,
-    positivity_interval: int = POSITIVITY_INTERVAL,
 ) -> ExpectationSeries:
     """Integrate the master equation and record channel occupations.
 
@@ -230,7 +229,7 @@ def evolve_lme(
             raise IntegratorInstabilityError(
                 f"Hermiticity degraded to {herm:.3e} at t = {(k + 1) * dt:g}"
             )
-        if positivity_interval and (k + 1) % positivity_interval == 0:
+        if (k + 1) % POSITIVITY_INTERVAL == 0:
             lo = np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min()
             if lo < POSITIVITY_GUARD:
                 raise IntegratorInstabilityError(

@@ -14,11 +14,12 @@ frequencies.
 ``run_trajectory`` evaluates a trajectory in chunks of steps.  Only the
 no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| runs step by step; the jump
 probabilities and observables of a chunk come from one vectorized call, and
-the threshold words of the chunk are read ahead (word k of the threshold
-stream always belongs to step k).  At the first step whose jump fires, the
-rest of the chunk is discarded and a new chunk starts from the post-jump
-state.  Every number that decides or is recorded is bitwise the one of the
-step-at-a-time loop; the helpers below say which operations keep that so.
+the chunk's threshold words are read by index (word k of the threshold
+stream belongs to step k, word q of the channel stream to the q-th jump).
+At the first step whose jump fires, the rest of the chunk is discarded and
+a new chunk starts from the post-jump state.  Every number that decides or
+is recorded is bitwise the one of the step-at-a-time loop; the helpers
+below say which operations keep that so.
 Trajectories of one ensemble walk the same chunks until their first jump;
 ``run_ensemble`` hands them a shared ``start_cache`` so those chunks are
 evaluated once.
@@ -39,7 +40,7 @@ from .errors import (
     TimestepError,
 )
 from .model import SystemParams
-from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, StreamCursor
+from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
 from .system import OBSERVABLE_LABELS, DissipativeSystem, build_system
 
 MAX_DP_PER_STEP = 0.1
@@ -95,21 +96,6 @@ class EnsembleAverage:
     means: dict[str, np.ndarray]
     standard_errors: dict[str, np.ndarray]
     n_trajectories: int
-
-
-@dataclass
-class JumpStreams:
-    """The two random cursors one trajectory consumes, in a fixed order."""
-
-    threshold: StreamCursor
-    channel: StreamCursor
-
-    @classmethod
-    def for_trajectory(cls, master_seed: int, traj_index: int) -> "JumpStreams":
-        return cls(
-            threshold=StreamCursor(master_seed, traj_index, PURPOSE_JUMP),
-            channel=StreamCursor(master_seed, traj_index, PURPOSE_CHANNEL),
-        )
 
 
 def _norm(v: np.ndarray) -> float:
@@ -254,7 +240,6 @@ def run_trajectory(
     psi, system = _prepare(p, psi0, hamiltonian, system)
     advance = expm(-1j * system.h_nh * dt).__matmul__
     plus_stack, rates = system.plus_stack, system.rates
-    streams = JumpStreams.for_trajectory(seed, traj_index)
 
     n_steps = int(round(t_final / dt))
     rec_steps = np.arange(0, n_steps + 1, record_every)
@@ -284,7 +269,7 @@ def run_trajectory(
             first, last = block[0], block[-1]
             if shared:
                 start_cache[k] = (first.copy(), last.copy(), after, sq, dp)
-        fired = _first_jump(dp, streams.threshold.peek(n_dec))
+        fired = _first_jump(dp, uniform_words(seed, traj_index, PURPOSE_JUMP, k, n_dec))
         valid = fired + 1 if fired < n_dec else len(block)
         rec_hi = int(np.searchsorted(rec_steps, k + valid))
         rows = rec_steps[rec_i:rec_hi] - k
@@ -293,7 +278,6 @@ def run_trajectory(
             snapshots[rec_i:rec_hi] = block[rows]
         rec_i = rec_hi
         if fired == n_dec:
-            streams.threshold.skip(n_dec)
             k += len(block)
             if k > n_steps:
                 psi = last.copy()
@@ -301,8 +285,8 @@ def run_trajectory(
             psi = after
             size = min(2 * size, _STEP_CHUNK_MAX)
             continue
-        streams.threshold.skip(fired + 1)
-        m = _select_channel(dp[fired], streams.channel.take_one())
+        eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
+        m = _select_channel(dp[fired], eps_prime)
         if amps is None:
             # a cached chunk keeps no amplitudes: rerun its chain to the jump
             _no_jump_chain(first, advance, block[: fired + 1])

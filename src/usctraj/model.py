@@ -105,8 +105,7 @@ class EffectiveCouplings:
     """Closed-form couplings and shifts of the third-order effective model.
 
     omega2 is the qubit-qubit exchange rate; it is set to zero when the
-    detuning makes the exchange off-resonant (rotating-wave branch), in which
-    case ``rwa_active`` is True.  omega3 couples |1,g,g> and |0,e,e>.  a1 and
+    detuning makes the exchange off-resonant (rotating-wave branch).  omega3 couples |1,g,g> and |0,e,e>.  a1 and
     a2 are the second-order dressing coefficients of each qubit; the diagonal
     shifts they generate move |1,g,g> up and |0,e,e> down by a1 + a2.
     """
@@ -115,7 +114,6 @@ class EffectiveCouplings:
     omega3: float
     a1: float
     a2: float
-    rwa_active: bool
 
 
 def effective_couplings(
@@ -157,7 +155,6 @@ def effective_couplings(
         omega3=float(omega3),
         a1=float(a1),
         a2=float(a2),
-        rwa_active=not include_qubit_exchange,
     )
 
 

@@ -7,10 +7,12 @@ stream is a pure function of (key, counter), and we key each (trajectory,
 purpose) pair separately so the jump-threshold draws, the channel-selection
 draws, and the diffusive-noise draws never interleave.
 
-Purposes: 0 jump thresholds (one uniform per time step), 1 channel selection
-(one uniform per jump), 2 diffusive noise (one normal per homodyne channel
-per step).  Word ``k`` of a stream is fixed forever, so a vectorized driver
-may read any window of any trajectory's stream at random access.
+Purposes: 0 jump thresholds (word k belongs to time step k), 1 channel
+selection (word q belongs to the q-th jump), 2 diffusive noise (one normal
+per monitored channel per diffusive step, in order).  Word ``k`` of a stream
+is fixed forever, and ``uniform_words``/``normal_words`` are the only
+readers: every engine asks for a window of words by its index, so no reader
+keeps a position that could drift from the step it belongs to.
 """
 
 from __future__ import annotations
@@ -58,63 +60,3 @@ def normal_words(
     u = uniform_words(master_seed, traj_index, purpose, start, count)
     np.maximum(u, np.finfo(float).tiny, out=u)
     return ndtri(u)
-
-
-class StreamCursor:
-    """Sequential reader over one (trajectory, purpose) stream.
-
-    Buffers the underlying counter-based stream in chunks; the words served
-    are identical to ``uniform_words``/``normal_words`` at the same offsets.
-    """
-
-    def __init__(
-        self,
-        master_seed: int,
-        traj_index: int,
-        purpose: int,
-        normal: bool = False,
-        chunk: int = 1024,
-    ):
-        self._key = (master_seed, traj_index, purpose)
-        self._normal = normal
-        self._chunk = chunk
-        self._pos = 0
-        self._buf = np.empty(0)
-        self._buf_start = 0
-
-    @property
-    def position(self) -> int:
-        """Index of the next word to be served."""
-        return self._pos
-
-    def take(self, n: int = 1) -> np.ndarray:
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            rel = self._pos - self._buf_start
-            avail = self._buf.size - rel
-            if rel < 0 or avail <= 0:
-                self._buf_start = self._pos
-                want = max(self._chunk, n - filled)
-                fetch = normal_words if self._normal else uniform_words
-                self._buf = fetch(*self._key, self._buf_start, want)
-                rel, avail = 0, self._buf.size
-            m = min(avail, n - filled)
-            out[filled : filled + m] = self._buf[rel : rel + m]
-            filled += m
-            self._pos += m
-        return out
-
-    def take_one(self) -> float:
-        return float(self.take(1)[0])
-
-    def peek(self, n: int) -> np.ndarray:
-        """The next n words, leaving the position where it was."""
-        pos = self._pos
-        out = self.take(n)
-        self._pos = pos
-        return out
-
-    def skip(self, n: int) -> None:
-        """Advance the position past n words without reading them."""
-        self._pos += n

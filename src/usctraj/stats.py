@@ -8,8 +8,8 @@ that histogram expose dynamics that the unconditional average washes
 out.
 
 Aggregation is a commutative monoid: histograms with identical edges
-and channel labels merge by adding counts, so partial results from
-concurrent workers can combine in any order.
+and channel labels merge by adding counts, so histograms of separate
+batches of trajectories can combine in any order.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ from .errors import ConfigError, DimensionMismatchError
 from .mcwf import TrajectoryRecord
 
 NORMALIZATION_MODES = ("per-bin", "per-channel-total", "absolute")
-
-# Denominator of the default bin widths: one twentieth of the relevant
-# oscillation period (8 pi / eta for the slow cavity-qubits cycle,
-# pi / |Omega2| for the fast qubit-qubit exchange envelope).
-BIN_FRACTION = 20
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ class DissipativeSystem:
 
     params: SystemParams
     layout: BasisLayout
-    hamiltonian_choice: str
     hamiltonian: OperatorMatrix
     basis: DressedBasis
     channels: tuple[JumpChannel, ...]
@@ -112,7 +111,6 @@ def build_system(
     return DissipativeSystem(
         params=p,
         layout=layout,
-        hamiltonian_choice=hamiltonian,
         hamiltonian=h,
         basis=basis,
         channels=channels,

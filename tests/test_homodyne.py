@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from usctraj import mcwf
+from usctraj import homodyne, mcwf
 from usctraj.errors import ConfigError, NumericalInconsistencyError
 from usctraj.hilbert import build_layout
 from usctraj.homodyne import DRIFT_MODES, _diffusive_increment, run_trajectory_homodyne
 from usctraj.mcwf import (
-    JumpStreams,
     _check_dp,
     _jump_probabilities,
     _select_channel,
     run_trajectory,
 )
 from usctraj.model import SystemParams, calibrate_resonance
-from usctraj.rng import PURPOSE_NOISE, StreamCursor
+from usctraj.rng import (
+    PURPOSE_CHANNEL,
+    PURPOSE_JUMP,
+    PURPOSE_NOISE,
+    normal_words,
+    uniform_words,
+)
 from usctraj.system import build_system
 
 
@@ -170,21 +175,24 @@ def _reference_homodyne(
     system, psi0, t_final, dt, seed, traj_index, record_every,
     homodyne_channels, drift_mode, zero_noise=False,
 ):
-    """The homodyne engine one step at a time: (series, jumps, final, states)."""
+    """The homodyne engine one step at a time: (series, jumps, final, states).
+
+    Each random word is read by its own index: threshold k at step k,
+    channel word q at the q-th jump, and the noise words in order of use.
+    """
     psi = np.asarray(psi0, dtype=complex)
     if homodyne_channels is None:
         homodyne_channels = tuple(c.label for c in system.channels)
     hom = [c for c in system.channels if c.label in homodyne_channels]
     jump = [c for c in system.channels if c.label not in homodyne_channels]
     propagator = expm(-1j * system.h_nh * dt)
-    streams = JumpStreams.for_trajectory(seed, traj_index)
-    noise = StreamCursor(seed, traj_index, PURPOSE_NOISE, normal=True)
     n_steps = int(round(t_final / dt))
     rec_steps = np.arange(0, n_steps + 1, record_every)
     series = np.empty((3, rec_steps.size))
     snapshots = np.empty((rec_steps.size, psi.size), dtype=complex)
     jumps = []
     rec_i = 0
+    drawn = 0  # noise words consumed
     for k in range(n_steps + 1):
         if rec_i < rec_steps.size and k == rec_steps[rec_i]:
             amps3 = system.plus_stack[:3] @ psi
@@ -198,8 +206,9 @@ def _reference_homodyne(
             rates = np.array([c.rate for c in jump])
             dp, amps = _jump_probabilities(psi, dt, plus_stack, rates)
             _check_dp(dp)
-            if dp.sum() > streams.threshold.take_one():
-                m = _select_channel(dp, streams.channel.take_one())
+            if dp.sum() > uniform_words(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
+                eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
+                m = _select_channel(dp, eps_prime)
                 norm = np.linalg.norm(amps[m])
                 if norm < mcwf.JUMP_NORM_FLOOR:
                     raise NumericalInconsistencyError(
@@ -211,7 +220,10 @@ def _reference_homodyne(
         if zero_noise:
             dw = np.zeros(len(hom))
         else:
-            dw = np.sqrt(dt) * noise.take(len(hom))
+            words = [normal_words(seed, traj_index, PURPOSE_NOISE, drawn + i, 1)[0]
+                     for i in range(len(hom))]
+            dw = np.sqrt(dt) * np.array(words)
+            drawn += len(hom)
         phi = propagator @ psi
         phi = phi + _diffusive_increment(phi, dt, hom, dw, drift_mode)
         psi = phi / np.linalg.norm(phi)
@@ -250,6 +262,36 @@ def _outcome(run, *args, **kwargs):
         return str(err)
 
 
+def _references(systems):
+    """Per-step reference outcomes keyed by reference case plus traj_index."""
+    refs = {}
+    for case in _REFERENCE_CASES:
+        ham, init, t_final, record_every, monitored, drift, zero_noise = case
+        system = systems[ham]
+        for traj_index in range(3):
+            refs[case + (traj_index,)] = _outcome(
+                _reference_homodyne, system, system.initial_state(init), t_final, 0.1,
+                13, traj_index, record_every, monitored, drift, zero_noise,
+            )
+    return refs
+
+
+@pytest.fixture(scope="module")
+def hom_references(busy_hom_systems):
+    return _references(busy_hom_systems)
+
+
+def _engine_outcome(systems, key):
+    ham, init, t_final, record_every, monitored, drift, zero_noise, traj_index = key
+    system = systems[ham]
+    return _outcome(
+        run_trajectory_homodyne, system.params, system.initial_state(init), t_final,
+        dt=0.1, seed=13, traj_index=traj_index, record_every=record_every,
+        homodyne_channels=monitored, drift_mode=drift, store_states=True,
+        zero_noise=zero_noise, system=system,
+    )
+
+
 def _assert_matches_reference(rec, ref):
     series, jumps, final, states = ref
     for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
@@ -261,36 +303,30 @@ def _assert_matches_reference(rec, ref):
         np.testing.assert_array_equal(got.pre_jump_norm_probabilities, want[2])
 
 
-def _compare_with_reference(systems, floor_hit=None):
-    """Run every reference case over three trajectories; count jumps and raises."""
+def _compare_with_reference(systems, refs):
+    """Run the engine on every reference key; count jumps and raises."""
     n_jumps = n_raised = 0
-    for ham, init, t_final, record_every, monitored, drift, zero_noise in _REFERENCE_CASES:
-        system = systems[ham]
-        psi0 = system.initial_state(init)
-        for traj_index in range(3):
-            ref = _outcome(
-                _reference_homodyne, system, psi0, t_final, 0.1, 13, traj_index,
-                record_every, monitored, drift, zero_noise,
-            )
-            rec = _outcome(
-                run_trajectory_homodyne, system.params, psi0, t_final, dt=0.1, seed=13,
-                traj_index=traj_index, record_every=record_every,
-                homodyne_channels=monitored, drift_mode=drift, store_states=True,
-                zero_noise=zero_noise, system=system,
-            )
-            if isinstance(ref, str):
-                assert rec == ref
-                n_raised += 1
-            else:
-                _assert_matches_reference(rec, ref)
-                n_jumps += len(ref[1])
+    for key, ref in refs.items():
+        rec = _engine_outcome(systems, key)
+        if isinstance(ref, str):
+            assert rec == ref
+            n_raised += 1
+        else:
+            _assert_matches_reference(rec, ref)
+            n_jumps += len(ref[1])
     return n_jumps, n_raised
 
 
-def test_homodyne_engine_equals_the_per_step_reference(busy_hom_systems):
-    n_jumps, n_raised = _compare_with_reference(busy_hom_systems)
-    assert n_raised == 0
-    assert n_jumps >= 10
+def test_homodyne_engine_equals_the_per_step_reference(
+    busy_hom_systems, hom_references, monkeypatch
+):
+    # word blocks of 1, 3 and 7 steps end inside every run, so the noise
+    # words a jump left unread are read again at many refills
+    for block in (1, 3, 7, homodyne._WORD_BLOCK):
+        monkeypatch.setattr(homodyne, "_WORD_BLOCK", block)
+        n_jumps, n_raised = _compare_with_reference(busy_hom_systems, hom_references)
+        assert n_raised == 0
+        assert n_jumps >= 10
 
 
 def test_homodyne_engine_raises_at_the_reference_norm_floor(busy_hom_systems, monkeypatch):
@@ -298,6 +334,33 @@ def test_homodyne_engine_raises_at_the_reference_norm_floor(busy_hom_systems, mo
     # inside that range some jumps collapse and others raise, and the engine
     # must do exactly what the reference does
     monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", 0.995)
-    n_jumps, n_raised = _compare_with_reference(busy_hom_systems)
+    n_jumps, n_raised = _compare_with_reference(
+        busy_hom_systems, _references(busy_hom_systems)
+    )
     assert n_raised > 0
     assert n_jumps > 0
+
+
+def _no_words(*args):
+    raise AssertionError("this run must draw no words from this stream")
+
+
+@pytest.mark.parametrize(
+    "case, stream",
+    [
+        (("effective", "0ee", 150.0, 5, ("cavity",), "qsd", True), "normal_words"),
+        (("effective", "1gg", 60.0, 1, None, "qsd", False), "uniform_words"),
+    ],
+    ids=["zero-noise-mixed", "full-homodyne"],
+)
+def test_runs_that_need_no_words_draw_none(
+    busy_hom_systems, hom_references, case, stream, monkeypatch
+):
+    monkeypatch.setattr(homodyne, stream, _no_words)
+    n_jumps = 0
+    for traj_index in range(3):
+        ref = hom_references[case + (traj_index,)]
+        _assert_matches_reference(_engine_outcome(busy_hom_systems, case + (traj_index,)), ref)
+        n_jumps += len(ref[1])
+    if stream == "normal_words":
+        assert n_jumps > 0  # the zero-noise mixed run still reads its jump words

@@ -12,7 +12,6 @@ from usctraj.errors import NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
 from usctraj.mcwf import (
     JumpEvent,
-    JumpStreams,
     TrajectoryRecord,
     _check_dp,
     _first_jump,
@@ -23,6 +22,7 @@ from usctraj.mcwf import (
 )
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.oracles import expectations_1p2a
+from usctraj.rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
 from usctraj.system import build_system
 
 
@@ -210,11 +210,14 @@ def test_store_states_shape(system_eff):
 
 
 def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every):
-    """The direct engine one step at a time: (series, jumps, final, states)."""
+    """The direct engine one step at a time: (series, jumps, final, states).
+
+    Each random word is read by its own index: threshold k at step k,
+    channel word q at the q-th jump.
+    """
     psi = np.asarray(psi0, dtype=complex)
     propagator = expm(-1j * system.h_nh * dt)
     plus_stack, rates = system.plus_stack, system.rates
-    streams = JumpStreams.for_trajectory(seed, traj_index)
     n_steps = int(round(t_final / dt))
     rec_steps = np.arange(0, n_steps + 1, record_every)
     series = np.empty((3, rec_steps.size))
@@ -231,11 +234,12 @@ def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every):
             break
         dp, amps = _jump_probabilities(psi, dt, plus_stack, rates)
         _check_dp(dp)
-        if dp.sum() <= streams.threshold.take_one():
+        if dp.sum() <= uniform_words(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
             phi = propagator @ psi
             psi = phi / np.linalg.norm(phi)
         else:
-            m = _select_channel(dp, streams.channel.take_one())
+            eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
+            m = _select_channel(dp, eps_prime)
             psi = amps[m] / np.linalg.norm(amps[m])
             jumps.append(((k + 1) * dt, system.channels[m].label, dp))
     return series, jumps, psi, snapshots

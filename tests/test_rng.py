@@ -10,7 +10,6 @@ from usctraj.rng import (
     PURPOSE_CHANNEL,
     PURPOSE_JUMP,
     PURPOSE_NOISE,
-    StreamCursor,
     normal_words,
     uniform_words,
 )
@@ -62,36 +61,6 @@ def test_normal_words_match_uniform_source():
 def test_normal_words_random_access():
     whole = normal_words(5, 2, PURPOSE_NOISE, 0, 64)
     np.testing.assert_array_equal(normal_words(5, 2, PURPOSE_NOISE, 10, 30), whole[10:40])
-
-
-def test_stream_cursor_walks_the_stream():
-    whole = uniform_words(13, 1, PURPOSE_JUMP, 0, 40)
-    cur = StreamCursor(13, 1, PURPOSE_JUMP)
-    picked = [cur.take_one() for _ in range(40)]
-    np.testing.assert_array_equal(np.array(picked), whole)
-    assert cur.position == 40
-
-
-def test_stream_cursor_take_block():
-    whole = uniform_words(13, 1, PURPOSE_NOISE, 0, 24)
-    cur = StreamCursor(13, 1, PURPOSE_NOISE)
-    first = cur.take(10)
-    rest = cur.take(14)
-    np.testing.assert_array_equal(np.concatenate([first, rest]), whole)
-
-
-def test_stream_cursor_peek_and_skip():
-    whole = uniform_words(13, 1, PURPOSE_JUMP, 0, 3000)
-    cur = StreamCursor(13, 1, PURPOSE_JUMP, chunk=16)
-    pos = 0
-    # peeks across buffer boundaries, then skips short of, onto and past them
-    for peek, skip in [(5, 3), (20, 20), (40, 7), (1, 0), (0, 0), (100, 99), (600, 1), (2, 2000)]:
-        np.testing.assert_array_equal(cur.peek(peek), whole[pos : pos + peek])
-        assert cur.position == pos
-        cur.skip(skip)
-        pos += skip
-        assert cur.position == pos
-    np.testing.assert_array_equal(cur.take(50), whole[pos : pos + 50])
 
 
 def test_invalid_arguments_and_empty_request():
