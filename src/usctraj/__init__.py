@@ -5,7 +5,7 @@ Subpackage map:
 - ``hilbert``: truncated cavity (x) qubit (x) qubit space and elementary operators
 - ``model``: full and effective Hamiltonians, closed-form couplings, resonance calibration
 - ``dressed``: dressed bases and positive-frequency (excitation-annihilating) jump channels
-- ``system``: the assembled dissipative system shared by all engines
+- ``system``: the assembled system every engine takes, and the shared time grid
 - ``mcwf``: photodetection (jump) trajectories, trajectory records, ensemble averages
 - ``ensemble``: ensemble driver, grouped no-jump flows or the direct per-trajectory loop
 - ``homodyne``: diffusive and mixed (photodetection + homodyne) unravellings

@@ -1,7 +1,7 @@
 """Ensemble driver: many trajectories over one system, fast when flows recur.
 
-``run_ensemble`` produces the same records as calling ``run_trajectory``
-once per trajectory index, but exploits the structure of
+``run_ensemble(system, psi0, ...)`` produces the same records as calling
+``run_trajectory`` once per trajectory index, but exploits the structure of
 piecewise-deterministic evolution.  Between jumps every trajectory
 follows the deterministic no-jump flow fixed by its entry state, so
 trajectories sharing an entry state share all per-step jump
@@ -53,15 +53,17 @@ from .mcwf import (
     MAX_DP_PER_STEP,
     JumpEvent,
     TrajectoryRecord,
+    _check_dp,
     _chunk_amplitudes,
     _no_jump_chain,
     _norm,
+    _prepare,
     _select_channel,
+    _top_fock,
     run_trajectory,
 )
-from .model import SystemParams
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
-from .system import OBSERVABLE_LABELS, DissipativeSystem, build_system
+from .system import OBSERVABLE_LABELS, DissipativeSystem, step_grid
 
 ENSEMBLE_METHODS = ("auto", "grouped", "direct")
 
@@ -91,6 +93,7 @@ class _Flow:
     dp: np.ndarray            # (4, n_steps) jump probabilities at age j
     dp_sum: np.ndarray        # (n_steps,)
     obs: np.ndarray           # (3, n_steps + 1) observables at age j
+    top_peak: np.ndarray      # (n_steps + 1,) top-Fock population, running max to age j
     image_flow: np.ndarray    # (4,) target flow id per channel, -1 if never
     image_state: list         # per channel: canonical post-jump state or None
     first_violation: int      # first age violating the dp guards, or n_steps + 1
@@ -125,7 +128,8 @@ def _build_flow(
       are their first three columns;
     - amplitude norms as ``np.linalg.norm(amps, axis=2)``, the same
       reduction as the per-state ``axis=1`` call, so the stored jump images
-      keep their bits.
+      keep their bits;
+    - the top-Fock populations, as a running maximum over age.
 
     The ray check (do jump images stay on one ray up to phase?) is a
     thresholded comparison and uses einsum rather than a BLAS product,
@@ -137,6 +141,7 @@ def _build_flow(
     scale = dt * rates
     dp = np.empty((n_channels, n_steps))
     obs = np.empty((3, n_steps + 1))
+    top = np.empty(n_steps + 1)
     refs: list[np.ndarray | None] = [None] * n_channels
     states = np.empty((min(_FLOW_CHUNK, n_steps + 1), state0.size), dtype=complex)
     psi = state0
@@ -147,6 +152,7 @@ def _build_flow(
         amps, sq = _chunk_amplitudes(block, plus_stack)
         dp[:, start : min(stop, n_steps)] = (scale * sq)[: n_steps - start].T
         obs[:, start:stop] = sq[:, :3].T
+        top[start:stop] = _top_fock(block)
         _check_rays(amps, np.linalg.norm(amps, axis=2), rates, refs)
     viol = np.flatnonzero((dp.max(axis=0) >= MAX_DP_PER_STEP) | (dp.sum(axis=0) >= 1.0))
     return _Flow(
@@ -154,6 +160,7 @@ def _build_flow(
         dp=dp,
         dp_sum=dp.sum(axis=0),
         obs=obs,
+        top_peak=np.maximum.accumulate(top),
         image_flow=np.full(n_channels, -1, dtype=int),
         image_state=[None if r is None else _canonical_phase(r) for r in refs],
         first_violation=int(viol[0]) if viol.size else n_steps + 1,
@@ -240,13 +247,14 @@ def _sample_grouped(
     dt: float,
     rec_steps: np.ndarray,
     powers: list[np.ndarray],
-) -> tuple[dict, list[JumpEvent], np.ndarray]:
-    """Walk one trajectory across flows; returns (expectations, jumps, final)."""
+) -> tuple[dict, list[JumpEvent], np.ndarray, float]:
+    """Walk one trajectory across flows: (expectations, jumps, final, top-Fock peak)."""
     rates = system.rates
     jumps: list[JumpEvent] = []
     segments_entry = [0]
     segments_flow = [0]
     k, fid = 0, 0
+    peak = 0.0
     while k < n_steps:
         flow = flows[fid]
         entry = segments_entry[-1]
@@ -266,13 +274,13 @@ def _sample_grouped(
                 break
             j += count
             chunk = min(2 * chunk, _CHUNK_MAX)
-        if hit < 0:
-            if viol_step < n_steps:
-                raise TimestepError("per-channel jump probability exceeds guard")
-            break
-        if viol_step <= hit:
+        if viol_step <= (n_steps - 1 if hit < 0 else hit):
+            _check_dp(flow.dp[:, flow.first_violation])
             raise TimestepError("per-channel jump probability exceeds guard")
+        if hit < 0:
+            break
         age = hit - entry
+        peak = max(peak, flow.top_peak[age])
         dp_col = flow.dp[:, age]
         eps_prime = uniform_words(
             master_seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1
@@ -303,48 +311,39 @@ def _sample_grouped(
         sel = seg_of_rec == s
         if np.any(sel):
             series[:, sel] = flows[fid].obs[:, rec_steps[sel] - entry]
-    final = _state_at_age(
-        flows[segments_flow[-1]].state0, powers, n_steps - segments_entry[-1]
-    )
-    return dict(zip(OBSERVABLE_LABELS, series)), jumps, final
+    last = flows[segments_flow[-1]]
+    age = n_steps - segments_entry[-1]
+    final = _state_at_age(last.state0, powers, age)
+    peak = max(peak, last.top_peak[age])
+    return dict(zip(OBSERVABLE_LABELS, series)), jumps, final, float(peak)
 
 
 def run_ensemble(
-    p: SystemParams,
-    initial_state,
+    system: DissipativeSystem,
+    psi0: np.ndarray,
     t_final: float,
     n_trajectories: int,
     dt: float = DEFAULT_DT,
     master_seed: int = 0,
-    hamiltonian: str = "full",
     record_every: int = 1,
     method: str = "auto",
-    n_fock: int = 10,
-    system: DissipativeSystem | None = None,
 ) -> list[TrajectoryRecord]:
-    """Run trajectories 0..n_trajectories-1 of the seeded family.
+    """Run trajectories 0..n_trajectories-1 of the seeded family from psi0.
 
-    ``initial_state`` is a label accepted by ``DissipativeSystem.initial_state``
-    or an explicit state vector.  ``method`` "auto" tries flow grouping and
-    falls back to direct integration; "grouped" raises ConfigError when the
-    run does not group; "direct" forces per-trajectory integration.
+    ``method`` "auto" tries flow grouping and falls back to direct
+    integration; "grouped" raises ConfigError when the run does not group;
+    "direct" forces per-trajectory integration.
     """
     if method not in ENSEMBLE_METHODS:
         raise ConfigError(f"method must be one of {ENSEMBLE_METHODS}")
     if n_trajectories < 1:
         raise ConfigError("n_trajectories must be >= 1")
-    if system is None:
-        system = build_system(p, n_fock=n_fock, hamiltonian=hamiltonian)
-    psi0 = (
-        system.initial_state(initial_state)
-        if isinstance(initial_state, str)
-        else np.asarray(initial_state, dtype=complex)
-    )
+    psi0 = _prepare(psi0, system)
 
     flows = None
     if method in ("auto", "grouped"):
         propagator = expm(-1j * system.h_nh * dt)
-        n_steps = int(round(t_final / dt))
+        n_steps, rec_steps = step_grid(t_final, dt, record_every)
         try:
             flows = _discover_flows(psi0, system, propagator, n_steps, dt)
         except _Ungroupable:
@@ -358,29 +357,29 @@ def run_ensemble(
         start_cache: dict = {}
         return [
             run_trajectory(
-                p, psi0, t_final, dt=dt, seed=master_seed, traj_index=i,
-                record_every=record_every, system=system, start_cache=start_cache,
+                system, psi0, t_final, dt=dt, seed=master_seed, traj_index=i,
+                record_every=record_every, start_cache=start_cache,
             )
             for i in range(n_trajectories)
         ]
 
-    rec_steps = np.arange(0, n_steps + 1, record_every)
     time_grid = rec_steps * dt
     powers = _binary_powers(propagator, n_steps)
     records = []
     for i in range(n_trajectories):
-        expectations, jumps, final = _sample_grouped(
+        expectations, jumps, final, peak = _sample_grouped(
             i, flows, system, master_seed, n_steps, dt, rec_steps, powers
         )
         records.append(
             TrajectoryRecord(
-                params=p,
+                params=system.params,
                 seed=master_seed,
                 traj_index=i,
                 time_grid=time_grid,
                 expectations=expectations,
                 jumps=jumps,
                 final_state=final,
+                top_fock_peak=peak,
             )
         )
     return records

@@ -8,26 +8,26 @@ measurement back-action of the monitored channels,
     dpsi += -(1/2) [ c_m dt + n_m dW_m ] S+_m psi ,
 
 and renormalizes.  The drift and noise coefficients (c_m, n_m) come in
-three conventions selected by ``drift_mode``:
+two conventions selected by ``drift_mode``:
 
 - "as-printed": c_m = gamma_m^2 <S-_m - S+_m>, n_m = gamma_m.
   The quadratic rate in the drift is unusual (a linear rate with a
   sqrt-rate noise quadrature is the textbook normalization); it is kept
   as printed for comparison.  At the rates used here both terms are
   small corrections to the non-Hermitian damping either way.
-- "linear-rate": c_m = gamma_m <S-_m - S+_m>, n_m = sqrt(gamma_m).
-  Same structure with the textbook rate powers.
 - "qsd" (default): standard homodyne unravelling of the master equation,
   dpsi += [ gamma_m <X_m> dt + sqrt(gamma_m) dW_m ] S+_m psi with
   X_m = S-_m + S+_m; averaging 2000+ of these trajectories reproduces
   the master-equation evolution.
 
-In mixed mode a subset of channels stays photodetected: those follow
-the jump-engine step rule (threshold draw each step, collapse on a hit)
-and a jump replaces the diffusive move for that step.  Wiener words are
-consumed only on diffusive steps, one per monitored channel.  The words are
-read by index, a block of ``_WORD_BLOCK`` steps at a time: that block's
-threshold words, and enough noise words for every step of it to be
+``run_trajectory_homodyne(system, psi0, ...)`` reads every operator from
+the assembled ``DissipativeSystem`` and the top-Fock population of the state
+at every step.  In mixed mode a subset of channels stays photodetected:
+those follow the jump-engine step rule (threshold draw each step, collapse
+on a hit) and a jump replaces the diffusive move for that step.  Wiener
+words are consumed only on diffusive steps, one per monitored channel.  The
+words are read by index, a block of ``_WORD_BLOCK`` steps at a time: that
+block's threshold words, and enough noise words for every step of it to be
 diffusive, starting at the number of noise words consumed so far.  Words a
 jump leaves unread are read again by the next block, so memory does not grow
 with the length of the run.
@@ -50,11 +50,10 @@ from .mcwf import (
     _prepare,
     _select_channel,
 )
-from .model import SystemParams
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, PURPOSE_NOISE, normal_words, uniform_words
-from .system import OBSERVABLE_LABELS, DissipativeSystem
+from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
 
-DRIFT_MODES = ("as-printed", "linear-rate", "qsd")
+DRIFT_MODES = ("as-printed", "qsd")
 
 # Diffusive runs need a finer step than the jump engine: noise enters at
 # O(sqrt(dt)), so weak-convergence error is controlled by dt itself.
@@ -81,30 +80,25 @@ def _diffusive_increment(
             out += (c.rate * x * dt + np.sqrt(c.rate) * w) * amp
         else:
             minus_minus_plus = np.conj(z) - z  # <S- - S+>, purely imaginary
-            if drift_mode == "as-printed":
-                drift, noise = c.rate**2 * minus_minus_plus, c.rate
-            else:
-                drift, noise = c.rate * minus_minus_plus, np.sqrt(c.rate)
-            out += -0.5 * (drift * dt + noise * w) * amp
+            drift = c.rate**2 * minus_minus_plus
+            out += -0.5 * (drift * dt + c.rate * w) * amp
     return out
 
 
 def run_trajectory_homodyne(
-    p: SystemParams,
+    system: DissipativeSystem,
     psi0: np.ndarray,
     t_final: float,
     dt: float = DEFAULT_DT,
     seed: int = 0,
-    hamiltonian: str = "full",
     traj_index: int = 0,
     record_every: int = 1,
     homodyne_channels: tuple[str, ...] | None = None,
     drift_mode: str = "qsd",
     store_states: bool = False,
     zero_noise: bool = False,
-    system: DissipativeSystem | None = None,
 ) -> TrajectoryRecord:
-    """Run one diffusive trajectory; deterministic in (params, psi0, dt, seed, traj_index).
+    """Run one diffusive trajectory; deterministic in (system, psi0, dt, seed, traj_index).
 
     ``homodyne_channels`` names the monitored channels; None monitors all
     of them (full homodyne, no jumps possible).  The remaining channels
@@ -114,7 +108,7 @@ def run_trajectory_homodyne(
     """
     if drift_mode not in DRIFT_MODES:
         raise ConfigError(f"drift_mode must be one of {DRIFT_MODES}")
-    psi, system = _prepare(p, psi0, hamiltonian, system)
+    psi = _prepare(psi0, system)
     labels = [c.label for c in system.channels]
     if homodyne_channels is None:
         homodyne_channels = tuple(labels)
@@ -127,16 +121,17 @@ def run_trajectory_homodyne(
 
     propagator = expm(-1j * system.h_nh * dt)
 
-    n_steps = int(round(t_final / dt))
-    rec_steps = np.arange(0, n_steps + 1, record_every)
-    time_grid = rec_steps * dt
+    n_steps, rec_steps = step_grid(t_final, dt, record_every)
     series = np.empty((3, rec_steps.size))
     snapshots = np.empty((rec_steps.size, psi.size), dtype=complex) if store_states else None
     jumps: list[JumpEvent] = []
 
     rec_i = 0
+    peak = 0.0
     drawn = used = 0  # noise words before the current block, and read in it
     for k in range(n_steps + 1):
+        tail = psi[TOP_FOCK]
+        peak = max(peak, np.vdot(tail, tail).real)
         if rec_i < rec_steps.size and k == rec_steps[rec_i]:
             amps3 = system.plus_stack[:3] @ psi
             series[:, rec_i] = np.einsum("md,md->m", amps3.conj(), amps3).real
@@ -172,12 +167,13 @@ def run_trajectory_homodyne(
         psi = phi / _norm(phi)
 
     return TrajectoryRecord(
-        params=p,
+        params=system.params,
         seed=seed,
         traj_index=traj_index,
-        time_grid=time_grid,
+        time_grid=rec_steps * dt,
         expectations=dict(zip(OBSERVABLE_LABELS, series)),
         jumps=jumps,
         final_state=psi,
+        top_fock_peak=float(peak),
         states=snapshots,
     )

@@ -5,11 +5,13 @@ The density matrix evolves under
     d rho/dt = -i [H, rho] + sum_m gamma_m ( S+_m rho S-_m
                                              - {S-_m S+_m, rho} / 2 ),
 
-with the same dressed lowering operators S^+ and rates used by the
-trajectory engines, so trajectory ensemble averages can be compared
-pointwise against this baseline on an identical time grid.  Integration
-is classical RK4 on the dense matrix; the dimensions in play (<= 64)
-make sparsity or superoperator tricks unnecessary.
+with the dressed S^+ and rates of the ``DissipativeSystem`` the trajectory
+engines take: ``evolve_lme(system, rho0, ...)`` and
+``lindblad_rhs(rho, system)`` read them from it, on the shared
+``step_grid``, so trajectory ensemble averages can be compared pointwise
+against this baseline.  Integration is classical RK4 on the dense matrix;
+the dimensions in play (<= 64) make sparsity or superoperator tricks
+unnecessary.
 
 One wrinkle: the commutator part of the generator carries every Bohr
 frequency of H, and dt = 0.5 times the full spectral spread of the
@@ -33,13 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dressed import JumpChannel
 from .errors import (
     DimensionMismatchError,
     HermiticityError,
     IntegratorInstabilityError,
 )
-from .hilbert import BasisLayout, OperatorMatrix
+from .hilbert import BasisLayout
+from .system import TOP_FOCK, DissipativeSystem, step_grid
 
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
@@ -97,41 +99,32 @@ def density_from_state(psi: np.ndarray, layout: BasisLayout) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class ExpectationSeries:
-    """Time grid, named expectation values, and the final density matrix."""
+    """Time grid, named expectation values, final matrix, peak top-Fock population."""
 
     time_grid: np.ndarray
     expectations: dict[str, np.ndarray]
     final_matrix: np.ndarray
+    top_fock_peak: float
 
 
 def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, OperatorMatrix):
-        return op.matrix
     if isinstance(op, DensityMatrix):
         return op.entries
     return np.asarray(op, dtype=complex)
 
 
 def _generator_parts(
-    r: np.ndarray, hm: np.ndarray, channels: list[JumpChannel]
+    r: np.ndarray, system: DissipativeSystem
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked S^+, rates and ``decay`` = sum_m gamma_m S-_m S+_m.
+    """The system's S^+ stack, rates and ``decay`` = sum_m gamma_m S-_m S+_m.
 
-    Raises DimensionMismatchError unless the Hamiltonian and every channel
-    have the shape of the state ``r``.
+    Raises DimensionMismatchError unless the state ``r`` is d x d.
     """
-    if hm.shape != r.shape:
+    if r.shape != (system.dimension,) * 2:
         raise DimensionMismatchError(
-            f"Hamiltonian shape {hm.shape} does not match state shape {r.shape}"
+            f"state shape {r.shape} does not match system dimension {system.dimension}"
         )
-    for c in channels:
-        if c.operator_plus.matrix.shape != r.shape:
-            raise DimensionMismatchError(
-                f"channel {c.label} shape {c.operator_plus.matrix.shape} "
-                f"does not match state shape {r.shape}"
-            )
-    plus = np.stack([c.operator_plus.matrix for c in channels])
-    rates = np.array([c.rate for c in channels])
+    plus, rates = system.plus_stack, system.rates
     decay = np.einsum("m,mji,mjk->ik", rates, plus.conj(), plus, optimize=True)
     return plus, rates, decay
 
@@ -145,31 +138,24 @@ def _dissipator(
     return out
 
 
-def lindblad_rhs(rho, h, channels: list[JumpChannel]) -> np.ndarray:
-    """d rho/dt for the dressed-picture master equation.
+def lindblad_rhs(rho, system: DissipativeSystem) -> np.ndarray:
+    """d rho/dt for the dressed-picture master equation of ``system``.
 
-    Parameters
-    ----------
-    rho : DensityMatrix or array
-        State; only its entries are used, so unnormalized matrices are
-        accepted (the trace of the result is zero regardless).
-    h : OperatorMatrix or array
-        Hermitian generator of the coherent part.
-    channels : list of JumpChannel
-        Dressed channels; each contributes gamma_m D[S+_m].
+    ``rho`` is a DensityMatrix or an array; only its entries are used, so
+    unnormalized matrices are accepted (the trace of the result is zero
+    regardless).  Each channel contributes gamma_m D[S+_m].
     """
     r = _as_matrix(rho)
-    hm = _as_matrix(h)
-    plus, rates, decay = _generator_parts(r, hm, channels)
+    hm = system.hamiltonian.matrix
+    plus, rates, decay = _generator_parts(r, system)
     return -1j * (hm @ r - r @ hm) + _dissipator(r, plus, rates, decay)
 
 
 def evolve_lme(
+    system: DissipativeSystem,
     rho0,
     t_final: float,
     dt: float,
-    h,
-    channels: list[JumpChannel],
     record_every: int = 1,
 ) -> ExpectationSeries:
     """Integrate the master equation and record channel occupations.
@@ -183,29 +169,29 @@ def evolve_lme(
     Raises
     ------
     DimensionMismatchError
-        If the Hamiltonian or a channel does not match the state's shape.
+        If ``rho0`` is not d x d for the system's dimension d.
     IntegratorInstabilityError
         If the trace leaves 1 by more than ``TRACE_TOL``, Hermiticity
         degrades past ``HERMITICITY_TOL``, or an eigenvalue falls below
         ``POSITIVITY_GUARD`` at a periodic check.
     """
     r = _as_matrix(rho0).copy()
-    hm = _as_matrix(h)
-    plus, rates, decay = _generator_parts(r, hm, channels)
+    hm = system.hamiltonian.matrix
+    plus, rates, decay = _generator_parts(r, system)
     # Observable matrices S^- S^+ per recorded channel (unweighted by rate).
-    obs_labels = [c.label for c in channels[:3]]
+    obs_labels = [c.label for c in system.channels[:3]]
     obs = np.stack([p.conj().T @ p for p in plus[:3]])
 
     energies, modes = np.linalg.eigh(0.5 * (hm + hm.conj().T))
     u_half = (modes * np.exp(-0.5j * dt * energies)) @ modes.conj().T
 
-    n_steps = int(round(t_final / dt))
-    rec_steps = np.arange(0, n_steps + 1, record_every)
-    time_grid = rec_steps * dt
+    n_steps, rec_steps = step_grid(t_final, dt, record_every)
     series = np.empty((len(rec_steps), len(obs_labels)))
 
     rec = 0
+    peak = 0.0
     for k in range(n_steps + 1):
+        peak = max(peak, float(r.diagonal()[TOP_FOCK].real.sum()))
         if rec < len(rec_steps) and k == rec_steps[rec]:
             series[rec] = np.einsum("mij,ji->m", obs, r, optimize=True).real
             rec += 1
@@ -239,5 +225,6 @@ def evolve_lme(
 
     expectations = {lbl: series[:, i] for i, lbl in enumerate(obs_labels)}
     return ExpectationSeries(
-        time_grid=time_grid, expectations=expectations, final_matrix=r
+        time_grid=rec_steps * dt, expectations=expectations, final_matrix=r,
+        top_fock_peak=peak,
     )

@@ -11,18 +11,19 @@ step (precomputed once; the dimension never exceeds a few dozen), so the
 timestep affects only jump-probability discretization, not the oscillation
 frequencies.
 
-``run_trajectory`` evaluates a trajectory in chunks of steps.  Only the
-no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| runs step by step; the jump
-probabilities and observables of a chunk come from one vectorized call, and
-the chunk's threshold words are read by index (word k of the threshold
-stream belongs to step k, word q of the channel stream to the q-th jump).
-At the first step whose jump fires, the rest of the chunk is discarded and
-a new chunk starts from the post-jump state.  Every number that decides or
-is recorded is bitwise the one of the step-at-a-time loop; the helpers
-below say which operations keep that so.
-Trajectories of one ensemble walk the same chunks until their first jump;
-``run_ensemble`` hands them a shared ``start_cache`` so those chunks are
-evaluated once.
+``run_trajectory(system, psi0, ...)`` reads every operator from the
+assembled ``DissipativeSystem`` and evaluates a trajectory in chunks of
+steps.  Only the no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| runs step
+by step; the jump probabilities, observables and top-Fock populations of a
+chunk come from one vectorized call each, and the chunk's threshold words
+are read by index (word k of the threshold stream belongs to step k, word q
+of the channel stream to the q-th jump).  At the first step whose jump
+fires, the rest of the chunk is discarded and a new chunk starts from the
+post-jump state.  Every number that decides or is recorded is bitwise the
+one of the step-at-a-time loop; the helpers below say which operations keep
+that so.  Trajectories of one ensemble walk the same chunks until their
+first jump; ``run_ensemble`` hands them a shared ``start_cache`` so those
+chunks are evaluated once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .model import SystemParams
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
-from .system import OBSERVABLE_LABELS, DissipativeSystem, build_system
+from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
 
 MAX_DP_PER_STEP = 0.1
 JUMP_NORM_FLOOR = 1e-14
@@ -76,6 +77,8 @@ class TrajectoryRecord:
     ``expectations`` maps observable labels (cavity, qubit1, qubit2) to the
     real series <S^- S^+> on ``time_grid``; these use the dressed operators,
     so the cavity series is a photon number an external detector would see.
+    ``top_fock_peak`` is the largest top-Fock population of any state the
+    trajectory visited, the quantity the truncation check bounds.
     """
 
     params: SystemParams
@@ -85,6 +88,7 @@ class TrajectoryRecord:
     expectations: dict[str, np.ndarray]
     jumps: list[JumpEvent]
     final_state: np.ndarray
+    top_fock_peak: float
     states: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -110,20 +114,20 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _prepare(
-    p: SystemParams, psi0: np.ndarray, hamiltonian: str, system: DissipativeSystem | None
-) -> tuple[np.ndarray, DissipativeSystem]:
-    """psi0 as a complex vector and the system it evolves in (built when None)."""
+def _prepare(psi0: np.ndarray, system: DissipativeSystem) -> np.ndarray:
+    """psi0 as a complex vector, checked against the system's dimension."""
     psi = np.asarray(psi0, dtype=complex)
-    if system is None:
-        if psi.size % 4 != 0:
-            raise DimensionMismatchError(f"state length {psi.size} is not 4 * n_fock")
-        system = build_system(p, n_fock=psi.size // 4, hamiltonian=hamiltonian)
     if psi.shape != (system.dimension,):
         raise DimensionMismatchError(
             f"state shape {psi.shape} does not match system dimension {system.dimension}"
         )
-    return psi, system
+    return psi
+
+
+def _top_fock(states: np.ndarray) -> np.ndarray:
+    """Top-Fock population of each row of a stack of states."""
+    tail = states[:, TOP_FOCK]
+    return np.einsum("kd,kd->k", tail.conj(), tail).real
 
 
 def _collapse(amps: np.ndarray, m: int, label: str) -> np.ndarray:
@@ -210,40 +214,35 @@ def _select_channel(dp: np.ndarray, eps_prime: float) -> int:
 
 
 def run_trajectory(
-    p: SystemParams,
+    system: DissipativeSystem,
     psi0: np.ndarray,
     t_final: float,
     dt: float = DEFAULT_DT,
     seed: int = 0,
-    hamiltonian: str = "full",
     traj_index: int = 0,
     record_every: int = 1,
     store_states: bool = False,
-    system: DissipativeSystem | None = None,
     start_cache: dict | None = None,
 ) -> TrajectoryRecord:
-    """Run one trajectory; deterministic in (params, psi0, dt, seed, traj_index).
+    """Run one trajectory; deterministic in (system, psi0, dt, seed, traj_index).
 
     The jump recorded at time (k+1) dt replaces the coherent propagation of
-    step k, so grid samples always show the post-jump state.  Pass ``system``
-    to reuse a prebuilt assembly (the Hamiltonian choice must then match).
-    Steps are evaluated in chunks (see the module docstring) with the same
-    results, bit for bit, as one step at a time.
+    step k, so grid samples always show the post-jump state.  Steps are
+    evaluated in chunks (see the module docstring) with the same results,
+    bit for bit, as one step at a time.
 
     ``start_cache`` is a dict shared by trajectories that differ only in
     ``traj_index`` (same system, psi0, t_final and dt).  Before
     their first jump such trajectories walk the same chunks of the same
     no-jump chain; the cache keeps each chunk's jump probabilities,
-    observables and end states, so an ensemble evaluates them once.  It is
-    ignored when ``store_states`` is set.
+    observables, top-Fock populations and end states, so an ensemble
+    evaluates them once.  It is ignored when ``store_states`` is set.
     """
-    psi, system = _prepare(p, psi0, hamiltonian, system)
+    psi = _prepare(psi0, system)
     advance = expm(-1j * system.h_nh * dt).__matmul__
     plus_stack, rates = system.plus_stack, system.rates
 
-    n_steps = int(round(t_final / dt))
-    rec_steps = np.arange(0, n_steps + 1, record_every)
-    time_grid = rec_steps * dt
+    n_steps, rec_steps = step_grid(t_final, dt, record_every)
     series = np.empty((3, rec_steps.size))
     snapshots = np.empty((rec_steps.size, psi.size), dtype=complex) if store_states else None
     jumps: list[JumpEvent] = []
@@ -252,6 +251,7 @@ def run_trajectory(
     states = np.empty((min(_STEP_CHUNK_MAX, n_steps + 1), psi.size), dtype=complex)
     size = _STEP_CHUNK0
     rec_i = 0
+    peak = 0.0
     k = 0  # step index of psi, the first row of the next chunk
     if store_states:
         start_cache = None
@@ -260,17 +260,19 @@ def run_trajectory(
         n_dec = min(len(block), n_steps - k)
         shared = start_cache is not None and not jumps
         if shared and k in start_cache:
-            first, last, after, sq, dp = start_cache[k]
+            first, last, after, sq, top, dp = start_cache[k]
             amps = None
         else:
             after = _no_jump_chain(psi, advance, block)
             amps, sq = _chunk_amplitudes(block, plus_stack)
+            top = _top_fock(block)
             dp = scale * sq[:n_dec]
             first, last = block[0], block[-1]
             if shared:
-                start_cache[k] = (first.copy(), last.copy(), after, sq, dp)
+                start_cache[k] = (first.copy(), last.copy(), after, sq, top, dp)
         fired = _first_jump(dp, uniform_words(seed, traj_index, PURPOSE_JUMP, k, n_dec))
         valid = fired + 1 if fired < n_dec else len(block)
+        peak = max(peak, float(top[:valid].max()))
         rec_hi = int(np.searchsorted(rec_steps, k + valid))
         rows = rec_steps[rec_i:rec_hi] - k
         series[:, rec_i:rec_hi] = sq[rows, :3].T
@@ -305,13 +307,14 @@ def run_trajectory(
         size = _STEP_CHUNK0
 
     return TrajectoryRecord(
-        params=p,
+        params=system.params,
         seed=seed,
         traj_index=traj_index,
-        time_grid=time_grid,
+        time_grid=rec_steps * dt,
         expectations=dict(zip(OBSERVABLE_LABELS, series)),
         jumps=jumps,
         final_state=psi,
+        top_fock_peak=peak,
         states=snapshots,
     )
 

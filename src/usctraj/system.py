@@ -1,11 +1,11 @@
-"""One-stop assembly of a dissipative system: Hamiltonian, dressed channels, observables.
+"""The assembled system every engine takes: Hamiltonian, dressed channels, observables.
 
-Builds everything the trajectory engines share: the chosen Hamiltonian (full
-or effective), its dressed basis, the four jump channels dressed in that same
-basis, the non-Hermitian matrix driving the no-jump evolution, and named
-initial states.  Jump operators always come from the Hamiltonian that also
-generates the coherent dynamics; mixing the two pictures would let a "jump"
-raise the energy.
+Every engine takes a ``DissipativeSystem`` first and steps on ``step_grid``.
+It holds the chosen Hamiltonian (full or effective), its dressed basis, the
+four jump channels dressed in that same basis, the non-Hermitian matrix
+driving the no-jump evolution, and named initial states.  Jump operators
+always come from the Hamiltonian that also generates the coherent dynamics;
+mixing the two pictures would let a "jump" raise the energy.
 """
 
 from __future__ import annotations
@@ -26,6 +26,16 @@ INITIAL_STATE_LABELS = (
 )
 
 OBSERVABLE_LABELS = ("cavity", "qubit1", "qubit2")
+
+# Basis indices of the highest Fock level (the layout puts the photon number
+# first); every engine reports their largest population as top_fock_peak.
+TOP_FOCK = slice(-4, None)
+
+
+def step_grid(t_final: float, dt: float, record_every: int) -> tuple[int, np.ndarray]:
+    """Number of steps of a run and the step indices every engine records."""
+    n_steps = int(round(t_final / dt))
+    return n_steps, np.arange(0, n_steps + 1, record_every)
 
 
 def non_hermitian_matrix(h: np.ndarray, channels: list[JumpChannel]) -> np.ndarray:

@@ -99,9 +99,10 @@ def emission_hist_fit():
     layout = build_layout(10)
     base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=0.0)
     p = calibrate_resonance(base, layout, which="full")
+    system = build_system(p, n_fock=10, hamiltonian="effective")
     records = run_ensemble(
-        p, "1gg", 60000.0, 20000, dt=0.5, master_seed=0,
-        hamiltonian="effective", record_every=1000, n_fock=10, method="grouped",
+        system, system.initial_state("1gg"), 60000.0, 20000, dt=0.5, master_seed=0,
+        record_every=1000, method="grouped",
     )
     hist = first_jump_histogram(records, 200.0)
     idx = {label: i for i, label in enumerate(hist.channel_labels)}
@@ -125,9 +126,10 @@ def exchange_hist():
     layout = build_layout(10)
     base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=0.0)
     p = calibrate_resonance(base, layout, which="full")
+    system = build_system(p, n_fock=10, hamiltonian="effective")
     records = run_ensemble(
-        p, "1gg", 60000.0, 40000, dt=0.5, master_seed=0,
-        hamiltonian="effective", record_every=1000, n_fock=10, method="grouped",
+        system, system.initial_state("1gg"), 60000.0, 40000, dt=0.5, master_seed=0,
+        record_every=1000, method="grouped",
     )
     hist = conditional_second_jump_histogram(records, "qubit1", 50.0)
     return hist, p
@@ -146,9 +148,10 @@ def collective_decay_events():
     layout = build_layout(10)
     base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=5e-4)
     p = calibrate_resonance(base, layout, which="full")
+    system = build_system(p, n_fock=10, hamiltonian="effective")
     records = run_ensemble(
-        p, "1gg", 30000.0, 80000, dt=0.5, master_seed=0,
-        hamiltonian="effective", record_every=1000, n_fock=10, method="grouped",
+        system, system.initial_state("1gg"), 30000.0, 80000, dt=0.5, master_seed=0,
+        record_every=1000, method="grouped",
     )
     taus, outcomes = [], []
     for rec in records:
@@ -171,14 +174,12 @@ def full_mean_comparison():
         p = calibrate_resonance(base, layout, which="full")
         system = build_system(p, n_fock=10, hamiltonian="full")
         records = run_ensemble(
-            p, "1gg", 8000.0, 500, dt=0.5, master_seed=0,
-            hamiltonian="full", record_every=10, n_fock=10, method="auto",
+            system, system.initial_state("1gg"), 8000.0, 500, dt=0.5, master_seed=0,
+            record_every=10, method="auto",
         )
         avg = ensemble_average(records)
         rho0 = density_from_state(system.initial_state("1gg"), layout)
-        series = evolve_lme(
-            rho0, 8000.0, 0.5, system.hamiltonian, system.channels, record_every=10
-        )
+        series = evolve_lme(system, rho0, 8000.0, 0.5, record_every=10)
         out[gc] = (avg, series)
     return out
 
@@ -197,9 +198,8 @@ def diffusive_mean_comparison():
     sumsq = {k: 0.0 for k in labels}
     for j in range(n_traj):
         rec = run_trajectory_homodyne(
-            p, psi0, 300.0, dt=0.1, seed=0, traj_index=j,
-            hamiltonian="effective", record_every=10, drift_mode="qsd",
-            system=system,
+            system, psi0, 300.0, dt=0.1, seed=0, traj_index=j,
+            record_every=10, drift_mode="qsd",
         )
         for k in labels:
             sums[k] = sums[k] + rec.expectations[k]
@@ -210,9 +210,7 @@ def diffusive_mean_comparison():
         var = (sumsq[k] - n_traj * means[k] ** 2) / (n_traj - 1)
         ses[k] = np.sqrt(np.maximum(var, 0.0) / n_traj)
     rho0 = density_from_state(psi0, layout)
-    series = evolve_lme(
-        rho0, 300.0, 0.1, system.hamiltonian, system.channels, record_every=10
-    )
+    series = evolve_lme(system, rho0, 300.0, 0.1, record_every=10)
     return means, ses, series
 
 
@@ -373,7 +371,7 @@ def test_criterion_05_dark_ground_state(announce, layout10):
         for c in system.channels
     )
     projector = np.outer(gs, gs.conj())
-    rhs = lindblad_rhs(projector, system.hamiltonian.matrix, system.channels)
+    rhs = lindblad_rhs(projector, system)
     rhs_max = float(np.max(np.abs(rhs)))
     ok = worst_prob < 1e-12 and rhs_max < 1e-10
     check(
@@ -390,8 +388,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
     # Lone local jump at resonance: the leftover excitation hops between the
     # qubits at twice the exchange coupling (population period).
     rec = run_trajectory(
-        p_paper_rates, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=11,
-        hamiltonian="effective", system=system_eff,
+        system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=11,
     )
     assert len(rec.jumps) == 1 and rec.jumps[0].channel == "qubit1"
     t1 = rec.jumps[0].time
@@ -408,8 +405,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
     frozen_ptp = 0.0
     for seed, channel, t_jump in [(11, "qubit1", 1019.0), (17, "qubit2", 1229.5)]:
         rec_d = run_trajectory(
-            p_d, system_d.initial_state("1gg"), 3000.0, dt=0.5, seed=seed,
-            hamiltonian="effective", system=system_d,
+            system_d, system_d.initial_state("1gg"), 3000.0, dt=0.5, seed=seed,
         )
         assert len(rec_d.jumps) == 1 and rec_d.jumps[0].channel == channel
         assert abs(rec_d.jumps[0].time - t_jump) < 1e-9
@@ -423,8 +419,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
     p_c = calibrate_resonance(base_c, layout6, which="effective")
     system_c = build_system(p_c, n_fock=6, hamiltonian="effective")
     rec_c = run_trajectory(
-        p_c, system_c.initial_state("1gg"), 8000.0, dt=0.5, seed=4,
-        hamiltonian="effective", system=system_c,
+        system_c, system_c.initial_state("1gg"), 8000.0, dt=0.5, seed=4,
     )
     assert len(rec_c.jumps) == 1 and rec_c.jumps[0].channel == "collective"
     assert abs(rec_c.jumps[0].time - 2243.5) < 1e-9
@@ -446,8 +441,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
         p_i = calibrate_resonance(base_i, layout6, which="effective")
         system_i = build_system(p_i, n_fock=6, hamiltonian="effective")
         rec_i = run_trajectory(
-            p_i, system_i.initial_state("1gg"), 8000.0, dt=0.5, seed=4,
-            hamiltonian="effective", system=system_i,
+            system_i, system_i.initial_state("1gg"), 8000.0, dt=0.5, seed=4,
         )
         assert rec_i.jumps and rec_i.jumps[0].channel == "collective"
         sel_i = rec_i.time_grid >= rec_i.jumps[0].time
@@ -560,10 +554,10 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
     # Full homodyne: diffusive, no jump events, bounded increments.
     base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=0.0)
     p = calibrate_resonance(base, layout10, which="full")
+    system = build_system(p, n_fock=10, hamiltonian="full")
     rec = run_trajectory_homodyne(
-        p, build_system(p, n_fock=10, hamiltonian="full").initial_state("1gg"),
-        20000.0, dt=0.1, seed=0, hamiltonian="full", record_every=1,
-        drift_mode="qsd",
+        system, system.initial_state("1gg"), 20000.0, dt=0.1, seed=0,
+        record_every=1, drift_mode="qsd",
     )
     max_step = max(
         float(np.max(np.abs(np.diff(rec.expectations[label]))))
@@ -578,9 +572,8 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
     system_m = build_system(p_m, n_fock=6, hamiltonian="effective")
     om2 = abs(effective_couplings(p_m).omega2)
     rec_m = run_trajectory_homodyne(
-        p_m, system_m.initial_state("0ee"), 2500.0, dt=0.1, seed=1,
-        hamiltonian="effective", record_every=5, homodyne_channels=("cavity",),
-        drift_mode="as-printed", system=system_m,
+        system_m, system_m.initial_state("0ee"), 2500.0, dt=0.1, seed=1,
+        record_every=5, homodyne_channels=("cavity",), drift_mode="as-printed",
     )
     qjumps = [j for j in rec_m.jumps if j.channel in ("qubit1", "qubit2")]
     cavity_jumps = [j for j in rec_m.jumps if j.channel == "cavity"]
@@ -615,13 +608,12 @@ def test_criterion_10_property_suite(announce, p_paper_rates, system_eff,
     p = calibrate_resonance(base, layout6, which="effective")
     system = build_system(p, n_fock=6, hamiltonian="effective")
     rec = run_trajectory(
-        p, system.initial_state("1gg"), 2000.0, dt=0.5, seed=1,
-        hamiltonian="effective", system=system,
+        system, system.initial_state("1gg"), 2000.0, dt=0.5, seed=1,
     )
     norm_err = abs(np.linalg.norm(rec.final_state) - 1.0)
     series = evolve_lme(
-        density_from_state(system.initial_state("1gg"), layout6),
-        2000.0, 0.5, system.hamiltonian, system.channels, record_every=100,
+        system, density_from_state(system.initial_state("1gg"), layout6),
+        2000.0, 0.5, record_every=100,
     )
     trace_err = abs(np.trace(series.final_matrix).real - 1.0)
 
@@ -656,10 +648,10 @@ def test_criterion_10_property_suite(announce, p_paper_rates, system_eff,
     )
 
     # Determinism: an ensemble rerun reproduces means and jump logs exactly.
-    kwargs = dict(dt=0.5, master_seed=3, hamiltonian="effective",
-                  record_every=10, n_fock=6, method="grouped")
-    run_a = run_ensemble(p, "1gg", 300.0, 10, **kwargs)
-    run_b = run_ensemble(p, "1gg", 300.0, 10, **kwargs)
+    kwargs = dict(dt=0.5, master_seed=3, record_every=10, method="grouped")
+    psi0 = system.initial_state("1gg")
+    run_a = run_ensemble(system, psi0, 300.0, 10, **kwargs)
+    run_b = run_ensemble(system, psi0, 300.0, 10, **kwargs)
     deterministic = all(
         ra.expectations[label].tobytes() == rb.expectations[label].tobytes()
         for ra, rb in zip(run_a, run_b)

@@ -2,10 +2,14 @@
 
 import configparser
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import usctraj
 from usctraj import __version__
 from usctraj.cli import (
     ExperimentConfig,
@@ -288,6 +292,39 @@ prefix = tr
     assert rc == 0
 
 
+SHALLOW_DECAY = """
+[system]
+n_fock = 2
+kappa = 4e-3
+calibrate = none
+
+[run]
+solver = mcwf
+hamiltonian = effective
+t_final = 3000
+n_trajectories = {n}
+initial_state = 1gg
+method = {method}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, n, method",
+    [("trajectory", 1, "auto"), ("ensemble", 50, "grouped")],
+)
+def test_truncation_check_covers_the_whole_run(tmp_path, capsys, command, n, method):
+    # |1,g,g> at n_fock = 2 starts on the top Fock level; the cavity jump
+    # (t = 526 for trajectory 0) empties it, so the final states are clean
+    cfg = tmp_path / "decay.ini"
+    cfg.write_text(SHALLOW_DECAY.format(n=n, method=method))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "checked"),
+               "--check-truncation"])
+    assert rc == 2
+    assert "top Fock level" in capsys.readouterr().err
+
+
 def test_compare_lme_runs_and_reports(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "cmp.ini", """
@@ -483,3 +520,18 @@ def test_config_validation_direct():
     assert cfg.exchange_flag() is True
     assert ExperimentConfig(qubit_exchange="off").exchange_flag() is False
     assert ExperimentConfig().exchange_flag() is None
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("4", "4")])
+def test_cli_defaults_to_one_blas_thread(given, expected):
+    # importing the CLI sets one OpenBLAS thread unless the user chose a count
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    src = str(Path(usctraj.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import os, usctraj.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == expected

@@ -32,13 +32,21 @@ def busy_params():
 
 
 @pytest.fixture(scope="module")
-def grouped_and_direct(busy_params):
-    p = busy_params
-    common = dict(
-        dt=0.5, master_seed=11, hamiltonian="effective", record_every=4, n_fock=6
-    )
-    grouped = run_ensemble(p, "1gg", T_FINAL, N_TRAJ, method="grouped", **common)
-    direct = run_ensemble(p, "1gg", T_FINAL, N_TRAJ, method="direct", **common)
+def busy_systems(busy_params):
+    """The busy parameters assembled with each Hamiltonian at n_fock = 6."""
+    return {
+        ham: build_system(busy_params, n_fock=6, hamiltonian=ham)
+        for ham in ("effective", "full")
+    }
+
+
+@pytest.fixture(scope="module")
+def grouped_and_direct(busy_systems):
+    system = busy_systems["effective"]
+    psi0 = system.initial_state("1gg")
+    common = dict(dt=0.5, master_seed=11, record_every=4)
+    grouped = run_ensemble(system, psi0, T_FINAL, N_TRAJ, method="grouped", **common)
+    direct = run_ensemble(system, psi0, T_FINAL, N_TRAJ, method="direct", **common)
     return grouped, direct
 
 
@@ -99,20 +107,17 @@ def test_final_states_agree_up_to_global_phase(grouped_and_direct):
         assert overlap > 1.0 - 1e-12
 
 
-def test_auto_uses_direct_loop_on_the_full_hamiltonian(busy_params):
+def test_auto_uses_direct_loop_on_the_full_hamiltonian(busy_systems):
     # full-Hamiltonian jump images are not ray-constant, so auto must fall
     # back and reproduce the reference loop exactly
-    p = busy_params
-    records = run_ensemble(
-        p, "1gg", 200.0, 3, dt=0.5, master_seed=5, hamiltonian="full",
-        record_every=2, n_fock=6, method="auto",
-    )
-    system = build_system(p, n_fock=6, hamiltonian="full")
+    system = busy_systems["full"]
     psi0 = system.initial_state("1gg")
+    records = run_ensemble(
+        system, psi0, 200.0, 3, dt=0.5, master_seed=5, record_every=2, method="auto",
+    )
     for i, rec in enumerate(records):
         ref = run_trajectory(
-            p, psi0, 200.0, dt=0.5, seed=5, traj_index=i, record_every=2,
-            system=system,
+            system, psi0, 200.0, dt=0.5, seed=5, traj_index=i, record_every=2,
         )
         for label in ref.expectations:
             np.testing.assert_array_equal(
@@ -121,29 +126,32 @@ def test_auto_uses_direct_loop_on_the_full_hamiltonian(busy_params):
         np.testing.assert_array_equal(rec.final_state, ref.final_state)
 
 
-def test_grouped_refuses_ungroupable_dynamics(busy_params):
+def test_grouped_refuses_ungroupable_dynamics(busy_systems):
+    system = busy_systems["full"]
     with pytest.raises(ConfigError):
         run_ensemble(
-            busy_params, "1gg", 200.0, 3, dt=0.5, master_seed=5,
-            hamiltonian="full", n_fock=6, method="grouped",
+            system, system.initial_state("1gg"), 200.0, 3, dt=0.5, master_seed=5,
+            method="grouped",
         )
 
 
 def test_timestep_error_raised_by_both_methods():
     layout = build_layout(4)
     p = calibrate_resonance(SystemParams(kappa=0.25), layout, which="effective")
+    system = build_system(p, n_fock=4, hamiltonian="effective")
     for method in ("grouped", "direct"):
-        with pytest.raises(TimestepError):
+        with pytest.raises(TimestepError, match="reduce dt"):
             run_ensemble(
-                p, "1gg", 50.0, 2, dt=1.0, master_seed=0,
-                hamiltonian="effective", n_fock=4, method=method,
+                system, system.initial_state("1gg"), 50.0, 2, dt=1.0, master_seed=0,
+                method=method,
             )
 
 
 def test_lossless_ensemble_never_jumps(p_resonant):
+    system = build_system(p_resonant, n_fock=6, hamiltonian="effective")
     records = run_ensemble(
-        p_resonant, "1gg", 500.0, 4, dt=0.5, master_seed=7,
-        hamiltonian="effective", record_every=10, n_fock=6, method="grouped",
+        system, system.initial_state("1gg"), 500.0, 4, dt=0.5, master_seed=7,
+        record_every=10, method="grouped",
     )
     for rec in records:
         assert rec.jumps == []
@@ -154,16 +162,14 @@ def test_lossless_ensemble_never_jumps(p_resonant):
         )
 
 
-def test_ensemble_size_does_not_change_results(busy_params):
+def test_ensemble_size_does_not_change_results(busy_systems):
     # the direct loop shares one start_cache across the ensemble; a larger
     # ensemble must not change the first trajectories by a single bit
-    p = busy_params
-    common = dict(
-        dt=0.5, master_seed=3, hamiltonian="full", record_every=4, n_fock=6,
-        method="direct",
-    )
-    three = run_ensemble(p, "1gg", 400.0, 3, **common)
-    six = run_ensemble(p, "1gg", 400.0, 6, **common)
+    system = busy_systems["full"]
+    psi0 = system.initial_state("1gg")
+    common = dict(dt=0.5, master_seed=3, record_every=4, method="direct")
+    three = run_ensemble(system, psi0, 400.0, 3, **common)
+    six = run_ensemble(system, psi0, 400.0, 6, **common)
     assert len(six) == 6
     for a, b in zip(three, six[:3]):
         assert a.traj_index == b.traj_index
@@ -172,27 +178,11 @@ def test_ensemble_size_does_not_change_results(busy_params):
         assert [j.time for j in a.jumps] == [j.time for j in b.jumps]
 
 
-def test_vector_initial_state_accepted(busy_params, system_eff):
-    p = busy_params
-    system = build_system(p, n_fock=6, hamiltonian="effective")
-    psi0 = system.initial_state("1gg")
-    by_label = run_ensemble(
-        p, "1gg", 200.0, 2, dt=0.5, master_seed=1, hamiltonian="effective",
-        n_fock=6, method="grouped",
-    )
-    by_vector = run_ensemble(
-        p, psi0, 200.0, 2, dt=0.5, master_seed=1, hamiltonian="effective",
-        n_fock=6, method="grouped",
-    )
-    for a, b in zip(by_label, by_vector):
-        np.testing.assert_array_equal(a.final_state, b.final_state)
-
-
-def test_unknown_method_rejected(busy_params):
+def test_unknown_method_rejected(busy_systems):
+    system = busy_systems["effective"]
     with pytest.raises(ConfigError):
         run_ensemble(
-            busy_params, "1gg", 100.0, 1, master_seed=0,
-            hamiltonian="effective", n_fock=6, method="fancy",
+            system, system.initial_state("1gg"), 100.0, 1, master_seed=0, method="fancy",
         )
 
 
@@ -202,11 +192,13 @@ def _reference_build_flow(state0, system, propagator, n_steps, dt):
     n_channels = rates.size
     dp = np.empty((n_channels, n_steps))
     obs = np.empty((3, n_steps + 1))
+    top = np.empty(n_steps + 1)
     refs = [None] * n_channels
     psi = state0
     for k in range(n_steps + 1):
         dp_k, amps = _jump_probabilities(psi, dt, plus_stack, rates)
         obs[:, k] = np.einsum("md,md->m", amps[:3].conj(), amps[:3]).real
+        top[k] = np.sum(np.abs(psi[-4:]) ** 2)
         norms = np.linalg.norm(amps, axis=1)
         if k < n_steps:
             dp[:, k] = dp_k
@@ -227,6 +219,7 @@ def _reference_build_flow(state0, system, propagator, n_steps, dt):
         dp=dp,
         dp_sum=dp.sum(axis=0),
         obs=obs,
+        top_peak=np.maximum.accumulate(top),
         image_flow=np.full(n_channels, -1, dtype=int),
         image_state=[None if r is None else ensemble._canonical_phase(r) for r in refs],
         first_violation=int(viol[0]) if viol.size else n_steps + 1,
@@ -235,8 +228,8 @@ def _reference_build_flow(state0, system, propagator, n_steps, dt):
 
 
 @pytest.fixture(scope="module")
-def busy_effective(busy_params):
-    system = build_system(busy_params, n_fock=6, hamiltonian="effective")
+def busy_effective(busy_systems):
+    system = busy_systems["effective"]
     return system, expm(-1j * system.h_nh * 0.5)
 
 
@@ -254,6 +247,7 @@ def test_chunked_flows_equal_the_per_step_reference(busy_effective, chunk, monke
             got = ensemble._build_flow(state0, system, propagator, n_steps, 0.5)
             for name in ("dp", "dp_sum", "obs"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+            np.testing.assert_allclose(got.top_peak, ref.top_peak, rtol=1e-13, atol=0.0)
             assert len(got.image_state) == len(ref.image_state)
             for a, b in zip(got.image_state, ref.image_state):
                 assert (a is None) == (b is None)
@@ -263,18 +257,29 @@ def test_chunked_flows_equal_the_per_step_reference(busy_effective, chunk, monke
             assert got.dark == ref.dark
 
 
-def test_grouped_refuses_a_ray_broken_after_the_first_chunk(busy_params, monkeypatch):
+def test_grouped_refuses_a_ray_broken_after_the_first_chunk(busy_systems, monkeypatch):
     # a one-state first chunk only sets the reference images; the full
     # Hamiltonian's step-dependent dressing breaks the ray at the next state
     monkeypatch.setattr(ensemble, "_FLOW_CHUNK", 1)
-    system = build_system(busy_params, n_fock=6, hamiltonian="full")
+    system = busy_systems["full"]
     propagator = expm(-1j * system.h_nh * 0.5)
     psi0 = system.initial_state("1gg")
     ensemble._build_flow(psi0, system, propagator, 0, 0.5)
     with pytest.raises(ensemble._Ungroupable):
         ensemble._build_flow(psi0, system, propagator, 1, 0.5)
     with pytest.raises(ConfigError):
-        run_ensemble(
-            busy_params, "1gg", 200.0, 3, dt=0.5, master_seed=5,
-            hamiltonian="full", n_fock=6, method="grouped",
-        )
+        run_ensemble(system, psi0, 200.0, 3, dt=0.5, master_seed=5, method="grouped")
+
+
+def test_grouped_top_fock_peak_matches_the_direct_engine():
+    # at n_fock = 2 the pair exchange fills the top Fock level mid-run
+    base = SystemParams(kappa=4e-4, gamma1=2e-4, gamma2=2e-4)
+    p = calibrate_resonance(base, build_layout(2), which="effective")
+    system = build_system(p, n_fock=2, hamiltonian="effective")
+    psi0 = system.initial_state("0ee")
+    grouped = run_ensemble(system, psi0, 3000.0, 12, master_seed=5, method="grouped")
+    direct = run_ensemble(system, psi0, 3000.0, 12, master_seed=5, method="direct")
+    for g, d in zip(grouped, direct):
+        assert [j.time for j in g.jumps] == [j.time for j in d.jumps]
+        assert g.top_fock_peak == pytest.approx(d.top_fock_peak, rel=1e-12)
+    assert max(r.top_fock_peak for r in grouped) > 0.5

@@ -34,14 +34,14 @@ def hom_system():
 
 
 def test_drift_modes_exported():
-    assert DRIFT_MODES == ("as-printed", "linear-rate", "qsd")
+    assert DRIFT_MODES == ("as-printed", "qsd")
 
 
 def test_full_homodyne_never_jumps(hom_system):
     sys = hom_system
     rec = run_trajectory_homodyne(
-        sys.params, sys.initial_state("1gg"), 500.0, dt=0.1, seed=2,
-        record_every=10, drift_mode="qsd", system=sys,
+        sys, sys.initial_state("1gg"), 500.0, dt=0.1, seed=2,
+        record_every=10, drift_mode="qsd",
     )
     assert rec.jumps == []
     assert abs(np.linalg.norm(rec.final_state) - 1.0) < 1e-12
@@ -52,8 +52,8 @@ def test_increments_are_bounded(hom_system):
     # small compared to a jump discontinuity (which is order one)
     sys = hom_system
     rec = run_trajectory_homodyne(
-        sys.params, sys.initial_state("1gg"), 400.0, dt=0.1, seed=5,
-        drift_mode="qsd", system=sys,
+        sys, sys.initial_state("1gg"), 400.0, dt=0.1, seed=5,
+        drift_mode="qsd",
     )
     for label in rec.expectations:
         steps = np.abs(np.diff(rec.expectations[label]))
@@ -62,13 +62,13 @@ def test_increments_are_bounded(hom_system):
 
 def test_determinism_and_traj_index_variation(hom_system):
     sys = hom_system
-    common = dict(dt=0.1, seed=8, record_every=5, drift_mode="qsd", system=sys)
-    a = run_trajectory_homodyne(sys.params, sys.initial_state("1gg"), 200.0, **common)
-    b = run_trajectory_homodyne(sys.params, sys.initial_state("1gg"), 200.0, **common)
+    common = dict(dt=0.1, seed=8, record_every=5, drift_mode="qsd")
+    a = run_trajectory_homodyne(sys, sys.initial_state("1gg"), 200.0, **common)
+    b = run_trajectory_homodyne(sys, sys.initial_state("1gg"), 200.0, **common)
     np.testing.assert_array_equal(a.final_state, b.final_state)
     c = run_trajectory_homodyne(
-        sys.params, sys.initial_state("1gg"), 200.0, dt=0.1, seed=8,
-        record_every=5, drift_mode="qsd", traj_index=1, system=sys,
+        sys, sys.initial_state("1gg"), 200.0, dt=0.1, seed=8,
+        record_every=5, drift_mode="qsd", traj_index=1,
     )
     assert not np.array_equal(a.final_state, c.final_state)
 
@@ -76,12 +76,12 @@ def test_determinism_and_traj_index_variation(hom_system):
 def test_zero_noise_reduces_to_deterministic_drift(hom_system):
     sys = hom_system
     a = run_trajectory_homodyne(
-        sys.params, sys.initial_state("1gg"), 100.0, dt=0.1, seed=0,
-        drift_mode="qsd", zero_noise=True, system=sys,
+        sys, sys.initial_state("1gg"), 100.0, dt=0.1, seed=0,
+        drift_mode="qsd", zero_noise=True,
     )
     b = run_trajectory_homodyne(
-        sys.params, sys.initial_state("1gg"), 100.0, dt=0.1, seed=99,
-        drift_mode="qsd", zero_noise=True, system=sys,
+        sys, sys.initial_state("1gg"), 100.0, dt=0.1, seed=99,
+        drift_mode="qsd", zero_noise=True,
     )
     np.testing.assert_array_equal(a.final_state, b.final_state)
     for label in a.expectations:
@@ -94,12 +94,10 @@ def test_lossless_homodyne_equals_jump_unravelling(p_resonant):
     system = build_system(p_resonant, n_fock=6, hamiltonian="effective")
     psi0 = system.initial_state("1gg")
     hom = run_trajectory_homodyne(
-        p_resonant, psi0, 300.0, dt=0.5, seed=3, drift_mode="qsd",
-        record_every=2, system=system,
+        system, psi0, 300.0, dt=0.5, seed=3, drift_mode="qsd",
+        record_every=2,
     )
-    jmp = run_trajectory(
-        p_resonant, psi0, 300.0, dt=0.5, seed=3, record_every=2, system=system
-    )
+    jmp = run_trajectory(system, psi0, 300.0, dt=0.5, seed=3, record_every=2)
     for label in hom.expectations:
         np.testing.assert_allclose(
             hom.expectations[label], jmp.expectations[label], atol=1e-10
@@ -111,15 +109,12 @@ def test_drift_mode_changes_the_path(hom_system):
     runs = {}
     for mode in DRIFT_MODES:
         runs[mode] = run_trajectory_homodyne(
-            sys.params, sys.initial_state("1gg"), 200.0, dt=0.1, seed=4,
-            drift_mode=mode, system=sys,
+            sys, sys.initial_state("1gg"), 200.0, dt=0.1, seed=4,
+            drift_mode=mode,
         )
     # same noise words, different drift: paths must differ across modes
     assert not np.array_equal(
         runs["qsd"].final_state, runs["as-printed"].final_state
-    )
-    assert not np.array_equal(
-        runs["qsd"].final_state, runs["linear-rate"].final_state
     )
 
 
@@ -129,9 +124,8 @@ def test_mixed_detection_produces_jumps(hom_system):
     found = None
     for seed in range(40):
         rec = run_trajectory_homodyne(
-            sys.params, sys.initial_state("0ee"), 3000.0, dt=0.1, seed=seed,
+            sys, sys.initial_state("0ee"), 3000.0, dt=0.1, seed=seed,
             record_every=50, homodyne_channels=("cavity",), drift_mode="qsd",
-            system=sys,
         )
         if rec.jumps:
             found = rec
@@ -145,13 +139,13 @@ def test_unknown_channel_and_mode_rejected(hom_system):
     sys = hom_system
     with pytest.raises(ConfigError):
         run_trajectory_homodyne(
-            sys.params, sys.initial_state("1gg"), 10.0, dt=0.1,
-            homodyne_channels=("laser",), system=sys,
+            sys, sys.initial_state("1gg"), 10.0, dt=0.1,
+            homodyne_channels=("laser",),
         )
     with pytest.raises(ConfigError):
         run_trajectory_homodyne(
-            sys.params, sys.initial_state("1gg"), 10.0, dt=0.1,
-            drift_mode="sideways", system=sys,
+            sys, sys.initial_state("1gg"), 10.0, dt=0.1,
+            drift_mode="sideways",
         )
 
 
@@ -162,8 +156,8 @@ def test_qsd_ensemble_mean_decays(hom_system):
     finals = []
     for i in range(30):
         rec = run_trajectory_homodyne(
-            sys.params, sys.initial_state("1gg"), 500.0, dt=0.1, seed=11,
-            traj_index=i, record_every=100, drift_mode="qsd", system=sys,
+            sys, sys.initial_state("1gg"), 500.0, dt=0.1, seed=11,
+            traj_index=i, record_every=100, drift_mode="qsd",
         )
         total = sum(rec.expectations[k] for k in rec.expectations)
         assert total[0] == pytest.approx(1.0, abs=1e-6)
@@ -245,10 +239,10 @@ def busy_hom_systems():
 _REFERENCE_CASES = [
     ("effective", "1gg", 60.0, 1, None, "qsd", False),
     ("effective", "1gg", 60.0, 3, None, "as-printed", False),
-    ("effective", "1gg", 60.0, 7, None, "linear-rate", False),
+    ("effective", "1gg", 60.0, 7, None, "as-printed", False),
     ("effective", "0ee", 150.0, 5, ("cavity",), "qsd", False),
     ("effective", "0ee", 150.0, 4, ("cavity",), "as-printed", False),
-    ("effective", "0ee", 150.0, 1, ("cavity", "collective"), "linear-rate", False),
+    ("effective", "0ee", 150.0, 1, ("cavity", "collective"), "as-printed", False),
     ("full", "0ee", 150.0, 5, ("cavity",), "qsd", False),
     ("effective", "0ee", 150.0, 5, ("cavity",), "qsd", True),
     ("effective", "1gg", 40.0, 2, None, "qsd", True),
@@ -285,10 +279,10 @@ def _engine_outcome(systems, key):
     ham, init, t_final, record_every, monitored, drift, zero_noise, traj_index = key
     system = systems[ham]
     return _outcome(
-        run_trajectory_homodyne, system.params, system.initial_state(init), t_final,
+        run_trajectory_homodyne, system, system.initial_state(init), t_final,
         dt=0.1, seed=13, traj_index=traj_index, record_every=record_every,
         homodyne_channels=monitored, drift_mode=drift, store_states=True,
-        zero_noise=zero_noise, system=system,
+        zero_noise=zero_noise,
     )
 
 
@@ -364,3 +358,19 @@ def test_runs_that_need_no_words_draw_none(
         n_jumps += len(ref[1])
     if stream == "normal_words":
         assert n_jumps > 0  # the zero-noise mixed run still reads its jump words
+
+
+def test_top_fock_peak_covers_every_visited_state():
+    # at n_fock = 2 the pair exchange fills the top Fock level mid-run;
+    # with record_every = 1 every visited state is a recorded row
+    base = SystemParams(kappa=4e-4, gamma1=2e-4, gamma2=2e-4)
+    p = calibrate_resonance(base, build_layout(2), which="effective")
+    system = build_system(p, n_fock=2, hamiltonian="effective")
+    for monitored in (None, ("cavity",)):
+        rec = run_trajectory_homodyne(
+            system, system.initial_state("0ee"), 3000.0, seed=5,
+            homodyne_channels=monitored, store_states=True,
+        )
+        top = np.sum(np.abs(rec.states[:, -4:]) ** 2, axis=1)
+        assert rec.top_fock_peak == pytest.approx(top.max(), rel=1e-12)
+        assert rec.top_fock_peak > max(0.5, top[0], top[-1])

@@ -35,8 +35,7 @@ def balanced_params():
 
 
 def test_trajectory_record_structure(system_eff):
-    p = system_eff.params
-    rec = run_trajectory(p, system_eff.initial_state("1gg"), 100.0, dt=0.5, seed=4, system=system_eff)
+    rec = run_trajectory(system_eff, system_eff.initial_state("1gg"), 100.0, dt=0.5, seed=4)
     assert isinstance(rec, TrajectoryRecord)
     assert rec.time_grid[0] == 0.0
     assert rec.time_grid[-1] == pytest.approx(100.0)
@@ -48,15 +47,13 @@ def test_trajectory_record_structure(system_eff):
 
 
 def test_final_state_stays_normalized(system_eff):
-    p = system_eff.params
-    rec = run_trajectory(p, system_eff.initial_state("1gg"), 2000.0, dt=0.5, seed=0, system=system_eff)
+    rec = run_trajectory(system_eff, system_eff.initial_state("1gg"), 2000.0, dt=0.5, seed=0)
     assert abs(np.linalg.norm(rec.final_state) - 1.0) < 1e-12
 
 
 def test_trajectory_is_deterministic(system_eff):
-    p = system_eff.params
-    a = run_trajectory(p, system_eff.initial_state("1gg"), 500.0, dt=0.5, seed=9, system=system_eff)
-    b = run_trajectory(p, system_eff.initial_state("1gg"), 500.0, dt=0.5, seed=9, system=system_eff)
+    a = run_trajectory(system_eff, system_eff.initial_state("1gg"), 500.0, dt=0.5, seed=9)
+    b = run_trajectory(system_eff, system_eff.initial_state("1gg"), 500.0, dt=0.5, seed=9)
     np.testing.assert_array_equal(a.final_state, b.final_state)
     for label in a.expectations:
         np.testing.assert_array_equal(a.expectations[label], b.expectations[label])
@@ -66,9 +63,8 @@ def test_trajectory_is_deterministic(system_eff):
 
 
 def test_trajectories_differ_across_index(system_eff):
-    p = system_eff.params
-    a = run_trajectory(p, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=9, traj_index=0, system=system_eff)
-    b = run_trajectory(p, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=9, traj_index=1, system=system_eff)
+    a = run_trajectory(system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=9, traj_index=0)
+    b = run_trajectory(system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=9, traj_index=1)
     differs = any(
         not np.array_equal(a.expectations[k], b.expectations[k])
         for k in a.expectations
@@ -81,7 +77,7 @@ def test_no_jump_segment_matches_pair_subspace_solution(balanced_params):
     # cosine exchange; the trajectory before its first jump must follow it
     p = balanced_params
     system = build_system(p, n_fock=6, hamiltonian="effective")
-    rec = run_trajectory(p, system.initial_state("1gg"), 1500.0, dt=0.5, seed=3, system=system)
+    rec = run_trajectory(system, system.initial_state("1gg"), 1500.0, dt=0.5, seed=3)
     first_jump = rec.jumps[0].time if rec.jumps else np.inf
     assert first_jump > 1500.0, "need a jump-free window for this seed"
     pc, pq = expectations_1p2a(rec.time_grid, p)
@@ -93,8 +89,7 @@ def test_no_jump_segment_matches_pair_subspace_solution(balanced_params):
 def test_cavity_jump_empties_the_system(system_eff):
     # a cavity click from the photon-pair flow lands in the true vacuum:
     # every observable must collapse to numerical zero afterwards
-    p = system_eff.params
-    rec = run_trajectory(p, system_eff.initial_state("1gg"), 6000.0, dt=0.5, seed=1, system=system_eff)
+    rec = run_trajectory(system_eff, system_eff.initial_state("1gg"), 6000.0, dt=0.5, seed=1)
     cavity_jumps = [j for j in rec.jumps if j.channel == "cavity"]
     assert cavity_jumps, "seed expected to produce a cavity jump"
     t_jump = cavity_jumps[0].time
@@ -106,10 +101,8 @@ def test_cavity_jump_empties_the_system(system_eff):
 def test_local_jump_starts_exchange_oscillation(system_eff):
     # after a qubit-1 click the surviving excitation swaps between the
     # qubits at the exchange frequency; qubit populations must sum to ~1
-    p = system_eff.params
     rec = run_trajectory(
-        p, system_eff.initial_state("1gg"), 5000.0, dt=0.5, seed=11,
-        system=system_eff,
+        system_eff, system_eff.initial_state("1gg"), 5000.0, dt=0.5, seed=11,
     )
     q1_jumps = [j for j in rec.jumps if j.channel == "qubit1"]
     assert q1_jumps, "seed expected to produce a qubit-1 jump"
@@ -128,16 +121,15 @@ def test_timestep_guard_fires_for_coarse_steps():
     )
     system = build_system(p, n_fock=4, hamiltonian="effective")
     with pytest.raises(TimestepError):
-        run_trajectory(p, system.initial_state("1gg"), 50.0, dt=1.0, seed=0, system=system)
+        run_trajectory(system, system.initial_state("1gg"), 50.0, dt=1.0, seed=0)
 
 
 def test_halving_the_step_changes_little(balanced_params):
     p = balanced_params
     system = build_system(p, n_fock=6, hamiltonian="effective")
-    coarse = run_trajectory(p, system.initial_state("1gg"), 400.0, dt=0.5, seed=3, system=system)
+    coarse = run_trajectory(system, system.initial_state("1gg"), 400.0, dt=0.5, seed=3)
     fine = run_trajectory(
-        p, system.initial_state("1gg"), 400.0, dt=0.25, seed=3, record_every=2,
-        system=system,
+        system, system.initial_state("1gg"), 400.0, dt=0.25, seed=3, record_every=2,
     )
     assert not coarse.jumps and not fine.jumps
     np.testing.assert_allclose(
@@ -171,7 +163,7 @@ def test_ensemble_average_statistics():
             params=p, seed=0, traj_index=0, time_grid=grid,
             expectations={"cavity": np.full(5, vals), "qubit1": np.zeros(5),
                           "qubit2": np.zeros(5)},
-            jumps=[], final_state=np.array([1.0 + 0j]),
+            jumps=[], final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
         )
 
     avg = ensemble_average([make(1.0), make(3.0)])
@@ -186,22 +178,21 @@ def test_ensemble_average_rejects_mismatched_grids():
     a = TrajectoryRecord(
         params=p, seed=0, traj_index=0, time_grid=np.linspace(0, 1, 5),
         expectations={"cavity": np.zeros(5)}, jumps=[],
-        final_state=np.array([1.0 + 0j]),
+        final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
     )
     b = TrajectoryRecord(
         params=p, seed=0, traj_index=1, time_grid=np.linspace(0, 2, 5),
         expectations={"cavity": np.zeros(5)}, jumps=[],
-        final_state=np.array([1.0 + 0j]),
+        final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
     )
     with pytest.raises(Exception):
         ensemble_average([a, b])
 
 
 def test_store_states_shape(system_eff):
-    p = system_eff.params
     rec = run_trajectory(
-        p, system_eff.initial_state("1gg"), 50.0, dt=0.5, seed=0, record_every=10,
-        store_states=True, system=system_eff,
+        system_eff, system_eff.initial_state("1gg"), 50.0, dt=0.5, seed=0, record_every=10,
+        store_states=True,
     )
     assert rec.states is not None
     assert rec.states.shape == (len(rec.time_grid), system_eff.dimension)
@@ -285,8 +276,8 @@ def test_chunked_engine_equals_the_per_step_reference(
         init, t_final, record_every, traj_index = key
         psi0 = system.initial_state(init)
         rec = run_trajectory(
-            system.params, psi0, t_final, dt=0.5, seed=11, traj_index=traj_index,
-            record_every=record_every, store_states=True, system=system,
+            system, psi0, t_final, dt=0.5, seed=11, traj_index=traj_index,
+            record_every=record_every, store_states=True,
         )
         for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
             np.testing.assert_array_equal(rec.expectations[label], row)
@@ -305,9 +296,9 @@ def test_start_cache_reproduces_uncached_trajectories(busy_system, chunk_max, mo
     psi0 = busy_system.initial_state("1gg")
     cache, first_jumps = {}, []
     for traj_index in range(12):
-        kwargs = dict(dt=0.5, seed=3, traj_index=traj_index, record_every=3, system=busy_system)
-        ref = run_trajectory(busy_system.params, psi0, 800.0, **kwargs)
-        got = run_trajectory(busy_system.params, psi0, 800.0, start_cache=cache, **kwargs)
+        kwargs = dict(dt=0.5, seed=3, traj_index=traj_index, record_every=3)
+        ref = run_trajectory(busy_system, psi0, 800.0, **kwargs)
+        got = run_trajectory(busy_system, psi0, 800.0, start_cache=cache, **kwargs)
         for label in ref.expectations:
             np.testing.assert_array_equal(got.expectations[label], ref.expectations[label])
         np.testing.assert_array_equal(got.final_state, ref.final_state)
@@ -343,8 +334,8 @@ def test_chunked_engine_stops_at_the_reference_timestep_error(monkeypatch):
             ref = outcome(_reference_run, system, psi0, 6000.0, 60.0, 2, traj_index, 1)
             for start_cache in (None, cache):
                 got = outcome(
-                    run_trajectory, p, psi0, 6000.0, dt=60.0, seed=2,
-                    traj_index=traj_index, system=system, start_cache=start_cache,
+                    run_trajectory, system, psi0, 6000.0, dt=60.0, seed=2,
+                    traj_index=traj_index, start_cache=start_cache,
                 )
                 assert got == ref
             outcomes.append(ref)
@@ -368,3 +359,26 @@ def test_first_jump_follows_the_per_step_rule():
     capped[1] = [0.03, 0.03]
     assert _first_jump(capped, eps) == 1
     assert _first_jump(np.empty((0, 2)), np.empty(0)) == 0
+
+
+def test_top_fock_peak_covers_every_visited_state():
+    # at n_fock = 2 the pair exchange fills the top Fock level mid-run; with
+    # record_every = 1 every visited state is a recorded row, pre-jump ones too
+    base = SystemParams(kappa=4e-4, gamma1=2e-4, gamma2=2e-4)
+    p = calibrate_resonance(base, build_layout(2), which="effective")
+    system = build_system(p, n_fock=2, hamiltonian="effective")
+    psi0 = system.initial_state("0ee")
+    cache, peaks = {}, []
+    for traj_index in range(6):
+        rec = run_trajectory(
+            system, psi0, 3000.0, seed=5, traj_index=traj_index, store_states=True
+        )
+        top = np.sum(np.abs(rec.states[:, -4:]) ** 2, axis=1)
+        assert rec.top_fock_peak == pytest.approx(top.max(), rel=1e-12)
+        cached = run_trajectory(
+            system, psi0, 3000.0, seed=5, traj_index=traj_index, start_cache=cache
+        )
+        assert cached.top_fock_peak == rec.top_fock_peak
+        peaks.append((rec.top_fock_peak, top[0], top[-1]))
+    # the peak lies inside the run, above both its ends
+    assert any(peak > 0.5 and peak > max(first, last) for peak, first, last in peaks)

@@ -21,6 +21,7 @@ from usctraj.stats import (
     first_jump_histogram,
     write_histogram_csv,
 )
+from usctraj.system import build_system
 
 GRID = np.linspace(0.0, 100.0, 11)
 P0 = SystemParams()
@@ -36,7 +37,7 @@ def make_record(jump_specs, traj_index=0):
         params=P0, seed=0, traj_index=traj_index, time_grid=GRID,
         expectations={"cavity": np.zeros(11), "qubit1": np.zeros(11),
                       "qubit2": np.zeros(11)},
-        jumps=jumps, final_state=np.array([1.0 + 0j]),
+        jumps=jumps, final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
     )
 
 
@@ -205,9 +206,10 @@ def decay_records():
     p = calibrate_resonance(
         SystemParams(theta=np.pi / 2, kappa=2e-3), layout, which="effective"
     )
+    system = build_system(p, n_fock=4, hamiltonian="effective")
     return run_ensemble(
-        p, "1gg", 6000.0, 800, dt=0.5, master_seed=21, hamiltonian="effective",
-        record_every=100, n_fock=4, method="grouped",
+        system, system.initial_state("1gg"), 6000.0, 800, dt=0.5, master_seed=21,
+        record_every=100, method="grouped",
     )
 
 
