@@ -6,12 +6,12 @@ Subpackage map:
 - ``model``: full and effective Hamiltonians, closed-form couplings, resonance calibration
 - ``dressed``: dressed bases and positive-frequency (excitation-annihilating) jump channels
 - ``system``: the assembled system every engine takes, and the shared time grid
-- ``mcwf``: photodetection (jump) trajectories, trajectory records, ensemble averages
+- ``mcwf``: photodetection (jump) trajectories, the columnar ensemble result, averages
 - ``ensemble``: ensemble driver, grouped no-jump flows or the direct per-trajectory loop
 - ``homodyne``: diffusive and mixed (photodetection + homodyne) unravellings
 - ``lme``: dressed-picture Lindblad master-equation integrator
 - ``oracles``: closed-form two-level subspace propagators and expectations
-- ``stats``: first-jump and conditional second-jump histograms
+- ``stats``: first-jump and conditional second-jump histograms from the jump columns
 - ``rng``: counter-based random words per trajectory and purpose, read by index
 - ``errors``: exception types and the CLI exit codes they map to
 - ``cli``: reproducible experiment runner

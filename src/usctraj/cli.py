@@ -40,7 +40,7 @@ from .errors import ConfigError, TruncationError
 from .hilbert import build_layout
 from .homodyne import DRIFT_MODES, run_trajectory_homodyne
 from .lme import density_from_state, evolve_lme
-from .mcwf import DEFAULT_DT, ensemble_average
+from .mcwf import DEFAULT_DT, collect, ensemble_average
 from .model import (
     SystemParams,
     calibrate_resonance,
@@ -324,28 +324,29 @@ def _require_trajectories(cfg: ExperimentConfig, command: str):
 
 
 def _run_records(cfg: ExperimentConfig, p: SystemParams, check_truncation: bool):
-    """System and trajectory records for the configured stochastic solver."""
+    """System and EnsembleResult of the configured stochastic solver."""
     system = _build_system(cfg, p)
     psi0 = system.initial_state(cfg.initial_state)
     if cfg.solver == "mcwf":
-        records = run_ensemble(
+        result = run_ensemble(
             system, psi0, cfg.t_final, cfg.n_trajectories, dt=cfg.dt,
             master_seed=cfg.master_seed, record_every=cfg.record_every,
             method=cfg.method,
         )
     else:
         monitored = None if cfg.solver == "homodyne" else cfg.homodyne_channels
-        records = [
+        records = (
             run_trajectory_homodyne(
                 system, psi0, cfg.t_final, dt=cfg.dt, seed=cfg.master_seed,
                 traj_index=i, record_every=cfg.record_every,
                 homodyne_channels=monitored, drift_mode=cfg.drift_mode,
             )
             for i in range(cfg.n_trajectories)
-        ]
+        )
+        result = collect(records, cfg.n_trajectories)
     if check_truncation:
-        _check_truncation(max(r.top_fock_peak for r in records), cfg.n_fock)
-    return system, records
+        _check_truncation(result.top_fock_peak, cfg.n_fock)
+    return system, result
 
 
 def _lme_series(cfg: ExperimentConfig, system, check_truncation: bool):
@@ -362,14 +363,15 @@ def _lme_series(cfg: ExperimentConfig, system, check_truncation: bool):
 def cmd_trajectory(cfg, out_flag, check_truncation) -> list[Path]:
     _require_trajectories(cfg, "trajectory")
     p = _resolve_params(cfg)
-    system, records = _run_records(cfg, p, check_truncation)
+    system, result = _run_records(cfg, p, check_truncation)
     out = _out_dir(cfg, out_flag)
     header = _header_lines(cfg, p)
     written = []
-    for rec in records:
-        cols = [("time", rec.time_grid)]
-        cols += [(label, rec.expectations[label]) for label in cfg.observables]
-        path = out / f"{cfg.prefix}_traj{rec.traj_index}.csv"
+    for i in range(result.n_trajectories):
+        cols = [("time", result.time_grid)]
+        cols += [(label, result.expectations[OBSERVABLE_LABELS.index(label), i])
+                 for label in cfg.observables]
+        path = out / f"{cfg.prefix}_traj{i}.csv"
         _write_table(path, header, cols)
         written.append(path)
     jump_path = out / f"{cfg.prefix}_jumps.csv"
@@ -378,18 +380,18 @@ def cmd_trajectory(cfg, out_flag, check_truncation) -> list[Path]:
             fh.write(line + "\n")
         fh.write("# columns: traj_index,time,channel,"
                  + ",".join(f"dp_{c}" for c in CHANNEL_LABELS) + "\n")
-        for rec in records:
-            for jump in rec.jumps:
-                dp = ",".join(_FLOAT_FMT % v for v in jump.pre_jump_norm_probabilities)
-                fh.write(f"{rec.traj_index},{_FLOAT_FMT % jump.time},{jump.channel},{dp}\n")
+        for i, time, channel, dp in zip(result.jump_traj, result.jump_time,
+                                        result.jump_channel, result.jump_dp):
+            dp = ",".join(_FLOAT_FMT % v for v in dp)
+            fh.write(f"{i},{_FLOAT_FMT % time},{CHANNEL_LABELS[channel]},{dp}\n")
     written.append(jump_path)
     return written
 
 
-def _write_histograms(cfg, records, header, out: Path) -> list[Path]:
+def _write_histograms(cfg, result, header, out: Path) -> list[Path]:
     written = []
     if cfg.histogram in ("first", "both"):
-        hist = first_jump_histogram(records, cfg.first_bin_width)
+        hist = first_jump_histogram(result, cfg.first_bin_width)
         path = out / f"{cfg.prefix}_first_jump_hist.csv"
         with open(path, "w") as fh:
             for line in header:
@@ -398,7 +400,7 @@ def _write_histograms(cfg, records, header, out: Path) -> list[Path]:
         written.append(path)
     if cfg.histogram in ("conditional", "both"):
         hist = conditional_second_jump_histogram(
-            records, cfg.trigger_channel, cfg.conditional_bin_width
+            result, cfg.trigger_channel, cfg.conditional_bin_width
         )
         path = out / f"{cfg.prefix}_conditional_hist.csv"
         with open(path, "w") as fh:
@@ -420,23 +422,23 @@ def cmd_ensemble(cfg, out_flag, check_truncation) -> list[Path]:
         path = out / f"{cfg.prefix}_lme.csv"
         _write_table(path, header, cols)
         return [path]
-    system, records = _run_records(cfg, p, check_truncation)
-    avg = ensemble_average(records)
+    system, result = _run_records(cfg, p, check_truncation)
+    avg = ensemble_average(result)
     cols = [("time", avg.time_grid)]
     for label in cfg.observables:
         cols.append((f"{label}_mean", avg.means[label]))
         cols.append((f"{label}_se", avg.standard_errors[label]))
     path = out / f"{cfg.prefix}_mean.csv"
     _write_table(path, header, cols)
-    return [path] + _write_histograms(cfg, records, header, out)
+    return [path] + _write_histograms(cfg, result, header, out)
 
 
 def cmd_compare_lme(cfg, out_flag, check_truncation) -> list[Path]:
     _require_trajectories(cfg, "compare-lme")
     p = _resolve_params(cfg)
-    system, records = _run_records(cfg, p, check_truncation)
+    system, result = _run_records(cfg, p, check_truncation)
     series = _lme_series(cfg, system, check_truncation)
-    avg = ensemble_average(records)
+    avg = ensemble_average(result)
     out = _out_dir(cfg, out_flag)
     header = _header_lines(cfg, p)
     cols = [("time", avg.time_grid)]

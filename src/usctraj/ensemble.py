@@ -1,16 +1,16 @@
 """Ensemble driver: many trajectories over one system, fast when flows recur.
 
-``run_ensemble(system, psi0, ...)`` produces the same records as calling
-``run_trajectory`` once per trajectory index, but exploits the structure of
-piecewise-deterministic evolution.  Between jumps every trajectory
-follows the deterministic no-jump flow fixed by its entry state, so
-trajectories sharing an entry state share all per-step jump
-probabilities, observables, and jump images.  When post-jump states
-recur up to a global phase (they do for the effective-Hamiltonian
-subspace cascades: the photon pair feeds |0,g,e>, |0,e,g>, their
-symmetric combination, and the dark |0,g,g>), the handful of distinct
-flows is propagated once over the horizon and each trajectory reduces
-to scanning its own uniform words against precomputed arrays.
+``run_ensemble(system, psi0, ...)`` returns the ``EnsembleResult`` that
+``collect`` makes of one ``run_trajectory`` per trajectory index, but
+exploits the structure of piecewise-deterministic evolution.  Between jumps
+every trajectory follows the deterministic no-jump flow fixed by its entry
+state, so trajectories sharing an entry state share all per-step jump
+probabilities, observables, and jump images.  When post-jump states recur
+up to a global phase (they do for the effective-Hamiltonian subspace
+cascades: the photon pair feeds |0,g,e>, |0,e,g>, their symmetric
+combination, and the dark |0,g,g>), the handful of distinct flows is
+propagated once over the horizon and each trajectory reduces to scanning
+its own uniform words against precomputed arrays.
 
 Random access makes the scans cheap: the threshold word for step k is
 word k of the trajectory's threshold stream regardless of history, and
@@ -51,6 +51,7 @@ from .mcwf import (
     DEFAULT_DT,
     JUMP_NORM_FLOOR,
     MAX_DP_PER_STEP,
+    EnsembleResult,
     JumpEvent,
     TrajectoryRecord,
     _check_dp,
@@ -60,6 +61,7 @@ from .mcwf import (
     _prepare,
     _select_channel,
     _top_fock,
+    collect,
     run_trajectory,
 )
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
@@ -246,9 +248,10 @@ def _sample_grouped(
     n_steps: int,
     dt: float,
     rec_steps: np.ndarray,
+    time_grid: np.ndarray,
     powers: list[np.ndarray],
-) -> tuple[dict, list[JumpEvent], np.ndarray, float]:
-    """Walk one trajectory across flows: (expectations, jumps, final, top-Fock peak)."""
+) -> TrajectoryRecord:
+    """Walk one trajectory across flows; its record shares ``time_grid``."""
     rates = system.rates
     jumps: list[JumpEvent] = []
     segments_entry = [0]
@@ -315,7 +318,9 @@ def _sample_grouped(
     age = n_steps - segments_entry[-1]
     final = _state_at_age(last.state0, powers, age)
     peak = max(peak, last.top_peak[age])
-    return dict(zip(OBSERVABLE_LABELS, series)), jumps, final, float(peak)
+    return TrajectoryRecord(
+        time_grid, dict(zip(OBSERVABLE_LABELS, series)), jumps, final, float(peak)
+    )
 
 
 def run_ensemble(
@@ -327,7 +332,7 @@ def run_ensemble(
     master_seed: int = 0,
     record_every: int = 1,
     method: str = "auto",
-) -> list[TrajectoryRecord]:
+) -> EnsembleResult:
     """Run trajectories 0..n_trajectories-1 of the seeded family from psi0.
 
     ``method`` "auto" tries flow grouping and falls back to direct
@@ -355,31 +360,20 @@ def run_ensemble(
 
     if flows is None:
         start_cache: dict = {}
-        return [
+        records = (
             run_trajectory(
                 system, psi0, t_final, dt=dt, seed=master_seed, traj_index=i,
                 record_every=record_every, start_cache=start_cache,
             )
             for i in range(n_trajectories)
-        ]
-
-    time_grid = rec_steps * dt
-    powers = _binary_powers(propagator, n_steps)
-    records = []
-    for i in range(n_trajectories):
-        expectations, jumps, final, peak = _sample_grouped(
-            i, flows, system, master_seed, n_steps, dt, rec_steps, powers
         )
-        records.append(
-            TrajectoryRecord(
-                params=system.params,
-                seed=master_seed,
-                traj_index=i,
-                time_grid=time_grid,
-                expectations=expectations,
-                jumps=jumps,
-                final_state=final,
-                top_fock_peak=peak,
+    else:
+        time_grid = rec_steps * dt
+        powers = _binary_powers(propagator, n_steps)
+        records = (
+            _sample_grouped(
+                i, flows, system, master_seed, n_steps, dt, rec_steps, time_grid, powers
             )
+            for i in range(n_trajectories)
         )
-    return records
+    return collect(records, n_trajectories)

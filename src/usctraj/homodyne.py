@@ -24,13 +24,14 @@ two conventions selected by ``drift_mode``:
 the assembled ``DissipativeSystem`` and the top-Fock population of the state
 at every step.  In mixed mode a subset of channels stays photodetected:
 those follow the jump-engine step rule (threshold draw each step, collapse
-on a hit) and a jump replaces the diffusive move for that step.  Wiener
-words are consumed only on diffusive steps, one per monitored channel.  The
-words are read by index, a block of ``_WORD_BLOCK`` steps at a time: that
-block's threshold words, and enough noise words for every step of it to be
-diffusive, starting at the number of noise words consumed so far.  Words a
-jump leaves unread are read again by the next block, so memory does not grow
-with the length of the run.
+on a hit) and a jump replaces the diffusive move for that step.  A jump
+records the probabilities of all four channels, 0 on the homodyned ones.
+Wiener words are consumed only on diffusive steps, one per monitored
+channel.  The words are read by index, a block of ``_WORD_BLOCK`` steps at
+a time: that block's threshold words, and enough noise words for every step
+of it to be diffusive, starting at the number of noise words consumed so
+far.  Words a jump leaves unread are read again by the next block, so memory
+does not grow with the length of the run.
 """
 
 from __future__ import annotations
@@ -156,8 +157,12 @@ def run_trajectory_homodyne(
                 m = _select_channel(dp, eps_prime)
                 label = labels[jump_idx[m]]
                 psi = _collapse(amps, m, label)
+                dp_all = np.zeros(len(labels))
+                dp_all[jump_idx] = dp
                 jumps.append(
-                    JumpEvent(time=(k + 1) * dt, channel=label, pre_jump_norm_probabilities=dp)
+                    JumpEvent(
+                        time=(k + 1) * dt, channel=label, pre_jump_norm_probabilities=dp_all
+                    )
                 )
                 continue
         phi = propagator @ psi
@@ -167,9 +172,6 @@ def run_trajectory_homodyne(
         psi = phi / _norm(phi)
 
     return TrajectoryRecord(
-        params=system.params,
-        seed=seed,
-        traj_index=traj_index,
         time_grid=rec_steps * dt,
         expectations=dict(zip(OBSERVABLE_LABELS, series)),
         jumps=jumps,

@@ -23,24 +23,26 @@ post-jump state.  Every number that decides or is recorded is bitwise the
 one of the step-at-a-time loop; the helpers below say which operations keep
 that so.  Trajectories of one ensemble walk the same chunks until their
 first jump; ``run_ensemble`` hands them a shared ``start_cache`` so those
-chunks are evaluated once.
+chunks are evaluated once, and ``collect`` gathers their records into the
+columns of one ``EnsembleResult``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
+from .dressed import CHANNEL_LABELS
 from .errors import (
     ConfigError,
     DimensionMismatchError,
     NumericalInconsistencyError,
     TimestepError,
 )
-from .model import SystemParams
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
 from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
 
@@ -81,15 +83,71 @@ class TrajectoryRecord:
     trajectory visited, the quantity the truncation check bounds.
     """
 
-    params: SystemParams
-    seed: int
-    traj_index: int
     time_grid: np.ndarray
     expectations: dict[str, np.ndarray]
     jumps: list[JumpEvent]
     final_state: np.ndarray
     top_fock_peak: float
     states: np.ndarray | None = field(default=None, repr=False)
+
+
+@dataclass(frozen=True)
+class EnsembleResult:
+    """Trajectories 0..N-1 of one ensemble, as columns.
+
+    ``expectations`` is (3, N, T), in ``OBSERVABLE_LABELS`` order on
+    ``time_grid``; ``final_states`` is (N, d).  Jump q came from trajectory
+    ``jump_traj[q]`` at ``jump_time[q]`` through ``CHANNEL_LABELS[jump_channel[q]]``,
+    with every channel's pre-jump probability in ``jump_dp[q]``; jumps are
+    ordered by trajectory, then time.  ``top_fock_peak`` is the largest of all.
+    """
+
+    time_grid: np.ndarray
+    expectations: np.ndarray
+    final_states: np.ndarray
+    jump_traj: np.ndarray
+    jump_time: np.ndarray
+    jump_channel: np.ndarray
+    jump_dp: np.ndarray
+    top_fock_peak: float
+
+    @property
+    def n_trajectories(self) -> int:
+        return self.expectations.shape[1]
+
+
+def collect(records: Iterable[TrajectoryRecord], n: int) -> EnsembleResult:
+    """The EnsembleResult of n trajectory records that share one time grid.
+
+    Records are consumed one at a time into preallocated rows, so a
+    generator keeps at most one record alive.
+    """
+    grid, jumps, peak, i = None, [], 0.0, -1
+    for i, rec in enumerate(records):
+        if grid is None:
+            grid = rec.time_grid
+            series = np.empty((len(OBSERVABLE_LABELS), n, grid.size))
+            finals = np.empty((n, rec.final_state.size), dtype=complex)
+        elif rec.time_grid.shape != grid.shape or not np.array_equal(rec.time_grid, grid):
+            raise DimensionMismatchError("trajectory time grids differ")
+        series[:, i] = [rec.expectations[label] for label in OBSERVABLE_LABELS]
+        finals[i] = rec.final_state
+        peak = max(peak, rec.top_fock_peak)
+        jumps += [(i, j.time, CHANNEL_LABELS.index(j.channel), j.pre_jump_norm_probabilities)
+                  for j in rec.jumps]
+    if i < 0 or i + 1 != n:
+        raise ConfigError(f"expected {n} >= 1 trajectories, got {i + 1}")
+    traj, times, channels, dps = zip(*jumps) if jumps else ((), (), (), ())
+    return EnsembleResult(
+        time_grid=grid,
+        expectations=series,
+        final_states=finals,
+        jump_traj=np.array(traj, dtype=int),
+        jump_time=np.array(times, dtype=float),
+        jump_channel=np.array(channels, dtype=int),
+        jump_dp=np.array(dps, dtype=float).reshape(len(jumps), len(CHANNEL_LABELS)),
+        top_fock_peak=peak,
+    )
 
 
 @dataclass(frozen=True)
@@ -307,9 +365,6 @@ def run_trajectory(
         size = _STEP_CHUNK0
 
     return TrajectoryRecord(
-        params=system.params,
-        seed=seed,
-        traj_index=traj_index,
         time_grid=rec_steps * dt,
         expectations=dict(zip(OBSERVABLE_LABELS, series)),
         jumps=jumps,
@@ -319,23 +374,15 @@ def run_trajectory(
     )
 
 
-def ensemble_average(records: list[TrajectoryRecord]) -> EnsembleAverage:
-    """Pointwise mean and standard error over trajectories with one shared grid."""
-    if not records:
-        raise ConfigError("ensemble_average needs at least one record")
-    grid = records[0].time_grid
-    for r in records[1:]:
-        if r.time_grid.shape != grid.shape or not np.array_equal(r.time_grid, grid):
-            raise DimensionMismatchError("trajectory time grids differ")
-    n = len(records)
+def ensemble_average(result: EnsembleResult) -> EnsembleAverage:
+    """Pointwise mean and standard error over the trajectories of an ensemble."""
+    n = result.n_trajectories
     means, errors = {}, {}
-    for label in records[0].expectations:
-        stack = np.stack([r.expectations[label] for r in records])
+    for label, stack in zip(OBSERVABLE_LABELS, result.expectations):
         means[label] = stack.mean(axis=0)
-        if n > 1:
-            errors[label] = stack.std(axis=0, ddof=1) / np.sqrt(n)
-        else:
-            errors[label] = np.zeros_like(grid)
+        errors[label] = (
+            stack.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(means[label])
+        )
     return EnsembleAverage(
-        time_grid=grid, means=means, standard_errors=errors, n_trajectories=n
+        time_grid=result.time_grid, means=means, standard_errors=errors, n_trajectories=n
     )

@@ -7,6 +7,9 @@ jump by the channel of the second jump.  The per-bin channel ratios of
 that histogram expose dynamics that the unconditional average washes
 out.
 
+Both histograms read the jump columns of an ``EnsembleResult`` and count
+with one ``np.bincount`` over (channel, bin).
+
 Aggregation is a commutative monoid: histograms with identical edges
 and channel labels merge by adding counts, so histograms of separate
 batches of trajectories can combine in any order.
@@ -21,7 +24,7 @@ import numpy as np
 
 from .dressed import CHANNEL_LABELS
 from .errors import ConfigError, DimensionMismatchError
-from .mcwf import TrajectoryRecord
+from .mcwf import EnsembleResult
 
 NORMALIZATION_MODES = ("per-bin", "per-channel-total", "absolute")
 
@@ -33,7 +36,7 @@ class JumpHistogram:
     ``counts[m, b]`` is the number of qualifying events from channel m in
     bin b; ``trajectory_count`` is the number of trajectories that
     contributed one event each.  A histogram whose trigger never fired is
-    valid but empty (``is_empty``).
+    valid, with no counts.
     """
 
     bin_edges: np.ndarray
@@ -55,10 +58,6 @@ class JumpHistogram:
             raise ConfigError("bin edges must be strictly increasing")
         if np.any(counts < 0):
             raise ConfigError("counts must be nonnegative")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.trajectory_count == 0
 
     @property
     def n_bins(self) -> int:
@@ -96,24 +95,6 @@ class JumpHistogram:
             trajectory_count=self.trajectory_count + other.trajectory_count,
         )
 
-    def rebin(self, factor: int) -> "JumpHistogram":
-        """Merge ``factor`` adjacent bins; n_bins must divide evenly."""
-        if factor < 1 or self.n_bins % factor:
-            raise ConfigError(
-                f"rebin factor {factor} does not divide {self.n_bins} bins"
-            )
-        counts = self.counts.reshape(len(self.channel_labels), -1, factor).sum(axis=2)
-        return JumpHistogram(
-            bin_edges=self.bin_edges[::factor],
-            counts=counts,
-            channel_labels=self.channel_labels,
-            trajectory_count=self.trajectory_count,
-        )
-
-
-def _empty_counts(n_bins: int, labels: tuple[str, ...]) -> np.ndarray:
-    return np.zeros((len(labels), n_bins), dtype=np.int64)
-
 
 def _edges(t_max: float, bin_width: float) -> np.ndarray:
     if bin_width <= 0:
@@ -122,27 +103,29 @@ def _edges(t_max: float, bin_width: float) -> np.ndarray:
     return bin_width * np.arange(n_bins + 1)
 
 
-def _bin_index(t: float, edges: np.ndarray) -> int | None:
-    """Half-open bins [lo, hi); the final edge is included in the last bin."""
-    if t < edges[0] or t > edges[-1]:
-        return None
-    return min(int(np.searchsorted(edges, t, side="right")) - 1, edges.size - 2)
+def _histogram(times: np.ndarray, channels: np.ndarray, edges: np.ndarray) -> JumpHistogram:
+    """Count one event per (time, channel) in half-open bins [lo, hi).
 
-
-def _check_records(records: list[TrajectoryRecord]) -> None:
-    if not records:
-        raise ConfigError("need at least one trajectory record")
-    p0 = records[0].params
-    for r in records[1:]:
-        if r.params != p0:
-            raise ConfigError("trajectory records mix different parameter sets")
+    The final edge belongs to the last bin; times outside the edges are dropped.
+    """
+    inside = (times >= edges[0]) & (times <= edges[-1])
+    n_bins = edges.size - 1
+    bins = np.minimum(np.searchsorted(edges, times[inside], side="right") - 1, n_bins - 1)
+    counts = np.bincount(
+        channels[inside] * n_bins + bins, minlength=len(CHANNEL_LABELS) * n_bins
+    ).reshape(len(CHANNEL_LABELS), n_bins)
+    return JumpHistogram(
+        bin_edges=edges,
+        counts=counts,
+        channel_labels=CHANNEL_LABELS,
+        trajectory_count=int(inside.sum()),
+    )
 
 
 def first_jump_histogram(
-    records: list[TrajectoryRecord],
+    result: EnsembleResult,
     bin_width: float,
     channels_filter: tuple[str, ...] | None = None,
-    channel_labels: tuple[str, ...] = CHANNEL_LABELS,
 ) -> JumpHistogram:
     """Histogram each trajectory's first detected jump time by channel.
 
@@ -150,39 +133,23 @@ def first_jump_histogram(
     from other channels are ignored entirely, as for a detector that does
     not cover them.  Each trajectory contributes at most one event.
     """
-    _check_records(records)
     if channels_filter is None:
-        channels_filter = channel_labels
-    unknown = set(channels_filter) - set(channel_labels)
+        channels_filter = CHANNEL_LABELS
+    unknown = set(channels_filter) - set(CHANNEL_LABELS)
     if unknown:
         raise ConfigError(f"unknown channels in filter: {sorted(unknown)}")
-    t_max = float(records[0].time_grid[-1])
-    edges = _edges(t_max, bin_width)
-    counts = _empty_counts(edges.size - 1, channel_labels)
-    contributed = 0
-    index = {lbl: i for i, lbl in enumerate(channel_labels)}
-    for r in records:
-        for j in r.jumps:
-            if j.channel not in channels_filter:
-                continue
-            b = _bin_index(j.time, edges)
-            if b is not None:
-                counts[index[j.channel], b] += 1
-                contributed += 1
-            break
-    return JumpHistogram(
-        bin_edges=edges,
-        counts=counts,
-        channel_labels=channel_labels,
-        trajectory_count=contributed,
+    edges = _edges(float(result.time_grid[-1]), bin_width)
+    detected = np.flatnonzero(
+        np.isin(result.jump_channel, [CHANNEL_LABELS.index(c) for c in channels_filter])
     )
+    first = detected[np.flatnonzero(np.diff(result.jump_traj[detected], prepend=-1))]
+    return _histogram(result.jump_time[first], result.jump_channel[first], edges)
 
 
 def conditional_second_jump_histogram(
-    records: list[TrajectoryRecord],
+    result: EnsembleResult,
     trigger_channel: str,
     bin_width: float,
-    channel_labels: tuple[str, ...] = CHANNEL_LABELS,
 ) -> JumpHistogram:
     """Clock-restart histogram of second-jump waiting times by channel.
 
@@ -192,28 +159,14 @@ def conditional_second_jump_histogram(
     Trajectories with fewer than two jumps are skipped.  A trigger that
     never fires yields an empty histogram, not an error.
     """
-    _check_records(records)
-    if trigger_channel not in channel_labels:
+    if trigger_channel not in CHANNEL_LABELS:
         raise ConfigError(f"unknown trigger channel {trigger_channel!r}")
-    t_max = float(records[0].time_grid[-1])
-    edges = _edges(t_max, bin_width)
-    counts = _empty_counts(edges.size - 1, channel_labels)
-    contributed = 0
-    index = {lbl: i for i, lbl in enumerate(channel_labels)}
-    for r in records:
-        if len(r.jumps) < 2 or r.jumps[0].channel != trigger_channel:
-            continue
-        second = r.jumps[1]
-        b = _bin_index(second.time - r.jumps[0].time, edges)
-        if b is not None:
-            counts[index[second.channel], b] += 1
-            contributed += 1
-    return JumpHistogram(
-        bin_edges=edges,
-        counts=counts,
-        channel_labels=channel_labels,
-        trajectory_count=contributed,
-    )
+    edges = _edges(float(result.time_grid[-1]), bin_width)
+    traj, channel, time = result.jump_traj, result.jump_channel, result.jump_time
+    followed = np.append(traj[1:] == traj[:-1], False)  # by a jump of its trajectory
+    first = np.flatnonzero(np.diff(traj, prepend=-1))
+    first = first[followed[first] & (channel[first] == CHANNEL_LABELS.index(trigger_channel))]
+    return _histogram(time[first + 1] - time[first], channel[first + 1], edges)
 
 
 def write_histogram_csv(hist: JumpHistogram, fh: TextIO, mode: str = "per-bin") -> None:

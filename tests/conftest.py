@@ -7,6 +7,7 @@ operators, so the common configurations are session-scoped.
 import numpy as np
 import pytest
 
+from usctraj import ensemble
 from usctraj.hilbert import build_layout
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.system import build_system
@@ -49,6 +50,24 @@ def p_full10(layout10):
 @pytest.fixture(scope="session")
 def system_full10(p_full10):
     return build_system(p_full10, n_fock=10, hamiltonian="full")
+
+
+@pytest.fixture()
+def run_with_records(monkeypatch):
+    """run_ensemble that also returns the trajectory records it collected."""
+    collect = ensemble.collect
+
+    def run(*args, **kwargs):
+        records = []
+
+        def keep(rows, n):
+            records.extend(rows)
+            return collect(records, n)
+
+        monkeypatch.setattr(ensemble, "collect", keep)
+        return ensemble.run_ensemble(*args, **kwargs), records
+
+    return run
 
 
 def assert_allclose(actual, desired, atol=0.0, rtol=1e-7):

@@ -8,6 +8,7 @@ diffusive ensemble dominate the runtime (several minutes each); the rest
 together add a few more.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from usctraj.dressed import diagonalize, jump_channels
+from usctraj.dressed import CHANNEL_LABELS, diagonalize, jump_channels
 from usctraj.ensemble import run_ensemble
 from usctraj.hilbert import build_layout
 from usctraj.homodyne import run_trajectory_homodyne
@@ -74,6 +75,24 @@ def fit_cosine(tau, values, w0):
     return abs(popt[2])
 
 
+def trajectories(result, lo, hi):
+    """Trajectories lo..hi-1 of an ensemble result, renumbered from 0.
+
+    ``top_fock_peak`` stays the whole ensemble's: the result keeps no
+    per-trajectory peak.
+    """
+    keep = (result.jump_traj >= lo) & (result.jump_traj < hi)
+    return dataclasses.replace(
+        result,
+        expectations=result.expectations[:, lo:hi],
+        final_states=result.final_states[lo:hi],
+        jump_traj=result.jump_traj[keep] - lo,
+        jump_time=result.jump_time[keep],
+        jump_channel=result.jump_channel[keep],
+        jump_dp=result.jump_dp[keep],
+    )
+
+
 def expm_stack(h, times):
     return np.stack([scipy.linalg.expm(-1j * h * t) for t in times])
 
@@ -100,11 +119,11 @@ def emission_hist_fit():
     base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=0.0)
     p = calibrate_resonance(base, layout, which="full")
     system = build_system(p, n_fock=10, hamiltonian="effective")
-    records = run_ensemble(
+    result = run_ensemble(
         system, system.initial_state("1gg"), 60000.0, 20000, dt=0.5, master_seed=0,
         record_every=1000, method="grouped",
     )
-    hist = first_jump_histogram(records, 200.0)
+    hist = first_jump_histogram(result, 200.0)
     idx = {label: i for i, label in enumerate(hist.channel_labels)}
     counts = hist.counts[idx["cavity"]].astype(float)
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
@@ -127,11 +146,11 @@ def exchange_hist():
     base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=0.0)
     p = calibrate_resonance(base, layout, which="full")
     system = build_system(p, n_fock=10, hamiltonian="effective")
-    records = run_ensemble(
+    result = run_ensemble(
         system, system.initial_state("1gg"), 60000.0, 40000, dt=0.5, master_seed=0,
         record_every=1000, method="grouped",
     )
-    hist = conditional_second_jump_histogram(records, "qubit1", 50.0)
+    hist = conditional_second_jump_histogram(result, "qubit1", 50.0)
     return hist, p
 
 
@@ -149,19 +168,20 @@ def collective_decay_events():
     base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=5e-4)
     p = calibrate_resonance(base, layout, which="full")
     system = build_system(p, n_fock=10, hamiltonian="effective")
-    records = run_ensemble(
+    result = run_ensemble(
         system, system.initial_state("1gg"), 30000.0, 80000, dt=0.5, master_seed=0,
         record_every=1000, method="grouped",
     )
-    taus, outcomes = [], []
-    for rec in records:
-        if len(rec.jumps) < 2 or rec.jumps[0].channel != "qubit1":
-            continue
-        second = rec.jumps[1]
-        if second.channel in ("qubit1", "qubit2"):
-            taus.append(second.time - rec.jumps[0].time)
-            outcomes.append(1.0 if second.channel == "qubit2" else 0.0)
-    return np.array(taus), np.array(outcomes), p
+    traj, channel, time = result.jump_traj, result.jump_channel, result.jump_time
+    qubit1, qubit2 = CHANNEL_LABELS.index("qubit1"), CHANNEL_LABELS.index("qubit2")
+    # each trajectory's first jump, where a second jump follows it
+    first = np.flatnonzero(np.diff(traj, prepend=-1))
+    first = first[first + 1 < traj.size]
+    first = first[(traj[first + 1] == traj[first]) & (channel[first] == qubit1)]
+    first = first[np.isin(channel[first + 1], (qubit1, qubit2))]
+    taus = time[first + 1] - time[first]
+    outcomes = np.where(channel[first + 1] == qubit2, 1.0, 0.0)
+    return taus, outcomes, p
 
 
 @pytest.fixture(scope="module")
@@ -173,11 +193,11 @@ def full_mean_comparison():
         base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=gc)
         p = calibrate_resonance(base, layout, which="full")
         system = build_system(p, n_fock=10, hamiltonian="full")
-        records = run_ensemble(
+        result = run_ensemble(
             system, system.initial_state("1gg"), 8000.0, 500, dt=0.5, master_seed=0,
             record_every=10, method="auto",
         )
-        avg = ensemble_average(records)
+        avg = ensemble_average(result)
         rho0 = density_from_state(system.initial_state("1gg"), layout)
         series = evolve_lme(system, rho0, 8000.0, 0.5, record_every=10)
         out[gc] = (avg, series)
@@ -653,19 +673,15 @@ def test_criterion_10_property_suite(announce, p_paper_rates, system_eff,
     run_a = run_ensemble(system, psi0, 300.0, 10, **kwargs)
     run_b = run_ensemble(system, psi0, 300.0, 10, **kwargs)
     deterministic = all(
-        ra.expectations[label].tobytes() == rb.expectations[label].tobytes()
-        for ra, rb in zip(run_a, run_b)
-        for label in ("cavity", "qubit1", "qubit2")
-    ) and all(
-        [(j.time, j.channel) for j in ra.jumps]
-        == [(j.time, j.channel) for j in rb.jumps]
-        for ra, rb in zip(run_a, run_b)
+        np.asarray(getattr(run_a, f.name)).tobytes()
+        == np.asarray(getattr(run_b, f.name)).tobytes()
+        for f in dataclasses.fields(run_a)
     )
 
     # Histogram merging is order independent.
     whole = first_jump_histogram(run_a, 50.0)
-    h1 = first_jump_histogram(run_a[:3], 50.0)
-    h2 = first_jump_histogram(run_a[3:], 50.0)
+    h1 = first_jump_histogram(trajectories(run_a, 0, 3), 50.0)
+    h2 = first_jump_histogram(trajectories(run_a, 3, 10), 50.0)
     merged_ab = h1.merge(h2)
     merged_ba = h2.merge(h1)
     merge_ok = (

@@ -402,6 +402,42 @@ prefix = hm
     assert data_rows == []  # full homodyne cannot click
 
 
+def test_mixed_jump_log_rows_fill_every_column(tmp_path):
+    # qubit jumps under cavity homodyne: each row carries all four channels'
+    # probabilities, 0 under the homodyned cavity
+    cfg = write_config(
+        tmp_path, "mixed.ini", """
+[run]
+solver = mixed
+hamiltonian = effective
+t_final = 3000
+dt = 0.5
+n_trajectories = 3
+master_seed = 4
+initial_state = 0ee
+record_every = 100
+homodyne_channels = cavity
+
+[output]
+prefix = mx
+""",
+    )
+    out = tmp_path / "mixed_out"
+    assert main(["trajectory", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "mx_jumps.csv").read_text().splitlines()
+    columns = [l for l in lines if l.startswith("# columns: ")]
+    assert columns == ["# columns: traj_index,time,channel,"
+                       "dp_cavity,dp_qubit1,dp_qubit2,dp_collective"]
+    header = columns[0].removeprefix("# columns: ").split(",")
+    rows = [l.split(",") for l in lines if not l.startswith("#")]
+    assert len(rows) >= 3
+    for row in rows:
+        assert len(row) == len(header)
+        assert row[2] != "cavity" and float(row[3]) == 0.0
+        dp = dict(zip(header, row))
+        assert float(dp[f"dp_{row[2]}"]) > 0.0
+
+
 def test_single_fock_level_exits_2_naming_n_fock(tmp_path, capsys):
     cfg = tmp_path / "one.ini"
     cfg.write_text(

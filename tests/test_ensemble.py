@@ -17,10 +17,23 @@ from usctraj.errors import ConfigError, TimestepError
 from usctraj.hilbert import build_layout
 from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, _jump_probabilities, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
-from usctraj.system import build_system
+from usctraj.system import OBSERVABLE_LABELS, build_system
 
 N_TRAJ = 40
 T_FINAL = 3000.0
+
+
+def first_jumps(result):
+    """Position in the jump columns of each jumping trajectory's first jump."""
+    return np.flatnonzero(np.diff(result.jump_traj, prepend=-1))
+
+
+def first_jump_times(result):
+    """Each trajectory's first jump time, inf where it never jumps."""
+    times = np.full(result.n_trajectories, np.inf)
+    first = first_jumps(result)
+    times[result.jump_traj[first]] = result.jump_time[first]
+    return times
 
 
 @pytest.fixture(scope="module")
@@ -56,54 +69,40 @@ def test_method_names_exported():
 
 def test_jump_log_identical(grouped_and_direct):
     grouped, direct = grouped_and_direct
-    assert len(grouped) == len(direct) == N_TRAJ
-    total = 0
-    for g, d in zip(grouped, direct):
-        assert len(g.jumps) == len(d.jumps)
-        for jg, jd in zip(g.jumps, d.jumps):
-            assert jg.time == jd.time
-            assert jg.channel == jd.channel
-        total += len(g.jumps)
+    assert grouped.n_trajectories == direct.n_trajectories == N_TRAJ
+    np.testing.assert_array_equal(grouped.jump_traj, direct.jump_traj)
+    np.testing.assert_array_equal(grouped.jump_time, direct.jump_time)
+    np.testing.assert_array_equal(grouped.jump_channel, direct.jump_channel)
+    total = grouped.jump_traj.size
     assert total > 10, "scenario expected to produce plenty of jumps"
 
 
 def test_first_jump_probabilities_bitwise(grouped_and_direct):
     grouped, direct = grouped_and_direct
-    for g, d in zip(grouped, direct):
-        if g.jumps:
-            np.testing.assert_array_equal(
-                g.jumps[0].pre_jump_norm_probabilities,
-                d.jumps[0].pre_jump_norm_probabilities,
-            )
+    first = first_jumps(grouped)
+    assert first.size > 0
+    np.testing.assert_array_equal(grouped.jump_dp[first], direct.jump_dp[first])
 
 
 def test_observables_before_first_jump_bitwise(grouped_and_direct):
     grouped, direct = grouped_and_direct
-    for g, d in zip(grouped, direct):
-        t_first = g.jumps[0].time if g.jumps else np.inf
-        head = g.time_grid < t_first
-        for label in g.expectations:
-            np.testing.assert_array_equal(
-                g.expectations[label][head], d.expectations[label][head]
-            )
+    for i, t_first in enumerate(first_jump_times(grouped)):
+        head = grouped.time_grid < t_first
+        np.testing.assert_array_equal(
+            grouped.expectations[:, i, head], direct.expectations[:, i, head]
+        )
 
 
 def test_observables_after_jumps_close(grouped_and_direct):
     grouped, direct = grouped_and_direct
-    worst = 0.0
-    for g, d in zip(grouped, direct):
-        for label in g.expectations:
-            worst = max(
-                worst,
-                np.max(np.abs(g.expectations[label] - d.expectations[label])),
-            )
+    worst = np.max(np.abs(grouped.expectations - direct.expectations))
     assert worst < 1e-10
 
 
 def test_final_states_agree_up_to_global_phase(grouped_and_direct):
     grouped, direct = grouped_and_direct
-    for g, d in zip(grouped, direct):
-        overlap = abs(np.vdot(g.final_state, d.final_state))
+    for g, d in zip(grouped.final_states, direct.final_states):
+        overlap = abs(np.vdot(g, d))
         assert overlap > 1.0 - 1e-12
 
 
@@ -112,18 +111,16 @@ def test_auto_uses_direct_loop_on_the_full_hamiltonian(busy_systems):
     # back and reproduce the reference loop exactly
     system = busy_systems["full"]
     psi0 = system.initial_state("1gg")
-    records = run_ensemble(
+    result = run_ensemble(
         system, psi0, 200.0, 3, dt=0.5, master_seed=5, record_every=2, method="auto",
     )
-    for i, rec in enumerate(records):
+    for i in range(result.n_trajectories):
         ref = run_trajectory(
             system, psi0, 200.0, dt=0.5, seed=5, traj_index=i, record_every=2,
         )
-        for label in ref.expectations:
-            np.testing.assert_array_equal(
-                rec.expectations[label], ref.expectations[label]
-            )
-        np.testing.assert_array_equal(rec.final_state, ref.final_state)
+        for row, label in zip(result.expectations[:, i], OBSERVABLE_LABELS):
+            np.testing.assert_array_equal(row, ref.expectations[label])
+        np.testing.assert_array_equal(result.final_states[i], ref.final_state)
 
 
 def test_grouped_refuses_ungroupable_dynamics(busy_systems):
@@ -149,17 +146,15 @@ def test_timestep_error_raised_by_both_methods():
 
 def test_lossless_ensemble_never_jumps(p_resonant):
     system = build_system(p_resonant, n_fock=6, hamiltonian="effective")
-    records = run_ensemble(
+    result = run_ensemble(
         system, system.initial_state("1gg"), 500.0, 4, dt=0.5, master_seed=7,
         record_every=10, method="grouped",
     )
-    for rec in records:
-        assert rec.jumps == []
+    assert result.jump_traj.size == 0
     # all trajectories identical: no randomness enters without dissipation
-    for rec in records[1:]:
-        np.testing.assert_array_equal(
-            rec.expectations["cavity"], records[0].expectations["cavity"]
-        )
+    cavity = result.expectations[0]
+    for row in cavity[1:]:
+        np.testing.assert_array_equal(row, cavity[0])
 
 
 def test_ensemble_size_does_not_change_results(busy_systems):
@@ -170,12 +165,11 @@ def test_ensemble_size_does_not_change_results(busy_systems):
     common = dict(dt=0.5, master_seed=3, record_every=4, method="direct")
     three = run_ensemble(system, psi0, 400.0, 3, **common)
     six = run_ensemble(system, psi0, 400.0, 6, **common)
-    assert len(six) == 6
-    for a, b in zip(three, six[:3]):
-        assert a.traj_index == b.traj_index
-        for label in a.expectations:
-            np.testing.assert_array_equal(a.expectations[label], b.expectations[label])
-        assert [j.time for j in a.jumps] == [j.time for j in b.jumps]
+    assert six.n_trajectories == 6
+    np.testing.assert_array_equal(three.expectations, six.expectations[:, :3])
+    head = six.jump_traj < 3
+    np.testing.assert_array_equal(three.jump_traj, six.jump_traj[head])
+    np.testing.assert_array_equal(three.jump_time, six.jump_time[head])
 
 
 def test_unknown_method_rejected(busy_systems):
@@ -271,15 +265,22 @@ def test_grouped_refuses_a_ray_broken_after_the_first_chunk(busy_systems, monkey
         run_ensemble(system, psi0, 200.0, 3, dt=0.5, master_seed=5, method="grouped")
 
 
-def test_grouped_top_fock_peak_matches_the_direct_engine():
+def test_grouped_top_fock_peak_matches_the_direct_engine(run_with_records):
     # at n_fock = 2 the pair exchange fills the top Fock level mid-run
     base = SystemParams(kappa=4e-4, gamma1=2e-4, gamma2=2e-4)
     p = calibrate_resonance(base, build_layout(2), which="effective")
     system = build_system(p, n_fock=2, hamiltonian="effective")
     psi0 = system.initial_state("0ee")
-    grouped = run_ensemble(system, psi0, 3000.0, 12, master_seed=5, method="grouped")
-    direct = run_ensemble(system, psi0, 3000.0, 12, master_seed=5, method="direct")
+    grouped_result, grouped = run_with_records(
+        system, psi0, 3000.0, 12, master_seed=5, method="grouped"
+    )
+    direct_result, direct = run_with_records(
+        system, psi0, 3000.0, 12, master_seed=5, method="direct"
+    )
     for g, d in zip(grouped, direct):
         assert [j.time for j in g.jumps] == [j.time for j in d.jumps]
         assert g.top_fock_peak == pytest.approx(d.top_fock_peak, rel=1e-12)
     assert max(r.top_fock_peak for r in grouped) > 0.5
+    # the ensemble keeps the largest peak of its trajectories
+    assert grouped_result.top_fock_peak == max(r.top_fock_peak for r in grouped)
+    assert direct_result.top_fock_peak == max(r.top_fock_peak for r in direct)

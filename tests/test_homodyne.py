@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from usctraj import homodyne, mcwf
+from usctraj.dressed import CHANNEL_LABELS
 from usctraj.errors import ConfigError, NumericalInconsistencyError
 from usctraj.hilbert import build_layout
 from usctraj.homodyne import DRIFT_MODES, _diffusive_increment, run_trajectory_homodyne
@@ -286,15 +287,25 @@ def _engine_outcome(systems, key):
     )
 
 
-def _assert_matches_reference(rec, ref):
+def _assert_matches_reference(rec, ref, monitored):
+    """The engine's record equals the reference's; ``monitored`` as in the key.
+
+    The engine records the probabilities of all four channels per jump, the
+    reference those of the photodetected channels; the homodyned ones read 0.
+    """
     series, jumps, final, states = ref
     for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
         np.testing.assert_array_equal(rec.expectations[label], row)
     np.testing.assert_array_equal(rec.states, states)
     np.testing.assert_array_equal(rec.final_state, final)
     assert [(j.time, j.channel) for j in rec.jumps] == [j[:2] for j in jumps]
+    detected = [m for m, label in enumerate(CHANNEL_LABELS)
+                if monitored is not None and label not in monitored]
     for got, want in zip(rec.jumps, jumps):
-        np.testing.assert_array_equal(got.pre_jump_norm_probabilities, want[2])
+        dp = got.pre_jump_norm_probabilities
+        assert dp.shape == (len(CHANNEL_LABELS),)
+        np.testing.assert_array_equal(dp[detected], want[2])
+        np.testing.assert_array_equal(np.delete(dp, detected), 0.0)
 
 
 def _compare_with_reference(systems, refs):
@@ -306,7 +317,7 @@ def _compare_with_reference(systems, refs):
             assert rec == ref
             n_raised += 1
         else:
-            _assert_matches_reference(rec, ref)
+            _assert_matches_reference(rec, ref, monitored=key[4])
             n_jumps += len(ref[1])
     return n_jumps, n_raised
 
@@ -354,7 +365,8 @@ def test_runs_that_need_no_words_draw_none(
     n_jumps = 0
     for traj_index in range(3):
         ref = hom_references[case + (traj_index,)]
-        _assert_matches_reference(_engine_outcome(busy_hom_systems, case + (traj_index,)), ref)
+        rec = _engine_outcome(busy_hom_systems, case + (traj_index,))
+        _assert_matches_reference(rec, ref, monitored=case[4])
         n_jumps += len(ref[1])
     if stream == "normal_words":
         assert n_jumps > 0  # the zero-noise mixed run still reads its jump words

@@ -8,7 +8,12 @@ import pytest
 from scipy.linalg import expm
 
 from usctraj import mcwf
-from usctraj.errors import NumericalInconsistencyError, TimestepError
+from usctraj.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NumericalInconsistencyError,
+    TimestepError,
+)
 from usctraj.hilbert import build_layout
 from usctraj.mcwf import (
     JumpEvent,
@@ -17,6 +22,7 @@ from usctraj.mcwf import (
     _first_jump,
     _jump_probabilities,
     _select_channel,
+    collect,
     ensemble_average,
     run_trajectory,
 )
@@ -156,17 +162,16 @@ def test_non_hermitian_hamiltonian_assembly(system_eff):
 
 def test_ensemble_average_statistics():
     grid = np.linspace(0.0, 1.0, 5)
-    p = SystemParams()
 
     def make(vals):
         return TrajectoryRecord(
-            params=p, seed=0, traj_index=0, time_grid=grid,
+            time_grid=grid,
             expectations={"cavity": np.full(5, vals), "qubit1": np.zeros(5),
                           "qubit2": np.zeros(5)},
             jumps=[], final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
         )
 
-    avg = ensemble_average([make(1.0), make(3.0)])
+    avg = ensemble_average(collect([make(1.0), make(3.0)], 2))
     np.testing.assert_allclose(avg.means["cavity"], 2.0)
     # sample std with ddof=1 is sqrt(2); SE divides by sqrt(n)
     np.testing.assert_allclose(avg.standard_errors["cavity"], 1.0)
@@ -174,19 +179,34 @@ def test_ensemble_average_statistics():
 
 
 def test_ensemble_average_rejects_mismatched_grids():
-    p = SystemParams()
+    series = {"cavity": np.zeros(5), "qubit1": np.zeros(5), "qubit2": np.zeros(5)}
     a = TrajectoryRecord(
-        params=p, seed=0, traj_index=0, time_grid=np.linspace(0, 1, 5),
-        expectations={"cavity": np.zeros(5)}, jumps=[],
+        time_grid=np.linspace(0, 1, 5),
+        expectations=series, jumps=[],
         final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
     )
     b = TrajectoryRecord(
-        params=p, seed=0, traj_index=1, time_grid=np.linspace(0, 2, 5),
-        expectations={"cavity": np.zeros(5)}, jumps=[],
+        time_grid=np.linspace(0, 2, 5),
+        expectations=series, jumps=[],
         final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
     )
     with pytest.raises(Exception):
-        ensemble_average([a, b])
+        ensemble_average(collect([a, b], 2))
+    with pytest.raises(DimensionMismatchError, match="time grids differ"):
+        collect([a, b], 2)
+
+
+def test_collect_takes_exactly_n_records():
+    rec = TrajectoryRecord(
+        time_grid=np.linspace(0, 1, 5),
+        expectations={"cavity": np.zeros(5), "qubit1": np.zeros(5), "qubit2": np.zeros(5)},
+        jumps=[], final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
+    )
+    assert collect(iter([rec, rec]), 2).n_trajectories == 2
+    with pytest.raises(ConfigError, match="got 0"):
+        collect(iter([]), 1)
+    with pytest.raises(ConfigError, match="got 1"):
+        collect([rec], 2)
 
 
 def test_store_states_shape(system_eff):

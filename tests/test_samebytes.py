@@ -35,16 +35,57 @@ def test_workloads_come_from_the_benchmark_at_seed_7():
     assert all("master_seed = 7\n" in c.ini for c in cases)
 
 
-def test_first_difference_names_the_first_differing_output():
-    def result(files, code=0, stdout="<out>/a.csv\n", stderr=""):
-        return gate.Result(code, stdout, stderr, files)
+def result(files, code=0, stdout="<out>/a.csv\n", stderr=""):
+    return gate.Result(code, stdout, stderr, files)
 
+
+def test_first_difference_names_the_first_differing_output():
     base = result({"a.csv": b"1\n", "b.csv": b"2\n"})
-    assert gate.first_difference(base, result(dict(base.files))) is None
-    assert gate.first_difference(base, result({"a.csv": b"1\n", "b.csv": b"3\n"})) == "b.csv"
-    assert gate.first_difference(base, result({"a.csv": b"1\n"})) == (
+    assert gate.differences(base, result(dict(base.files))) == []
+    assert gate.differences(base, result({"a.csv": b"1\n", "b.csv": b"3\n"})) == [
+        "b.csv line 1"
+    ]
+    assert gate.differences(base, result({"a.csv": b"1\n"})) == [
         "b.csv written by one tree only"
-    )
-    assert gate.first_difference(base, result(base.files, code=3)) == "exit code 0 != 3"
-    assert gate.first_difference(base, result(base.files, stderr="x")) == "stderr"
-    assert gate.first_difference(base, result(base.files, stdout="x")) == "stdout"
+    ]
+    assert gate.differences(base, result(base.files, code=3)) == ["exit code 0 != 3"]
+    assert gate.differences(base, result(base.files, stderr="x")) == ["stderr line 1"]
+    assert gate.differences(base, result(base.files, stdout="x")) == ["stdout line 1"]
+
+
+def test_differences_names_every_differing_file_and_its_first_differing_line():
+    base = result({"a.csv": b"# h\n1,2\n3,4\n", "b.csv": b"x\ny\n", "c.csv": b"z\n"},
+                  stdout="<out>/a.csv\n<out>/b.csv\n")
+    head = result({"a.csv": b"# h\n1,2\n3,5\n", "b.csv": b"x\ny\nextra\n", "c.csv": b"z\n"},
+                  code=1, stdout="<out>/a.csv\n<out>/B.csv\n", stderr="warning\n")
+    assert gate.differences(base, head) == [
+        "exit code 0 != 1",
+        "a.csv line 3",
+        "b.csv line 3",
+        "stderr line 1",
+        "stdout line 2",
+    ]
+
+
+def test_every_case_runs_and_any_difference_exits_1(monkeypatch, capsys, tmp_path):
+    cases = [gate.Case(name, "ensemble") for name in ("a", "b", "c")]
+    monkeypatch.setattr(gate, "preset_cases", lambda tree: cases)
+    monkeypatch.setattr(gate, "workload_cases", lambda tree: [])
+    monkeypatch.setattr(gate, "_git", lambda *args: "")
+    monkeypatch.setattr(gate.subprocess, "run", lambda *args, **kwargs: None)
+
+    def run_case(tree, case, workdir):
+        changed = workdir.name == "head" and case.name in ("a", "b")
+        return result({"x.csv": b"2\n" if changed else b"1\n"})
+
+    monkeypatch.setattr(gate, "run_case", run_case)
+    assert gate.main(["--base", "HEAD", "--scratch", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "DIFFERS a (ensemble):",
+        "    x.csv line 1",
+        "DIFFERS b (ensemble):",
+        "    x.csv line 1",
+        "same    c (ensemble): exit 0, 1 files",
+        "2 of 3 cases differ: a, b",
+    ]

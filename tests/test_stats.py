@@ -5,18 +5,19 @@ import io
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from usctraj.dressed import CHANNEL_LABELS
 from usctraj.ensemble import run_ensemble
 from usctraj.errors import ConfigError
 from usctraj.hilbert import build_layout
-from usctraj.mcwf import JumpEvent, TrajectoryRecord
+from usctraj.mcwf import JumpEvent, TrajectoryRecord, collect, ensemble_average
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.stats import (
     NORMALIZATION_MODES,
     JumpHistogram,
+    _edges,
     conditional_second_jump_histogram,
     first_jump_histogram,
     write_histogram_csv,
@@ -24,21 +25,26 @@ from usctraj.stats import (
 from usctraj.system import build_system
 
 GRID = np.linspace(0.0, 100.0, 11)
-P0 = SystemParams()
 
 
-def make_record(jump_specs, traj_index=0):
-    """jump_specs: list of (time, channel)."""
+def make_record(jump_specs, series=None):
+    """jump_specs: list of (time, channel); series: (3, 11) observables or zeros."""
     jumps = [
         JumpEvent(time=t, channel=c, pre_jump_norm_probabilities=np.zeros(4))
         for t, c in jump_specs
     ]
+    if series is None:
+        series = np.zeros((3, GRID.size))
     return TrajectoryRecord(
-        params=P0, seed=0, traj_index=traj_index, time_grid=GRID,
-        expectations={"cavity": np.zeros(11), "qubit1": np.zeros(11),
-                      "qubit2": np.zeros(11)},
+        time_grid=GRID,
+        expectations=dict(zip(("cavity", "qubit1", "qubit2"), series)),
         jumps=jumps, final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
     )
+
+
+def make_result(records):
+    """The ensemble of a list of records, built by the one constructor."""
+    return collect(records, len(records))
 
 
 def test_first_jump_binning_and_edges():
@@ -48,7 +54,7 @@ def test_first_jump_binning_and_edges():
         make_record([(100.0, "qubit2")]),    # final edge: included in last bin
         make_record([]),                     # no jumps: no contribution
     ]
-    hist = first_jump_histogram(records, bin_width=10.0)
+    hist = first_jump_histogram(make_result(records), bin_width=10.0)
     assert hist.n_bins == 10
     assert hist.trajectory_count == 3
     idx = {lbl: i for i, lbl in enumerate(hist.channel_labels)}
@@ -64,13 +70,15 @@ def test_first_jump_channel_filter():
         make_record([(15.0, "qubit1")]),
     ]
     # a detector blind to the cavity sees the qubit jump as "first"...
-    hist = first_jump_histogram(records, 10.0, channels_filter=("qubit1", "qubit2"))
+    hist = first_jump_histogram(
+        make_result(records), 10.0, channels_filter=("qubit1", "qubit2")
+    )
     assert hist.trajectory_count == 2
     idx = {lbl: i for i, lbl in enumerate(hist.channel_labels)}
     assert hist.counts[idx["qubit1"], 2] == 1
     assert hist.counts[idx["qubit1"], 1] == 1
     # ...whereas the cavity-covering detector stops at the cavity click
-    full = first_jump_histogram(records, 10.0)
+    full = first_jump_histogram(make_result(records), 10.0)
     assert full.counts[idx["cavity"], 0] == 1
     assert full.counts[idx["qubit1"], 2] == 0
 
@@ -82,7 +90,7 @@ def test_conditional_histogram_clock_restart():
         make_record([(10.0, "cavity"), (20.0, "qubit1")]),   # wrong trigger
         make_record([(10.0, "qubit1")]),                     # only one jump
     ]
-    hist = conditional_second_jump_histogram(records, "qubit1", 10.0)
+    hist = conditional_second_jump_histogram(make_result(records), "qubit1", 10.0)
     assert hist.trajectory_count == 2
     idx = {lbl: i for i, lbl in enumerate(hist.channel_labels)}
     assert hist.counts[idx["qubit2"], 2] == 1
@@ -90,8 +98,10 @@ def test_conditional_histogram_clock_restart():
 
 
 def test_conditional_histogram_empty_is_valid():
-    hist = conditional_second_jump_histogram([make_record([])], "collective", 10.0)
-    assert hist.is_empty
+    hist = conditional_second_jump_histogram(
+        make_result([make_record([])]), "collective", 10.0
+    )
+    assert hist.trajectory_count == 0
     assert hist.counts.sum() == 0
     np.testing.assert_array_equal(hist.ratios("per-bin"), 0.0)
 
@@ -102,7 +112,7 @@ def test_ratio_modes():
         make_record([(6.0, "qubit1")]),
         make_record([(15.0, "qubit1")]),
     ]
-    hist = first_jump_histogram(records, 10.0)
+    hist = first_jump_histogram(make_result(records), 10.0)
     per_bin = hist.ratios("per-bin")
     sums = per_bin.sum(axis=0)
     np.testing.assert_allclose(sums[0], 1.0)
@@ -119,8 +129,8 @@ def test_ratio_modes():
 
 
 def test_merge_requires_matching_shape():
-    a = first_jump_histogram([make_record([(5.0, "cavity")])], 10.0)
-    b = first_jump_histogram([make_record([(5.0, "cavity")])], 20.0)
+    a = first_jump_histogram(make_result([make_record([(5.0, "cavity")])]), 10.0)
+    b = first_jump_histogram(make_result([make_record([(5.0, "cavity")])]), 20.0)
     with pytest.raises(ConfigError):
         a.merge(b)
 
@@ -132,48 +142,28 @@ def test_merge_is_order_independent(channel_picks, rnd):
     # histogram of everything == merge of any partition, in any order
     labels = list(CHANNEL_LABELS)
     records = [
-        make_record([(float(5 + 90 * rnd.random()), labels[c])], traj_index=i)
-        for i, c in enumerate(channel_picks)
+        make_record([(float(5 + 90 * rnd.random()), labels[c])]) for c in channel_picks
     ]
-    whole = first_jump_histogram(records, 10.0)
+    whole = first_jump_histogram(make_result(records), 10.0)
     cut = rnd.randrange(1, len(records))
-    left = first_jump_histogram(records[:cut], 10.0)
-    right = first_jump_histogram(records[cut:], 10.0)
+    left = first_jump_histogram(make_result(records[:cut]), 10.0)
+    right = first_jump_histogram(make_result(records[cut:]), 10.0)
     for merged in (left.merge(right), right.merge(left)):
         np.testing.assert_array_equal(merged.counts, whole.counts)
         assert merged.trajectory_count == whole.trajectory_count
 
 
-def test_rebin_pools_adjacent_bins():
-    records = [make_record([(t, "cavity")], traj_index=i)
-               for i, t in enumerate([1.0, 9.0, 11.0, 19.0, 95.0])]
-    hist = first_jump_histogram(records, 10.0)
-    pooled = hist.rebin(2)
-    assert pooled.n_bins == 5
-    idx = {lbl: i for i, lbl in enumerate(pooled.channel_labels)}
-    assert pooled.counts[idx["cavity"], 0] == 4
-    assert pooled.counts[idx["cavity"], 4] == 1
-    with pytest.raises(ConfigError):
-        hist.rebin(3)  # 10 bins do not split into threes
-
-
-def test_rebin_matches_coarser_run():
-    records = [make_record([(t, "qubit2")], traj_index=i)
-               for i, t in enumerate(np.linspace(0.5, 99.5, 37))]
-    fine = first_jump_histogram(records, 5.0).rebin(2)
-    coarse = first_jump_histogram(records, 10.0)
-    np.testing.assert_array_equal(fine.counts, coarse.counts)
-
-
 def test_validation_errors():
     with pytest.raises(ConfigError):
-        first_jump_histogram([], 10.0)
+        first_jump_histogram(make_result([]), 10.0)
     with pytest.raises(ConfigError):
-        first_jump_histogram([make_record([])], -1.0)
+        first_jump_histogram(make_result([make_record([])]), -1.0)
     with pytest.raises(ConfigError):
-        first_jump_histogram([make_record([])], 10.0, channels_filter=("laser",))
+        first_jump_histogram(
+            make_result([make_record([])]), 10.0, channels_filter=("laser",)
+        )
     with pytest.raises(ConfigError):
-        conditional_second_jump_histogram([make_record([])], "laser", 10.0)
+        conditional_second_jump_histogram(make_result([make_record([])]), "laser", 10.0)
     with pytest.raises(ConfigError):
         JumpHistogram(
             bin_edges=np.array([0.0, 1.0]),
@@ -186,9 +176,9 @@ def test_validation_errors():
 def test_csv_round_trip():
     records = [
         make_record([(5.0, "cavity")]),
-        make_record([(6.0, "qubit1")], traj_index=1),
+        make_record([(6.0, "qubit1")]),
     ]
-    hist = first_jump_histogram(records, 10.0)
+    hist = first_jump_histogram(make_result(records), 10.0)
     buf = io.StringIO()
     write_histogram_csv(hist, buf, mode="absolute")
     lines = buf.getvalue().splitlines()
@@ -215,15 +205,170 @@ def decay_records():
 
 def test_first_jump_times_are_exponential(decay_records):
     # decoupled lossy cavity: waiting times follow Exp(kappa)
-    times = np.array([r.jumps[0].time for r in decay_records if r.jumps])
+    first = np.flatnonzero(np.diff(decay_records.jump_traj, prepend=-1))
+    times = decay_records.jump_time[first]
     assert times.size > 700
     result = scipy.stats.kstest(times, "expon", args=(0.0, 1.0 / 2e-3))
     assert result.pvalue > 1e-3
 
 
 def test_survival_fraction_matches_rate(decay_records):
-    survivors = sum(1 for r in decay_records if not r.jumps)
-    expected = len(decay_records) * np.exp(-2e-3 * 6000.0)
+    n = decay_records.n_trajectories
+    survivors = n - np.unique(decay_records.jump_traj).size
+    expected = n * np.exp(-2e-3 * 6000.0)
     # binomial fluctuation window, about 4 sigma
     sigma = np.sqrt(expected)
     assert abs(survivors - expected) < 4.0 * max(sigma, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The per-record loops the columnar statistics replaced, kept as references.
+
+
+def _reference_bin_index(t, edges):
+    """Half-open bins [lo, hi); the final edge is included in the last bin."""
+    if t < edges[0] or t > edges[-1]:
+        return None
+    return min(int(np.searchsorted(edges, t, side="right")) - 1, edges.size - 2)
+
+
+def _reference_first_jump_histogram(records, bin_width, channels_filter=None):
+    if channels_filter is None:
+        channels_filter = CHANNEL_LABELS
+    edges = _edges(float(records[0].time_grid[-1]), bin_width)
+    counts = np.zeros((len(CHANNEL_LABELS), edges.size - 1), dtype=np.int64)
+    contributed = 0
+    index = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
+    for r in records:
+        for j in r.jumps:
+            if j.channel not in channels_filter:
+                continue
+            b = _reference_bin_index(j.time, edges)
+            if b is not None:
+                counts[index[j.channel], b] += 1
+                contributed += 1
+            break
+    return edges, counts, contributed
+
+
+def _reference_conditional_histogram(records, trigger_channel, bin_width):
+    edges = _edges(float(records[0].time_grid[-1]), bin_width)
+    counts = np.zeros((len(CHANNEL_LABELS), edges.size - 1), dtype=np.int64)
+    contributed = 0
+    index = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
+    for r in records:
+        if len(r.jumps) < 2 or r.jumps[0].channel != trigger_channel:
+            continue
+        second = r.jumps[1]
+        b = _reference_bin_index(second.time - r.jumps[0].time, edges)
+        if b is not None:
+            counts[index[second.channel], b] += 1
+            contributed += 1
+    return edges, counts, contributed
+
+
+def _reference_ensemble_average(records):
+    n = len(records)
+    means, errors = {}, {}
+    for label in records[0].expectations:
+        stack = np.stack([r.expectations[label] for r in records])
+        means[label] = stack.mean(axis=0)
+        if n > 1:
+            errors[label] = stack.std(axis=0, ddof=1) / np.sqrt(n)
+        else:
+            errors[label] = np.zeros_like(records[0].time_grid)
+    return means, errors
+
+
+def _assert_same_histogram(hist, reference):
+    edges, counts, contributed = reference
+    np.testing.assert_array_equal(hist.bin_edges, edges)
+    np.testing.assert_array_equal(hist.counts, counts)
+    assert hist.counts.dtype == counts.dtype
+    assert hist.trajectory_count == contributed
+
+
+def _assert_matches_the_loops(records, result, bin_widths, filters=(None,)):
+    """Histograms, means and SEs of ``result`` equal the per-record loops'."""
+    for width in bin_widths:
+        for channels in filters:
+            _assert_same_histogram(
+                first_jump_histogram(result, width, channels_filter=channels),
+                _reference_first_jump_histogram(records, width, channels),
+            )
+        for trigger in CHANNEL_LABELS:
+            _assert_same_histogram(
+                conditional_second_jump_histogram(result, trigger, width),
+                _reference_conditional_histogram(records, trigger, width),
+            )
+    avg = ensemble_average(result)
+    means, errors = _reference_ensemble_average(records)
+    assert avg.n_trajectories == len(records)
+    for label in means:
+        np.testing.assert_array_equal(avg.means[label], means[label])
+        np.testing.assert_array_equal(avg.standard_errors[label], errors[label])
+
+
+@pytest.fixture(scope="module")
+def busy_system():
+    """Every channel fires within a few thousand time units."""
+    base = SystemParams(kappa=4e-4, gamma1=5e-4, gamma2=3e-4, gamma_c=2e-4)
+    p = calibrate_resonance(base, build_layout(6), which="effective")
+    return {
+        ham: build_system(p, n_fock=6, hamiltonian=ham) for ham in ("effective", "full")
+    }
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, method, n_traj",
+    [("effective", "grouped", 200), ("full", "direct", 12)],
+)
+def test_columnar_statistics_equal_the_record_loops_on_an_ensemble(
+    busy_system, run_with_records, hamiltonian, method, n_traj
+):
+    system = busy_system[hamiltonian]
+    result, records = run_with_records(
+        system, system.initial_state("1gg"), 3000.0, n_traj, dt=0.5, master_seed=17,
+        record_every=20, method=method,
+    )
+    assert len(records) == n_traj
+    n_jumps = [len(r.jumps) for r in records]
+    assert result.jump_traj.size == sum(n_jumps)
+    assert max(n_jumps) >= 2 and min(n_jumps) <= 1
+    _assert_matches_the_loops(
+        records, result, (50.0, 100.0, 700.0), (None, ("qubit1", "qubit2"), ("collective",))
+    )
+
+
+# Times on inner edges (10, 20, 30), on the final edge (100) and past it.
+_TIMES = st.one_of(
+    st.sampled_from([0.0, 10.0, 20.0, 30.0, 99.99, 100.0, 100.5, 150.0]),
+    st.floats(min_value=0.0, max_value=160.0),
+)
+_TRAJECTORY = st.lists(
+    st.tuples(_TIMES, st.sampled_from(CHANNEL_LABELS)), min_size=0, max_size=5
+).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_TRAJECTORY, min_size=1, max_size=8),
+    st.one_of(st.none(), st.sets(st.sampled_from(CHANNEL_LABELS)).map(tuple)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example([[]], None, 0)  # N = 1, J = 0
+@example([[], []], ("qubit1",), 1)  # J = 0
+@example([[(0.0, "qubit1"), (100.0, "qubit2"), (150.0, "collective")]], None, 2)
+@example(
+    [[(10.0, "qubit1"), (30.0, "cavity"), (100.0, "qubit2")], [], [(100.5, "cavity")],
+     [(20.0, "qubit1"), (30.0, "qubit1"), (130.0, "collective"), (150.0, "cavity")]],
+    ("cavity", "qubit2"), 3,
+)
+def test_columnar_statistics_equal_the_record_loops_on_any_jump_log(
+    trajectories, channels, seed
+):
+    rng = np.random.default_rng(seed)
+    records = [make_record(jumps, rng.random((3, GRID.size))) for jumps in trajectories]
+    result = make_result(records)
+    assert result.jump_traj.size == sum(len(jumps) for jumps in trajectories)
+    _assert_matches_the_loops(records, result, (10.0, 7.0, 250.0), (None, channels))

@@ -17,9 +17,10 @@ case is the same when both runs exit with the same code, write the same
 files with the same bytes, print the same stderr, and print the same stdout
 once each run's output directory is replaced by ``<out>``.
 
-Exit 0 when every case is the same.  Otherwise the first case that differs
-is named with its first differing file, and the exit code is 1; a usage or
-git failure exits 2.
+Every case runs.  Each case that differs is named with every output that
+differs (exit code, files, stderr, stdout) and, for text, the number of its
+first differing line.  Exit 0 when every case is the same, 1 when any case
+differs; a usage or git failure exits 2.
 """
 
 from __future__ import annotations
@@ -114,19 +115,34 @@ def run_case(tree: Path, case: Case, workdir: Path) -> Result:
                   proc.stderr, files)
 
 
-def first_difference(base: Result, head: Result) -> str | None:
+def _first_differing_line(a: str, b: str) -> int:
+    """1-based number of the first line where two texts differ."""
+    la, lb = a.splitlines(), b.splitlines()
+    for n, (x, y) in enumerate(zip(la, lb), start=1):
+        if x != y:
+            return n
+    return min(len(la), len(lb)) + 1
+
+
+def differences(base: Result, head: Result) -> list[str]:
+    """Every output in which the two runs differ, with its first differing line."""
+    found = []
     if base.code != head.code:
-        return f"exit code {base.code} != {head.code}"
+        found.append(f"exit code {base.code} != {head.code}")
     for name in sorted(set(base.files) | set(head.files)):
         if name not in base.files or name not in head.files:
-            return f"{name} written by one tree only"
-        if base.files[name] != head.files[name]:
-            return name
-    if base.stderr != head.stderr:
-        return "stderr"
-    if base.stdout != head.stdout:
-        return "stdout"
-    return None
+            found.append(f"{name} written by one tree only")
+        elif base.files[name] != head.files[name]:
+            line = _first_differing_line(
+                base.files[name].decode(errors="replace"),
+                head.files[name].decode(errors="replace"),
+            )
+            found.append(f"{name} line {line}")
+    for stream in ("stderr", "stdout"):
+        a, b = getattr(base, stream), getattr(head, stream)
+        if a != b:
+            found.append(f"{stream} line {_first_differing_line(a, b)}")
+    return found
 
 
 def main(argv=None) -> int:
@@ -164,16 +180,22 @@ def main(argv=None) -> int:
                 print(f"error: unknown cases {sorted(unknown)}", file=sys.stderr)
                 return 2
             cases = [c for c in cases if c.name in wanted]
+        differing = []
         for case in cases:
             base = run_case(trees["base"], case, scratch / "runs" / "base")
             head_result = run_case(trees["head"], case, scratch / "runs" / "head")
-            diff = first_difference(base, head_result)
-            n_files = len(head_result.files)
-            if diff is not None:
-                print(f"DIFFERS {case.name} ({case.command}): {diff}", flush=True)
-                return 1
-            print(f"same    {case.name} ({case.command}): exit {base.code}, "
-                  f"{n_files} files", flush=True)
+            found = differences(base, head_result)
+            if found:
+                differing.append(case.name)
+                print(f"DIFFERS {case.name} ({case.command}):", flush=True)
+                for item in found:
+                    print(f"    {item}", flush=True)
+            else:
+                print(f"same    {case.name} ({case.command}): exit {base.code}, "
+                      f"{len(head_result.files)} files", flush=True)
+        if differing:
+            print(f"{len(differing)} of {len(cases)} cases differ: {', '.join(differing)}")
+            return 1
         print(f"all {len(cases)} cases byte-identical")
         return 0
     finally:
