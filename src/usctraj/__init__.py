@@ -4,7 +4,7 @@ Subpackage map:
 
 - ``hilbert``: truncated cavity (x) qubit (x) qubit space and elementary operators
 - ``model``: full and effective Hamiltonians, closed-form couplings, resonance calibration
-- ``dressed``: dressed bases and positive-frequency (excitation-annihilating) jump channels
+- ``dressed``: dressed bases; the positive-frequency jump channels as an S^+ stack and rates
 - ``system``: the assembled system every engine takes, and the shared time grid
 - ``mcwf``: photodetection (jump) trajectories, the columnar ensemble result, averages
 - ``ensemble``: ensemble driver, grouped no-jump flows or the direct per-trajectory loop

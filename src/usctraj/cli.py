@@ -60,6 +60,7 @@ from .system import (
     INITIAL_STATE_LABELS,
     OBSERVABLE_LABELS,
     build_system,
+    step_grid,
 )
 
 SOLVERS = ("mcwf", "homodyne", "mixed", "lme")
@@ -343,7 +344,8 @@ def _run_records(cfg: ExperimentConfig, p: SystemParams, check_truncation: bool)
             )
             for i in range(cfg.n_trajectories)
         )
-        result = collect(records, cfg.n_trajectories)
+        n_steps, _ = step_grid(cfg.t_final, cfg.dt, cfg.record_every)
+        result = collect(records, cfg.n_trajectories, n_steps * cfg.dt)
     if check_truncation:
         _check_truncation(result.top_fock_peak, cfg.n_fock)
     return system, result

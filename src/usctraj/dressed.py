@@ -11,11 +11,15 @@ only the matrix elements that lower the system energy,
 expanded over the eigenstates of the same Hamiltonian that drives the
 coherent evolution.  S^+ annihilates the dressed ground state by
 construction, and quantum jumps connect dressed states directly.
+
+A channel is its position m in ``CHANNEL_LABELS``: ``jump_channels`` returns
+the four S^+ matrices as one (4, d, d) stack and their rates as one (4,)
+vector in that order, and every engine reads row m of both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,27 +58,6 @@ class DressedBasis:
         return v @ op_dressed @ v.conj().T
 
 
-@dataclass(frozen=True)
-class JumpChannel:
-    """One dissipation channel: a rate and its dressed lowering operator.
-
-    ``operator_plus`` is S^+ (lowers the energy), ``operator_minus`` its
-    adjoint.  Zero-rate channels are kept so channel indices are stable
-    across parameter sets.
-    """
-
-    label: str
-    rate: float
-    operator_plus: OperatorMatrix
-    operator_minus: OperatorMatrix = field(repr=False)
-
-    def __post_init__(self):
-        if self.label not in CHANNEL_LABELS:
-            raise ValueError(f"unknown channel label {self.label!r}")
-        if self.rate < 0:
-            raise ValueError(f"channel rate must be >= 0, got {self.rate}")
-
-
 def diagonalize(h: OperatorMatrix) -> DressedBasis:
     """Diagonalize a Hermitian operator with a deterministic phase convention."""
     if not h.hermitian:
@@ -87,7 +70,7 @@ def diagonalize(h: OperatorMatrix) -> DressedBasis:
     return DressedBasis(eigenvalues=evals, eigenvectors=evecs, source=h)
 
 
-def positive_frequency(s: OperatorMatrix, basis: DressedBasis) -> OperatorMatrix:
+def positive_frequency(s: OperatorMatrix, basis: DressedBasis) -> np.ndarray:
     """Keep the energy-lowering matrix elements of a Hermitian coupling operator.
 
     Elements between levels closer than the degeneracy tolerance belong to
@@ -99,36 +82,23 @@ def positive_frequency(s: OperatorMatrix, basis: DressedBasis) -> OperatorMatrix
     e = basis.eigenvalues
     lowering = e[np.newaxis, :] > e[:, np.newaxis] + DEGENERACY_TOL
     s_dressed = basis.to_dressed(s.matrix)
-    s_plus = basis.to_product(np.where(lowering, s_dressed, 0.0))
-    return OperatorMatrix(s.layout, s_plus, hermitian=False,
-                          name=(s.name + "^+") if s.name else "S^+")
+    return basis.to_product(np.where(lowering, s_dressed, 0.0))
 
 
-def jump_channels(p: SystemParams, basis: DressedBasis) -> list[JumpChannel]:
-    """The four dissipation channels dressed in the given basis.
+def jump_channels(p: SystemParams, basis: DressedBasis) -> tuple[np.ndarray, np.ndarray]:
+    """S^+ stack (4, d, d) and rates (4,) of the channels, in ``CHANNEL_LABELS`` order.
 
     cavity: rate kappa, quadrature a + a^dag; qubit1/qubit2: rates gamma1,
     gamma2, quadratures sigma_x; collective: rate gamma_c / 2 with operator
     C1^+ + C2^+ (the factor 1/2 is part of the rate convention, so the
-    dissipator reads (gamma_c/2) D[C1^+ + C2^+]).
+    dissipator reads (gamma_c/2) D[C1^+ + C2^+]).  Zero-rate channels are
+    kept so channel positions are the same for every parameter set.
     """
-    ops = elementary_operators(basis.source.layout)
     layout = basis.source.layout
-    x_quad = OperatorMatrix(layout, ops["a"].matrix + ops["a_dag"].matrix,
-                            hermitian=True, name="a+a_dag")
+    ops = elementary_operators(layout)
+    x_quad = OperatorMatrix(layout, ops["a"].matrix + ops["a_dag"].matrix, hermitian=True)
     x_plus = positive_frequency(x_quad, basis)
     c1_plus = positive_frequency(ops["sx1"], basis)
     c2_plus = positive_frequency(ops["sx2"], basis)
-    coll_plus = OperatorMatrix(layout, c1_plus.matrix + c2_plus.matrix,
-                               hermitian=False, name="C1^+ + C2^+")
-
-    def chan(label, rate, plus):
-        return JumpChannel(label=label, rate=rate, operator_plus=plus,
-                           operator_minus=plus.dagger())
-
-    return [
-        chan("cavity", p.kappa, x_plus),
-        chan("qubit1", p.gamma1, c1_plus),
-        chan("qubit2", p.gamma2, c2_plus),
-        chan("collective", p.gamma_c / 2.0, coll_plus),
-    ]
+    plus_stack = np.stack([x_plus, c1_plus, c2_plus, c1_plus + c2_plus])
+    return plus_stack, np.array([p.kappa, p.gamma1, p.gamma2, p.gamma_c / 2.0])

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
+from .dressed import CHANNEL_LABELS
 from .errors import ConfigError, NumericalInconsistencyError, TimestepError
 from .mcwf import (
     DEFAULT_DT,
@@ -291,14 +292,10 @@ def _sample_grouped(
         m = _select_channel(dp_col, eps_prime)
         if dp_col[m] / (dt * rates[m]) < JUMP_NORM_FLOOR**2:
             raise NumericalInconsistencyError(
-                f"channel {system.channels[m].label} selected with vanishing amplitude"
+                f"channel {CHANNEL_LABELS[m]} selected with vanishing amplitude"
             )
         jumps.append(
-            JumpEvent(
-                time=(hit + 1) * dt,
-                channel=system.channels[m].label,
-                pre_jump_norm_probabilities=dp_col.copy(),
-            )
+            JumpEvent(time=(hit + 1) * dt, channel=m, pre_jump_norm_probabilities=dp_col.copy())
         )
         fid = int(flow.image_flow[m])
         k = hit + 1
@@ -344,11 +341,11 @@ def run_ensemble(
     if n_trajectories < 1:
         raise ConfigError("n_trajectories must be >= 1")
     psi0 = _prepare(psi0, system)
+    n_steps, rec_steps = step_grid(t_final, dt, record_every)
 
     flows = None
     if method in ("auto", "grouped"):
         propagator = expm(-1j * system.h_nh * dt)
-        n_steps, rec_steps = step_grid(t_final, dt, record_every)
         try:
             flows = _discover_flows(psi0, system, propagator, n_steps, dt)
         except _Ungroupable:
@@ -376,4 +373,4 @@ def run_ensemble(
             )
             for i in range(n_trajectories)
         )
-    return collect(records, n_trajectories)
+    return collect(records, n_trajectories, n_steps * dt)

@@ -74,10 +74,6 @@ class OperatorMatrix:
                     f"operator {self.name or '<unnamed>'} flagged hermitian but max |M - M^dag| = {asym:.3e}"
                 )
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.layout, self.matrix.conj().T, self.hermitian,
-                              name=self.name + "^dag" if self.name else "")
-
 
 def build_layout(n_fock: int) -> BasisLayout:
     """Validate the truncation and return the index layout.

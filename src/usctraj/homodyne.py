@@ -32,6 +32,10 @@ a time: that block's threshold words, and enough noise words for every step
 of it to be diffusive, starting at the number of noise words consumed so
 far.  Words a jump leaves unread are read again by the next block, so memory
 does not grow with the length of the run.
+
+Channels are positions in ``CHANNEL_LABELS``: the monitored ones contribute
+their (S^+ row, rate) pairs to the diffusive increment, the others their
+rows of the S^+ stack to the jump rule.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .dressed import JumpChannel
+from .dressed import CHANNEL_LABELS
 from .errors import ConfigError
 from .mcwf import (
     JumpEvent,
@@ -67,22 +71,22 @@ _WORD_BLOCK = 4096
 def _diffusive_increment(
     psi: np.ndarray,
     dt: float,
-    channels: list[JumpChannel],
+    monitored: list[tuple[np.ndarray, float]],
     dw: np.ndarray,
     drift_mode: str,
 ) -> np.ndarray:
-    """Sum over monitored channels of the back-action term added to psi."""
+    """Sum over the monitored (S^+, rate) pairs of the back-action term added to psi."""
     out = np.zeros_like(psi)
-    for c, w in zip(channels, dw):
-        amp = c.operator_plus.matrix @ psi
+    for (plus, rate), w in zip(monitored, dw):
+        amp = plus @ psi
         z = np.vdot(psi, amp)  # <S+>
         if drift_mode == "qsd":
             x = 2.0 * z.real  # <S- + S+>
-            out += (c.rate * x * dt + np.sqrt(c.rate) * w) * amp
+            out += (rate * x * dt + np.sqrt(rate) * w) * amp
         else:
             minus_minus_plus = np.conj(z) - z  # <S- - S+>, purely imaginary
-            drift = c.rate**2 * minus_minus_plus
-            out += -0.5 * (drift * dt + c.rate * w) * amp
+            drift = rate**2 * minus_minus_plus
+            out += -0.5 * (drift * dt + rate * w) * amp
     return out
 
 
@@ -110,14 +114,16 @@ def run_trajectory_homodyne(
     if drift_mode not in DRIFT_MODES:
         raise ConfigError(f"drift_mode must be one of {DRIFT_MODES}")
     psi = _prepare(psi0, system)
-    labels = [c.label for c in system.channels]
     if homodyne_channels is None:
-        homodyne_channels = tuple(labels)
-    unknown = set(homodyne_channels) - set(labels)
+        homodyne_channels = CHANNEL_LABELS
+    unknown = set(homodyne_channels) - set(CHANNEL_LABELS)
     if unknown:
         raise ConfigError(f"unknown homodyne channels {sorted(unknown)}")
-    hom = [c for c in system.channels if c.label in homodyne_channels]
-    jump_idx = [i for i, label in enumerate(labels) if label not in homodyne_channels]
+    hom = [
+        (system.plus_stack[m], float(system.rates[m]))
+        for m, label in enumerate(CHANNEL_LABELS) if label in homodyne_channels
+    ]
+    jump_idx = [m for m, label in enumerate(CHANNEL_LABELS) if label not in homodyne_channels]
     jump_stack, jump_rates = system.plus_stack[jump_idx], system.rates[jump_idx]
 
     propagator = expm(-1j * system.h_nh * dt)
@@ -155,13 +161,14 @@ def run_trajectory_homodyne(
             if dp.sum() > thresholds[i]:
                 eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
                 m = _select_channel(dp, eps_prime)
-                label = labels[jump_idx[m]]
-                psi = _collapse(amps, m, label)
-                dp_all = np.zeros(len(labels))
+                psi = _collapse(amps[m], jump_idx[m])
+                dp_all = np.zeros(len(CHANNEL_LABELS))
                 dp_all[jump_idx] = dp
                 jumps.append(
                     JumpEvent(
-                        time=(k + 1) * dt, channel=label, pre_jump_norm_probabilities=dp_all
+                        time=(k + 1) * dt,
+                        channel=jump_idx[m],
+                        pre_jump_norm_probabilities=dp_all,
                     )
                 )
                 continue

@@ -41,7 +41,7 @@ from .errors import (
     IntegratorInstabilityError,
 )
 from .hilbert import BasisLayout
-from .system import TOP_FOCK, DissipativeSystem, step_grid
+from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
 
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
@@ -52,8 +52,8 @@ POSITIVITY_GUARD = -1e-6
 
 DEFAULT_DT = 0.5
 
-# Steps between full eigenvalue checks during integration; trace and
-# Hermiticity are cheap and checked every step.
+# Steps between full eigenvalue checks during integration; the last step
+# is always checked.  Trace and Hermiticity are cheap and checked every step.
 POSITIVITY_INTERVAL = 200
 
 
@@ -173,20 +173,19 @@ def evolve_lme(
     IntegratorInstabilityError
         If the trace leaves 1 by more than ``TRACE_TOL``, Hermiticity
         degrades past ``HERMITICITY_TOL``, or an eigenvalue falls below
-        ``POSITIVITY_GUARD`` at a periodic check.
+        ``POSITIVITY_GUARD`` at a periodic check or after the last step.
     """
     r = _as_matrix(rho0).copy()
     hm = system.hamiltonian.matrix
     plus, rates, decay = _generator_parts(r, system)
     # Observable matrices S^- S^+ per recorded channel (unweighted by rate).
-    obs_labels = [c.label for c in system.channels[:3]]
     obs = np.stack([p.conj().T @ p for p in plus[:3]])
 
     energies, modes = np.linalg.eigh(0.5 * (hm + hm.conj().T))
     u_half = (modes * np.exp(-0.5j * dt * energies)) @ modes.conj().T
 
     n_steps, rec_steps = step_grid(t_final, dt, record_every)
-    series = np.empty((len(rec_steps), len(obs_labels)))
+    series = np.empty((len(rec_steps), len(OBSERVABLE_LABELS)))
 
     rec = 0
     peak = 0.0
@@ -215,7 +214,7 @@ def evolve_lme(
             raise IntegratorInstabilityError(
                 f"Hermiticity degraded to {herm:.3e} at t = {(k + 1) * dt:g}"
             )
-        if (k + 1) % POSITIVITY_INTERVAL == 0:
+        if (k + 1) % POSITIVITY_INTERVAL == 0 or k + 1 == n_steps:
             lo = np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min()
             if lo < POSITIVITY_GUARD:
                 raise IntegratorInstabilityError(
@@ -223,7 +222,7 @@ def evolve_lme(
                     f"t = {(k + 1) * dt:g}"
                 )
 
-    expectations = {lbl: series[:, i] for i, lbl in enumerate(obs_labels)}
+    expectations = {lbl: series[:, i] for i, lbl in enumerate(OBSERVABLE_LABELS)}
     return ExpectationSeries(
         time_grid=rec_steps * dt, expectations=expectations, final_matrix=r,
         top_fock_peak=peak,

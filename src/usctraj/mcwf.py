@@ -61,10 +61,14 @@ _SUM_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class JumpEvent:
-    """One recorded quantum jump."""
+    """One recorded quantum jump through channel ``CHANNEL_LABELS[channel]``.
+
+    ``pre_jump_norm_probabilities`` holds every channel's jump probability
+    of the step, in the same order.
+    """
 
     time: float
-    channel: str
+    channel: int
     pre_jump_norm_probabilities: np.ndarray
 
     def __post_init__(self):
@@ -99,10 +103,14 @@ class EnsembleResult:
     ``time_grid``; ``final_states`` is (N, d).  Jump q came from trajectory
     ``jump_traj[q]`` at ``jump_time[q]`` through ``CHANNEL_LABELS[jump_channel[q]]``,
     with every channel's pre-jump probability in ``jump_dp[q]``; jumps are
-    ordered by trajectory, then time.  ``top_fock_peak`` is the largest of all.
+    ordered by trajectory, then time.  ``horizon`` is the time of the last
+    step, n_steps * dt: jumps land up to it, later than the last sample when
+    the recording stride does not divide the step count.  ``top_fock_peak``
+    is the largest of all.
     """
 
     time_grid: np.ndarray
+    horizon: float
     expectations: np.ndarray
     final_states: np.ndarray
     jump_traj: np.ndarray
@@ -116,8 +124,8 @@ class EnsembleResult:
         return self.expectations.shape[1]
 
 
-def collect(records: Iterable[TrajectoryRecord], n: int) -> EnsembleResult:
-    """The EnsembleResult of n trajectory records that share one time grid.
+def collect(records: Iterable[TrajectoryRecord], n: int, horizon: float) -> EnsembleResult:
+    """The EnsembleResult of n trajectory records that share one time grid and horizon.
 
     Records are consumed one at a time into preallocated rows, so a
     generator keeps at most one record alive.
@@ -133,13 +141,13 @@ def collect(records: Iterable[TrajectoryRecord], n: int) -> EnsembleResult:
         series[:, i] = [rec.expectations[label] for label in OBSERVABLE_LABELS]
         finals[i] = rec.final_state
         peak = max(peak, rec.top_fock_peak)
-        jumps += [(i, j.time, CHANNEL_LABELS.index(j.channel), j.pre_jump_norm_probabilities)
-                  for j in rec.jumps]
+        jumps += [(i, j.time, j.channel, j.pre_jump_norm_probabilities) for j in rec.jumps]
     if i < 0 or i + 1 != n:
         raise ConfigError(f"expected {n} >= 1 trajectories, got {i + 1}")
     traj, times, channels, dps = zip(*jumps) if jumps else ((), (), (), ())
     return EnsembleResult(
         time_grid=grid,
+        horizon=horizon,
         expectations=series,
         final_states=finals,
         jump_traj=np.array(traj, dtype=int),
@@ -188,13 +196,12 @@ def _top_fock(states: np.ndarray) -> np.ndarray:
     return np.einsum("kd,kd->k", tail.conj(), tail).real
 
 
-def _collapse(amps: np.ndarray, m: int, label: str) -> np.ndarray:
-    """The normalized post-jump state S^+_m psi from the amplitude rows."""
-    phi = amps[m]
+def _collapse(phi: np.ndarray, m: int) -> np.ndarray:
+    """The normalized post-jump state from the amplitude phi = S^+_m psi."""
     norm = _norm(phi)
     if norm < JUMP_NORM_FLOOR:
         raise NumericalInconsistencyError(
-            f"channel {label} selected but ||S^+ psi|| = {norm:.3e}"
+            f"channel {CHANNEL_LABELS[m]} selected but ||S^+ psi|| = {norm:.3e}"
         )
     return phi / norm
 
@@ -353,14 +360,10 @@ def run_trajectory(
             fired_amps = _chunk_amplitudes(block[fired : fired + 1], plus_stack)[0][0]
         else:
             fired_amps = amps[fired]
-        psi = _collapse(fired_amps, m, system.channels[m].label)
+        psi = _collapse(fired_amps[m], m)
         k += fired + 1
         jumps.append(
-            JumpEvent(
-                time=k * dt,
-                channel=system.channels[m].label,
-                pre_jump_norm_probabilities=dp[fired].copy(),
-            )
+            JumpEvent(time=k * dt, channel=m, pre_jump_norm_probabilities=dp[fired].copy())
         )
         size = _STEP_CHUNK0
 

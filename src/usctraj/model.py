@@ -89,16 +89,6 @@ class SystemParams:
     def omega_q2(self) -> float:
         return self.omega0 - self.delta
 
-    @property
-    def rates(self) -> dict[str, float]:
-        """Decay rates keyed by channel label (collective carries gamma_c/2)."""
-        return {
-            "cavity": self.kappa,
-            "qubit1": self.gamma1,
-            "qubit2": self.gamma2,
-            "collective": self.gamma_c / 2.0,
-        }
-
 
 @dataclass(frozen=True)
 class EffectiveCouplings:

@@ -8,11 +8,13 @@ that histogram expose dynamics that the unconditional average washes
 out.
 
 Both histograms read the jump columns of an ``EnsembleResult`` and count
-with one ``np.bincount`` over (channel, bin).
+with one ``np.bincount`` over (channel, bin).  Their bin edges run to the
+run's horizon, the time of its last step, so a jump after the last
+recorded sample is still counted.
 
 Aggregation is a commutative monoid: histograms with identical edges
-and channel labels merge by adding counts, so histograms of separate
-batches of trajectories can combine in any order.
+merge by adding counts, so histograms of separate batches of trajectories
+can combine in any order.
 """
 
 from __future__ import annotations
@@ -33,15 +35,14 @@ NORMALIZATION_MODES = ("per-bin", "per-channel-total", "absolute")
 class JumpHistogram:
     """Per-channel jump-time counts on contiguous bins.
 
-    ``counts[m, b]`` is the number of qualifying events from channel m in
-    bin b; ``trajectory_count`` is the number of trajectories that
-    contributed one event each.  A histogram whose trigger never fired is
-    valid, with no counts.
+    ``counts[m, b]`` is the number of qualifying events from channel
+    ``CHANNEL_LABELS[m]`` in bin b; ``trajectory_count`` is the number of
+    trajectories that contributed one event each.  A histogram whose trigger
+    never fired is valid, with no counts.
     """
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    channel_labels: tuple[str, ...]
     trajectory_count: int
 
     def __post_init__(self):
@@ -49,10 +50,10 @@ class JumpHistogram:
         counts = np.asarray(self.counts)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
-        if counts.shape != (len(self.channel_labels), edges.size - 1):
+        if counts.shape != (len(CHANNEL_LABELS), edges.size - 1):
             raise DimensionMismatchError(
                 f"counts shape {counts.shape} does not match "
-                f"{len(self.channel_labels)} channels x {edges.size - 1} bins"
+                f"{len(CHANNEL_LABELS)} channels x {edges.size - 1} bins"
             )
         if np.any(np.diff(edges) <= 0):
             raise ConfigError("bin edges must be strictly increasing")
@@ -82,8 +83,6 @@ class JumpHistogram:
 
     def merge(self, other: "JumpHistogram") -> "JumpHistogram":
         """Combine counts from a disjoint set of trajectories."""
-        if self.channel_labels != other.channel_labels:
-            raise ConfigError("cannot merge histograms with different channels")
         if self.bin_edges.shape != other.bin_edges.shape or not np.array_equal(
             self.bin_edges, other.bin_edges
         ):
@@ -91,7 +90,6 @@ class JumpHistogram:
         return JumpHistogram(
             bin_edges=self.bin_edges,
             counts=self.counts + other.counts,
-            channel_labels=self.channel_labels,
             trajectory_count=self.trajectory_count + other.trajectory_count,
         )
 
@@ -117,7 +115,6 @@ def _histogram(times: np.ndarray, channels: np.ndarray, edges: np.ndarray) -> Ju
     return JumpHistogram(
         bin_edges=edges,
         counts=counts,
-        channel_labels=CHANNEL_LABELS,
         trajectory_count=int(inside.sum()),
     )
 
@@ -138,7 +135,7 @@ def first_jump_histogram(
     unknown = set(channels_filter) - set(CHANNEL_LABELS)
     if unknown:
         raise ConfigError(f"unknown channels in filter: {sorted(unknown)}")
-    edges = _edges(float(result.time_grid[-1]), bin_width)
+    edges = _edges(result.horizon, bin_width)
     detected = np.flatnonzero(
         np.isin(result.jump_channel, [CHANNEL_LABELS.index(c) for c in channels_filter])
     )
@@ -161,7 +158,7 @@ def conditional_second_jump_histogram(
     """
     if trigger_channel not in CHANNEL_LABELS:
         raise ConfigError(f"unknown trigger channel {trigger_channel!r}")
-    edges = _edges(float(result.time_grid[-1]), bin_width)
+    edges = _edges(result.horizon, bin_width)
     traj, channel, time = result.jump_traj, result.jump_channel, result.jump_time
     followed = np.append(traj[1:] == traj[:-1], False)  # by a jump of its trajectory
     first = np.flatnonzero(np.diff(traj, prepend=-1))
@@ -176,7 +173,7 @@ def write_histogram_csv(hist: JumpHistogram, fh: TextIO, mode: str = "per-bin") 
     and the number of contributing trajectories.
     """
     values = hist.ratios(mode)
-    cols = ["bin_start", "bin_end"] + [f"{m}_{mode}" for m in hist.channel_labels]
+    cols = ["bin_start", "bin_end"] + [f"{m}_{mode}" for m in CHANNEL_LABELS]
     fh.write("# " + ",".join(cols) + "\n")
     fh.write(f"# trajectories={hist.trajectory_count}\n")
     fmt = "%.17g" if mode == "absolute" else "%.10g"

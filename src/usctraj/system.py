@@ -2,10 +2,11 @@
 
 Every engine takes a ``DissipativeSystem`` first and steps on ``step_grid``.
 It holds the chosen Hamiltonian (full or effective), its dressed basis, the
-four jump channels dressed in that same basis, the non-Hermitian matrix
-driving the no-jump evolution, and named initial states.  Jump operators
-always come from the Hamiltonian that also generates the coherent dynamics;
-mixing the two pictures would let a "jump" raise the energy.
+S^+ stack and rate vector of the four jump channels dressed in that same
+basis (channel m is row m, in ``CHANNEL_LABELS`` order), the non-Hermitian
+matrix driving the no-jump evolution, and named initial states.  Jump
+operators always come from the Hamiltonian that also generates the coherent
+dynamics; mixing the two pictures would let a "jump" raise the energy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dressed import DressedBasis, JumpChannel, diagonalize, jump_channels
+from .dressed import DressedBasis, diagonalize, jump_channels
 from .errors import ConfigError
 from .hilbert import BasisLayout, OperatorMatrix, build_layout
 from .model import SystemParams, effective_hamiltonian, full_hamiltonian
@@ -38,11 +39,9 @@ def step_grid(t_final: float, dt: float, record_every: int) -> tuple[int, np.nda
     return n_steps, np.arange(0, n_steps + 1, record_every)
 
 
-def non_hermitian_matrix(h: np.ndarray, channels: list[JumpChannel]) -> np.ndarray:
+def non_hermitian_matrix(h: np.ndarray, plus: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """H - (i/2) sum_m gamma_m S^-_m S^+_m as a plain matrix."""
-    decay = sum(
-        c.rate * (c.operator_minus.matrix @ c.operator_plus.matrix) for c in channels
-    )
+    decay = sum(rate * (s.conj().T @ s) for s, rate in zip(plus, rates))
     return h - 0.5j * decay
 
 
@@ -51,16 +50,16 @@ class DissipativeSystem:
     """Immutable bundle shared by the MCWF, homodyne, and Lindblad engines.
 
     ``plus_stack`` stacks the four channel S^+ matrices as an array with
-    shape (4, dim, dim) in the fixed channel order (cavity, qubit1, qubit2,
+    shape (4, dim, dim) in ``CHANNEL_LABELS`` order (cavity, qubit1, qubit2,
     collective); ``rates`` holds the matching rates.  The first three rows
-    double as the recorded observables <S^- S^+> = ||S^+ psi||^2.
+    double as the recorded observables <S^- S^+> = ||S^+ psi||^2, so
+    ``OBSERVABLE_LABELS`` is ``CHANNEL_LABELS[:3]``.
     """
 
     params: SystemParams
     layout: BasisLayout
     hamiltonian: OperatorMatrix
     basis: DressedBasis
-    channels: tuple[JumpChannel, ...]
     h_nh: np.ndarray
     plus_stack: np.ndarray
     rates: np.ndarray
@@ -115,16 +114,13 @@ def build_system(
     else:
         h = effective_hamiltonian(p, layout, include_qubit_exchange)
     basis = diagonalize(h)
-    channels = tuple(jump_channels(p, basis))
-    plus_stack = np.stack([c.operator_plus.matrix for c in channels])
-    rates = np.array([c.rate for c in channels])
+    plus_stack, rates = jump_channels(p, basis)
     return DissipativeSystem(
         params=p,
         layout=layout,
         hamiltonian=h,
         basis=basis,
-        channels=channels,
-        h_nh=non_hermitian_matrix(h.matrix, list(channels)),
+        h_nh=non_hermitian_matrix(h.matrix, plus_stack, rates),
         plus_stack=plus_stack,
         rates=rates,
     )

@@ -60,9 +60,9 @@ def run_with_records(monkeypatch):
     def run(*args, **kwargs):
         records = []
 
-        def keep(rows, n):
+        def keep(rows, n, horizon):
             records.extend(rows)
-            return collect(records, n)
+            return collect(records, n, horizon)
 
         monkeypatch.setattr(ensemble, "collect", keep)
         return ensemble.run_ensemble(*args, **kwargs), records

@@ -124,7 +124,7 @@ def emission_hist_fit():
         record_every=1000, method="grouped",
     )
     hist = first_jump_histogram(result, 200.0)
-    idx = {label: i for i, label in enumerate(hist.channel_labels)}
+    idx = {label: i for i, label in enumerate(CHANNEL_LABELS)}
     counts = hist.counts[idx["cavity"]].astype(float)
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     eta = eta_parameter(p).real
@@ -345,14 +345,14 @@ def test_criterion_03_oracle_equivalence(announce):
 
 
 def test_criterion_04_jump_projections(announce, system_eff, layout6):
-    channels = {c.label: c for c in system_eff.channels}
+    channels = dict(zip(CHANNEL_LABELS, system_eff.plus_stack))
     idx = layout6.index
     dim = layout6.dimension
 
     psi = np.zeros(dim, dtype=complex)
     psi[idx(1, 0, 0)] = np.cos(0.7)
     psi[idx(0, 1, 1)] = -1.0j * np.sin(0.7)
-    out = channels["qubit1"].operator_plus.matrix @ psi
+    out = channels["qubit1"] @ psi
     out = out / np.linalg.norm(out)
     target = np.zeros(dim, dtype=complex)
     target[idx(0, 0, 1)] = -1.0j
@@ -361,7 +361,7 @@ def test_criterion_04_jump_projections(announce, system_eff, layout6):
 
     psi2 = np.zeros(dim, dtype=complex)
     psi2[idx(0, 1, 1)] = -1.0j
-    out2 = channels["collective"].operator_plus.matrix @ psi2
+    out2 = channels["collective"] @ psi2
     out2 = out2 / np.linalg.norm(out2)
     target2 = np.zeros(dim, dtype=complex)
     target2[idx(0, 0, 1)] = -1.0j / np.sqrt(2.0)
@@ -387,8 +387,8 @@ def test_criterion_05_dark_ground_state(announce, layout10):
     system = build_system(p, n_fock=10, hamiltonian="full")
     gs = system.basis.ground_state
     worst_prob = max(
-        float(np.linalg.norm(c.operator_plus.matrix @ gs) ** 2)
-        for c in system.channels
+        float(np.linalg.norm(s_plus @ gs) ** 2)
+        for s_plus in system.plus_stack
     )
     projector = np.outer(gs, gs.conj())
     rhs = lindblad_rhs(projector, system)
@@ -410,7 +410,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
     rec = run_trajectory(
         system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=11,
     )
-    assert len(rec.jumps) == 1 and rec.jumps[0].channel == "qubit1"
+    assert len(rec.jumps) == 1 and CHANNEL_LABELS[rec.jumps[0].channel] == "qubit1"
     t1 = rec.jumps[0].time
     assert abs(t1 - 1019.0) < 1e-9
     sel = rec.time_grid >= t1
@@ -427,7 +427,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
         rec_d = run_trajectory(
             system_d, system_d.initial_state("1gg"), 3000.0, dt=0.5, seed=seed,
         )
-        assert len(rec_d.jumps) == 1 and rec_d.jumps[0].channel == channel
+        assert len(rec_d.jumps) == 1 and CHANNEL_LABELS[rec_d.jumps[0].channel] == channel
         assert abs(rec_d.jumps[0].time - t_jump) < 1e-9
         sel_d = rec_d.time_grid >= rec_d.jumps[0].time
         for label in ("qubit1", "qubit2"):
@@ -441,7 +441,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
     rec_c = run_trajectory(
         system_c, system_c.initial_state("1gg"), 8000.0, dt=0.5, seed=4,
     )
-    assert len(rec_c.jumps) == 1 and rec_c.jumps[0].channel == "collective"
+    assert len(rec_c.jumps) == 1 and CHANNEL_LABELS[rec_c.jumps[0].channel] == "collective"
     assert abs(rec_c.jumps[0].time - 2243.5) < 1e-9
     sel_c = rec_c.time_grid >= rec_c.jumps[0].time
     bright_dev = max(
@@ -463,7 +463,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
         rec_i = run_trajectory(
             system_i, system_i.initial_state("1gg"), 8000.0, dt=0.5, seed=4,
         )
-        assert rec_i.jumps and rec_i.jumps[0].channel == "collective"
+        assert rec_i.jumps and CHANNEL_LABELS[rec_i.jumps[0].channel] == "collective"
         sel_i = rec_i.time_grid >= rec_i.jumps[0].time
         q1 = rec_i.expectations["qubit1"][sel_i]
         q2 = rec_i.expectations["qubit2"][sel_i]
@@ -496,7 +496,7 @@ def test_criterion_07_histograms(announce, emission_hist_fit, exchange_hist,
     eta_dev = abs(eta_fit - eta) / eta
 
     hist, p_b = exchange_hist
-    idx = {label: i for i, label in enumerate(hist.channel_labels)}
+    idx = {label: i for i, label in enumerate(CHANNEL_LABELS)}
     q2 = hist.counts[idx["qubit2"]].astype(float)
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     om2 = abs(effective_couplings(p_b).omega2)
@@ -556,7 +556,7 @@ def test_criterion_08_unravelling_equivalence(announce, full_mean_comparison,
         for label in ("cavity", "qubit1", "qubit2")
     )
     hist, _ = exchange_hist
-    idx = {label: i for i, label in enumerate(hist.channel_labels)}
+    idx = {label: i for i, label in enumerate(CHANNEL_LABELS)}
     hist_band = band_fraction(hist.counts[idx["qubit2"]].astype(float), 50.0, 0.018, 0.022)
 
     ok = worst_ratio <= 1.0 and lme_band < 1e-4 and hist_band > 0.2
@@ -595,8 +595,8 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
         system_m, system_m.initial_state("0ee"), 2500.0, dt=0.1, seed=1,
         record_every=5, homodyne_channels=("cavity",), drift_mode="as-printed",
     )
-    qjumps = [j for j in rec_m.jumps if j.channel in ("qubit1", "qubit2")]
-    cavity_jumps = [j for j in rec_m.jumps if j.channel == "cavity"]
+    qjumps = [j for j in rec_m.jumps if CHANNEL_LABELS[j.channel] in ("qubit1", "qubit2")]
+    cavity_jumps = [j for j in rec_m.jumps if CHANNEL_LABELS[j.channel] == "cavity"]
     assert qjumps and not cavity_jumps
     t1 = qjumps[0].time
     t2 = qjumps[1].time if len(qjumps) > 1 else rec_m.time_grid[-1]
@@ -641,8 +641,7 @@ def test_criterion_10_property_suite(announce, p_paper_rates, system_eff,
     basis = system_full10.basis
     min_eig = 0.0
     max_lower = 0.0
-    for c in system_full10.channels:
-        sp = c.operator_plus.matrix
+    for sp in system_full10.plus_stack:
         min_eig = min(min_eig, float(np.linalg.eigvalsh(sp.conj().T @ sp).min()))
         dressed = basis.eigenvectors.conj().T @ sp @ basis.eigenvectors
         max_lower = max(max_lower, float(np.max(np.abs(np.tril(dressed)))))
@@ -651,7 +650,7 @@ def test_criterion_10_property_suite(announce, p_paper_rates, system_eff,
     # annihilation operator, the qubit channels to the bare lowerings.
     p_bare = SystemParams(g=1e-6, kappa=4e-5, gamma1=4e-5, gamma2=4e-5)
     system_bare = build_system(p_bare, n_fock=6, hamiltonian="full")
-    bare = {c.label: c.operator_plus.matrix for c in system_bare.channels}
+    bare = dict(zip(CHANNEL_LABELS, system_bare.plus_stack))
     a_op = np.zeros((layout6.dimension, layout6.dimension))
     sm1 = np.zeros_like(a_op)
     for n in range(6):

@@ -13,6 +13,7 @@ from usctraj.dressed import (
 from usctraj.errors import HermiticityError
 from usctraj.hilbert import OperatorMatrix, build_layout, elementary_operators
 from usctraj.model import SystemParams, full_hamiltonian
+from usctraj.system import OBSERVABLE_LABELS
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,7 @@ def test_positive_frequency_is_strictly_lowering(dressed_default):
     s_plus = positive_frequency(x_quad, basis)
     # in the energy-ordered dressed basis the operator must be strictly
     # upper triangular: it only connects higher levels to lower ones
-    dressed_mat = basis.to_dressed(s_plus.matrix)
+    dressed_mat = basis.to_dressed(s_plus)
     assert np.max(np.abs(np.tril(dressed_mat))) < 1e-12
 
 
@@ -83,7 +84,7 @@ def test_positive_and_negative_parts_reassemble(dressed_default):
     ops = elementary_operators(layout)
     s = ops["sx1"]
     s_plus = positive_frequency(s, basis)
-    total = s_plus.matrix + s_plus.matrix.conj().T
+    total = s_plus + s_plus.conj().T
     # the dropped diagonal/degenerate block is all that can differ
     dressed_rest = basis.to_dressed(s.matrix - total)
     e = basis.eigenvalues
@@ -99,7 +100,7 @@ def test_positive_frequency_skips_degenerate_pairs():
     basis = diagonalize(full_hamiltonian(p, layout))
     ops = elementary_operators(layout)
     s_plus = positive_frequency(ops["sx1"], basis)
-    dressed_mat = basis.to_dressed(s_plus.matrix)
+    dressed_mat = basis.to_dressed(s_plus)
     e = basis.eigenvalues
     degenerate = np.abs(e[np.newaxis, :] - e[:, np.newaxis]) <= DEGENERACY_TOL
     assert np.max(np.abs(dressed_mat[degenerate])) < 1e-12
@@ -118,9 +119,10 @@ def test_channel_labels_rates_and_count():
         omega_c=1.98, kappa=1e-4, gamma1=2e-4, gamma2=3e-4, gamma_c=4e-4
     )
     basis = diagonalize(full_hamiltonian(p, layout))
-    channels = jump_channels(p, basis)
-    assert tuple(c.label for c in channels) == CHANNEL_LABELS
-    rates = {c.label: c.rate for c in channels}
+    plus, rate_vector = jump_channels(p, basis)
+    assert plus.shape == (len(CHANNEL_LABELS), layout.dimension, layout.dimension)
+    assert rate_vector.shape == (len(CHANNEL_LABELS),)
+    rates = dict(zip(CHANNEL_LABELS, rate_vector))
     assert rates["cavity"] == 1e-4
     assert rates["qubit1"] == 2e-4
     assert rates["qubit2"] == 3e-4
@@ -130,36 +132,40 @@ def test_channel_labels_rates_and_count():
 
 def test_zero_rate_channels_are_retained(dressed_default):
     _, p, basis = dressed_default
-    channels = jump_channels(p, basis)  # all rates zero by default
-    assert len(channels) == len(CHANNEL_LABELS)
-    assert all(c.rate == 0.0 for c in channels)
+    plus, rates = jump_channels(p, basis)  # all rates zero by default
+    assert len(plus) == len(rates) == len(CHANNEL_LABELS)
+    assert all(rate == 0.0 for rate in rates)
 
 
 def test_channel_minus_is_adjoint_of_plus(dressed_default):
-    _, _, basis = dressed_default
+    # S^- is the energy-raising part of the same quadrature, taken on its own
+    layout, _, basis = dressed_default
     p = SystemParams(omega_c=1.98, kappa=1e-4, gamma1=1e-4, gamma2=1e-4, gamma_c=1e-4)
-    for c in jump_channels(p, basis):
-        np.testing.assert_array_equal(
-            c.operator_minus.matrix, c.operator_plus.matrix.conj().T
-        )
+    ops = elementary_operators(layout)
+    quadratures = [ops["a"].matrix + ops["a_dag"].matrix, ops["sx1"].matrix,
+                   ops["sx2"].matrix, ops["sx1"].matrix + ops["sx2"].matrix]
+    e = basis.eigenvalues
+    raising = e[np.newaxis, :] < e[:, np.newaxis] - DEGENERACY_TOL
+    plus, _ = jump_channels(p, basis)
+    for s_plus, quad in zip(plus, quadratures):
+        s_minus = basis.to_product(np.where(raising, basis.to_dressed(quad), 0.0))
+        np.testing.assert_allclose(s_minus, s_plus.conj().T, rtol=0, atol=1e-12)
 
 
 def test_collective_channel_is_sum_of_local_ones(dressed_default):
     _, _, basis = dressed_default
     p = SystemParams(omega_c=1.98, gamma_c=1e-4)
-    channels = {c.label: c for c in jump_channels(p, basis)}
-    total = channels["qubit1"].operator_plus.matrix + channels["qubit2"].operator_plus.matrix
-    np.testing.assert_allclose(
-        channels["collective"].operator_plus.matrix, total, atol=1e-13
-    )
+    channels = dict(zip(CHANNEL_LABELS, jump_channels(p, basis)[0]))
+    total = channels["qubit1"] + channels["qubit2"]
+    np.testing.assert_allclose(channels["collective"], total, atol=1e-13)
 
 
 def test_ground_state_is_dark(dressed_default):
     _, _, basis = dressed_default
     p = SystemParams(omega_c=1.98, kappa=1e-4, gamma1=1e-4, gamma2=1e-4, gamma_c=1e-4)
     gs = basis.ground_state
-    for c in jump_channels(p, basis):
-        assert np.linalg.norm(c.operator_plus.matrix @ gs) < 1e-12
+    for s_plus in jump_channels(p, basis)[0]:
+        assert np.linalg.norm(s_plus @ gs) < 1e-12
 
 
 def test_loss_operators_are_positive_semidefinite(dressed_default):
@@ -167,8 +173,8 @@ def test_loss_operators_are_positive_semidefinite(dressed_default):
     # jump probability
     _, _, basis = dressed_default
     p = SystemParams(omega_c=1.98, kappa=1e-4, gamma1=1e-4, gamma2=1e-4, gamma_c=1e-4)
-    for c in jump_channels(p, basis):
-        m = c.operator_minus.matrix @ c.operator_plus.matrix
+    for s_plus in jump_channels(p, basis)[0]:
+        m = s_plus.conj().T @ s_plus
         evals = np.linalg.eigvalsh(m)
         assert evals.min() > -1e-12
 
@@ -179,13 +185,11 @@ def test_bare_limit_recovers_textbook_operators():
     layout = build_layout(5)
     p = SystemParams(g=1e-6, omega_c=2.0, kappa=1e-4, gamma1=1e-4, gamma2=1e-4)
     basis = diagonalize(full_hamiltonian(p, layout))
-    channels = {c.label: c for c in jump_channels(p, basis)}
+    channels = dict(zip(CHANNEL_LABELS, jump_channels(p, basis)[0]))
     ops = elementary_operators(layout)
-    np.testing.assert_allclose(
-        channels["cavity"].operator_plus.matrix, ops["a"].matrix, atol=1e-4
-    )
+    np.testing.assert_allclose(channels["cavity"], ops["a"].matrix, atol=1e-4)
     psi_e = layout.basis_state(0, 1, 0)
-    lowered = channels["qubit1"].operator_plus.matrix @ psi_e
+    lowered = channels["qubit1"] @ psi_e
     target = layout.basis_state(0, 0, 0)
     assert abs(np.vdot(target, lowered)) > 1 - 1e-4
     assert np.linalg.norm(lowered) == pytest.approx(1.0, abs=1e-4)
@@ -201,8 +205,8 @@ def test_local_jump_lands_in_single_qubit_excitation(system_eff):
     doubly = layout.basis_state(0, 1, 1)
     angle = 0.7
     psi = np.cos(angle) * pair - 1j * np.sin(angle) * doubly
-    q1 = next(c for c in sys.channels if c.label == "qubit1")
-    out = q1.operator_plus.matrix @ psi
+    q1 = sys.plus_stack[CHANNEL_LABELS.index("qubit1")]
+    out = q1 @ psi
     out /= np.linalg.norm(out)
     target = -1j * layout.basis_state(0, 0, 1)
     fidelity = abs(np.vdot(target, out)) ** 2
@@ -216,10 +220,15 @@ def test_collective_jump_prepares_symmetric_superposition(system_eff):
     layout = sys.layout
     doubly = layout.basis_state(0, 1, 1)
     psi = -1j * doubly
-    coll = next(c for c in sys.channels if c.label == "collective")
-    out = coll.operator_plus.matrix @ psi
+    coll = sys.plus_stack[CHANNEL_LABELS.index("collective")]
+    out = coll @ psi
     out /= np.linalg.norm(out)
     target = (-1j / np.sqrt(2)) * (
         layout.basis_state(0, 0, 1) + layout.basis_state(0, 1, 0)
     )
     assert abs(np.vdot(target, out)) ** 2 > 1 - 1e-10
+
+
+def test_observables_are_the_first_three_channels():
+    # the engines and the LME record rows 0..2 of the S^+ stack under these names
+    assert CHANNEL_LABELS[:3] == OBSERVABLE_LABELS

@@ -104,7 +104,7 @@ def test_operator_matrix_dagger_and_hermiticity_check():
     ops = elementary_operators(layout)
     a = ops["a"]
     assert not a.hermitian
-    np.testing.assert_array_equal(a.dagger().matrix, a.matrix.conj().T)
+    np.testing.assert_array_equal(ops["a_dag"].matrix, a.matrix.conj().T)
     with pytest.raises(HermiticityError):
         OperatorMatrix(layout, a.matrix, hermitian=True)
 

@@ -6,15 +6,10 @@ from scipy.linalg import expm
 
 from usctraj import homodyne, mcwf
 from usctraj.dressed import CHANNEL_LABELS
-from usctraj.errors import ConfigError, NumericalInconsistencyError
+from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
-from usctraj.homodyne import DRIFT_MODES, _diffusive_increment, run_trajectory_homodyne
-from usctraj.mcwf import (
-    _check_dp,
-    _jump_probabilities,
-    _select_channel,
-    run_trajectory,
-)
+from usctraj.homodyne import DRIFT_MODES, run_trajectory_homodyne
+from usctraj.mcwf import run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.rng import (
     PURPOSE_CHANNEL,
@@ -132,7 +127,7 @@ def test_mixed_detection_produces_jumps(hom_system):
             found = rec
             break
     assert found is not None, "no qubit jump in 40 seeds"
-    assert all(j.channel in ("qubit1", "qubit2") for j in found.jumps)
+    assert all(CHANNEL_LABELS[j.channel] in ("qubit1", "qubit2") for j in found.jumps)
     assert abs(np.linalg.norm(found.final_state) - 1.0) < 1e-12
 
 
@@ -174,12 +169,13 @@ def _reference_homodyne(
 
     Each random word is read by its own index: threshold k at step k,
     channel word q at the q-th jump, and the noise words in order of use.
+    Channel m is row m of the system's S^+ stack and rate vector.
     """
     psi = np.asarray(psi0, dtype=complex)
     if homodyne_channels is None:
-        homodyne_channels = tuple(c.label for c in system.channels)
-    hom = [c for c in system.channels if c.label in homodyne_channels]
-    jump = [c for c in system.channels if c.label not in homodyne_channels]
+        homodyne_channels = CHANNEL_LABELS
+    hom = [m for m, label in enumerate(CHANNEL_LABELS) if label in homodyne_channels]
+    jump = [m for m, label in enumerate(CHANNEL_LABELS) if label not in homodyne_channels]
     propagator = expm(-1j * system.h_nh * dt)
     n_steps = int(round(t_final / dt))
     rec_steps = np.arange(0, n_steps + 1, record_every)
@@ -197,20 +193,21 @@ def _reference_homodyne(
         if k == n_steps:
             break
         if jump:
-            plus_stack = np.stack([c.operator_plus.matrix for c in jump])
-            rates = np.array([c.rate for c in jump])
-            dp, amps = _jump_probabilities(psi, dt, plus_stack, rates)
-            _check_dp(dp)
+            amps = system.plus_stack[jump] @ psi
+            dp = dt * system.rates[jump] * np.einsum("md,md->m", amps.conj(), amps).real
+            if dp.max() >= mcwf.MAX_DP_PER_STEP or dp.sum() >= 1.0:
+                raise TimestepError(f"jump probabilities {dp} too large; reduce dt")
             if dp.sum() > uniform_words(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
                 eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
-                m = _select_channel(dp, eps_prime)
+                cum = np.cumsum(dp)
+                m = int(np.searchsorted(cum / cum[-1], eps_prime, side="right"))
                 norm = np.linalg.norm(amps[m])
                 if norm < mcwf.JUMP_NORM_FLOOR:
                     raise NumericalInconsistencyError(
-                        f"channel {jump[m].label} selected but ||S^+ psi|| = {norm:.3e}"
+                        f"channel {CHANNEL_LABELS[jump[m]]} selected but ||S^+ psi|| = {norm:.3e}"
                     )
                 psi = amps[m] / norm
-                jumps.append(((k + 1) * dt, jump[m].label, dp))
+                jumps.append(((k + 1) * dt, jump[m], dp))
                 continue
         if zero_noise:
             dw = np.zeros(len(hom))
@@ -220,7 +217,18 @@ def _reference_homodyne(
             dw = np.sqrt(dt) * np.array(words)
             drawn += len(hom)
         phi = propagator @ psi
-        phi = phi + _diffusive_increment(phi, dt, hom, dw, drift_mode)
+        back = np.zeros_like(phi)
+        for m, w in zip(hom, dw):
+            rate = float(system.rates[m])
+            amp = system.plus_stack[m] @ phi
+            z = np.vdot(phi, amp)
+            if drift_mode == "qsd":
+                x = 2.0 * z.real
+                back += (rate * x * dt + np.sqrt(rate) * w) * amp
+            else:
+                drift = rate**2 * (np.conj(z) - z)
+                back += -0.5 * (drift * dt + rate * w) * amp
+        phi = phi + back
         psi = phi / np.linalg.norm(phi)
     return series, jumps, psi, snapshots
 

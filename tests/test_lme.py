@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from usctraj.errors import DimensionMismatchError, HermiticityError
+from usctraj.errors import (
+    DimensionMismatchError,
+    HermiticityError,
+    IntegratorInstabilityError,
+)
 from usctraj.hilbert import build_layout
 from usctraj.lme import (
+    POSITIVITY_INTERVAL,
     DensityMatrix,
     density_from_state,
     evolve_lme,
@@ -146,3 +151,18 @@ def test_top_fock_peak_covers_every_step():
         tops.append(rho.diagonal()[-4:].real.sum())
     assert series.top_fock_peak == pytest.approx(max(tops), rel=1e-12)
     assert series.top_fock_peak > max(0.5, tops[0], tops[-1])
+
+
+def test_positivity_guard_checks_the_last_step():
+    # a trace-1 Hermitian start with a negative eigenvalue, which the weak
+    # dissipation keeps near -0.01: runs shorter than the check interval, or
+    # ending between two periodic checks, must still raise
+    system = build_system(
+        SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5), n_fock=3, hamiltonian="effective"
+    )
+    rho0 = np.zeros((system.dimension,) * 2, dtype=complex)
+    pair, doubly = system.layout.index(1, 0, 0), system.layout.index(0, 1, 1)
+    rho0[pair, pair], rho0[doubly, doubly] = 1.01, -0.01
+    for n_steps in (1, POSITIVITY_INTERVAL - 1, POSITIVITY_INTERVAL + 1):
+        with pytest.raises(IntegratorInstabilityError, match="positivity guard"):
+            evolve_lme(system, rho0, n_steps * 0.5, 0.5)

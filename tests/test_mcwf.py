@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from usctraj import mcwf
+from usctraj.dressed import CHANNEL_LABELS
 from usctraj.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -16,12 +17,10 @@ from usctraj.errors import (
 )
 from usctraj.hilbert import build_layout
 from usctraj.mcwf import (
+    MAX_DP_PER_STEP,
     JumpEvent,
     TrajectoryRecord,
-    _check_dp,
     _first_jump,
-    _jump_probabilities,
-    _select_channel,
     collect,
     ensemble_average,
     run_trajectory,
@@ -96,7 +95,7 @@ def test_cavity_jump_empties_the_system(system_eff):
     # a cavity click from the photon-pair flow lands in the true vacuum:
     # every observable must collapse to numerical zero afterwards
     rec = run_trajectory(system_eff, system_eff.initial_state("1gg"), 6000.0, dt=0.5, seed=1)
-    cavity_jumps = [j for j in rec.jumps if j.channel == "cavity"]
+    cavity_jumps = [j for j in rec.jumps if CHANNEL_LABELS[j.channel] == "cavity"]
     assert cavity_jumps, "seed expected to produce a cavity jump"
     t_jump = cavity_jumps[0].time
     after = rec.time_grid > t_jump
@@ -110,7 +109,7 @@ def test_local_jump_starts_exchange_oscillation(system_eff):
     rec = run_trajectory(
         system_eff, system_eff.initial_state("1gg"), 5000.0, dt=0.5, seed=11,
     )
-    q1_jumps = [j for j in rec.jumps if j.channel == "qubit1"]
+    q1_jumps = [j for j in rec.jumps if CHANNEL_LABELS[j.channel] == "qubit1"]
     assert q1_jumps, "seed expected to produce a qubit-1 jump"
     t_jump = q1_jumps[0].time
     window = (rec.time_grid > t_jump) & (rec.time_grid <= t_jump + 1000.0)
@@ -145,7 +144,7 @@ def test_halving_the_step_changes_little(balanced_params):
 
 def test_jump_event_validation():
     with pytest.raises(ValueError):
-        JumpEvent(time=-1.0, channel="cavity", pre_jump_norm_probabilities=np.zeros(4))
+        JumpEvent(time=-1.0, channel=0, pre_jump_norm_probabilities=np.zeros(4))
 
 
 def test_non_hermitian_hamiltonian_assembly(system_eff):
@@ -171,7 +170,7 @@ def test_ensemble_average_statistics():
             jumps=[], final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
         )
 
-    avg = ensemble_average(collect([make(1.0), make(3.0)], 2))
+    avg = ensemble_average(collect([make(1.0), make(3.0)], 2, 1.0))
     np.testing.assert_allclose(avg.means["cavity"], 2.0)
     # sample std with ddof=1 is sqrt(2); SE divides by sqrt(n)
     np.testing.assert_allclose(avg.standard_errors["cavity"], 1.0)
@@ -191,9 +190,9 @@ def test_ensemble_average_rejects_mismatched_grids():
         final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
     )
     with pytest.raises(Exception):
-        ensemble_average(collect([a, b], 2))
+        ensemble_average(collect([a, b], 2, 1.0))
     with pytest.raises(DimensionMismatchError, match="time grids differ"):
-        collect([a, b], 2)
+        collect([a, b], 2, 1.0)
 
 
 def test_collect_takes_exactly_n_records():
@@ -202,11 +201,11 @@ def test_collect_takes_exactly_n_records():
         expectations={"cavity": np.zeros(5), "qubit1": np.zeros(5), "qubit2": np.zeros(5)},
         jumps=[], final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
     )
-    assert collect(iter([rec, rec]), 2).n_trajectories == 2
+    assert collect(iter([rec, rec]), 2, 1.0).n_trajectories == 2
     with pytest.raises(ConfigError, match="got 0"):
-        collect(iter([]), 1)
+        collect(iter([]), 1, 1.0)
     with pytest.raises(ConfigError, match="got 1"):
-        collect([rec], 2)
+        collect([rec], 2, 1.0)
 
 
 def test_store_states_shape(system_eff):
@@ -224,7 +223,8 @@ def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every):
     """The direct engine one step at a time: (series, jumps, final, states).
 
     Each random word is read by its own index: threshold k at step k,
-    channel word q at the q-th jump.
+    channel word q at the q-th jump.  Channel m is row m of the system's
+    S^+ stack and rate vector.
     """
     psi = np.asarray(psi0, dtype=complex)
     propagator = expm(-1j * system.h_nh * dt)
@@ -243,16 +243,23 @@ def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every):
             rec_i += 1
         if k == n_steps:
             break
-        dp, amps = _jump_probabilities(psi, dt, plus_stack, rates)
-        _check_dp(dp)
+        amps = plus_stack @ psi
+        dp = dt * rates * np.einsum("md,md->m", amps.conj(), amps).real
+        if dp.max() >= MAX_DP_PER_STEP:
+            raise TimestepError(
+                f"per-channel jump probability {dp.max():.3g} >= {MAX_DP_PER_STEP}; reduce dt"
+            )
+        if dp.sum() >= 1.0:
+            raise TimestepError(f"total jump probability {dp.sum():.3g} >= 1; reduce dt")
         if dp.sum() <= uniform_words(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
             phi = propagator @ psi
             psi = phi / np.linalg.norm(phi)
         else:
             eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
-            m = _select_channel(dp, eps_prime)
+            cum = np.cumsum(dp)
+            m = int(np.searchsorted(cum / cum[-1], eps_prime, side="right"))
             psi = amps[m] / np.linalg.norm(amps[m])
-            jumps.append(((k + 1) * dt, system.channels[m].label, dp))
+            jumps.append(((k + 1) * dt, m, dp))
     return series, jumps, psi, snapshots
 
 

@@ -30,7 +30,9 @@ GRID = np.linspace(0.0, 100.0, 11)
 def make_record(jump_specs, series=None):
     """jump_specs: list of (time, channel); series: (3, 11) observables or zeros."""
     jumps = [
-        JumpEvent(time=t, channel=c, pre_jump_norm_probabilities=np.zeros(4))
+        JumpEvent(
+            time=t, channel=CHANNEL_LABELS.index(c), pre_jump_norm_probabilities=np.zeros(4)
+        )
         for t, c in jump_specs
     ]
     if series is None:
@@ -43,8 +45,8 @@ def make_record(jump_specs, series=None):
 
 
 def make_result(records):
-    """The ensemble of a list of records, built by the one constructor."""
-    return collect(records, len(records))
+    """The ensemble of a list of records on GRID, whose last point is the horizon."""
+    return collect(records, len(records), GRID[-1])
 
 
 def test_first_jump_binning_and_edges():
@@ -57,7 +59,7 @@ def test_first_jump_binning_and_edges():
     hist = first_jump_histogram(make_result(records), bin_width=10.0)
     assert hist.n_bins == 10
     assert hist.trajectory_count == 3
-    idx = {lbl: i for i, lbl in enumerate(hist.channel_labels)}
+    idx = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
     assert hist.counts[idx["cavity"], 0] == 1
     assert hist.counts[idx["qubit1"], 1] == 1
     assert hist.counts[idx["qubit2"], 9] == 1
@@ -74,7 +76,7 @@ def test_first_jump_channel_filter():
         make_result(records), 10.0, channels_filter=("qubit1", "qubit2")
     )
     assert hist.trajectory_count == 2
-    idx = {lbl: i for i, lbl in enumerate(hist.channel_labels)}
+    idx = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
     assert hist.counts[idx["qubit1"], 2] == 1
     assert hist.counts[idx["qubit1"], 1] == 1
     # ...whereas the cavity-covering detector stops at the cavity click
@@ -92,7 +94,7 @@ def test_conditional_histogram_clock_restart():
     ]
     hist = conditional_second_jump_histogram(make_result(records), "qubit1", 10.0)
     assert hist.trajectory_count == 2
-    idx = {lbl: i for i, lbl in enumerate(hist.channel_labels)}
+    idx = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
     assert hist.counts[idx["qubit2"], 2] == 1
     assert hist.counts[idx["cavity"], 0] == 1
 
@@ -119,7 +121,7 @@ def test_ratio_modes():
     np.testing.assert_allclose(sums[1], 1.0)
     assert sums[2:].max() == 0.0
     per_channel = hist.ratios("per-channel-total")
-    idx = {lbl: i for i, lbl in enumerate(hist.channel_labels)}
+    idx = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
     np.testing.assert_allclose(per_channel[idx["qubit1"]].sum(), 1.0)
     absolute = hist.ratios("absolute")
     np.testing.assert_array_equal(absolute, hist.counts.astype(float))
@@ -168,7 +170,6 @@ def test_validation_errors():
         JumpHistogram(
             bin_edges=np.array([0.0, 1.0]),
             counts=-np.ones((4, 1), dtype=np.int64),
-            channel_labels=CHANNEL_LABELS,
             trajectory_count=0,
         )
 
@@ -185,7 +186,7 @@ def test_csv_round_trip():
     assert lines[0].startswith("# bin_start,bin_end,")
     assert lines[1] == "# trajectories=2"
     data = np.loadtxt(io.StringIO("\n".join(lines[2:])), delimiter=",")
-    assert data.shape == (hist.n_bins, 2 + len(hist.channel_labels))
+    assert data.shape == (hist.n_bins, 2 + len(CHANNEL_LABELS))
     np.testing.assert_array_equal(data[:, 2:].T, hist.counts)
 
 
@@ -221,6 +222,29 @@ def test_survival_fraction_matches_rate(decay_records):
     assert abs(survivors - expected) < 4.0 * max(sigma, 1.0)
 
 
+def test_histograms_count_jumps_after_the_last_sample():
+    # record_every = 3 does not divide the 2000 steps: the last sample is at
+    # 999.0, but jumps land up to the last step at 1000.0, and every
+    # trajectory's first jump and clock-restart wait must still be counted
+    p = SystemParams(kappa=4e-4, gamma1=4e-4, gamma2=4e-4)
+    system = build_system(p, n_fock=4, hamiltonian="effective")
+    result = run_ensemble(
+        system, system.initial_state("1gg"), 1000.0, 20000, dt=0.5, master_seed=3,
+        record_every=3, method="grouped",
+    )
+    traj, channel = result.jump_traj, result.jump_channel
+    first = np.flatnonzero(np.diff(traj, prepend=-1))
+    assert result.time_grid[-1] == 999.0
+    assert np.any(result.jump_time[first] > 999.0)
+    followed = first[first + 1 < traj.size]
+    followed = followed[traj[followed + 1] == traj[followed]]
+    for width in (333.0, 999.0, 2000.0):
+        assert first_jump_histogram(result, width).trajectory_count == first.size
+        for m, trigger in enumerate(CHANNEL_LABELS):
+            hist = conditional_second_jump_histogram(result, trigger, width)
+            assert hist.trajectory_count == np.count_nonzero(channel[followed] == m)
+
+
 # ---------------------------------------------------------------------------
 # The per-record loops the columnar statistics replaced, kept as references.
 
@@ -232,37 +256,35 @@ def _reference_bin_index(t, edges):
     return min(int(np.searchsorted(edges, t, side="right")) - 1, edges.size - 2)
 
 
-def _reference_first_jump_histogram(records, bin_width, channels_filter=None):
+def _reference_first_jump_histogram(records, horizon, bin_width, channels_filter=None):
     if channels_filter is None:
         channels_filter = CHANNEL_LABELS
-    edges = _edges(float(records[0].time_grid[-1]), bin_width)
+    edges = _edges(horizon, bin_width)
     counts = np.zeros((len(CHANNEL_LABELS), edges.size - 1), dtype=np.int64)
     contributed = 0
-    index = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
     for r in records:
         for j in r.jumps:
-            if j.channel not in channels_filter:
+            if CHANNEL_LABELS[j.channel] not in channels_filter:
                 continue
             b = _reference_bin_index(j.time, edges)
             if b is not None:
-                counts[index[j.channel], b] += 1
+                counts[j.channel, b] += 1
                 contributed += 1
             break
     return edges, counts, contributed
 
 
-def _reference_conditional_histogram(records, trigger_channel, bin_width):
-    edges = _edges(float(records[0].time_grid[-1]), bin_width)
+def _reference_conditional_histogram(records, horizon, trigger_channel, bin_width):
+    edges = _edges(horizon, bin_width)
     counts = np.zeros((len(CHANNEL_LABELS), edges.size - 1), dtype=np.int64)
     contributed = 0
-    index = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
     for r in records:
-        if len(r.jumps) < 2 or r.jumps[0].channel != trigger_channel:
+        if len(r.jumps) < 2 or CHANNEL_LABELS[r.jumps[0].channel] != trigger_channel:
             continue
         second = r.jumps[1]
         b = _reference_bin_index(second.time - r.jumps[0].time, edges)
         if b is not None:
-            counts[index[second.channel], b] += 1
+            counts[second.channel, b] += 1
             contributed += 1
     return edges, counts, contributed
 
@@ -288,18 +310,21 @@ def _assert_same_histogram(hist, reference):
     assert hist.trajectory_count == contributed
 
 
-def _assert_matches_the_loops(records, result, bin_widths, filters=(None,)):
-    """Histograms, means and SEs of ``result`` equal the per-record loops'."""
+def _assert_matches_the_loops(records, result, horizon, bin_widths, filters=(None,)):
+    """Histograms, means and SEs of ``result`` equal the per-record loops'.
+
+    ``horizon`` is the time of the runs' last step, where the bins end.
+    """
     for width in bin_widths:
         for channels in filters:
             _assert_same_histogram(
                 first_jump_histogram(result, width, channels_filter=channels),
-                _reference_first_jump_histogram(records, width, channels),
+                _reference_first_jump_histogram(records, horizon, width, channels),
             )
         for trigger in CHANNEL_LABELS:
             _assert_same_histogram(
                 conditional_second_jump_histogram(result, trigger, width),
-                _reference_conditional_histogram(records, trigger, width),
+                _reference_conditional_histogram(records, horizon, trigger, width),
             )
     avg = ensemble_average(result)
     means, errors = _reference_ensemble_average(records)
@@ -336,7 +361,8 @@ def test_columnar_statistics_equal_the_record_loops_on_an_ensemble(
     assert result.jump_traj.size == sum(n_jumps)
     assert max(n_jumps) >= 2 and min(n_jumps) <= 1
     _assert_matches_the_loops(
-        records, result, (50.0, 100.0, 700.0), (None, ("qubit1", "qubit2"), ("collective",))
+        records, result, 3000.0, (50.0, 100.0, 700.0),
+        (None, ("qubit1", "qubit2"), ("collective",)),
     )
 
 
@@ -371,4 +397,4 @@ def test_columnar_statistics_equal_the_record_loops_on_any_jump_log(
     records = [make_record(jumps, rng.random((3, GRID.size))) for jumps in trajectories]
     result = make_result(records)
     assert result.jump_traj.size == sum(len(jumps) for jumps in trajectories)
-    _assert_matches_the_loops(records, result, (10.0, 7.0, 250.0), (None, channels))
+    _assert_matches_the_loops(records, result, GRID[-1], (10.0, 7.0, 250.0), (None, channels))
