@@ -38,9 +38,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, TruncationError
 from .hilbert import build_layout
-from .homodyne import DRIFT_MODES, run_trajectory_homodyne
+from .homodyne import DRIFT_MODES, run_homodyne_ensemble
 from .lme import density_from_state, evolve_lme
-from .mcwf import DEFAULT_DT, collect, ensemble_average
+from .mcwf import DEFAULT_DT, ensemble_average
 from .model import (
     SystemParams,
     calibrate_resonance,
@@ -60,7 +60,6 @@ from .system import (
     INITIAL_STATE_LABELS,
     OBSERVABLE_LABELS,
     build_system,
-    step_grid,
 )
 
 SOLVERS = ("mcwf", "homodyne", "mixed", "lme")
@@ -336,16 +335,11 @@ def _run_records(cfg: ExperimentConfig, p: SystemParams, check_truncation: bool)
         )
     else:
         monitored = None if cfg.solver == "homodyne" else cfg.homodyne_channels
-        records = (
-            run_trajectory_homodyne(
-                system, psi0, cfg.t_final, dt=cfg.dt, seed=cfg.master_seed,
-                traj_index=i, record_every=cfg.record_every,
-                homodyne_channels=monitored, drift_mode=cfg.drift_mode,
-            )
-            for i in range(cfg.n_trajectories)
+        result = run_homodyne_ensemble(
+            system, psi0, cfg.t_final, cfg.n_trajectories, dt=cfg.dt,
+            master_seed=cfg.master_seed, record_every=cfg.record_every,
+            homodyne_channels=monitored, drift_mode=cfg.drift_mode,
         )
-        n_steps, _ = step_grid(cfg.t_final, cfg.dt, cfg.record_every)
-        result = collect(records, cfg.n_trajectories, n_steps * cfg.dt)
     if check_truncation:
         _check_truncation(result.top_fock_peak, cfg.n_fock)
     return system, result

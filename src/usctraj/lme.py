@@ -53,7 +53,8 @@ POSITIVITY_GUARD = -1e-6
 DEFAULT_DT = 0.5
 
 # Steps between full eigenvalue checks during integration; the last step
-# is always checked.  Trace and Hermiticity are cheap and checked every step.
+# is always checked, and so is rho0.  Trace and Hermiticity are cheap and
+# checked every step.
 POSITIVITY_INTERVAL = 200
 
 
@@ -151,6 +152,23 @@ def lindblad_rhs(rho, system: DissipativeSystem) -> np.ndarray:
     return -1j * (hm @ r - r @ hm) + _dissipator(r, plus, rates, decay)
 
 
+def _check_state(r: np.ndarray, t: float, positivity: bool) -> None:
+    """Raise IntegratorInstabilityError unless r, the state at time t, passes
+    the trace and Hermiticity guards, and the positivity guard if asked."""
+    tr_err = abs(r.trace().real - 1.0)
+    if tr_err > TRACE_TOL:
+        raise IntegratorInstabilityError(f"trace drifted by {tr_err:.3e} at t = {t:g}")
+    herm = np.max(np.abs(r - r.conj().T))
+    if herm > HERMITICITY_TOL:
+        raise IntegratorInstabilityError(f"Hermiticity degraded to {herm:.3e} at t = {t:g}")
+    if positivity:
+        lo = np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min()
+        if lo < POSITIVITY_GUARD:
+            raise IntegratorInstabilityError(
+                f"eigenvalue {lo:.3e} below positivity guard at t = {t:g}"
+            )
+
+
 def evolve_lme(
     system: DissipativeSystem,
     rho0,
@@ -173,7 +191,9 @@ def evolve_lme(
     IntegratorInstabilityError
         If the trace leaves 1 by more than ``TRACE_TOL``, Hermiticity
         degrades past ``HERMITICITY_TOL``, or an eigenvalue falls below
-        ``POSITIVITY_GUARD`` at a periodic check or after the last step.
+        ``POSITIVITY_GUARD`` in rho0, at a periodic check or after the last
+        step.  rho0 is checked before the first step, so a run with no steps
+        checks it too.
     """
     r = _as_matrix(rho0).copy()
     hm = system.hamiltonian.matrix
@@ -187,6 +207,7 @@ def evolve_lme(
     n_steps, rec_steps = step_grid(t_final, dt, record_every)
     series = np.empty((len(rec_steps), len(OBSERVABLE_LABELS)))
 
+    _check_state(r, 0.0, positivity=True)
     rec = 0
     peak = 0.0
     for k in range(n_steps + 1):
@@ -203,24 +224,9 @@ def evolve_lme(
         k4 = _dissipator(r + dt * k3, plus, rates, decay)
         r += (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         r = u_half @ r @ u_half.conj().T
-
-        tr_err = abs(r.trace().real - 1.0)
-        if tr_err > TRACE_TOL:
-            raise IntegratorInstabilityError(
-                f"trace drifted by {tr_err:.3e} at t = {(k + 1) * dt:g}"
-            )
-        herm = np.max(np.abs(r - r.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise IntegratorInstabilityError(
-                f"Hermiticity degraded to {herm:.3e} at t = {(k + 1) * dt:g}"
-            )
-        if (k + 1) % POSITIVITY_INTERVAL == 0 or k + 1 == n_steps:
-            lo = np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min()
-            if lo < POSITIVITY_GUARD:
-                raise IntegratorInstabilityError(
-                    f"eigenvalue {lo:.3e} below positivity guard at "
-                    f"t = {(k + 1) * dt:g}"
-                )
+        _check_state(
+            r, (k + 1) * dt, (k + 1) % POSITIVITY_INTERVAL == 0 or k + 1 == n_steps
+        )
 
     expectations = {lbl: series[:, i] for i, lbl in enumerate(OBSERVABLE_LABELS)}
     return ExpectationSeries(

@@ -251,17 +251,26 @@ def _first_jump(dp: np.ndarray, eps: np.ndarray) -> int:
     not promise the per-step summation order; each candidate is decided by
     the per-step expressions themselves.
     """
-    total = dp.sum(axis=1)
-    suspect = (
-        ~(total <= eps * (1.0 - _SUM_SLACK))
-        | (total >= 1.0 - _SUM_SLACK)
-        | (dp.max(axis=1, initial=0.0) >= MAX_DP_PER_STEP)
-    )
-    for i in np.flatnonzero(suspect):
+    for i in _jump_candidates(dp, eps):
         _check_dp(dp[i])
         if not dp[i].sum() <= eps[i]:
             return int(i)
     return len(dp)
+
+
+def _jump_candidates(dp: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Rows of dp (rows, channels) that may fire against eps or fail ``_check_dp``.
+
+    A row left out has a vectorized sum below eps and below 1 by more than
+    the ``_SUM_SLACK`` that summation order can move it, and no entry at
+    ``MAX_DP_PER_STEP``: it neither fires nor fails.
+    """
+    total = dp.sum(axis=1)
+    return np.flatnonzero(
+        ~(total <= eps * (1.0 - _SUM_SLACK))
+        | (total >= 1.0 - _SUM_SLACK)
+        | (dp.max(axis=1, initial=0.0) >= MAX_DP_PER_STEP)
+    )
 
 
 def _check_dp(dp: np.ndarray) -> None:

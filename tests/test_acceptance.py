@@ -19,7 +19,7 @@ import scipy.optimize
 from usctraj.dressed import CHANNEL_LABELS, diagonalize, jump_channels
 from usctraj.ensemble import run_ensemble
 from usctraj.hilbert import build_layout
-from usctraj.homodyne import run_trajectory_homodyne
+from usctraj.homodyne import run_homodyne_ensemble, run_trajectory_homodyne
 from usctraj.lme import density_from_state, evolve_lme, lindblad_rhs
 from usctraj.mcwf import ensemble_average, run_trajectory
 from usctraj.model import (
@@ -214,16 +214,16 @@ def diffusive_mean_comparison():
     psi0 = system.initial_state("1gg")
     n_traj = 2000
     labels = ("cavity", "qubit1", "qubit2")
+    result = run_homodyne_ensemble(
+        system, psi0, 300.0, n_traj, dt=0.1, master_seed=0, record_every=10,
+        drift_mode="qsd",
+    )
     sums = {k: 0.0 for k in labels}
     sumsq = {k: 0.0 for k in labels}
     for j in range(n_traj):
-        rec = run_trajectory_homodyne(
-            system, psi0, 300.0, dt=0.1, seed=0, traj_index=j,
-            record_every=10, drift_mode="qsd",
-        )
-        for k in labels:
-            sums[k] = sums[k] + rec.expectations[k]
-            sumsq[k] = sumsq[k] + rec.expectations[k] ** 2
+        for k, series in zip(labels, result.expectations[:, j]):
+            sums[k] = sums[k] + series
+            sumsq[k] = sumsq[k] + series ** 2
     means, ses = {}, {}
     for k in labels:
         means[k] = sums[k] / n_traj

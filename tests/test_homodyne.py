@@ -1,5 +1,7 @@
 """Diffusive (homodyne) unravelling: continuity, determinism, mixed detection."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,8 +10,8 @@ from usctraj import homodyne, mcwf
 from usctraj.dressed import CHANNEL_LABELS
 from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
-from usctraj.homodyne import DRIFT_MODES, run_trajectory_homodyne
-from usctraj.mcwf import run_trajectory
+from usctraj.homodyne import DRIFT_MODES, run_homodyne_ensemble, run_trajectory_homodyne
+from usctraj.mcwf import JumpEvent, TrajectoryRecord, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.rng import (
     PURPOSE_CHANNEL,
@@ -18,7 +20,7 @@ from usctraj.rng import (
     normal_words,
     uniform_words,
 )
-from usctraj.system import build_system
+from usctraj.system import OBSERVABLE_LABELS, build_system
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,12 @@ def test_qsd_ensemble_mean_decays(hom_system):
     assert np.mean(finals) < 0.98
 
 
+def _at_step(err, k):
+    """err, marked with the step k at which the reference raised it."""
+    err.step = k
+    return err
+
+
 def _reference_homodyne(
     system, psi0, t_final, dt, seed, traj_index, record_every,
     homodyne_channels, drift_mode, zero_noise=False,
@@ -203,9 +211,9 @@ def _reference_homodyne(
                 m = int(np.searchsorted(cum / cum[-1], eps_prime, side="right"))
                 norm = np.linalg.norm(amps[m])
                 if norm < mcwf.JUMP_NORM_FLOOR:
-                    raise NumericalInconsistencyError(
+                    raise _at_step(NumericalInconsistencyError(
                         f"channel {CHANNEL_LABELS[jump[m]]} selected but ||S^+ psi|| = {norm:.3e}"
-                    )
+                    ), k)
                 psi = amps[m] / norm
                 jumps.append(((k + 1) * dt, jump[m], dp))
                 continue
@@ -258,11 +266,18 @@ _REFERENCE_CASES = [
 ]
 
 
+class _Raised(NamedTuple):
+    """A run that raised: its message and, for the reference, the step."""
+
+    message: str
+    step: int | None = None
+
+
 def _outcome(run, *args, **kwargs):
     try:
         return run(*args, **kwargs)
     except NumericalInconsistencyError as err:
-        return str(err)
+        return _Raised(str(err), getattr(err, "step", None))
 
 
 def _references(systems):
@@ -295,7 +310,35 @@ def _engine_outcome(systems, key):
     )
 
 
-def _assert_matches_reference(rec, ref, monitored):
+def _batch_outcome(systems, case, n):
+    """Rows 0..n-1 of a reference case, run as one ensemble."""
+    ham, init, t_final, record_every, monitored, drift, zero_noise = case
+    system = systems[ham]
+    return _outcome(
+        run_homodyne_ensemble, system, system.initial_state(init), t_final, n,
+        dt=0.1, master_seed=13, record_every=record_every,
+        homodyne_channels=monitored, drift_mode=drift, zero_noise=zero_noise,
+    )
+
+
+def _row_record(result, j):
+    """Row j of an EnsembleResult as a TrajectoryRecord without states."""
+    sel = result.jump_traj == j
+    return TrajectoryRecord(
+        time_grid=result.time_grid,
+        expectations=dict(zip(OBSERVABLE_LABELS, result.expectations[:, j])),
+        jumps=[
+            JumpEvent(time=t, channel=int(m), pre_jump_norm_probabilities=dp)
+            for t, m, dp in zip(
+                result.jump_time[sel], result.jump_channel[sel], result.jump_dp[sel]
+            )
+        ],
+        final_state=result.final_states[j],
+        top_fock_peak=result.top_fock_peak,
+    )
+
+
+def _assert_matches_reference(rec, ref, monitored, with_states=True):
     """The engine's record equals the reference's; ``monitored`` as in the key.
 
     The engine records the probabilities of all four channels per jump, the
@@ -304,7 +347,8 @@ def _assert_matches_reference(rec, ref, monitored):
     series, jumps, final, states = ref
     for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
         np.testing.assert_array_equal(rec.expectations[label], row)
-    np.testing.assert_array_equal(rec.states, states)
+    if with_states:
+        np.testing.assert_array_equal(rec.states, states)
     np.testing.assert_array_equal(rec.final_state, final)
     assert [(j.time, j.channel) for j in rec.jumps] == [j[:2] for j in jumps]
     detected = [m for m, label in enumerate(CHANNEL_LABELS)
@@ -316,17 +360,39 @@ def _assert_matches_reference(rec, ref, monitored):
         np.testing.assert_array_equal(np.delete(dp, detected), 0.0)
 
 
+def _first_raised(refs):
+    """The row whose reference raised at the earliest step, lowest on a tie."""
+    raised = [(ref.step, j) for j, ref in enumerate(refs) if isinstance(ref, _Raised)]
+    return min(raised)[1] if raised else None
+
+
 def _compare_with_reference(systems, refs):
-    """Run the engine on every reference key; count jumps and raises."""
+    """Run the engine on every reference key, alone and as one batch per case.
+
+    A batch raises the error of its row that raised at the earliest step,
+    the lowest such row on a tie (``_first_raised``).  Counts the jumps and
+    the raises.
+    """
     n_jumps = n_raised = 0
     for key, ref in refs.items():
         rec = _engine_outcome(systems, key)
-        if isinstance(ref, str):
-            assert rec == ref
+        if isinstance(ref, _Raised):
+            assert rec == _Raised(ref.message)
             n_raised += 1
         else:
             _assert_matches_reference(rec, ref, monitored=key[4])
             n_jumps += len(ref[1])
+    for case in _REFERENCE_CASES:
+        rows = [refs[case + (j,)] for j in range(3)]
+        batch = _batch_outcome(systems, case, len(rows))
+        first = _first_raised(rows)
+        if first is not None:
+            assert batch == _Raised(rows[first].message)
+        else:
+            for j, ref in enumerate(rows):
+                _assert_matches_reference(
+                    _row_record(batch, j), ref, monitored=case[4], with_states=False
+                )
     return n_jumps, n_raised
 
 
@@ -354,6 +420,92 @@ def test_homodyne_engine_raises_at_the_reference_norm_floor(busy_hom_systems, mo
     assert n_jumps > 0
 
 
+def test_a_batch_raises_the_error_of_its_earliest_failing_row(busy_hom_systems, monkeypatch):
+    # at this floor rows 0 and 3..7 raise, row 5 first (step 255, row 0 at
+    # 588): the batch must raise row 5's error, not row 0's
+    monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", 0.995)
+    case = ("effective", "0ee", 150.0, 1, ("cavity", "collective"), "as-printed", False)
+    ham, init, t_final, record_every, monitored, drift, zero_noise = case
+    system = busy_hom_systems[ham]
+    rows = [
+        _outcome(
+            _reference_homodyne, system, system.initial_state(init), t_final, 0.1, 13, j,
+            record_every, monitored, drift, zero_noise,
+        )
+        for j in range(8)
+    ]
+    first = _first_raised(rows)
+    lowest = min(j for j, ref in enumerate(rows) if isinstance(ref, _Raised))
+    assert first is not None and first != lowest
+    assert _batch_outcome(busy_hom_systems, case, len(rows)) == _Raised(rows[first].message)
+
+
+def _assert_same_row(row, rec):
+    """An ensemble row equals a single run in everything the row keeps."""
+    for label in OBSERVABLE_LABELS:
+        np.testing.assert_array_equal(row.expectations[label], rec.expectations[label])
+    np.testing.assert_array_equal(row.final_state, rec.final_state)
+    assert [(j.time, j.channel) for j in row.jumps] == [(j.time, j.channel) for j in rec.jumps]
+    for got, want in zip(row.jumps, rec.jumps):
+        np.testing.assert_array_equal(
+            got.pre_jump_norm_probabilities, want.pre_jump_norm_probabilities
+        )
+
+
+def test_ensemble_rows_equal_single_runs(busy_hom_systems, monkeypatch):
+    # a budget of 100 words cuts the 17-row batch into blocks of 2 steps and
+    # each single run into blocks of 50; the rows jump at different steps, so
+    # their noise offsets part
+    monkeypatch.setattr(homodyne, "_WORD_BUDGET", 100)
+    system = busy_hom_systems["effective"]
+    psi0 = system.initial_state("0ee")
+    common = dict(dt=0.1, record_every=5, homodyne_channels=("cavity",), drift_mode="qsd")
+    result = run_homodyne_ensemble(system, psi0, 150.0, 17, master_seed=13, **common)
+    singles = [
+        run_trajectory_homodyne(system, psi0, 150.0, seed=13, traj_index=j, **common)
+        for j in range(17)
+    ]
+    for j, rec in enumerate(singles):
+        _assert_same_row(_row_record(result, j), rec)
+    assert result.top_fock_peak == max(rec.top_fock_peak for rec in singles)
+    first_jumps = {rec.jumps[0].time for rec in singles if rec.jumps}
+    assert len(first_jumps) >= 5
+
+
+def test_jump_reach_bounds_the_jump_probability_of_every_state(busy_hom_systems):
+    # worst cases are the top right-singular vectors of each S+; random
+    # states and an unnormalized psi0 must stay below the bound as well
+    rng = np.random.default_rng(0)
+    for system in busy_hom_systems.values():
+        d = system.dimension
+        for jump_idx in ([1, 2, 3], [1, 3], [0, 1, 2, 3]):
+            stack, scale = system.plus_stack[jump_idx], 0.1 * system.rates[jump_idx]
+            for psi0 in (system.initial_state("0ee"), 2.0 * system.initial_state("1gg")):
+                reach = homodyne._jump_reach(stack, scale, psi0)
+                assert reach < mcwf.MAX_DP_PER_STEP
+                states = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+                states /= np.linalg.norm(states, axis=1)[:, None]
+                states = np.concatenate(
+                    [states, np.linalg.svd(stack)[2][:, 0].conj(), psi0[None]]
+                )
+                dp = scale * mcwf._chunk_amplitudes(states, stack)[1]
+                assert dp.sum(axis=1).max() < reach
+            assert homodyne._jump_reach(stack, 60 * scale, psi0) == np.inf
+
+
+def test_a_step_past_the_jump_bound_checks_every_row(busy_hom_systems):
+    # at dt = 6 the bound passes MAX_DP_PER_STEP, so every threshold word
+    # counts; from 0ee each row fails the dp guard at its first step
+    system = busy_hom_systems["effective"]
+    psi0 = system.initial_state("0ee")
+    common = dict(dt=6.0, homodyne_channels=("cavity",), drift_mode="qsd")
+    with pytest.raises(TimestepError) as alone:
+        run_trajectory_homodyne(system, psi0, 60.0, seed=13, **common)
+    with pytest.raises(TimestepError) as batch:
+        run_homodyne_ensemble(system, psi0, 60.0, 5, master_seed=13, **common)
+    assert str(batch.value) == str(alone.value)
+
+
 def _no_words(*args):
     raise AssertionError("this run must draw no words from this stream")
 
@@ -376,6 +528,12 @@ def test_runs_that_need_no_words_draw_none(
         rec = _engine_outcome(busy_hom_systems, case + (traj_index,))
         _assert_matches_reference(rec, ref, monitored=case[4])
         n_jumps += len(ref[1])
+    batch = _batch_outcome(busy_hom_systems, case, 3)
+    for traj_index in range(3):
+        _assert_matches_reference(
+            _row_record(batch, traj_index), hom_references[case + (traj_index,)],
+            monitored=case[4], with_states=False,
+        )
     if stream == "normal_words":
         assert n_jumps > 0  # the zero-noise mixed run still reads its jump words
 

@@ -1,5 +1,7 @@
 """Lindblad master equation: generator identities and the split integrator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -154,15 +156,42 @@ def test_top_fock_peak_covers_every_step():
 
 
 def test_positivity_guard_checks_the_last_step():
-    # a trace-1 Hermitian start with a negative eigenvalue, which the weak
-    # dissipation keeps near -0.01: runs shorter than the check interval, or
-    # ending between two periodic checks, must still raise
+    # negated rates make the generator push a pure start below zero at once
+    # (a gain, not a loss): runs shorter than the check interval must raise
+    # at their last step, longer ones at the first periodic check
     system = build_system(
         SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5), n_fock=3, hamiltonian="effective"
     )
-    rho0 = np.zeros((system.dimension,) * 2, dtype=complex)
+    gain = dataclasses.replace(system, rates=-system.rates)
+    rho0 = density_from_state(system.initial_state("1gg"), system.layout)
+    for n_steps, at in (
+        (1, 1),
+        (POSITIVITY_INTERVAL - 1, POSITIVITY_INTERVAL - 1),
+        (POSITIVITY_INTERVAL + 1, POSITIVITY_INTERVAL),
+    ):
+        with pytest.raises(
+            IntegratorInstabilityError, match=f"positivity guard at t = {at * 0.5:g}$"
+        ):
+            evolve_lme(gain, rho0, n_steps * 0.5, 0.5)
+
+
+def test_a_run_without_steps_checks_rho0():
+    # t_final < dt / 2 takes no step; rho0 must still pass every guard
+    system = build_system(
+        SystemParams(kappa=2e-3, gamma1=2e-3, gamma2=2e-3), n_fock=3, hamiltonian="effective"
+    )
     pair, doubly = system.layout.index(1, 0, 0), system.layout.index(0, 1, 1)
-    rho0[pair, pair], rho0[doubly, doubly] = 1.01, -0.01
-    for n_steps in (1, POSITIVITY_INTERVAL - 1, POSITIVITY_INTERVAL + 1):
-        with pytest.raises(IntegratorInstabilityError, match="positivity guard"):
-            evolve_lme(system, rho0, n_steps * 0.5, 0.5)
+    negative = np.zeros((system.dimension,) * 2, dtype=complex)
+    negative[pair, pair], negative[doubly, doubly] = 1.01, -0.01
+    doubled = np.zeros_like(negative)
+    doubled[pair, pair] = 2.0
+    skewed = negative.copy()
+    skewed[pair, pair], skewed[doubly, doubly], skewed[pair, doubly] = 1.0, 0.0, 1e-3
+    for rho0, match in (
+        (negative, "positivity guard at t = 0$"),
+        (doubled, "trace drifted by 1.000e\\+00 at t = 0$"),
+        (skewed, "Hermiticity degraded to 1.000e-03 at t = 0$"),
+    ):
+        for t_final in (0.0, 0.2):
+            with pytest.raises(IntegratorInstabilityError, match=match):
+                evolve_lme(system, rho0, t_final, 0.5)
