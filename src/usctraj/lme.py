@@ -27,6 +27,24 @@ truncation error negligible), and a second unitary half-step.  The
 composition is completely positive to machine precision, and each part
 is exact or machine-accurate, so the observables agree with a heavily
 substepped reference integration at the 1e-8 level.
+
+The dissipator is three matmuls on operands laid out once per run:
+``left`` = S^+ as a (d, M d) matrix indexed [j, (m, i)], ``right`` = the
+per-channel transpose of conj(S^+) (a view) and the rates as an (M, 1)
+column.  ``r.T @ left`` gives S^+_m r for all channels at once, a stacked
+product with ``right`` gives S^+_m r S^-_m, and a (d^2, M) @ (M, 1) product
+sums them with their rates.  This is the contraction path
+``jk,mij->mik``, ``mik,mlk->mil``, ``mil,m->il`` that numpy's
+``einsum("m,mij,jk,mlk->il", ..., optimize=True)`` picks for every
+dimension the layouts allow (d = 4 n_fock >= 8), with the same transposes,
+copies and BLAS calls it runs, so the result is bitwise equal to that einsum
+without its per-call path search.  The recorded observables are read the
+same way, ``r.reshape(1, d^2) @ obs_cols``, as ``einsum("mij,ji->m", ...)``
+does.  ``tests/test_batched_reductions.py`` pins both equalities, so a
+numpy or BLAS upgrade that changes either fails there instead of changing
+output bytes.  The exact Liouvillian (expm of the d^2 x d^2 generator)
+stays rejected: at n_fock = 10 it needs a 1600^2 matrix exponential that
+takes about 9 s.
 """
 
 from __future__ import annotations
@@ -116,25 +134,37 @@ def _as_matrix(op) -> np.ndarray:
 
 def _generator_parts(
     r: np.ndarray, system: DissipativeSystem
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The system's S^+ stack, rates and ``decay`` = sum_m gamma_m S-_m S+_m.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_dissipator``'s constant operands ``left``, ``right`` and
+    ``rates_col`` (laid out as the module docstring says) and ``decay`` =
+    sum_m gamma_m S-_m S+_m.
 
     Raises DimensionMismatchError unless the state ``r`` is d x d.
     """
-    if r.shape != (system.dimension,) * 2:
+    d = system.dimension
+    if r.shape != (d, d):
         raise DimensionMismatchError(
-            f"state shape {r.shape} does not match system dimension {system.dimension}"
+            f"state shape {r.shape} does not match system dimension {d}"
         )
     plus, rates = system.plus_stack, system.rates
     decay = np.einsum("m,mji,mjk->ik", rates, plus.conj(), plus, optimize=True)
-    return plus, rates, decay
+    left = plus.transpose(2, 0, 1).reshape(d, len(rates) * d)
+    right = plus.conj().transpose(0, 2, 1)
+    return left, right, rates.reshape(-1, 1), decay
 
 
 def _dissipator(
-    r: np.ndarray, plus: np.ndarray, rates: np.ndarray, decay: np.ndarray
+    r: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    rates_col: np.ndarray,
+    decay: np.ndarray,
 ) -> np.ndarray:
-    """Incoherent part of the generator only."""
-    out = np.einsum("m,mij,jk,mlk->il", rates, plus, r, plus.conj(), optimize=True)
+    """Incoherent part of the generator only (operands from ``_generator_parts``)."""
+    d = len(r)
+    # S+_m r S-_m for every channel, as (m, i, l), then the rate-weighted sum
+    sandwich = (r.T @ left).reshape(d, -1, d).transpose(1, 2, 0) @ right
+    out = (sandwich.transpose(1, 2, 0).reshape(d * d, -1) @ rates_col).reshape(d, d)
     out -= 0.5 * (decay @ r + r @ decay)
     return out
 
@@ -147,9 +177,9 @@ def lindblad_rhs(rho, system: DissipativeSystem) -> np.ndarray:
     regardless).  Each channel contributes gamma_m D[S+_m].
     """
     r = _as_matrix(rho)
+    parts = _generator_parts(r, system)
     hm = system.hamiltonian.matrix
-    plus, rates, decay = _generator_parts(r, system)
-    return -1j * (hm @ r - r @ hm) + _dissipator(r, plus, rates, decay)
+    return -1j * (hm @ r - r @ hm) + _dissipator(r, *parts)
 
 
 def _check_state(r: np.ndarray, t: float, positivity: bool) -> None:
@@ -197,12 +227,17 @@ def evolve_lme(
     """
     r = _as_matrix(rho0).copy()
     hm = system.hamiltonian.matrix
-    plus, rates, decay = _generator_parts(r, system)
-    # Observable matrices S^- S^+ per recorded channel (unweighted by rate).
-    obs = np.stack([p.conj().T @ p for p in plus[:3]])
+    parts = _generator_parts(r, system)
+    # Observable matrices S^- S^+ per recorded channel (unweighted by rate),
+    # as (d^2, 3) columns indexed [(j, i), m] so that one row-times-matrix
+    # product reads Tr(S^-_m S^+_m r) for all three.
+    d = system.dimension
+    obs = np.stack([p.conj().T @ p for p in system.plus_stack[:3]])
+    obs_cols = obs.transpose(2, 1, 0).reshape(d * d, len(obs))
 
     energies, modes = np.linalg.eigh(0.5 * (hm + hm.conj().T))
     u_half = (modes * np.exp(-0.5j * dt * energies)) @ modes.conj().T
+    u_half_dag = u_half.conj().T
 
     n_steps, rec_steps = step_grid(t_final, dt, record_every)
     series = np.empty((len(rec_steps), len(OBSERVABLE_LABELS)))
@@ -213,17 +248,17 @@ def evolve_lme(
     for k in range(n_steps + 1):
         peak = max(peak, float(r.diagonal()[TOP_FOCK].real.sum()))
         if rec < len(rec_steps) and k == rec_steps[rec]:
-            series[rec] = np.einsum("mij,ji->m", obs, r, optimize=True).real
+            series[rec] = (r.reshape(1, d * d) @ obs_cols)[0].real
             rec += 1
         if k == n_steps:
             break
-        r = u_half @ r @ u_half.conj().T
-        k1 = _dissipator(r, plus, rates, decay)
-        k2 = _dissipator(r + 0.5 * dt * k1, plus, rates, decay)
-        k3 = _dissipator(r + 0.5 * dt * k2, plus, rates, decay)
-        k4 = _dissipator(r + dt * k3, plus, rates, decay)
+        r = u_half @ r @ u_half_dag
+        k1 = _dissipator(r, *parts)
+        k2 = _dissipator(r + 0.5 * dt * k1, *parts)
+        k3 = _dissipator(r + 0.5 * dt * k2, *parts)
+        k4 = _dissipator(r + dt * k3, *parts)
         r += (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        r = u_half @ r @ u_half.conj().T
+        r = u_half @ r @ u_half_dag
         _check_state(
             r, (k + 1) * dt, (k + 1) % POSITIVITY_INTERVAL == 0 or k + 1 == n_steps
         )

@@ -148,20 +148,39 @@ def effective_couplings(
     )
 
 
-def full_hamiltonian(p: SystemParams, layout: BasisLayout) -> OperatorMatrix:
-    """Assemble the full qubit-qubit-cavity Hamiltonian on the product basis."""
+def _full_terms(p: SystemParams, layout: BasisLayout) -> tuple[np.ndarray, ...]:
+    """The omega_c-independent pieces of the full Hamiltonian.
+
+    Returns a^dag a, (wq1/2) sz1, (wq2/2) sz2 and the coupling term, for
+    ``_full_matrix`` to add up at any omega_c.
+    """
     ops = elementary_operators(layout)
     a, ad = ops["a"].matrix, ops["a_dag"].matrix
     sx1, sx2 = ops["sx1"].matrix, ops["sx2"].matrix
     sz1, sz2 = ops["sz1"].matrix, ops["sz2"].matrix
-    h = (
-        p.omega_c * (ad @ a)
-        + 0.5 * p.omega_q1 * sz1
-        + 0.5 * p.omega_q2 * sz2
-        + p.g * (a + ad) @ (
+    return (
+        ad @ a,
+        0.5 * p.omega_q1 * sz1,
+        0.5 * p.omega_q2 * sz2,
+        p.g * (a + ad) @ (
             (sx1 + sx2) * np.cos(p.theta) + (sz1 + sz2) * np.sin(p.theta)
-        )
+        ),
     )
+
+
+def _full_matrix(wc: float, terms: tuple[np.ndarray, ...]) -> np.ndarray:
+    """H = wc a^dag a + the ``_full_terms``, summed left to right.
+
+    The order is that of the formula, ((wc N + sz1 term) + sz2 term) +
+    coupling; adding wc N to a prebuilt sum of the rest rounds differently.
+    """
+    num, qubit1, qubit2, coupling = terms
+    return wc * num + qubit1 + qubit2 + coupling
+
+
+def full_hamiltonian(p: SystemParams, layout: BasisLayout) -> OperatorMatrix:
+    """Assemble the full qubit-qubit-cavity Hamiltonian on the product basis."""
+    h = _full_matrix(p.omega_c, _full_terms(p, layout))
     return OperatorMatrix(layout, h, hermitian=True, name="H_full")
 
 
@@ -246,10 +265,10 @@ def calibrate_resonance(
 
     idx_1gg = layout.index(1, 0, 0)
     idx_0ee = layout.index(0, 1, 1)
+    terms = _full_terms(p, layout)
 
     def gap(wc: float) -> float:
-        h = full_hamiltonian(replace(p, omega_c=wc), layout).matrix
-        return _pair_gap(h, idx_1gg, idx_0ee)
+        return _pair_gap(_full_matrix(wc, terms), idx_1gg, idx_0ee)
 
     lo, hi = two_w0 - 0.2 * p.omega0, two_w0 + 0.2 * p.omega0
     grid = np.linspace(lo, hi, 81)
