@@ -1,16 +1,16 @@
 """Ensemble driver: many trajectories over one system, fast when flows recur.
 
-``run_ensemble(system, psi0, ...)`` returns the ``EnsembleResult`` that
-``collect`` makes of one ``run_trajectory`` per trajectory index, but
-exploits the structure of piecewise-deterministic evolution.  Between jumps
-every trajectory follows the deterministic no-jump flow fixed by its entry
-state, so trajectories sharing an entry state share all per-step jump
-probabilities, observables, and jump images.  When post-jump states recur
-up to a global phase (they do for the effective-Hamiltonian subspace
-cascades: the photon pair feeds |0,g,e>, |0,e,g>, their symmetric
-combination, and the dark |0,g,g>), the handful of distinct flows is
-propagated once over the horizon and each trajectory reduces to scanning
-its own uniform words against precomputed arrays.
+``run_ensemble(system, psi0, ...)`` returns trajectories 0..N-1 of a seeded
+family as one ``EnsembleResult``, and exploits the structure of
+piecewise-deterministic evolution.  Between jumps every trajectory follows
+the deterministic no-jump flow fixed by its entry state, so trajectories
+sharing an entry state share all per-step jump probabilities, observables,
+and jump images.  When post-jump states recur up to a global phase (they do
+for the effective-Hamiltonian subspace cascades: the photon pair feeds
+|0,g,e>, |0,e,g>, their symmetric combination, and the dark |0,g,g>), the
+handful of distinct flows is propagated once over the horizon and each
+trajectory reduces to scanning its own uniform words against precomputed
+arrays; ``collect`` gathers the sampled records into the result's columns.
 
 Random access makes the scans cheap: the threshold word for step k is
 word k of the trajectory's threshold stream regardless of history, and
@@ -25,18 +25,18 @@ no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| over the whole horizon.
 ``_build_flow`` runs only that chain step by step, into a buffer of
 ``_FLOW_CHUNK`` states, and derives everything else (jump amplitudes,
 jump probabilities, observables, amplitude norms, the ray check) once per
-chunk with vectorized calls.  The chain and the amplitudes come from the
-same helpers as the direct engine's chunks (``mcwf._no_jump_chain`` and
+chunk with vectorized calls (``mcwf._no_jump_chain`` and
 ``mcwf._chunk_amplitudes``), whose per-state numbers are bitwise those of
 one step at a time: amplitudes stay one matrix-vector product per state (a
 single matrix-matrix product over the chunk sums in another order).
 
-Agreement with the direct engine is exact for the first segment and for
-all jump bookkeeping, and up to the arbitrary post-jump global phase
-(last-ulp differences in expectations, threshold comparisons on razor
-edges) afterwards.  When flows do not recur, for instance with the full
-Hamiltonian where jump images carry step-dependent dressing, the driver
-falls back to direct per-trajectory integration.
+Agreement with the direct kernel (``mcwf._run_rows``) is exact for the
+first segment and for all jump bookkeeping, and up to the arbitrary
+post-jump global phase (last-ulp differences in expectations, threshold
+comparisons on razor edges) afterwards.  When flows do not recur, for
+instance with the full Hamiltonian where jump images carry step-dependent
+dressing, the driver falls back to that kernel, which advances the whole
+ensemble in lockstep.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ from .mcwf import (
     _no_jump_chain,
     _norm,
     _prepare,
+    _run_rows,
     _select_channel,
     _top_fock,
     collect,
-    run_trajectory,
 )
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
 from .system import OBSERVABLE_LABELS, DissipativeSystem, step_grid
@@ -116,10 +116,10 @@ def _build_flow(
     """Propagate the normalized no-jump chain and collect per-age arrays.
 
     Only the chain psi_{k+1} = U psi_k / ||U psi_k|| is sequential; it fills
-    a buffer of ``_FLOW_CHUNK`` states through the direct engine's
-    ``_no_jump_chain``.  Everything else is computed once per chunk, and only
-    with operations whose per-state result is bitwise that of the per-step
-    call, so the root flow matches the direct engine exactly:
+    a buffer of ``_FLOW_CHUNK`` states through ``mcwf._no_jump_chain``.
+    Everything else is computed once per chunk, and only with operations
+    whose per-state result is bitwise that of the per-step call, so the root
+    flow matches the direct kernel exactly:
 
     - amplitudes S^+_m psi_k as a C-looped stack of per-state matrix-vector
       products, ``matmul(plus_stack[None], states[:, None, :, None])``.  One
@@ -332,9 +332,11 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run trajectories 0..n_trajectories-1 of the seeded family from psi0.
 
-    ``method`` "auto" tries flow grouping and falls back to direct
-    integration; "grouped" raises ConfigError when the run does not group;
-    "direct" forces per-trajectory integration.
+    ``method`` "auto" tries flow grouping and falls back to the direct
+    kernel; "grouped" raises ConfigError when the run does not group;
+    "direct" forces the kernel.  Trajectory j of the direct kernel is
+    ``mcwf.run_trajectory(..., seed=master_seed, traj_index=j)`` bit for
+    bit; a direct batch raises the error of its earliest failing step.
     """
     if method not in ENSEMBLE_METHODS:
         raise ConfigError(f"method must be one of {ENSEMBLE_METHODS}")
@@ -356,21 +358,15 @@ def run_ensemble(
                 ) from None
 
     if flows is None:
-        start_cache: dict = {}
-        records = (
-            run_trajectory(
-                system, psi0, t_final, dt=dt, seed=master_seed, traj_index=i,
-                record_every=record_every, start_cache=start_cache,
-            )
-            for i in range(n_trajectories)
+        return _run_rows(
+            system, psi0, t_final, dt, master_seed, range(n_trajectories), record_every
+        )[0]
+    time_grid = rec_steps * dt
+    powers = _binary_powers(propagator, n_steps)
+    records = (
+        _sample_grouped(
+            i, flows, system, master_seed, n_steps, dt, rec_steps, time_grid, powers
         )
-    else:
-        time_grid = rec_steps * dt
-        powers = _binary_powers(propagator, n_steps)
-        records = (
-            _sample_grouped(
-                i, flows, system, master_seed, n_steps, dt, rec_steps, time_grid, powers
-            )
-            for i in range(n_trajectories)
-        )
+        for i in range(n_trajectories)
+    )
     return collect(records, n_trajectories, n_steps * dt)

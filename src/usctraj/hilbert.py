@@ -124,16 +124,3 @@ def elementary_operators(layout: BasisLayout) -> dict[str, OperatorMatrix]:
         name: OperatorMatrix(layout, m, hermitian=name in hermitian_names, name=name)
         for name, m in mats.items()
     }
-
-
-def expectation(op: OperatorMatrix, psi: np.ndarray) -> complex | float:
-    """<psi|M|psi>; returns a real float when the operator is flagged Hermitian."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (op.layout.dimension,):
-        raise DimensionMismatchError(
-            f"state shape {psi.shape} does not match operator dimension {op.layout.dimension}"
-        )
-    val = complex(np.vdot(psi, op.matrix @ psi))
-    if op.hermitian:
-        return val.real
-    return val

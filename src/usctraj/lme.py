@@ -225,6 +225,7 @@ def evolve_lme(
         step.  rho0 is checked before the first step, so a run with no steps
         checks it too.
     """
+    n_steps, rec_steps = step_grid(t_final, dt, record_every)
     r = _as_matrix(rho0).copy()
     hm = system.hamiltonian.matrix
     parts = _generator_parts(r, system)
@@ -239,7 +240,6 @@ def evolve_lme(
     u_half = (modes * np.exp(-0.5j * dt * energies)) @ modes.conj().T
     u_half_dag = u_half.conj().T
 
-    n_steps, rec_steps = step_grid(t_final, dt, record_every)
     series = np.empty((len(rec_steps), len(OBSERVABLE_LABELS)))
 
     _check_state(r, 0.0, positivity=True)

@@ -1,4 +1,4 @@
-"""Monte-Carlo wave-function engine: piecewise-deterministic trajectories with jumps.
+"""Monte-Carlo wave-function engine: the jump step rule and the one kernel that applies it.
 
 Between jumps a normalized state evolves under the non-Hermitian matrix
 H - (i/2) sum_m gamma_m S^-_m S^+_m and is renormalized after every step.  At
@@ -11,26 +11,58 @@ step (precomputed once; the dimension never exceeds a few dozen), so the
 timestep affects only jump-probability discretization, not the oscillation
 frequencies.
 
-``run_trajectory(system, psi0, ...)`` reads every operator from the
-assembled ``DissipativeSystem`` and evaluates a trajectory in chunks of
-steps.  Only the no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| runs step
-by step; the jump probabilities, observables and top-Fock populations of a
-chunk come from one vectorized call each, and the chunk's threshold words
-are read by index (word k of the threshold stream belongs to step k, word q
-of the channel stream to the q-th jump).  At the first step whose jump
-fires, the rest of the chunk is discarded and a new chunk starts from the
-post-jump state.  Every number that decides or is recorded is bitwise the
-one of the step-at-a-time loop; the helpers below say which operations keep
-that so.  Trajectories of one ensemble walk the same chunks until their
-first jump; ``run_ensemble`` hands them a shared ``start_cache`` so those
-chunks are evaluated once, and ``collect`` gathers their records into the
-columns of one ``EnsembleResult``.
+One kernel, ``_run_rows``, advances every trajectory that is not grouped
+(``ensemble``) one step at a time, the B trajectories of a run in lockstep
+as the rows of a (B, d) state.  Photodetection, homodyne and mixed
+unravellings differ only in the channels it monitors: a monitored channel
+adds the homodyne back-action after the propagator (``homodyne``), and the
+remaining channels follow the jump rule.  ``run_trajectory`` is its
+one-row case and ``ensemble.run_ensemble``'s direct branch its many-row
+case; both read every operator from the assembled ``DissipativeSystem``.
+
+Every batched operation gives each row the bits of that row run alone
+(they are pinned in ``tests/test_batched_reductions.py``): the propagator,
+the stacked (B, m, d) channel amplitudes and their inner products are
+C-looped matrix-vector and vector-vector products, the back-action is summed
+into a zero array channel by channel, and the norm reads the strided real
+and imaginary views.  In a run that draws no noise, trajectories that have
+not jumped hold the same state, so they share one row: it is propagated,
+read and jump-tested once per step, and a trajectory splits off onto its
+own row at its first jump.  The visited states are buffered
+(``_HISTORY_ROWS``) and their top-Fock populations reduced to one maximum
+whenever the buffer fills; only that maximum is reported.
+
+The jump rule computes amplitudes only where a jump is possible.  The jump
+probabilities of a normalized state have an a priori bound
+(``_jump_reach``), so a trajectory whose threshold word lies above it can
+neither fire nor fail the dp guard at that step; the bound is small at
+physical rates, and most steps evaluate no row.  Among the rows left,
+vectorized row sums preselect candidates (``_jump_candidates``), and each
+candidate is decided, collapsed and logged by the per-state expressions.
+
+Each trajectory reads its own words by index (``rng``), so (master_seed,
+traj_index) fixes it bit for bit however the run is batched.  Threshold
+word k belongs to step k and channel word q to the trajectory's q-th jump.
+Wiener words are consumed only on diffusive steps, one per monitored
+channel, so a trajectory that jumped keeps a lower noise offset than its
+neighbours.  The words are read a block of steps at a time: ``_WORD_BLOCK``
+steps, fewer when the rows together would hold more than ``_WORD_BUDGET``
+words.  A block holds each trajectory's threshold words and enough noise
+words for every step of it to be diffusive, from the trajectory's own offset
+on; words a jump leaves unread are read again by the next block, so memory
+grows neither with the run nor beyond the budget with the ensemble.
+
+A ``TimestepError`` or ``NumericalInconsistencyError`` of a batch is the one
+of the earliest step at which any trajectory raises, the lowest trajectory
+at that step; its message is the one that trajectory raises when run alone.
+The kernel writes its ``EnsembleResult`` columns itself; ``collect`` builds
+one from the per-trajectory records of the grouped sampler.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +75,7 @@ from .errors import (
     NumericalInconsistencyError,
     TimestepError,
 )
-from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
+from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, PURPOSE_NOISE, normal_words, uniform_words
 from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
 
 MAX_DP_PER_STEP = 0.1
@@ -51,12 +83,20 @@ JUMP_NORM_FLOOR = 1e-14
 
 DEFAULT_DT = 0.5
 
-# States per chunk of the direct engine's vectorized no-jump evaluation.
-# A chunk starts small after every jump (the rest of a chunk past a jump is
-# discarded) and doubles while no jump fires.
-_STEP_CHUNK0, _STEP_CHUNK_MAX = 16, 512
 # Relative slack of the vectorized row sums that preselect jump candidates.
 _SUM_SLACK = 1e-9
+# Relative slack of the a priori jump-probability bound (``_jump_reach``): it
+# covers the rounding of ||S+ psi||^2, of dp and of their sum, and the
+# few-ulp distance of a renormalized state's norm from 1.
+_BOUND_SLACK = 1e-6
+# Steps whose random words are drawn in one call per trajectory and stream.
+_WORD_BLOCK = 4096
+# Most words one block holds for all rows together (8 MB of doubles).  An
+# uncapped block of 2000 rows with 4 monitored channels over 3000 steps
+# would hold 192 MB of noise words.
+_WORD_BUDGET = 1 << 20
+# Visited states kept for one top-Fock reduction (640 KB at d = 40).
+_HISTORY_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -124,6 +164,17 @@ class EnsembleResult:
         return self.expectations.shape[1]
 
 
+def _jump_columns(jumps: list[tuple]) -> dict[str, np.ndarray]:
+    """The jump columns of (trajectory, time, channel, dp) tuples, in their order."""
+    traj, times, channels, dps = zip(*jumps) if jumps else ((), (), (), ())
+    return dict(
+        jump_traj=np.array(traj, dtype=int),
+        jump_time=np.array(times, dtype=float),
+        jump_channel=np.array(channels, dtype=int),
+        jump_dp=np.array(dps, dtype=float).reshape(len(jumps), len(CHANNEL_LABELS)),
+    )
+
+
 def collect(records: Iterable[TrajectoryRecord], n: int, horizon: float) -> EnsembleResult:
     """The EnsembleResult of n trajectory records that share one time grid and horizon.
 
@@ -144,17 +195,13 @@ def collect(records: Iterable[TrajectoryRecord], n: int, horizon: float) -> Ense
         jumps += [(i, j.time, j.channel, j.pre_jump_norm_probabilities) for j in rec.jumps]
     if i < 0 or i + 1 != n:
         raise ConfigError(f"expected {n} >= 1 trajectories, got {i + 1}")
-    traj, times, channels, dps = zip(*jumps) if jumps else ((), (), (), ())
     return EnsembleResult(
         time_grid=grid,
         horizon=horizon,
         expectations=series,
         final_states=finals,
-        jump_traj=np.array(traj, dtype=int),
-        jump_time=np.array(times, dtype=float),
-        jump_channel=np.array(channels, dtype=int),
-        jump_dp=np.array(dps, dtype=float).reshape(len(jumps), len(CHANNEL_LABELS)),
         top_fock_peak=peak,
+        **_jump_columns(jumps),
     )
 
 
@@ -172,9 +219,9 @@ def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D complex vector, bitwise equal to np.linalg.norm.
 
     This is the expression ``np.linalg.norm`` evaluates for a 1-D complex
-    input, without its argument dispatch.  Every state renormalization
-    (jump engine, homodyne engine, flow builder) goes through it, so the
-    engines agree on every bit by construction.
+    input, without its argument dispatch.  Every single-state
+    renormalization (jump collapse, flow builder) goes through it; the
+    kernel's batched norm is pinned equal to it.
     """
     re, im = v.real, v.imag
     return math.sqrt(re.dot(re) + im.dot(im))
@@ -191,9 +238,13 @@ def _prepare(psi0: np.ndarray, system: DissipativeSystem) -> np.ndarray:
 
 
 def _top_fock(states: np.ndarray) -> np.ndarray:
-    """Top-Fock population of each row of a stack of states."""
+    """Top-Fock population of each row of a stack of states.
+
+    ``vecdot`` over the strided tail view gives each row the bits of
+    ``vdot`` on that row alone; einsum sums in another order.
+    """
     tail = states[:, TOP_FOCK]
-    return np.einsum("kd,kd->k", tail.conj(), tail).real
+    return np.vecdot(tail, tail).real
 
 
 def _collapse(phi: np.ndarray, m: int) -> np.ndarray:
@@ -204,15 +255,6 @@ def _collapse(phi: np.ndarray, m: int) -> np.ndarray:
             f"channel {CHANNEL_LABELS[m]} selected but ||S^+ psi|| = {norm:.3e}"
         )
     return phi / norm
-
-
-def _jump_probabilities(
-    psi: np.ndarray, dt: float, plus_stack: np.ndarray, rates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """dp_m vector and the jump amplitudes S^+_m psi (rows)."""
-    amps = plus_stack @ psi
-    dp = dt * rates * np.einsum("md,md->m", amps.conj(), amps).real
-    return dp, amps
 
 
 def _no_jump_chain(psi: np.ndarray, advance, out: np.ndarray) -> np.ndarray:
@@ -231,31 +273,16 @@ def _no_jump_chain(psi: np.ndarray, advance, out: np.ndarray) -> np.ndarray:
 def _chunk_amplitudes(
     states: np.ndarray, plus_stack: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jump amplitudes (state, channel, d) of a chunk and their squared norms.
+    """Jump amplitudes (state, channel, d) of a stack of states and their squared norms.
 
-    Each state's numbers are bitwise those of ``_jump_probabilities``: the
-    amplitudes are a C-looped stack of per-state matrix-vector products (one
-    matrix-matrix product over the chunk would block its sums differently),
-    and the squared norms sum over d in the order of the per-state einsum.
+    Each state's numbers are bitwise those of the per-state expressions
+    ``plus_stack @ psi`` and ``einsum("md,md->m", ...)``: the amplitudes are
+    a C-looped stack of per-state matrix-vector products (one matrix-matrix
+    product over the stack would block its sums differently), and the
+    squared norms sum over d in the order of the per-state einsum.
     """
     amps = np.matmul(plus_stack[None], states[:, None, :, None])[..., 0]
     return amps, np.einsum("kmd,kmd->km", amps.conj(), amps).real
-
-
-def _first_jump(dp: np.ndarray, eps: np.ndarray) -> int:
-    """First row of dp (steps, channels) whose jump fires against eps.
-
-    Returns ``len(dp)`` when none fires.  Raises TimestepError at the first
-    row ``_check_dp`` rejects unless an earlier row fires.  The vectorized
-    row sums only preselect candidate rows, because a 2-D reduction does
-    not promise the per-step summation order; each candidate is decided by
-    the per-step expressions themselves.
-    """
-    for i in _jump_candidates(dp, eps):
-        _check_dp(dp[i])
-        if not dp[i].sum() <= eps[i]:
-            return int(i)
-    return len(dp)
 
 
 def _jump_candidates(dp: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -282,9 +309,214 @@ def _check_dp(dp: np.ndarray) -> None:
         raise TimestepError(f"total jump probability {dp.sum():.3g} >= 1; reduce dt")
 
 
+def _fired(dp: np.ndarray, eps: np.ndarray) -> Iterator[int]:
+    """Rows of dp (rows, channels) whose jump fires against eps, lowest first.
+
+    Each candidate row is checked by ``_check_dp`` and decided by the
+    per-step expressions when the iteration reaches it, so a row that fails
+    the check raises only after every lower row that fires was handed out.
+    A total equal to its threshold does not fire; a zero-probability row
+    never does.
+    """
+    for c in _jump_candidates(dp, eps):
+        _check_dp(dp[c])
+        if dp[c].sum() > eps[c]:
+            yield int(c)
+
+
 def _select_channel(dp: np.ndarray, eps_prime: float) -> int:
     cum = np.cumsum(dp)
     return int(np.searchsorted(cum / cum[-1], eps_prime, side="right"))
+
+
+def _jump_reach(jump_stack: np.ndarray, scale: np.ndarray, psi0: np.ndarray) -> float:
+    """Threshold words at or above this value cannot fire.
+
+    dp_m = dt gamma_m ||S+_m psi||^2 <= dt gamma_m ||S+_m||^2 ||psi||^2, and
+    ||psi|| is 1 after every step and ||psi0|| before the first, so the sum
+    over the photodetected channels is bounded before any step is taken.
+    Below ``MAX_DP_PER_STEP`` that bound also rules out every ``_check_dp``
+    failure; otherwise every word counts (inf).
+    """
+    norm_sq = max(1.0, float(np.vdot(psi0, psi0).real))
+    op_norm_sq = np.linalg.norm(jump_stack, 2, axis=(1, 2)) ** 2
+    bound = float(np.sum(scale * op_norm_sq)) * norm_sq * (1.0 + _BOUND_SLACK)
+    return bound if bound < MAX_DP_PER_STEP * (1.0 - _SUM_SLACK) else np.inf
+
+
+def _run_rows(
+    system: DissipativeSystem,
+    psi0: np.ndarray,
+    t_final: float,
+    dt: float,
+    seed: int,
+    rows: range | list[int],
+    record_every: int,
+    monitored: tuple[int, ...] = (),
+    drift_mode: str = "qsd",
+    zero_noise: bool = False,
+    store_states: bool = False,
+) -> tuple[EnsembleResult, np.ndarray | None]:
+    """Trajectories ``rows`` (traj_index values), advanced in lockstep.
+
+    ``monitored`` lists the homodyned channels (positions in
+    ``CHANNEL_LABELS``); the others are photodetected.  ``drift_mode`` is
+    "qsd" or "as-printed" (see ``homodyne``), and ``zero_noise`` sets every
+    Wiener increment to 0 without drawing words.  Returns the result, whose
+    trajectory j is ``rows[j]``, and with ``store_states`` the (rows, T, d)
+    states on the time grid.
+    """
+    psi = _prepare(psi0, system)
+    n_steps, rec_steps = step_grid(t_final, dt, record_every)
+    n_rows, n_hom = len(rows), len(monitored)
+    noisy = n_hom > 0 and not zero_noise
+    jump_idx = [m for m in range(len(CHANNEL_LABELS)) if m not in monitored]
+    jump_stack, scale = system.plus_stack[jump_idx], dt * system.rates[jump_idx]
+    hom = list(monitored)
+    hom_stack, hom_rates = system.plus_stack[hom][None], system.rates[hom]
+    obs_stack = system.plus_stack[: len(OBSERVABLE_LABELS)]
+    reach = _jump_reach(jump_stack, scale, psi)
+    propagator = expm(-1j * system.h_nh * dt)[None]
+    if drift_mode == "qsd":
+        noise_scale = np.sqrt(hom_rates)
+    else:
+        noise_scale, rates_sq = hom_rates, np.array([float(r) ** 2 for r in hom_rates])
+
+    series = np.empty((len(OBSERVABLE_LABELS), n_rows, rec_steps.size))
+    snapshots = (
+        np.empty((n_rows, rec_steps.size, psi.size), dtype=complex) if store_states else None
+    )
+    jumps = []  # (trajectory, time, channel, dp of every channel), in step order
+    n_jumps = [0] * n_rows
+
+    # Trajectory b is state row where[b], which members[r] trajectories share.
+    # Without noise all start on one row and leave it at their first jump.
+    where = np.arange(n_rows) if noisy else np.zeros(n_rows, dtype=int)
+    members = [1] * n_rows if noisy else [n_rows]
+
+    words_per_step = n_rows * ((n_hom if noisy else 0) + (1 if jump_idx else 0))
+    block = max(1, min(_WORD_BLOCK, _WORD_BUDGET // max(words_per_step, 1)))
+    every_row = np.arange(n_rows)
+    step_noise = 0.0  # n_m dW_m, (rows, monitored) once noise is drawn
+    sqrt_dt = np.sqrt(dt)
+    drawn = np.zeros(n_rows, dtype=int)  # each row's noise words before the block
+    diffused = np.zeros(n_rows, dtype=int)  # and its diffusive steps in the block
+
+    # Every visited state is written to ``history``, whose top-Fock
+    # populations are reduced to their maximum whenever it fills.
+    history = np.empty((max(_HISTORY_ROWS, n_rows), psi.size), dtype=complex)
+    states = history[: len(members)]
+    states[:] = psi
+    filled, peak = len(states), 0.0
+    records = rec_steps.tolist() + [-1]
+    rec_i = 0
+    for k in range(n_steps + 1):
+        if k == records[rec_i]:
+            series[:, :, rec_i] = _chunk_amplitudes(states, obs_stack)[1][where].T
+            if snapshots is not None:
+                snapshots[:, rec_i] = states[where]
+            rec_i += 1
+        if k == n_steps:
+            break
+        i = k % block
+        if i == 0:
+            count = min(block, n_steps - k)
+            exposed_steps = [False] * count
+            if jump_idx:
+                thresholds = np.empty((n_rows, count))
+                for b, row in enumerate(rows):
+                    thresholds[b] = uniform_words(seed, row, PURPOSE_JUMP, k, count)
+                exposed = thresholds < reach
+                exposed_steps = exposed.any(axis=0).tolist()
+            if noisy:
+                drawn += n_hom * diffused
+                diffused[:] = 0
+                noise = np.empty((n_rows, count, n_hom))
+                for b, row in enumerate(rows):
+                    words = normal_words(seed, row, PURPOSE_NOISE, drawn[b], count * n_hom)
+                    noise[b] = noise_scale * (sqrt_dt * words.reshape(count, n_hom))
+
+        collapsed = []
+        if exposed_steps[i]:
+            live = np.flatnonzero(exposed[:, i])
+            tested, row_of = np.unique(where[live], return_inverse=True)
+            amps, sq = _chunk_amplitudes(states[tested], jump_stack)
+            dp = (scale * sq)[row_of]
+            for c in _fired(dp, thresholds[live, i]):
+                b = int(live[c])
+                eps_prime = uniform_words(seed, rows[b], PURPOSE_CHANNEL, n_jumps[b], 1)
+                j = _select_channel(dp[c], eps_prime[0])
+                m = jump_idx[j]
+                collapsed.append((b, _collapse(amps[row_of[c], j], m)))
+                dp_all = np.zeros(len(CHANNEL_LABELS))
+                dp_all[jump_idx] = dp[c]
+                jumps.append((b, (k + 1) * dt, m, dp_all))
+                n_jumps[b] += 1
+
+        phi = np.matmul(propagator, states[:, :, None])[..., 0]
+        if n_hom:
+            if noisy:
+                step_noise = noise[every_row, diffused]
+                diffused += 1
+            hom_amps = np.matmul(hom_stack, phi[:, None, :, None])[..., 0]
+            z = np.vecdot(phi[:, None], hom_amps)  # <S+>
+            if drift_mode == "qsd":  # <S- + S+> = 2 Re <S+>
+                coef = hom_rates * (2.0 * z.real) * dt + step_noise
+            else:  # <S- - S+> = conj(<S+>) - <S+>, purely imaginary
+                coef = -0.5 * (rates_sq * (np.conj(z) - z) * dt + step_noise)
+            back = np.zeros_like(phi)
+            for term in (coef[:, :, None] * hom_amps).transpose(1, 0, 2):
+                back += term
+            phi = phi + back
+        if len(phi) == 1:  # the same bits, at half the cost of the batched form
+            norms = _norm(phi[0])
+        else:
+            norms = np.sqrt(np.vecdot(phi.real, phi.real) + np.vecdot(phi.imag, phi.imag))[:, None]
+        landing = []
+        for b, post_jump in collapsed:
+            r = where[b]
+            if members[r] > 1:  # b leaves the shared row for a new one
+                members[r] -= 1
+                r = where[b] = len(members)
+                members.append(1)
+            landing.append((r, post_jump))
+            if noisy:
+                diffused[b] -= 1
+        if filled + len(members) > len(history):
+            peak = max(peak, float(_top_fock(history[:filled]).max()))
+            filled = 0
+        states = history[filled : filled + len(members)]
+        np.divide(phi, norms, out=states[: len(phi)])
+        for r, post_jump in landing:
+            states[r] = post_jump
+        filled += len(states)
+
+    peak = max(peak, float(_top_fock(history[:filled]).max()))
+    jumps.sort(key=lambda jump: jump[0])  # stable: by trajectory, then time
+    result = EnsembleResult(
+        time_grid=rec_steps * dt,
+        horizon=n_steps * dt,
+        expectations=series,
+        final_states=states[where],
+        top_fock_peak=peak,
+        **_jump_columns(jumps),
+    )
+    return result, snapshots
+
+
+def _one_record(result: EnsembleResult, snapshots: np.ndarray | None) -> TrajectoryRecord:
+    """The record of a one-trajectory result, with its states when they were stored."""
+    return TrajectoryRecord(
+        time_grid=result.time_grid,
+        expectations=dict(zip(OBSERVABLE_LABELS, result.expectations[:, 0])),
+        jumps=[
+            JumpEvent(float(t), int(m), dp)
+            for t, m, dp in zip(result.jump_time, result.jump_channel, result.jump_dp)
+        ],
+        final_state=result.final_states[0],
+        top_fock_peak=result.top_fock_peak,
+        states=None if snapshots is None else snapshots[0],
+    )
 
 
 def run_trajectory(
@@ -296,93 +528,19 @@ def run_trajectory(
     traj_index: int = 0,
     record_every: int = 1,
     store_states: bool = False,
-    start_cache: dict | None = None,
 ) -> TrajectoryRecord:
     """Run one trajectory; deterministic in (system, psi0, dt, seed, traj_index).
 
     The jump recorded at time (k+1) dt replaces the coherent propagation of
-    step k, so grid samples always show the post-jump state.  Steps are
-    evaluated in chunks (see the module docstring) with the same results,
-    bit for bit, as one step at a time.
-
-    ``start_cache`` is a dict shared by trajectories that differ only in
-    ``traj_index`` (same system, psi0, t_final and dt).  Before
-    their first jump such trajectories walk the same chunks of the same
-    no-jump chain; the cache keeps each chunk's jump probabilities,
-    observables, top-Fock populations and end states, so an ensemble
-    evaluates them once.  It is ignored when ``store_states`` is set.
+    step k, so grid samples always show the post-jump state.  This is the
+    kernel's one-row case: trajectory j of ``ensemble.run_ensemble(...,
+    method="direct")`` with the same master seed is this run, bit for bit.
     """
-    psi = _prepare(psi0, system)
-    advance = expm(-1j * system.h_nh * dt).__matmul__
-    plus_stack, rates = system.plus_stack, system.rates
-
-    n_steps, rec_steps = step_grid(t_final, dt, record_every)
-    series = np.empty((3, rec_steps.size))
-    snapshots = np.empty((rec_steps.size, psi.size), dtype=complex) if store_states else None
-    jumps: list[JumpEvent] = []
-
-    scale = dt * rates
-    states = np.empty((min(_STEP_CHUNK_MAX, n_steps + 1), psi.size), dtype=complex)
-    size = _STEP_CHUNK0
-    rec_i = 0
-    peak = 0.0
-    k = 0  # step index of psi, the first row of the next chunk
-    if store_states:
-        start_cache = None
-    while True:
-        block = states[: min(size, n_steps + 1 - k)]
-        n_dec = min(len(block), n_steps - k)
-        shared = start_cache is not None and not jumps
-        if shared and k in start_cache:
-            first, last, after, sq, top, dp = start_cache[k]
-            amps = None
-        else:
-            after = _no_jump_chain(psi, advance, block)
-            amps, sq = _chunk_amplitudes(block, plus_stack)
-            top = _top_fock(block)
-            dp = scale * sq[:n_dec]
-            first, last = block[0], block[-1]
-            if shared:
-                start_cache[k] = (first.copy(), last.copy(), after, sq, top, dp)
-        fired = _first_jump(dp, uniform_words(seed, traj_index, PURPOSE_JUMP, k, n_dec))
-        valid = fired + 1 if fired < n_dec else len(block)
-        peak = max(peak, float(top[:valid].max()))
-        rec_hi = int(np.searchsorted(rec_steps, k + valid))
-        rows = rec_steps[rec_i:rec_hi] - k
-        series[:, rec_i:rec_hi] = sq[rows, :3].T
-        if snapshots is not None:
-            snapshots[rec_i:rec_hi] = block[rows]
-        rec_i = rec_hi
-        if fired == n_dec:
-            k += len(block)
-            if k > n_steps:
-                psi = last.copy()
-                break
-            psi = after
-            size = min(2 * size, _STEP_CHUNK_MAX)
-            continue
-        eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
-        m = _select_channel(dp[fired], eps_prime)
-        if amps is None:
-            # a cached chunk keeps no amplitudes: rerun its chain to the jump
-            _no_jump_chain(first, advance, block[: fired + 1])
-            fired_amps = _chunk_amplitudes(block[fired : fired + 1], plus_stack)[0][0]
-        else:
-            fired_amps = amps[fired]
-        psi = _collapse(fired_amps[m], m)
-        k += fired + 1
-        jumps.append(
-            JumpEvent(time=k * dt, channel=m, pre_jump_norm_probabilities=dp[fired].copy())
+    return _one_record(
+        *_run_rows(
+            system, psi0, t_final, dt, seed, [traj_index], record_every,
+            store_states=store_states,
         )
-        size = _STEP_CHUNK0
-
-    return TrajectoryRecord(
-        time_grid=rec_steps * dt,
-        expectations=dict(zip(OBSERVABLE_LABELS, series)),
-        jumps=jumps,
-        final_state=psi,
-        top_fock_peak=peak,
-        states=snapshots,
     )
 
 

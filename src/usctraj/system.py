@@ -11,6 +11,7 @@ dynamics; mixing the two pictures would let a "jump" raise the energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,17 @@ TOP_FOCK = slice(-4, None)
 
 
 def step_grid(t_final: float, dt: float, record_every: int) -> tuple[int, np.ndarray]:
-    """Number of steps of a run and the step indices every engine records."""
+    """Number of steps of a run and the step indices every engine records.
+
+    Raises ConfigError unless dt is finite and positive, t_final finite and
+    non-negative (0 runs no step) and record_every at least 1.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be finite and > 0, got {dt}")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ConfigError(f"t_final must be finite and >= 0, got {t_final}")
+    if record_every < 1:
+        raise ConfigError(f"record_every must be >= 1, got {record_every}")
     n_steps = int(round(t_final / dt))
     return n_steps, np.arange(0, n_steps + 1, record_every)
 

@@ -7,7 +7,7 @@ operators, so the common configurations are session-scoped.
 import numpy as np
 import pytest
 
-from usctraj import ensemble
+from usctraj import ensemble, mcwf
 from usctraj.hilbert import build_layout
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.system import build_system
@@ -54,10 +54,15 @@ def system_full10(p_full10):
 
 @pytest.fixture()
 def run_with_records(monkeypatch):
-    """run_ensemble that also returns the trajectory records it collected."""
+    """run_ensemble that also returns the trajectory records behind its result.
+
+    A grouped run hands its records to ``collect``; a direct run has none,
+    so its records are its trajectories run alone, which equal its rows.
+    """
     collect = ensemble.collect
 
-    def run(*args, **kwargs):
+    def run(system, psi0, t_final, n, dt=mcwf.DEFAULT_DT, master_seed=0, record_every=1,
+            method="auto"):
         records = []
 
         def keep(rows, n, horizon):
@@ -65,7 +70,19 @@ def run_with_records(monkeypatch):
             return collect(records, n, horizon)
 
         monkeypatch.setattr(ensemble, "collect", keep)
-        return ensemble.run_ensemble(*args, **kwargs), records
+        result = ensemble.run_ensemble(
+            system, psi0, t_final, n, dt=dt, master_seed=master_seed,
+            record_every=record_every, method=method,
+        )
+        if not records:
+            records = [
+                mcwf.run_trajectory(
+                    system, psi0, t_final, dt=dt, seed=master_seed, traj_index=i,
+                    record_every=record_every,
+                )
+                for i in range(n)
+            ]
+        return result, records
 
     return run
 

@@ -20,7 +20,7 @@ import pytest
 
 from usctraj.hilbert import build_layout, elementary_operators
 from usctraj.lme import _dissipator, _generator_parts
-from usctraj.mcwf import _chunk_amplitudes, _norm
+from usctraj.mcwf import _chunk_amplitudes, _norm, _top_fock
 from usctraj.model import SystemParams, _full_matrix, _full_terms, full_hamiltonian
 from usctraj.system import TOP_FOCK
 
@@ -98,8 +98,7 @@ def test_row_division_by_the_batched_norm(d, b):
 def test_batched_top_fock_read_equals_vdot(d, b):
     # on the strided tail view of a (B, d) stack; einsum sums in another order
     psi = _states(d, b, 11)
-    tail = psi[:, TOP_FOCK]
-    top = np.vecdot(tail, tail).real
+    top = _top_fock(psi)
     for got, state in zip(top, psi):
         assert got == np.vdot(state[TOP_FOCK], state[TOP_FOCK]).real
 
@@ -107,7 +106,7 @@ def test_batched_top_fock_read_equals_vdot(d, b):
 @pytest.mark.parametrize("d, b", SIZES)
 def test_chunk_amplitudes_equal_the_per_state_jump_probabilities(d, b):
     # the jump and observable amplitudes and squared norms of every row, as
-    # the per-state expressions of mcwf._jump_probabilities give them
+    # the per-state expressions give them
     plus = _states(d, 4 * d, 12).reshape(4, d, d)
     psi = _states(d, b, 13)
     amps, sq = _chunk_amplitudes(psi, plus)

@@ -15,7 +15,7 @@ from usctraj import ensemble
 from usctraj.ensemble import ENSEMBLE_METHODS, run_ensemble
 from usctraj.errors import ConfigError, TimestepError
 from usctraj.hilbert import build_layout
-from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, _jump_probabilities, run_trajectory
+from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.system import OBSERVABLE_LABELS, build_system
 
@@ -158,7 +158,7 @@ def test_lossless_ensemble_never_jumps(p_resonant):
 
 
 def test_ensemble_size_does_not_change_results(busy_systems):
-    # the direct loop shares one start_cache across the ensemble; a larger
+    # the direct kernel advances the ensemble as one batch; a larger
     # ensemble must not change the first trajectories by a single bit
     system = busy_systems["full"]
     psi0 = system.initial_state("1gg")
@@ -180,8 +180,15 @@ def test_unknown_method_rejected(busy_systems):
         )
 
 
+def _jump_probabilities(psi, dt, plus_stack, rates):
+    """dp_m and the jump amplitudes S^+_m psi (rows) of one state."""
+    amps = plus_stack @ psi
+    dp = dt * rates * np.einsum("md,md->m", amps.conj(), amps).real
+    return dp, amps
+
+
 def _reference_build_flow(state0, system, propagator, n_steps, dt):
-    """The flow builder one step at a time, with the direct engine's calls."""
+    """The flow builder one step at a time, with the per-state expressions."""
     plus_stack, rates = system.plus_stack, system.rates
     n_channels = rates.size
     dp = np.empty((n_channels, n_steps))

@@ -1,4 +1,4 @@
-"""Basis layout, elementary operators and expectation helpers."""
+"""Basis layout and elementary operators."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usctraj.errors import HermiticityError
-from usctraj.hilbert import (
-    OperatorMatrix,
-    build_layout,
-    elementary_operators,
-    expectation,
-)
+from usctraj.hilbert import OperatorMatrix, build_layout, elementary_operators
 
 
 def test_layout_dimensions_and_index_order():
@@ -83,8 +78,9 @@ def test_sz_sign_convention():
     ops = elementary_operators(layout)
     psi_e = layout.basis_state(0, 1, 0)
     psi_g = layout.basis_state(0, 0, 0)
-    assert expectation(ops["sz1"], psi_e) == pytest.approx(1.0)
-    assert expectation(ops["sz1"], psi_g) == pytest.approx(-1.0)
+    sz1 = ops["sz1"].matrix
+    assert np.vdot(psi_e, sz1 @ psi_e) == pytest.approx(1.0)
+    assert np.vdot(psi_g, sz1 @ psi_g) == pytest.approx(-1.0)
 
 
 def test_qubit_operators_act_on_their_own_qubit():
@@ -109,14 +105,6 @@ def test_operator_matrix_dagger_and_hermiticity_check():
         OperatorMatrix(layout, a.matrix, hermitian=True)
 
 
-def test_expectation_rejects_wrong_shape():
-    layout = build_layout(2)
-    ops = elementary_operators(layout)
-    psi = np.zeros(5, dtype=complex)
-    with pytest.raises(Exception):
-        expectation(ops["sz1"], psi)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=500))
 def test_expectation_of_hermitian_operator_is_real(seed):
@@ -126,8 +114,5 @@ def test_expectation_of_hermitian_operator_is_real(seed):
     psi = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
     psi /= np.linalg.norm(psi)
     h = ops["sx1"].matrix + ops["sz2"].matrix + ops["a"].matrix + ops["a_dag"].matrix
-    val = expectation(OperatorMatrix(layout, h, hermitian=True), psi)
-    assert isinstance(val, float)
-    direct = np.vdot(psi, h @ psi)
-    assert abs(val - direct.real) < 1e-12
-    assert abs(direct.imag) < 1e-12
+    op = OperatorMatrix(layout, h, hermitian=True)
+    assert abs(np.vdot(psi, op.matrix @ psi).imag) < 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from usctraj import homodyne, mcwf
+from usctraj import mcwf
 from usctraj.dressed import CHANNEL_LABELS
 from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
@@ -401,8 +401,8 @@ def test_homodyne_engine_equals_the_per_step_reference(
 ):
     # word blocks of 1, 3 and 7 steps end inside every run, so the noise
     # words a jump left unread are read again at many refills
-    for block in (1, 3, 7, homodyne._WORD_BLOCK):
-        monkeypatch.setattr(homodyne, "_WORD_BLOCK", block)
+    for block in (1, 3, 7, mcwf._WORD_BLOCK):
+        monkeypatch.setattr(mcwf, "_WORD_BLOCK", block)
         n_jumps, n_raised = _compare_with_reference(busy_hom_systems, hom_references)
         assert n_raised == 0
         assert n_jumps >= 10
@@ -456,7 +456,7 @@ def test_ensemble_rows_equal_single_runs(busy_hom_systems, monkeypatch):
     # a budget of 100 words cuts the 17-row batch into blocks of 2 steps and
     # each single run into blocks of 50; the rows jump at different steps, so
     # their noise offsets part
-    monkeypatch.setattr(homodyne, "_WORD_BUDGET", 100)
+    monkeypatch.setattr(mcwf, "_WORD_BUDGET", 100)
     system = busy_hom_systems["effective"]
     psi0 = system.initial_state("0ee")
     common = dict(dt=0.1, record_every=5, homodyne_channels=("cavity",), drift_mode="qsd")
@@ -481,7 +481,7 @@ def test_jump_reach_bounds_the_jump_probability_of_every_state(busy_hom_systems)
         for jump_idx in ([1, 2, 3], [1, 3], [0, 1, 2, 3]):
             stack, scale = system.plus_stack[jump_idx], 0.1 * system.rates[jump_idx]
             for psi0 in (system.initial_state("0ee"), 2.0 * system.initial_state("1gg")):
-                reach = homodyne._jump_reach(stack, scale, psi0)
+                reach = mcwf._jump_reach(stack, scale, psi0)
                 assert reach < mcwf.MAX_DP_PER_STEP
                 states = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
                 states /= np.linalg.norm(states, axis=1)[:, None]
@@ -490,7 +490,7 @@ def test_jump_reach_bounds_the_jump_probability_of_every_state(busy_hom_systems)
                 )
                 dp = scale * mcwf._chunk_amplitudes(states, stack)[1]
                 assert dp.sum(axis=1).max() < reach
-            assert homodyne._jump_reach(stack, 60 * scale, psi0) == np.inf
+            assert mcwf._jump_reach(stack, 60 * scale, psi0) == np.inf
 
 
 def test_a_step_past_the_jump_bound_checks_every_row(busy_hom_systems):
@@ -521,7 +521,7 @@ def _no_words(*args):
 def test_runs_that_need_no_words_draw_none(
     busy_hom_systems, hom_references, case, stream, monkeypatch
 ):
-    monkeypatch.setattr(homodyne, stream, _no_words)
+    monkeypatch.setattr(mcwf, stream, _no_words)
     n_jumps = 0
     for traj_index in range(3):
         ref = hom_references[case + (traj_index,)]

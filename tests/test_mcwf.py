@@ -16,11 +16,13 @@ from usctraj.errors import (
     TimestepError,
 )
 from usctraj.hilbert import build_layout
+from usctraj.ensemble import run_ensemble
+from usctraj.homodyne import run_trajectory_homodyne
+from usctraj.lme import density_from_state, evolve_lme
 from usctraj.mcwf import (
-    MAX_DP_PER_STEP,
     JumpEvent,
     TrajectoryRecord,
-    _first_jump,
+    _fired,
     collect,
     ensemble_average,
     run_trajectory,
@@ -28,7 +30,7 @@ from usctraj.mcwf import (
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.oracles import expectations_1p2a
 from usctraj.rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
-from usctraj.system import build_system
+from usctraj.system import OBSERVABLE_LABELS, build_system
 
 
 @pytest.fixture(scope="module")
@@ -219,12 +221,18 @@ def test_store_states_shape(system_eff):
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
+def _at_step(err, k):
+    """err, marked with the step k at which the reference raised it."""
+    err.step = k
+    return err
+
+
 def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every):
     """The direct engine one step at a time: (series, jumps, final, states).
 
     Each random word is read by its own index: threshold k at step k,
     channel word q at the q-th jump.  Channel m is row m of the system's
-    S^+ stack and rate vector.
+    S^+ stack and rate vector.  An error carries the step that raised it.
     """
     psi = np.asarray(psi0, dtype=complex)
     propagator = expm(-1j * system.h_nh * dt)
@@ -245,12 +253,12 @@ def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every):
             break
         amps = plus_stack @ psi
         dp = dt * rates * np.einsum("md,md->m", amps.conj(), amps).real
-        if dp.max() >= MAX_DP_PER_STEP:
-            raise TimestepError(
-                f"per-channel jump probability {dp.max():.3g} >= {MAX_DP_PER_STEP}; reduce dt"
-            )
+        if dp.max() >= mcwf.MAX_DP_PER_STEP:
+            raise _at_step(TimestepError(
+                f"per-channel jump probability {dp.max():.3g} >= {mcwf.MAX_DP_PER_STEP}; reduce dt"
+            ), k)
         if dp.sum() >= 1.0:
-            raise TimestepError(f"total jump probability {dp.sum():.3g} >= 1; reduce dt")
+            raise _at_step(TimestepError(f"total jump probability {dp.sum():.3g} >= 1; reduce dt"), k)
         if dp.sum() <= uniform_words(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
             phi = propagator @ psi
             psi = phi / np.linalg.norm(phi)
@@ -258,7 +266,12 @@ def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every):
             eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
             cum = np.cumsum(dp)
             m = int(np.searchsorted(cum / cum[-1], eps_prime, side="right"))
-            psi = amps[m] / np.linalg.norm(amps[m])
+            norm = np.linalg.norm(amps[m])
+            if norm < mcwf.JUMP_NORM_FLOOR:
+                raise _at_step(NumericalInconsistencyError(
+                    f"channel {CHANNEL_LABELS[m]} selected but ||S^+ psi|| = {norm:.3e}"
+                ), k)
+            psi = amps[m] / norm
             jumps.append(((k + 1) * dt, m, dp))
     return series, jumps, psi, snapshots
 
@@ -292,100 +305,152 @@ def busy_references(busy_system):
     return refs
 
 
-@pytest.mark.parametrize("chunk0, chunk_max", [(1, 1), (1, 4), (3, 5), (16, 512)])
-def test_chunked_engine_equals_the_per_step_reference(
-    busy_system, busy_references, chunk0, chunk_max, monkeypatch
-):
-    monkeypatch.setattr(mcwf, "_STEP_CHUNK0", chunk0)
-    monkeypatch.setattr(mcwf, "_STEP_CHUNK_MAX", chunk_max)
+def _assert_row_matches(result, j, ref):
+    """Trajectory j of an EnsembleResult equals a per-step reference run."""
+    series, jumps, final, _ = ref
+    np.testing.assert_array_equal(result.expectations[:, j], series)
+    np.testing.assert_array_equal(result.final_states[j], final)
+    sel = result.jump_traj == j
+    assert list(zip(result.jump_time[sel], result.jump_channel[sel])) == [
+        jump[:2] for jump in jumps
+    ]
+    for got, jump in zip(result.jump_dp[sel], jumps):
+        np.testing.assert_array_equal(got, jump[2])
+
+
+@pytest.mark.parametrize("block", [1, 7, mcwf._WORD_BLOCK])
+def test_kernel_equals_the_per_step_reference(busy_system, busy_references, block, monkeypatch):
+    # one direct batch per case and every trajectory run alone with its
+    # states; word blocks of 1 and 7 steps end inside every run
+    monkeypatch.setattr(mcwf, "_WORD_BLOCK", block)
     system, n_jumps = busy_system, 0
-    for key, (series, jumps, final, states) in busy_references.items():
-        init, t_final, record_every, traj_index = key
+    cases = sorted({key[:3] for key in busy_references})
+    for init, t_final, record_every in cases:
         psi0 = system.initial_state(init)
-        rec = run_trajectory(
-            system, psi0, t_final, dt=0.5, seed=11, traj_index=traj_index,
-            record_every=record_every, store_states=True,
+        batch = run_ensemble(
+            system, psi0, t_final, 6, dt=0.5, master_seed=11, record_every=record_every,
+            method="direct",
         )
-        for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
-            np.testing.assert_array_equal(rec.expectations[label], row)
-        np.testing.assert_array_equal(rec.states, states)
-        np.testing.assert_array_equal(rec.final_state, final)
-        assert [(j.time, j.channel) for j in rec.jumps] == [j[:2] for j in jumps]
-        for got, ref in zip(rec.jumps, jumps):
-            np.testing.assert_array_equal(got.pre_jump_norm_probabilities, ref[2])
-        n_jumps += len(jumps)
+        for traj_index in range(6):
+            ref = busy_references[(init, t_final, record_every, traj_index)]
+            _assert_row_matches(batch, traj_index, ref)
+            series, jumps, final, states = ref
+            rec = run_trajectory(
+                system, psi0, t_final, dt=0.5, seed=11, traj_index=traj_index,
+                record_every=record_every, store_states=True,
+            )
+            for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
+                np.testing.assert_array_equal(rec.expectations[label], row)
+            np.testing.assert_array_equal(rec.states, states)
+            np.testing.assert_array_equal(rec.final_state, final)
+            assert [(j.time, j.channel) for j in rec.jumps] == [j[:2] for j in jumps]
+            for got, want in zip(rec.jumps, jumps):
+                np.testing.assert_array_equal(got.pre_jump_norm_probabilities, want[2])
+            n_jumps += len(jumps)
     assert n_jumps > 20
 
 
-@pytest.mark.parametrize("chunk_max", [4, 512])
-def test_start_cache_reproduces_uncached_trajectories(busy_system, chunk_max, monkeypatch):
-    monkeypatch.setattr(mcwf, "_STEP_CHUNK_MAX", chunk_max)
+@pytest.mark.parametrize("history_rows", [1, mcwf._HISTORY_ROWS])
+def test_shared_row_trajectories_equal_single_runs(busy_system, history_rows, monkeypatch):
+    # all twelve start on the shared row and split off at their first jumps;
+    # with history_rows = 1 the top-Fock history is reduced at every step
+    monkeypatch.setattr(mcwf, "_HISTORY_ROWS", history_rows)
     psi0 = busy_system.initial_state("1gg")
-    cache, first_jumps = {}, []
-    for traj_index in range(12):
-        kwargs = dict(dt=0.5, seed=3, traj_index=traj_index, record_every=3)
-        ref = run_trajectory(busy_system, psi0, 800.0, **kwargs)
-        got = run_trajectory(busy_system, psi0, 800.0, start_cache=cache, **kwargs)
-        for label in ref.expectations:
-            np.testing.assert_array_equal(got.expectations[label], ref.expectations[label])
-        np.testing.assert_array_equal(got.final_state, ref.final_state)
-        assert [(j.time, j.channel) for j in got.jumps] == [(j.time, j.channel) for j in ref.jumps]
-        for a, b in zip(got.jumps, ref.jumps):
-            np.testing.assert_array_equal(a.pre_jump_norm_probabilities, b.pre_jump_norm_probabilities)
-        first_jumps.append(ref.jumps[0].time if ref.jumps else None)
-    # later trajectories jump inside chunks an earlier one cached, at many ages
-    assert len(cache) > 1
-    assert len({t for t in first_jumps if t is not None}) >= 8
+    common = dict(dt=0.5, record_every=3)
+    batch = run_ensemble(busy_system, psi0, 800.0, 12, master_seed=3, method="direct", **common)
+    singles = [
+        run_trajectory(busy_system, psi0, 800.0, seed=3, traj_index=j, **common)
+        for j in range(12)
+    ]
+    for j, rec in enumerate(singles):
+        for row, label in zip(batch.expectations[:, j], OBSERVABLE_LABELS):
+            np.testing.assert_array_equal(row, rec.expectations[label])
+        np.testing.assert_array_equal(batch.final_states[j], rec.final_state)
+        sel = batch.jump_traj == j
+        assert list(zip(batch.jump_time[sel], batch.jump_channel[sel])) == [
+            (e.time, e.channel) for e in rec.jumps
+        ]
+        for got, e in zip(batch.jump_dp[sel], rec.jumps):
+            np.testing.assert_array_equal(got, e.pre_jump_norm_probabilities)
+    assert batch.top_fock_peak == max(rec.top_fock_peak for rec in singles)
+    # the trajectories leave the shared row at many different steps
+    first_jumps = {rec.jumps[0].time for rec in singles if rec.jumps}
+    assert len(first_jumps) >= 8
 
 
-def test_chunked_engine_stops_at_the_reference_timestep_error(monkeypatch):
-    # dp grows with the cavity population; a jump may come before the cap
+def _outcome(run, *args, **kwargs):
+    """A run's jumps as (time, channel) pairs, or the (message, step) it raised."""
+    try:
+        rec = run(*args, **kwargs)
+    except (TimestepError, NumericalInconsistencyError) as err:
+        return str(err), getattr(err, "step", None)
+    if isinstance(rec, tuple):
+        return [jump[:2] for jump in rec[1]]
+    return [(jump.time, jump.channel) for jump in rec.jumps]
+
+
+def _assert_batch_raises_the_earliest(system, psi0, t_final, dt, seed, n):
+    """Each row alone does what the reference does, and the batch of n rows
+    raises the error of the earliest step, the lowest row there.  Returns
+    the outcomes and the rows that raised, as (step, row)."""
+    refs = []
+    for traj_index in range(n):
+        ref = _outcome(_reference_run, system, psi0, t_final, dt, seed, traj_index, 1)
+        got = _outcome(run_trajectory, system, psi0, t_final, dt=dt, seed=seed,
+                       traj_index=traj_index)
+        assert got == (ref if isinstance(ref, list) else (ref[0], None))
+        refs.append(ref)
+    raised = sorted((ref[1], j) for j, ref in enumerate(refs) if isinstance(ref, tuple))
+    assert raised
+    with pytest.raises((TimestepError, NumericalInconsistencyError)) as batch:
+        run_ensemble(system, psi0, t_final, n, dt=dt, master_seed=seed, method="direct")
+    assert str(batch.value) == refs[raised[0][1]][0]
+    return refs, raised
+
+
+def test_a_batch_stops_at_the_earliest_reference_timestep_error():
+    # dp grows with the cavity population; a jump may come before the cap.
+    # Rows that have not jumped reach the cap together, on the shared row.
     layout = build_layout(4)
     p = calibrate_resonance(SystemParams(kappa=2e-3), layout, which="effective")
     system = build_system(p, n_fock=4, hamiltonian="effective")
-    psi0 = system.initial_state("0ee")
+    refs, raised = _assert_batch_raises_the_earliest(
+        system, system.initial_state("0ee"), 6000.0, 60.0, 2, 8
+    )
+    assert len(raised) > 1
+    assert any(isinstance(ref, list) and ref for ref in refs)
 
-    def outcome(run, *args, **kwargs):
-        try:
-            rec = run(*args, **kwargs)
-        except TimestepError as err:
-            return str(err)
-        return [j[:2] for j in rec[1]] if isinstance(rec, tuple) else [
-            (j.time, j.channel) for j in rec.jumps
-        ]
 
-    for chunk_max in (1, 512):
-        monkeypatch.setattr(mcwf, "_STEP_CHUNK_MAX", chunk_max)
-        outcomes, cache = [], {}
-        for traj_index in range(8):
-            ref = outcome(_reference_run, system, psi0, 6000.0, 60.0, 2, traj_index, 1)
-            for start_cache in (None, cache):
-                got = outcome(
-                    run_trajectory, system, psi0, 6000.0, dt=60.0, seed=2,
-                    traj_index=traj_index, start_cache=start_cache,
-                )
-                assert got == ref
-            outcomes.append(ref)
-        assert any(isinstance(o, str) for o in outcomes)
-        assert any(isinstance(o, list) and o for o in outcomes)
+def test_a_batch_raises_the_error_of_its_earliest_failing_row(busy_system, monkeypatch):
+    # the selected jump norms lie between 0.44 and 1; at this floor every
+    # row raises at a jump, row 5 first (t = 168) and row 0 at t = 236: the
+    # batch must raise row 5's error, not row 0's
+    monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", 0.99)
+    _, raised = _assert_batch_raises_the_earliest(
+        busy_system, busy_system.initial_state("0ee"), 1500.0, 0.5, 11, 8
+    )
+    assert raised[0][1] != min(j for _, j in raised)
 
 
 def test_first_jump_follows_the_per_step_rule():
     eps = np.array([0.1, 0.05, 0.06, 0.0])
     # a total equal to its threshold does not fire (strict comparison)
     level = np.array([[0.05, 0.05], [0.025, 0.025], [0.03, 0.03], [0.0, 0.0]])
-    assert _first_jump(level, eps) == 4
+    assert list(_fired(level, eps)) == []
     level[2, 0] = 0.04
-    assert _first_jump(level, eps) == 2
+    assert list(_fired(level, eps)) == [2]
     # a zero-probability row never fires, even against a zero threshold
-    assert _first_jump(np.zeros((4, 2)), eps) == 4
-    # the step cap raises only when no earlier row fires
+    assert list(_fired(np.zeros((4, 2)), eps)) == []
+    # a capped row raises only once every lower row that fires is handed out
     capped = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [0.0, 0.0]])
     with pytest.raises(TimestepError):
-        _first_jump(capped, eps)
+        list(_fired(capped, eps))
     capped[1] = [0.03, 0.03]
-    assert _first_jump(capped, eps) == 1
-    assert _first_jump(np.empty((0, 2)), np.empty(0)) == 0
+    fired = _fired(capped, eps)
+    assert next(fired) == 1
+    with pytest.raises(TimestepError):
+        next(fired)
+    assert list(_fired(np.empty((0, 2)), np.empty(0))) == []
 
 
 def test_top_fock_peak_covers_every_visited_state():
@@ -395,17 +460,40 @@ def test_top_fock_peak_covers_every_visited_state():
     p = calibrate_resonance(base, build_layout(2), which="effective")
     system = build_system(p, n_fock=2, hamiltonian="effective")
     psi0 = system.initial_state("0ee")
-    cache, peaks = {}, []
+    peaks = []
     for traj_index in range(6):
         rec = run_trajectory(
             system, psi0, 3000.0, seed=5, traj_index=traj_index, store_states=True
         )
         top = np.sum(np.abs(rec.states[:, -4:]) ** 2, axis=1)
         assert rec.top_fock_peak == pytest.approx(top.max(), rel=1e-12)
-        cached = run_trajectory(
-            system, psi0, 3000.0, seed=5, traj_index=traj_index, start_cache=cache
-        )
-        assert cached.top_fock_peak == rec.top_fock_peak
         peaks.append((rec.top_fock_peak, top[0], top[-1]))
     # the peak lies inside the run, above both its ends
     assert any(peak > 0.5 and peak > max(first, last) for peak, first, last in peaks)
+    batch = run_ensemble(system, psi0, 3000.0, 6, master_seed=5, method="direct")
+    assert batch.top_fock_peak == max(peak for peak, _, _ in peaks)
+
+
+@pytest.mark.parametrize(
+    "t_final, dt, record_every",
+    [(-1.0, 0.5, 1), (10.0, -0.5, 1), (10.0, 0.0, 1), (10.0, np.nan, 1), (np.inf, 0.5, 1),
+     (np.nan, 0.5, 1), (10.0, np.inf, 1), (10.0, 0.5, 0)],
+)
+@pytest.mark.parametrize(
+    "engine", ["run_trajectory", "homodyne", "direct", "grouped", "lme"],
+)
+def test_every_engine_rejects_a_bad_step_grid(system_eff, engine, t_final, dt, record_every):
+    psi0 = system_eff.initial_state("1gg")
+    grid = dict(dt=dt, record_every=record_every)
+    runs = {
+        "run_trajectory": lambda: run_trajectory(system_eff, psi0, t_final, **grid),
+        "homodyne": lambda: run_trajectory_homodyne(system_eff, psi0, t_final, **grid),
+        "direct": lambda: run_ensemble(system_eff, psi0, t_final, 2, method="direct", **grid),
+        "grouped": lambda: run_ensemble(system_eff, psi0, t_final, 2, method="grouped", **grid),
+        "lme": lambda: evolve_lme(
+            system_eff, density_from_state(psi0, system_eff.layout), t_final, **grid
+        ),
+    }
+    with pytest.raises(ConfigError):
+        runs[engine]()
+
