@@ -318,13 +318,12 @@ def _assert_row_matches(result, j, ref):
         np.testing.assert_array_equal(got, jump[2])
 
 
-@pytest.mark.parametrize("block", [1, 7, mcwf._WORD_BLOCK])
-def test_kernel_equals_the_per_step_reference(busy_system, busy_references, block, monkeypatch):
-    # one direct batch per case and every trajectory run alone with its
-    # states; word blocks of 1 and 7 steps end inside every run
-    monkeypatch.setattr(mcwf, "_WORD_BLOCK", block)
-    system, n_jumps = busy_system, 0
-    cases = sorted({key[:3] for key in busy_references})
+def _assert_kernel_equals_the_references(system, references):
+    """One direct batch per case, and every trajectory run alone with its
+    states, equal the per-step reference runs.  Where every step is
+    recorded, the top-Fock peak is that of the reference's states."""
+    n_jumps, peaks = 0, []
+    cases = sorted({key[:3] for key in references})
     for init, t_final, record_every in cases:
         psi0 = system.initial_state(init)
         batch = run_ensemble(
@@ -332,7 +331,7 @@ def test_kernel_equals_the_per_step_reference(busy_system, busy_references, bloc
             method="direct",
         )
         for traj_index in range(6):
-            ref = busy_references[(init, t_final, record_every, traj_index)]
+            ref = references[(init, t_final, record_every, traj_index)]
             _assert_row_matches(batch, traj_index, ref)
             series, jumps, final, states = ref
             rec = run_trajectory(
@@ -346,8 +345,32 @@ def test_kernel_equals_the_per_step_reference(busy_system, busy_references, bloc
             assert [(j.time, j.channel) for j in rec.jumps] == [j[:2] for j in jumps]
             for got, want in zip(rec.jumps, jumps):
                 np.testing.assert_array_equal(got.pre_jump_norm_probabilities, want[2])
+            if record_every == 1:
+                assert rec.top_fock_peak == mcwf._top_fock(states).max()
+                peaks.append(rec.top_fock_peak)
             n_jumps += len(jumps)
+        if record_every == 1:
+            assert batch.top_fock_peak == max(peaks[-6:])
     assert n_jumps > 20
+
+
+@pytest.mark.parametrize("block", [1, 7, mcwf._WORD_BLOCK])
+def test_kernel_equals_the_per_step_reference(busy_system, busy_references, block, monkeypatch):
+    # word blocks of 1 and 7 steps end inside every run
+    monkeypatch.setattr(mcwf, "_WORD_BLOCK", block)
+    _assert_kernel_equals_the_references(busy_system, busy_references)
+
+
+@pytest.mark.parametrize("word_block, history_rows", [(1, 4), (3, 5)])
+def test_chunked_engine_equals_the_per_step_reference(
+    busy_system, busy_references, word_block, history_rows, monkeypatch
+):
+    # the kernel works in two kinds of chunk: random words read a block of
+    # steps at a time and visited states reduced a buffer at a time; both
+    # end inside every run here, out of step with each other
+    monkeypatch.setattr(mcwf, "_WORD_BLOCK", word_block)
+    monkeypatch.setattr(mcwf, "_HISTORY_ROWS", history_rows)
+    _assert_kernel_equals_the_references(busy_system, busy_references)
 
 
 @pytest.mark.parametrize("history_rows", [1, mcwf._HISTORY_ROWS])
