@@ -122,6 +122,10 @@ class ExperimentConfig:
     normalization: str = "per-bin"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         checks = (
             ("calibrate", CALIBRATION_CHOICES),
             ("qubit_exchange", ("auto", "on", "off")),
@@ -149,14 +153,18 @@ class ExperimentConfig:
             raise ConfigError("observables must not be empty")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.t_final <= 0 or self.dt <= 0:
             raise ConfigError("t_final and dt must be positive")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
         if self.delta_points < 2:
             raise ConfigError("delta_points must be >= 2")
-        if self.levels < 1:
-            raise ConfigError("levels must be >= 1")
+        if not 1 <= self.levels <= 4 * self.n_fock:
+            raise ConfigError(
+                f"levels must lie in 1 .. 4 * n_fock = {4 * self.n_fock}, got {self.levels}"
+            )
         if self.formats != "csv":
             raise ConfigError("formats: only 'csv' is supported")
         if self.first_bin_width <= 0 or self.conditional_bin_width <= 0:

@@ -10,7 +10,7 @@ for the effective-Hamiltonian subspace cascades: the photon pair feeds
 |0,g,e>, |0,e,g>, their symmetric combination, and the dark |0,g,g>), the
 handful of distinct flows is propagated once over the horizon and each
 trajectory reduces to scanning its own uniform words against precomputed
-arrays; ``collect`` gathers the sampled records into the result's columns.
+arrays, writing its observables straight into its row of the result.
 
 Random access makes the scans cheap: the threshold word for step k is
 word k of the trajectory's threshold stream regardless of history, and
@@ -53,17 +53,15 @@ from .mcwf import (
     JUMP_NORM_FLOOR,
     MAX_DP_PER_STEP,
     EnsembleResult,
-    JumpEvent,
-    TrajectoryRecord,
     _check_dp,
     _chunk_amplitudes,
+    _jump_columns,
     _no_jump_chain,
     _norm,
     _prepare,
     _run_rows,
     _select_channel,
     _top_fock,
-    collect,
 )
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
 from .system import OBSERVABLE_LABELS, DissipativeSystem, step_grid
@@ -249,12 +247,16 @@ def _sample_grouped(
     n_steps: int,
     dt: float,
     rec_steps: np.ndarray,
-    time_grid: np.ndarray,
     powers: list[np.ndarray],
-) -> TrajectoryRecord:
-    """Walk one trajectory across flows; its record shares ``time_grid``."""
+    series: np.ndarray,
+) -> tuple[list[tuple], np.ndarray, float]:
+    """Walk one trajectory across flows, writing its (3, T) observables into series.
+
+    Returns its jumps as (time, channel, dp of every channel) tuples in time
+    order, its final state and its top-Fock peak.
+    """
     rates = system.rates
-    jumps: list[JumpEvent] = []
+    jumps = []
     segments_entry = [0]
     segments_flow = [0]
     k, fid = 0, 0
@@ -294,9 +296,7 @@ def _sample_grouped(
             raise NumericalInconsistencyError(
                 f"channel {CHANNEL_LABELS[m]} selected with vanishing amplitude"
             )
-        jumps.append(
-            JumpEvent(time=(hit + 1) * dt, channel=m, pre_jump_norm_probabilities=dp_col.copy())
-        )
+        jumps.append(((hit + 1) * dt, m, dp_col))
         fid = int(flow.image_flow[m])
         k = hit + 1
         segments_entry.append(k)
@@ -306,7 +306,6 @@ def _sample_grouped(
     # last one entered at or before it.
     entries = np.array(segments_entry)
     seg_of_rec = np.searchsorted(entries, rec_steps, side="right") - 1
-    series = np.empty((3, rec_steps.size))
     for s, (entry, fid) in enumerate(zip(segments_entry, segments_flow)):
         sel = seg_of_rec == s
         if np.any(sel):
@@ -314,10 +313,7 @@ def _sample_grouped(
     last = flows[segments_flow[-1]]
     age = n_steps - segments_entry[-1]
     final = _state_at_age(last.state0, powers, age)
-    peak = max(peak, last.top_peak[age])
-    return TrajectoryRecord(
-        time_grid, dict(zip(OBSERVABLE_LABELS, series)), jumps, final, float(peak)
-    )
+    return jumps, final, float(max(peak, last.top_peak[age]))
 
 
 def run_ensemble(
@@ -360,13 +356,22 @@ def run_ensemble(
     if flows is None:
         return _run_rows(
             system, psi0, t_final, dt, master_seed, range(n_trajectories), record_every
-        )[0]
-    time_grid = rec_steps * dt
-    powers = _binary_powers(propagator, n_steps)
-    records = (
-        _sample_grouped(
-            i, flows, system, master_seed, n_steps, dt, rec_steps, time_grid, powers
         )
-        for i in range(n_trajectories)
+    powers = _binary_powers(propagator, n_steps)
+    series = np.empty((len(OBSERVABLE_LABELS), n_trajectories, rec_steps.size))
+    finals = np.empty((n_trajectories, psi0.size), dtype=complex)
+    jumps, peak = [], 0.0
+    for i in range(n_trajectories):
+        sampled, finals[i], traj_peak = _sample_grouped(
+            i, flows, system, master_seed, n_steps, dt, rec_steps, powers, series[:, i]
+        )
+        jumps += [(i, *jump) for jump in sampled]
+        peak = max(peak, traj_peak)
+    return EnsembleResult(
+        time_grid=rec_steps * dt,
+        horizon=n_steps * dt,
+        expectations=series,
+        final_states=finals,
+        top_fock_peak=peak,
+        **_jump_columns(jumps),
     )
-    return collect(records, n_trajectories, n_steps * dt)

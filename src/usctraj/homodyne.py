@@ -40,7 +40,7 @@ import numpy as np
 
 from .dressed import CHANNEL_LABELS
 from .errors import ConfigError
-from .mcwf import EnsembleResult, TrajectoryRecord, _one_record, _run_rows
+from .mcwf import EnsembleResult, _run_rows
 from .system import DissipativeSystem
 
 DRIFT_MODES = ("as-printed", "qsd")
@@ -74,20 +74,19 @@ def run_trajectory_homodyne(
     drift_mode: str = "qsd",
     store_states: bool = False,
     zero_noise: bool = False,
-) -> TrajectoryRecord:
+) -> EnsembleResult:
     """Run one diffusive trajectory; deterministic in (system, psi0, dt, seed, traj_index).
 
     ``homodyne_channels`` names the monitored channels; None monitors all
     of them (full homodyne, no jumps possible).  The remaining channels
     stay photodetected, as in a cavity-homodyne / qubit-photodetection
     mixed measurement.  ``zero_noise`` sets every Wiener increment to 0
-    without drawing words (drift-only runs).
+    without drawing words (drift-only runs).  Returns the one-row result;
+    ``store_states`` fills its ``states``.
     """
-    return _one_record(
-        *_run_rows(
-            system, psi0, t_final, dt, seed, [traj_index], record_every,
-            _monitored(homodyne_channels, drift_mode), drift_mode, zero_noise, store_states,
-        )
+    return _run_rows(
+        system, psi0, t_final, dt, seed, [traj_index], record_every,
+        _monitored(homodyne_channels, drift_mode), drift_mode, zero_noise, store_states,
     )
 
 
@@ -113,4 +112,4 @@ def run_homodyne_ensemble(
     return _run_rows(
         system, psi0, t_final, dt, master_seed, range(n_trajectories), record_every,
         _monitored(homodyne_channels, drift_mode), drift_mode, zero_noise,
-    )[0]
+    )

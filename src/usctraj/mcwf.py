@@ -55,26 +55,21 @@ grows neither with the run nor beyond the budget with the ensemble.
 A ``TimestepError`` or ``NumericalInconsistencyError`` of a batch is the one
 of the earliest step at which any trajectory raises, the lowest trajectory
 at that step; its message is the one that trajectory raises when run alone.
-The kernel writes its ``EnsembleResult`` columns itself; ``collect`` builds
-one from the per-trajectory records of the grouped sampler.
+The kernel writes the columns of its ``EnsembleResult`` itself, the one
+result type of every trajectory engine; a single run is its one-row case.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
 from .dressed import CHANNEL_LABELS
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    NumericalInconsistencyError,
-    TimestepError,
-)
+from .errors import DimensionMismatchError, NumericalInconsistencyError, TimestepError
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, PURPOSE_NOISE, normal_words, uniform_words
 from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
 
@@ -100,53 +95,21 @@ _HISTORY_ROWS = 1024
 
 
 @dataclass(frozen=True)
-class JumpEvent:
-    """One recorded quantum jump through channel ``CHANNEL_LABELS[channel]``.
-
-    ``pre_jump_norm_probabilities`` holds every channel's jump probability
-    of the step, in the same order.
-    """
-
-    time: float
-    channel: int
-    pre_jump_norm_probabilities: np.ndarray
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise ValueError("jump time must be >= 0")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One trajectory: expectation series, jump log, and the final state.
-
-    ``expectations`` maps observable labels (cavity, qubit1, qubit2) to the
-    real series <S^- S^+> on ``time_grid``; these use the dressed operators,
-    so the cavity series is a photon number an external detector would see.
-    ``top_fock_peak`` is the largest top-Fock population of any state the
-    trajectory visited, the quantity the truncation check bounds.
-    """
-
-    time_grid: np.ndarray
-    expectations: dict[str, np.ndarray]
-    jumps: list[JumpEvent]
-    final_state: np.ndarray
-    top_fock_peak: float
-    states: np.ndarray | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
 class EnsembleResult:
-    """Trajectories 0..N-1 of one ensemble, as columns.
+    """Trajectories 0..N-1 of one ensemble, as columns; a single run is N = 1.
 
-    ``expectations`` is (3, N, T), in ``OBSERVABLE_LABELS`` order on
-    ``time_grid``; ``final_states`` is (N, d).  Jump q came from trajectory
-    ``jump_traj[q]`` at ``jump_time[q]`` through ``CHANNEL_LABELS[jump_channel[q]]``,
-    with every channel's pre-jump probability in ``jump_dp[q]``; jumps are
+    ``expectations`` is (3, N, T): the real series <S^- S^+> of the
+    ``OBSERVABLE_LABELS`` on ``time_grid``.  They use the dressed operators,
+    so the cavity series is a photon number an external detector would see.
+    ``final_states`` is (N, d).  Jump q came from trajectory ``jump_traj[q]``
+    at ``jump_time[q]`` through ``CHANNEL_LABELS[jump_channel[q]]``, with
+    every channel's pre-jump probability in ``jump_dp[q]``; jumps are
     ordered by trajectory, then time.  ``horizon`` is the time of the last
     step, n_steps * dt: jumps land up to it, later than the last sample when
     the recording stride does not divide the step count.  ``top_fock_peak``
-    is the largest of all.
+    is the largest top-Fock population of any state a trajectory visited,
+    the quantity the truncation check bounds.  ``states`` holds the (N, T, d)
+    states on the time grid when the run was asked to store them, else None.
     """
 
     time_grid: np.ndarray
@@ -158,6 +121,7 @@ class EnsembleResult:
     jump_channel: np.ndarray
     jump_dp: np.ndarray
     top_fock_peak: float
+    states: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_trajectories(self) -> int:
@@ -172,36 +136,6 @@ def _jump_columns(jumps: list[tuple]) -> dict[str, np.ndarray]:
         jump_time=np.array(times, dtype=float),
         jump_channel=np.array(channels, dtype=int),
         jump_dp=np.array(dps, dtype=float).reshape(len(jumps), len(CHANNEL_LABELS)),
-    )
-
-
-def collect(records: Iterable[TrajectoryRecord], n: int, horizon: float) -> EnsembleResult:
-    """The EnsembleResult of n trajectory records that share one time grid and horizon.
-
-    Records are consumed one at a time into preallocated rows, so a
-    generator keeps at most one record alive.
-    """
-    grid, jumps, peak, i = None, [], 0.0, -1
-    for i, rec in enumerate(records):
-        if grid is None:
-            grid = rec.time_grid
-            series = np.empty((len(OBSERVABLE_LABELS), n, grid.size))
-            finals = np.empty((n, rec.final_state.size), dtype=complex)
-        elif rec.time_grid.shape != grid.shape or not np.array_equal(rec.time_grid, grid):
-            raise DimensionMismatchError("trajectory time grids differ")
-        series[:, i] = [rec.expectations[label] for label in OBSERVABLE_LABELS]
-        finals[i] = rec.final_state
-        peak = max(peak, rec.top_fock_peak)
-        jumps += [(i, j.time, j.channel, j.pre_jump_norm_probabilities) for j in rec.jumps]
-    if i < 0 or i + 1 != n:
-        raise ConfigError(f"expected {n} >= 1 trajectories, got {i + 1}")
-    return EnsembleResult(
-        time_grid=grid,
-        horizon=horizon,
-        expectations=series,
-        final_states=finals,
-        top_fock_peak=peak,
-        **_jump_columns(jumps),
     )
 
 
@@ -356,15 +290,14 @@ def _run_rows(
     drift_mode: str = "qsd",
     zero_noise: bool = False,
     store_states: bool = False,
-) -> tuple[EnsembleResult, np.ndarray | None]:
+) -> EnsembleResult:
     """Trajectories ``rows`` (traj_index values), advanced in lockstep.
 
     ``monitored`` lists the homodyned channels (positions in
     ``CHANNEL_LABELS``); the others are photodetected.  ``drift_mode`` is
     "qsd" or "as-printed" (see ``homodyne``), and ``zero_noise`` sets every
-    Wiener increment to 0 without drawing words.  Returns the result, whose
-    trajectory j is ``rows[j]``, and with ``store_states`` the (rows, T, d)
-    states on the time grid.
+    Wiener increment to 0 without drawing words.  Trajectory j of the
+    result is ``rows[j]``; ``store_states`` fills its ``states``.
     """
     psi = _prepare(psi0, system)
     n_steps, rec_steps = step_grid(t_final, dt, record_every)
@@ -493,29 +426,14 @@ def _run_rows(
 
     peak = max(peak, float(_top_fock(history[:filled]).max()))
     jumps.sort(key=lambda jump: jump[0])  # stable: by trajectory, then time
-    result = EnsembleResult(
+    return EnsembleResult(
         time_grid=rec_steps * dt,
         horizon=n_steps * dt,
         expectations=series,
         final_states=states[where],
         top_fock_peak=peak,
+        states=snapshots,
         **_jump_columns(jumps),
-    )
-    return result, snapshots
-
-
-def _one_record(result: EnsembleResult, snapshots: np.ndarray | None) -> TrajectoryRecord:
-    """The record of a one-trajectory result, with its states when they were stored."""
-    return TrajectoryRecord(
-        time_grid=result.time_grid,
-        expectations=dict(zip(OBSERVABLE_LABELS, result.expectations[:, 0])),
-        jumps=[
-            JumpEvent(float(t), int(m), dp)
-            for t, m, dp in zip(result.jump_time, result.jump_channel, result.jump_dp)
-        ],
-        final_state=result.final_states[0],
-        top_fock_peak=result.top_fock_peak,
-        states=None if snapshots is None else snapshots[0],
     )
 
 
@@ -528,24 +446,24 @@ def run_trajectory(
     traj_index: int = 0,
     record_every: int = 1,
     store_states: bool = False,
-) -> TrajectoryRecord:
+) -> EnsembleResult:
     """Run one trajectory; deterministic in (system, psi0, dt, seed, traj_index).
 
     The jump recorded at time (k+1) dt replaces the coherent propagation of
     step k, so grid samples always show the post-jump state.  This is the
-    kernel's one-row case: trajectory j of ``ensemble.run_ensemble(...,
-    method="direct")`` with the same master seed is this run, bit for bit.
+    kernel's one-row case: row j of ``ensemble.run_ensemble(...,
+    method="direct")`` with the same master seed is this run's one row, bit
+    for bit.  ``store_states`` fills the result's ``states``.
     """
-    return _one_record(
-        *_run_rows(
-            system, psi0, t_final, dt, seed, [traj_index], record_every,
-            store_states=store_states,
-        )
+    return _run_rows(
+        system, psi0, t_final, dt, seed, [traj_index], record_every, store_states=store_states
     )
 
 
 def ensemble_average(result: EnsembleResult) -> EnsembleAverage:
     """Pointwise mean and standard error over the trajectories of an ensemble."""
+    if result.expectations.shape[2:] != result.time_grid.shape:
+        raise DimensionMismatchError("series and time grid differ in length")
     n = result.n_trajectories
     means, errors = {}, {}
     for label, stack in zip(OBSERVABLE_LABELS, result.expectations):

@@ -6,11 +6,12 @@ operators, so the common configurations are session-scoped.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from usctraj import ensemble, mcwf
 from usctraj.hilbert import build_layout
 from usctraj.model import SystemParams, calibrate_resonance
-from usctraj.system import build_system
+from usctraj.system import OBSERVABLE_LABELS, build_system, step_grid
 
 
 @pytest.fixture(scope="session")
@@ -52,37 +53,42 @@ def system_full10(p_full10):
     return build_system(p_full10, n_fock=10, hamiltonian="full")
 
 
-@pytest.fixture()
-def run_with_records(monkeypatch):
-    """run_ensemble that also returns the trajectory records behind its result.
+@pytest.fixture(scope="session")
+def trajectories_alone():
+    """The trajectories of a run_ensemble call, each run on its own.
 
-    A grouped run hands its records to ``collect``; a direct run has none,
-    so its records are its trajectories run alone, which equal its rows.
+    Returns one (series, jumps, final, peak) tuple per trajectory: its (3, T)
+    observables, its jumps as (time, channel, dp) tuples, its final state and
+    its top-Fock peak.  A grouped trajectory is ``ensemble._sample_grouped``
+    over the run's flows; a direct one is ``mcwf.run_trajectory``.
     """
-    collect = ensemble.collect
 
     def run(system, psi0, t_final, n, dt=mcwf.DEFAULT_DT, master_seed=0, record_every=1,
-            method="auto"):
-        records = []
-
-        def keep(rows, n, horizon):
-            records.extend(rows)
-            return collect(records, n, horizon)
-
-        monkeypatch.setattr(ensemble, "collect", keep)
-        result = ensemble.run_ensemble(
-            system, psi0, t_final, n, dt=dt, master_seed=master_seed,
-            record_every=record_every, method=method,
-        )
-        if not records:
-            records = [
+            method="grouped"):
+        if method == "direct":
+            rows = [
                 mcwf.run_trajectory(
                     system, psi0, t_final, dt=dt, seed=master_seed, traj_index=i,
                     record_every=record_every,
                 )
                 for i in range(n)
             ]
-        return result, records
+            return [
+                (r.expectations[:, 0], list(zip(r.jump_time, r.jump_channel, r.jump_dp)),
+                 r.final_states[0], r.top_fock_peak)
+                for r in rows
+            ]
+        n_steps, rec_steps = step_grid(t_final, dt, record_every)
+        propagator = expm(-1j * system.h_nh * dt)
+        flows = ensemble._discover_flows(psi0, system, propagator, n_steps, dt)
+        powers = ensemble._binary_powers(propagator, n_steps)
+        alone = []
+        for i in range(n):
+            series = np.empty((len(OBSERVABLE_LABELS), rec_steps.size))
+            alone.append((series, *ensemble._sample_grouped(
+                i, flows, system, master_seed, n_steps, dt, rec_steps, powers, series
+            )))
+        return alone
 
     return run
 

@@ -410,11 +410,12 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
     rec = run_trajectory(
         system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=11,
     )
-    assert len(rec.jumps) == 1 and CHANNEL_LABELS[rec.jumps[0].channel] == "qubit1"
-    t1 = rec.jumps[0].time
+    assert rec.jump_time.size == 1 and CHANNEL_LABELS[rec.jump_channel[0]] == "qubit1"
+    t1 = rec.jump_time[0]
     assert abs(t1 - 1019.0) < 1e-9
     sel = rec.time_grid >= t1
-    w = fit_cosine(rec.time_grid[sel] - t1, rec.expectations["qubit2"][sel], 2.0 * om2)
+    _, _, qubit2 = rec.expectations[:, 0, sel]
+    w = fit_cosine(rec.time_grid[sel] - t1, qubit2, 2.0 * om2)
     freq_dev = abs(w / 2.0 - om2) / om2
 
     # Detuned qubits: the exchange is rotating-wave suppressed, so after a
@@ -427,11 +428,11 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
         rec_d = run_trajectory(
             system_d, system_d.initial_state("1gg"), 3000.0, dt=0.5, seed=seed,
         )
-        assert len(rec_d.jumps) == 1 and CHANNEL_LABELS[rec_d.jumps[0].channel] == channel
-        assert abs(rec_d.jumps[0].time - t_jump) < 1e-9
-        sel_d = rec_d.time_grid >= rec_d.jumps[0].time
-        for label in ("qubit1", "qubit2"):
-            frozen_ptp = max(frozen_ptp, float(np.ptp(rec_d.expectations[label][sel_d])))
+        assert rec_d.jump_time.size == 1 and CHANNEL_LABELS[rec_d.jump_channel[0]] == channel
+        assert abs(rec_d.jump_time[0] - t_jump) < 1e-9
+        sel_d = rec_d.time_grid >= rec_d.jump_time[0]
+        for qubit in rec_d.expectations[1:, 0]:
+            frozen_ptp = max(frozen_ptp, float(np.ptp(qubit[sel_d])))
 
     # Collective jump, identical qubits: the bright superposition holds both
     # populations at one half.
@@ -441,12 +442,11 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
     rec_c = run_trajectory(
         system_c, system_c.initial_state("1gg"), 8000.0, dt=0.5, seed=4,
     )
-    assert len(rec_c.jumps) == 1 and CHANNEL_LABELS[rec_c.jumps[0].channel] == "collective"
-    assert abs(rec_c.jumps[0].time - 2243.5) < 1e-9
-    sel_c = rec_c.time_grid >= rec_c.jumps[0].time
+    assert rec_c.jump_time.size == 1 and CHANNEL_LABELS[rec_c.jump_channel[0]] == "collective"
+    assert abs(rec_c.jump_time[0] - 2243.5) < 1e-9
+    sel_c = rec_c.time_grid >= rec_c.jump_time[0]
     bright_dev = max(
-        float(np.max(np.abs(rec_c.expectations[label][sel_c] - 0.5)))
-        for label in ("qubit1", "qubit2")
+        float(np.max(np.abs(qubit[sel_c] - 0.5))) for qubit in rec_c.expectations[1:, 0]
     )
 
     # Collective jump with unequal local rates: the conditional populations
@@ -463,10 +463,9 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
         rec_i = run_trajectory(
             system_i, system_i.initial_state("1gg"), 8000.0, dt=0.5, seed=4,
         )
-        assert rec_i.jumps and CHANNEL_LABELS[rec_i.jumps[0].channel] == "collective"
-        sel_i = rec_i.time_grid >= rec_i.jumps[0].time
-        q1 = rec_i.expectations["qubit1"][sel_i]
-        q2 = rec_i.expectations["qubit2"][sel_i]
+        assert rec_i.jump_time.size and CHANNEL_LABELS[rec_i.jump_channel[0]] == "collective"
+        sel_i = rec_i.time_grid >= rec_i.jump_time[0]
+        _, q1, q2 = rec_i.expectations[:, 0, sel_i]
         gaining, losing = (q2, q1) if g1 > g2 else (q1, q2)
         block = 100
         n_full = (gaining.size // block) * block
@@ -579,11 +578,8 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
         system, system.initial_state("1gg"), 20000.0, dt=0.1, seed=0,
         record_every=1, drift_mode="qsd",
     )
-    max_step = max(
-        float(np.max(np.abs(np.diff(rec.expectations[label]))))
-        for label in ("cavity", "qubit1", "qubit2")
-    )
-    continuous_ok = len(rec.jumps) == 0 and max_step < 0.05
+    max_step = float(np.max(np.abs(np.diff(rec.expectations[:, 0], axis=1))))
+    continuous_ok = rec.jump_time.size == 0 and max_step < 0.05
 
     # Cavity homodyned, qubits photodetected: local jumps survive and the
     # post-jump record oscillates at the exchange frequency.
@@ -595,13 +591,14 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
         system_m, system_m.initial_state("0ee"), 2500.0, dt=0.1, seed=1,
         record_every=5, homodyne_channels=("cavity",), drift_mode="as-printed",
     )
-    qjumps = [j for j in rec_m.jumps if CHANNEL_LABELS[j.channel] in ("qubit1", "qubit2")]
-    cavity_jumps = [j for j in rec_m.jumps if CHANNEL_LABELS[j.channel] == "cavity"]
-    assert qjumps and not cavity_jumps
-    t1 = qjumps[0].time
-    t2 = qjumps[1].time if len(qjumps) > 1 else rec_m.time_grid[-1]
+    channels = [CHANNEL_LABELS[m] for m in rec_m.jump_channel]
+    qjumps = [t for t, c in zip(rec_m.jump_time, channels) if c in ("qubit1", "qubit2")]
+    assert qjumps and "cavity" not in channels
+    t1 = qjumps[0]
+    t2 = qjumps[1] if len(qjumps) > 1 else rec_m.time_grid[-1]
     sel = (rec_m.time_grid >= t1) & (rec_m.time_grid <= t2)
-    w = fit_cosine(rec_m.time_grid[sel] - t1, rec_m.expectations["qubit2"][sel], 2.0 * om2)
+    _, _, qubit2 = rec_m.expectations[:, 0, sel]
+    w = fit_cosine(rec_m.time_grid[sel] - t1, qubit2, 2.0 * om2)
     mixed_dev = abs(w / 2.0 - om2) / om2
 
     means, ses, series = diffusive_mean_comparison
@@ -616,7 +613,7 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
         announce, 9,
         "full homodyne: %d jumps, max increment=%.3g; mixed post-jump freq "
         "dev=%.2g (tol 0.02); ensemble worst dev/(3 SE)=%.3f"
-        % (len(rec.jumps), max_step, mixed_dev, worst_ratio),
+        % (rec.jump_time.size, max_step, mixed_dev, worst_ratio),
         ok,
     )
 
@@ -630,7 +627,7 @@ def test_criterion_10_property_suite(announce, p_paper_rates, system_eff,
     rec = run_trajectory(
         system, system.initial_state("1gg"), 2000.0, dt=0.5, seed=1,
     )
-    norm_err = abs(np.linalg.norm(rec.final_state) - 1.0)
+    norm_err = abs(np.linalg.norm(rec.final_states[0]) - 1.0)
     series = evolve_lme(
         system, density_from_state(system.initial_state("1gg"), layout6),
         2000.0, 0.5, record_every=100,

@@ -556,6 +556,47 @@ def test_config_validation_direct():
     assert cfg.exchange_flag() is True
     assert ExperimentConfig(qubit_exchange="off").exchange_flag() is False
     assert ExperimentConfig().exchange_flag() is None
+    assert ExperimentConfig(n_fock=2, levels=8).levels == 8
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("output", "first_bin_width", "nan"),
+        ("system", "kappa", "inf"),
+        ("system", "g", "nan"),
+        ("system", "theta", "-inf"),
+        ("run", "dt", "nan"),
+        ("run", "t_final", "inf"),
+        ("run", "delta_max", "nan"),
+        ("run", "levels", "9"),  # n_fock = 2 has 8 levels
+        ("run", "master_seed", "-1"),
+    ],
+)
+def test_bad_values_are_rejected_before_calibration(
+    tmp_path, capsys, monkeypatch, section, key, value
+):
+    def calibrate(*args, **kwargs):
+        raise AssertionError("calibrated before the config was checked")
+
+    monkeypatch.setattr(usctraj.cli, "calibrate_resonance", calibrate)
+    sections = {
+        "system": {"n_fock": "2", "calibrate": "effective"},
+        "run": {"hamiltonian": "effective", "t_final": "10", "n_trajectories": "2"},
+        "output": {"histogram": "both"},
+    }
+    sections[section][key] = value
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    ))
+    with pytest.raises(ConfigError, match=f"^{key} "):
+        load_config(str(cfg))
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("4", "4")])

@@ -15,9 +15,10 @@ from usctraj import ensemble
 from usctraj.ensemble import ENSEMBLE_METHODS, run_ensemble
 from usctraj.errors import ConfigError, TimestepError
 from usctraj.hilbert import build_layout
+from usctraj.homodyne import run_homodyne_ensemble
 from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
-from usctraj.system import OBSERVABLE_LABELS, build_system
+from usctraj.system import build_system
 
 N_TRAJ = 40
 T_FINAL = 3000.0
@@ -118,9 +119,8 @@ def test_auto_uses_direct_loop_on_the_full_hamiltonian(busy_systems):
         ref = run_trajectory(
             system, psi0, 200.0, dt=0.5, seed=5, traj_index=i, record_every=2,
         )
-        for row, label in zip(result.expectations[:, i], OBSERVABLE_LABELS):
-            np.testing.assert_array_equal(row, ref.expectations[label])
-        np.testing.assert_array_equal(result.final_states[i], ref.final_state)
+        np.testing.assert_array_equal(result.expectations[:, i], ref.expectations[:, 0])
+        np.testing.assert_array_equal(result.final_states[i], ref.final_states[0])
 
 
 def test_grouped_refuses_ungroupable_dynamics(busy_systems):
@@ -272,22 +272,54 @@ def test_grouped_refuses_a_ray_broken_after_the_first_chunk(busy_systems, monkey
         run_ensemble(system, psi0, 200.0, 3, dt=0.5, master_seed=5, method="grouped")
 
 
-def test_grouped_top_fock_peak_matches_the_direct_engine(run_with_records):
+def test_grouped_top_fock_peak_matches_the_direct_engine(trajectories_alone):
     # at n_fock = 2 the pair exchange fills the top Fock level mid-run
     base = SystemParams(kappa=4e-4, gamma1=2e-4, gamma2=2e-4)
     p = calibrate_resonance(base, build_layout(2), which="effective")
     system = build_system(p, n_fock=2, hamiltonian="effective")
     psi0 = system.initial_state("0ee")
-    grouped_result, grouped = run_with_records(
-        system, psi0, 3000.0, 12, master_seed=5, method="grouped"
+    runs = {}
+    for method in ("grouped", "direct"):
+        result = run_ensemble(system, psi0, 3000.0, 12, master_seed=5, method=method)
+        alone = trajectories_alone(system, psi0, 3000.0, 12, master_seed=5, method=method)
+        # the ensemble keeps the largest peak of its trajectories
+        assert result.top_fock_peak == max(peak for *_, peak in alone)
+        runs[method] = alone
+    for (_, g_jumps, _, g_peak), (_, d_jumps, _, d_peak) in zip(runs["grouped"], runs["direct"]):
+        assert [j[0] for j in g_jumps] == [j[0] for j in d_jumps]
+        assert g_peak == pytest.approx(d_peak, rel=1e-12)
+    assert max(peak for *_, peak in runs["grouped"]) > 0.5
+
+
+def test_grouped_rows_equal_trajectories_sampled_alone(
+    busy_systems, grouped_and_direct, trajectories_alone
+):
+    # the grouped run writes each trajectory into its row of the result: row
+    # j is trajectory j sampled on its own, bit for bit
+    grouped, _ = grouped_and_direct
+    system = busy_systems["effective"]
+    alone = trajectories_alone(
+        system, system.initial_state("1gg"), T_FINAL, N_TRAJ, dt=0.5, master_seed=11,
+        record_every=4,
     )
-    direct_result, direct = run_with_records(
-        system, psi0, 3000.0, 12, master_seed=5, method="direct"
-    )
-    for g, d in zip(grouped, direct):
-        assert [j.time for j in g.jumps] == [j.time for j in d.jumps]
-        assert g.top_fock_peak == pytest.approx(d.top_fock_peak, rel=1e-12)
-    assert max(r.top_fock_peak for r in grouped) > 0.5
-    # the ensemble keeps the largest peak of its trajectories
-    assert grouped_result.top_fock_peak == max(r.top_fock_peak for r in grouped)
-    assert direct_result.top_fock_peak == max(r.top_fock_peak for r in direct)
+    for j, (series, jumps, final, _) in enumerate(alone):
+        np.testing.assert_array_equal(grouped.expectations[:, j], series)
+        np.testing.assert_array_equal(grouped.final_states[j], final)
+        sel = grouped.jump_traj == j
+        assert list(zip(grouped.jump_time[sel], grouped.jump_channel[sel])) == [
+            jump[:2] for jump in jumps
+        ]
+        for got, jump in zip(grouped.jump_dp[sel], jumps):
+            np.testing.assert_array_equal(got, jump[2])
+    assert grouped.jump_traj.size == sum(len(jumps) for _, jumps, *_ in alone) > 10
+    assert grouped.top_fock_peak == max(peak for *_, peak in alone)
+
+
+def test_an_ensemble_of_no_trajectories_is_rejected(busy_systems):
+    system = busy_systems["effective"]
+    psi0 = system.initial_state("1gg")
+    for method in ENSEMBLE_METHODS:
+        with pytest.raises(ConfigError, match="n_trajectories"):
+            run_ensemble(system, psi0, 100.0, 0, method=method)
+    with pytest.raises(ConfigError, match="n_trajectories"):
+        run_homodyne_ensemble(system, psi0, 100.0, 0)

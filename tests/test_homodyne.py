@@ -11,7 +11,7 @@ from usctraj.dressed import CHANNEL_LABELS
 from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
 from usctraj.homodyne import DRIFT_MODES, run_homodyne_ensemble, run_trajectory_homodyne
-from usctraj.mcwf import JumpEvent, TrajectoryRecord, run_trajectory
+from usctraj.mcwf import run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.rng import (
     PURPOSE_CHANNEL,
@@ -20,7 +20,7 @@ from usctraj.rng import (
     normal_words,
     uniform_words,
 )
-from usctraj.system import OBSERVABLE_LABELS, build_system
+from usctraj.system import build_system
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +41,8 @@ def test_full_homodyne_never_jumps(hom_system):
         sys, sys.initial_state("1gg"), 500.0, dt=0.1, seed=2,
         record_every=10, drift_mode="qsd",
     )
-    assert rec.jumps == []
-    assert abs(np.linalg.norm(rec.final_state) - 1.0) < 1e-12
+    assert rec.jump_time.size == 0
+    assert abs(np.linalg.norm(rec.final_states[0]) - 1.0) < 1e-12
 
 
 def test_increments_are_bounded(hom_system):
@@ -53,9 +53,8 @@ def test_increments_are_bounded(hom_system):
         sys, sys.initial_state("1gg"), 400.0, dt=0.1, seed=5,
         drift_mode="qsd",
     )
-    for label in rec.expectations:
-        steps = np.abs(np.diff(rec.expectations[label]))
-        assert steps.max() < 0.05
+    steps = np.abs(np.diff(rec.expectations[:, 0], axis=1))
+    assert steps.max() < 0.05
 
 
 def test_determinism_and_traj_index_variation(hom_system):
@@ -63,12 +62,12 @@ def test_determinism_and_traj_index_variation(hom_system):
     common = dict(dt=0.1, seed=8, record_every=5, drift_mode="qsd")
     a = run_trajectory_homodyne(sys, sys.initial_state("1gg"), 200.0, **common)
     b = run_trajectory_homodyne(sys, sys.initial_state("1gg"), 200.0, **common)
-    np.testing.assert_array_equal(a.final_state, b.final_state)
+    np.testing.assert_array_equal(a.final_states, b.final_states)
     c = run_trajectory_homodyne(
         sys, sys.initial_state("1gg"), 200.0, dt=0.1, seed=8,
         record_every=5, drift_mode="qsd", traj_index=1,
     )
-    assert not np.array_equal(a.final_state, c.final_state)
+    assert not np.array_equal(a.final_states, c.final_states)
 
 
 def test_zero_noise_reduces_to_deterministic_drift(hom_system):
@@ -81,9 +80,8 @@ def test_zero_noise_reduces_to_deterministic_drift(hom_system):
         sys, sys.initial_state("1gg"), 100.0, dt=0.1, seed=99,
         drift_mode="qsd", zero_noise=True,
     )
-    np.testing.assert_array_equal(a.final_state, b.final_state)
-    for label in a.expectations:
-        np.testing.assert_array_equal(a.expectations[label], b.expectations[label])
+    np.testing.assert_array_equal(a.final_states, b.final_states)
+    np.testing.assert_array_equal(a.expectations, b.expectations)
 
 
 def test_lossless_homodyne_equals_jump_unravelling(p_resonant):
@@ -96,10 +94,7 @@ def test_lossless_homodyne_equals_jump_unravelling(p_resonant):
         record_every=2,
     )
     jmp = run_trajectory(system, psi0, 300.0, dt=0.5, seed=3, record_every=2)
-    for label in hom.expectations:
-        np.testing.assert_allclose(
-            hom.expectations[label], jmp.expectations[label], atol=1e-10
-        )
+    np.testing.assert_allclose(hom.expectations, jmp.expectations, atol=1e-10)
 
 
 def test_drift_mode_changes_the_path(hom_system):
@@ -112,7 +107,7 @@ def test_drift_mode_changes_the_path(hom_system):
         )
     # same noise words, different drift: paths must differ across modes
     assert not np.array_equal(
-        runs["qsd"].final_state, runs["as-printed"].final_state
+        runs["qsd"].final_states, runs["as-printed"].final_states
     )
 
 
@@ -125,12 +120,12 @@ def test_mixed_detection_produces_jumps(hom_system):
             sys, sys.initial_state("0ee"), 3000.0, dt=0.1, seed=seed,
             record_every=50, homodyne_channels=("cavity",), drift_mode="qsd",
         )
-        if rec.jumps:
+        if rec.jump_time.size:
             found = rec
             break
     assert found is not None, "no qubit jump in 40 seeds"
-    assert all(CHANNEL_LABELS[j.channel] in ("qubit1", "qubit2") for j in found.jumps)
-    assert abs(np.linalg.norm(found.final_state) - 1.0) < 1e-12
+    assert all(CHANNEL_LABELS[m] in ("qubit1", "qubit2") for m in found.jump_channel)
+    assert abs(np.linalg.norm(found.final_states[0]) - 1.0) < 1e-12
 
 
 def test_unknown_channel_and_mode_rejected(hom_system):
@@ -157,7 +152,7 @@ def test_qsd_ensemble_mean_decays(hom_system):
             sys, sys.initial_state("1gg"), 500.0, dt=0.1, seed=11,
             traj_index=i, record_every=100, drift_mode="qsd",
         )
-        total = sum(rec.expectations[k] for k in rec.expectations)
+        total = rec.expectations[:, 0].sum(axis=0)
         assert total[0] == pytest.approx(1.0, abs=1e-6)
         finals.append(total[-1])
     assert np.mean(finals) < 0.98
@@ -321,40 +316,25 @@ def _batch_outcome(systems, case, n):
     )
 
 
-def _row_record(result, j):
-    """Row j of an EnsembleResult as a TrajectoryRecord without states."""
-    sel = result.jump_traj == j
-    return TrajectoryRecord(
-        time_grid=result.time_grid,
-        expectations=dict(zip(OBSERVABLE_LABELS, result.expectations[:, j])),
-        jumps=[
-            JumpEvent(time=t, channel=int(m), pre_jump_norm_probabilities=dp)
-            for t, m, dp in zip(
-                result.jump_time[sel], result.jump_channel[sel], result.jump_dp[sel]
-            )
-        ],
-        final_state=result.final_states[j],
-        top_fock_peak=result.top_fock_peak,
-    )
+def _assert_matches_reference(result, j, ref, monitored):
+    """Row j of the engine's result equals the reference; ``monitored`` as in the key.
 
-
-def _assert_matches_reference(rec, ref, monitored, with_states=True):
-    """The engine's record equals the reference's; ``monitored`` as in the key.
-
-    The engine records the probabilities of all four channels per jump, the
-    reference those of the photodetected channels; the homodyned ones read 0.
+    The states are compared where the result stored them.  The engine
+    records the probabilities of all four channels per jump, the reference
+    those of the photodetected channels; the homodyned ones read 0.
     """
     series, jumps, final, states = ref
-    for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
-        np.testing.assert_array_equal(rec.expectations[label], row)
-    if with_states:
-        np.testing.assert_array_equal(rec.states, states)
-    np.testing.assert_array_equal(rec.final_state, final)
-    assert [(j.time, j.channel) for j in rec.jumps] == [j[:2] for j in jumps]
+    np.testing.assert_array_equal(result.expectations[:, j], series)
+    if result.states is not None:
+        np.testing.assert_array_equal(result.states[j], states)
+    np.testing.assert_array_equal(result.final_states[j], final)
+    sel = result.jump_traj == j
+    assert list(zip(result.jump_time[sel], result.jump_channel[sel])) == [
+        jump[:2] for jump in jumps
+    ]
     detected = [m for m, label in enumerate(CHANNEL_LABELS)
                 if monitored is not None and label not in monitored]
-    for got, want in zip(rec.jumps, jumps):
-        dp = got.pre_jump_norm_probabilities
+    for dp, want in zip(result.jump_dp[sel], jumps):
         assert dp.shape == (len(CHANNEL_LABELS),)
         np.testing.assert_array_equal(dp[detected], want[2])
         np.testing.assert_array_equal(np.delete(dp, detected), 0.0)
@@ -380,7 +360,7 @@ def _compare_with_reference(systems, refs):
             assert rec == _Raised(ref.message)
             n_raised += 1
         else:
-            _assert_matches_reference(rec, ref, monitored=key[4])
+            _assert_matches_reference(rec, 0, ref, monitored=key[4])
             n_jumps += len(ref[1])
     for case in _REFERENCE_CASES:
         rows = [refs[case + (j,)] for j in range(3)]
@@ -390,9 +370,7 @@ def _compare_with_reference(systems, refs):
             assert batch == _Raised(rows[first].message)
         else:
             for j, ref in enumerate(rows):
-                _assert_matches_reference(
-                    _row_record(batch, j), ref, monitored=case[4], with_states=False
-                )
+                _assert_matches_reference(batch, j, ref, monitored=case[4])
     return n_jumps, n_raised
 
 
@@ -440,16 +418,14 @@ def test_a_batch_raises_the_error_of_its_earliest_failing_row(busy_hom_systems, 
     assert _batch_outcome(busy_hom_systems, case, len(rows)) == _Raised(rows[first].message)
 
 
-def _assert_same_row(row, rec):
-    """An ensemble row equals a single run in everything the row keeps."""
-    for label in OBSERVABLE_LABELS:
-        np.testing.assert_array_equal(row.expectations[label], rec.expectations[label])
-    np.testing.assert_array_equal(row.final_state, rec.final_state)
-    assert [(j.time, j.channel) for j in row.jumps] == [(j.time, j.channel) for j in rec.jumps]
-    for got, want in zip(row.jumps, rec.jumps):
-        np.testing.assert_array_equal(
-            got.pre_jump_norm_probabilities, want.pre_jump_norm_probabilities
-        )
+def _assert_same_row(result, j, rec):
+    """Row j of an ensemble equals the one row of a single run."""
+    np.testing.assert_array_equal(result.expectations[:, j], rec.expectations[:, 0])
+    np.testing.assert_array_equal(result.final_states[j], rec.final_states[0])
+    sel = result.jump_traj == j
+    np.testing.assert_array_equal(result.jump_time[sel], rec.jump_time)
+    np.testing.assert_array_equal(result.jump_channel[sel], rec.jump_channel)
+    np.testing.assert_array_equal(result.jump_dp[sel], rec.jump_dp)
 
 
 def test_ensemble_rows_equal_single_runs(busy_hom_systems, monkeypatch):
@@ -466,9 +442,9 @@ def test_ensemble_rows_equal_single_runs(busy_hom_systems, monkeypatch):
         for j in range(17)
     ]
     for j, rec in enumerate(singles):
-        _assert_same_row(_row_record(result, j), rec)
+        _assert_same_row(result, j, rec)
     assert result.top_fock_peak == max(rec.top_fock_peak for rec in singles)
-    first_jumps = {rec.jumps[0].time for rec in singles if rec.jumps}
+    first_jumps = {rec.jump_time[0] for rec in singles if rec.jump_time.size}
     assert len(first_jumps) >= 5
 
 
@@ -526,13 +502,12 @@ def test_runs_that_need_no_words_draw_none(
     for traj_index in range(3):
         ref = hom_references[case + (traj_index,)]
         rec = _engine_outcome(busy_hom_systems, case + (traj_index,))
-        _assert_matches_reference(rec, ref, monitored=case[4])
+        _assert_matches_reference(rec, 0, ref, monitored=case[4])
         n_jumps += len(ref[1])
     batch = _batch_outcome(busy_hom_systems, case, 3)
     for traj_index in range(3):
         _assert_matches_reference(
-            _row_record(batch, traj_index), hom_references[case + (traj_index,)],
-            monitored=case[4], with_states=False,
+            batch, traj_index, hom_references[case + (traj_index,)], monitored=case[4]
         )
     if stream == "normal_words":
         assert n_jumps > 0  # the zero-noise mixed run still reads its jump words
@@ -549,6 +524,6 @@ def test_top_fock_peak_covers_every_visited_state():
             system, system.initial_state("0ee"), 3000.0, seed=5,
             homodyne_channels=monitored, store_states=True,
         )
-        top = np.sum(np.abs(rec.states[:, -4:]) ** 2, axis=1)
+        top = np.sum(np.abs(rec.states[0, :, -4:]) ** 2, axis=1)
         assert rec.top_fock_peak == pytest.approx(top.max(), rel=1e-12)
         assert rec.top_fock_peak > max(0.5, top[0], top[-1])

@@ -20,10 +20,9 @@ from usctraj.ensemble import run_ensemble
 from usctraj.homodyne import run_trajectory_homodyne
 from usctraj.lme import density_from_state, evolve_lme
 from usctraj.mcwf import (
-    JumpEvent,
-    TrajectoryRecord,
+    EnsembleResult,
     _fired,
-    collect,
+    _jump_columns,
     ensemble_average,
     run_trajectory,
 )
@@ -43,39 +42,40 @@ def balanced_params():
 
 def test_trajectory_record_structure(system_eff):
     rec = run_trajectory(system_eff, system_eff.initial_state("1gg"), 100.0, dt=0.5, seed=4)
-    assert isinstance(rec, TrajectoryRecord)
+    assert isinstance(rec, EnsembleResult)
+    assert rec.n_trajectories == 1 and rec.states is None
     assert rec.time_grid[0] == 0.0
     assert rec.time_grid[-1] == pytest.approx(100.0)
-    assert set(rec.expectations) == {"cavity", "qubit1", "qubit2"}
+    assert rec.expectations.shape == (len(OBSERVABLE_LABELS), 1, rec.time_grid.size)
+    assert rec.final_states.shape == (1, system_eff.dimension)
     # initial state |1,g,g>: one detectable photon, no qubit excitation
-    assert rec.expectations["cavity"][0] == pytest.approx(1.0, abs=1e-3)
-    assert rec.expectations["qubit1"][0] < 1e-3
-    assert rec.expectations["qubit2"][0] < 1e-3
+    cavity, qubit1, qubit2 = rec.expectations[:, 0]
+    assert cavity[0] == pytest.approx(1.0, abs=1e-3)
+    assert qubit1[0] < 1e-3
+    assert qubit2[0] < 1e-3
 
 
 def test_final_state_stays_normalized(system_eff):
     rec = run_trajectory(system_eff, system_eff.initial_state("1gg"), 2000.0, dt=0.5, seed=0)
-    assert abs(np.linalg.norm(rec.final_state) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(rec.final_states[0]) - 1.0) < 1e-12
 
 
 def test_trajectory_is_deterministic(system_eff):
     a = run_trajectory(system_eff, system_eff.initial_state("1gg"), 500.0, dt=0.5, seed=9)
     b = run_trajectory(system_eff, system_eff.initial_state("1gg"), 500.0, dt=0.5, seed=9)
-    np.testing.assert_array_equal(a.final_state, b.final_state)
-    for label in a.expectations:
-        np.testing.assert_array_equal(a.expectations[label], b.expectations[label])
-    assert len(a.jumps) == len(b.jumps)
-    for ja, jb in zip(a.jumps, b.jumps):
-        assert ja.time == jb.time and ja.channel == jb.channel
+    np.testing.assert_array_equal(a.final_states, b.final_states)
+    np.testing.assert_array_equal(a.expectations, b.expectations)
+    np.testing.assert_array_equal(a.jump_time, b.jump_time)
+    np.testing.assert_array_equal(a.jump_channel, b.jump_channel)
 
 
 def test_trajectories_differ_across_index(system_eff):
     a = run_trajectory(system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=9, traj_index=0)
     b = run_trajectory(system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=9, traj_index=1)
-    differs = any(
-        not np.array_equal(a.expectations[k], b.expectations[k])
-        for k in a.expectations
-    ) or len(a.jumps) != len(b.jumps)
+    differs = (
+        not np.array_equal(a.expectations, b.expectations)
+        or a.jump_time.size != b.jump_time.size
+    )
     assert differs
 
 
@@ -85,24 +85,25 @@ def test_no_jump_segment_matches_pair_subspace_solution(balanced_params):
     p = balanced_params
     system = build_system(p, n_fock=6, hamiltonian="effective")
     rec = run_trajectory(system, system.initial_state("1gg"), 1500.0, dt=0.5, seed=3)
-    first_jump = rec.jumps[0].time if rec.jumps else np.inf
+    first_jump = rec.jump_time[0] if rec.jump_time.size else np.inf
     assert first_jump > 1500.0, "need a jump-free window for this seed"
     pc, pq = expectations_1p2a(rec.time_grid, p)
-    np.testing.assert_allclose(rec.expectations["cavity"], pc, atol=1e-8)
-    np.testing.assert_allclose(rec.expectations["qubit1"], pq, atol=1e-8)
-    np.testing.assert_allclose(rec.expectations["qubit2"], pq, atol=1e-8)
+    cavity, qubit1, qubit2 = rec.expectations[:, 0]
+    np.testing.assert_allclose(cavity, pc, atol=1e-8)
+    np.testing.assert_allclose(qubit1, pq, atol=1e-8)
+    np.testing.assert_allclose(qubit2, pq, atol=1e-8)
 
 
 def test_cavity_jump_empties_the_system(system_eff):
     # a cavity click from the photon-pair flow lands in the true vacuum:
     # every observable must collapse to numerical zero afterwards
     rec = run_trajectory(system_eff, system_eff.initial_state("1gg"), 6000.0, dt=0.5, seed=1)
-    cavity_jumps = [j for j in rec.jumps if CHANNEL_LABELS[j.channel] == "cavity"]
-    assert cavity_jumps, "seed expected to produce a cavity jump"
-    t_jump = cavity_jumps[0].time
+    cavity_jumps = rec.jump_time[rec.jump_channel == CHANNEL_LABELS.index("cavity")]
+    assert cavity_jumps.size, "seed expected to produce a cavity jump"
+    t_jump = cavity_jumps[0]
     after = rec.time_grid > t_jump
-    for label in ("cavity", "qubit1", "qubit2"):
-        assert np.max(rec.expectations[label][after]) < 1e-10
+    for series in rec.expectations[:, 0]:
+        assert np.max(series[after]) < 1e-10
 
 
 def test_local_jump_starts_exchange_oscillation(system_eff):
@@ -111,14 +112,14 @@ def test_local_jump_starts_exchange_oscillation(system_eff):
     rec = run_trajectory(
         system_eff, system_eff.initial_state("1gg"), 5000.0, dt=0.5, seed=11,
     )
-    q1_jumps = [j for j in rec.jumps if CHANNEL_LABELS[j.channel] == "qubit1"]
-    assert q1_jumps, "seed expected to produce a qubit-1 jump"
-    t_jump = q1_jumps[0].time
+    q1_jumps = rec.jump_time[rec.jump_channel == CHANNEL_LABELS.index("qubit1")]
+    assert q1_jumps.size, "seed expected to produce a qubit-1 jump"
+    t_jump = q1_jumps[0]
     window = (rec.time_grid > t_jump) & (rec.time_grid <= t_jump + 1000.0)
-    total = rec.expectations["qubit1"][window] + rec.expectations["qubit2"][window]
-    np.testing.assert_allclose(total, 1.0, atol=1e-6)
+    _, qubit1, qubit2 = rec.expectations[:, 0, window]
+    np.testing.assert_allclose(qubit1 + qubit2, 1.0, atol=1e-6)
     # the partner qubit population must actually move
-    assert np.ptp(rec.expectations["qubit1"][window]) > 0.5
+    assert np.ptp(qubit1) > 0.5
 
 
 def test_timestep_guard_fires_for_coarse_steps():
@@ -138,15 +139,8 @@ def test_halving_the_step_changes_little(balanced_params):
     fine = run_trajectory(
         system, system.initial_state("1gg"), 400.0, dt=0.25, seed=3, record_every=2,
     )
-    assert not coarse.jumps and not fine.jumps
-    np.testing.assert_allclose(
-        coarse.expectations["cavity"], fine.expectations["cavity"], atol=1e-9
-    )
-
-
-def test_jump_event_validation():
-    with pytest.raises(ValueError):
-        JumpEvent(time=-1.0, channel=0, pre_jump_norm_probabilities=np.zeros(4))
+    assert coarse.jump_time.size == fine.jump_time.size == 0
+    np.testing.assert_allclose(coarse.expectations[0], fine.expectations[0], atol=1e-9)
 
 
 def test_non_hermitian_hamiltonian_assembly(system_eff):
@@ -161,18 +155,19 @@ def test_non_hermitian_hamiltonian_assembly(system_eff):
     assert decay.max() > 0
 
 
+def _constant_rows(values, grid):
+    """An ensemble whose cavity row i is values[i] on grid, with no jumps."""
+    series = np.zeros((len(OBSERVABLE_LABELS), len(values), 5))
+    series[0] = np.asarray(values)[:, None]
+    return EnsembleResult(
+        time_grid=grid, horizon=1.0, expectations=series,
+        final_states=np.ones((len(values), 1), dtype=complex), top_fock_peak=0.0,
+        **_jump_columns([]),
+    )
+
+
 def test_ensemble_average_statistics():
-    grid = np.linspace(0.0, 1.0, 5)
-
-    def make(vals):
-        return TrajectoryRecord(
-            time_grid=grid,
-            expectations={"cavity": np.full(5, vals), "qubit1": np.zeros(5),
-                          "qubit2": np.zeros(5)},
-            jumps=[], final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
-        )
-
-    avg = ensemble_average(collect([make(1.0), make(3.0)], 2, 1.0))
+    avg = ensemble_average(_constant_rows([1.0, 3.0], np.linspace(0.0, 1.0, 5)))
     np.testing.assert_allclose(avg.means["cavity"], 2.0)
     # sample std with ddof=1 is sqrt(2); SE divides by sqrt(n)
     np.testing.assert_allclose(avg.standard_errors["cavity"], 1.0)
@@ -180,34 +175,8 @@ def test_ensemble_average_statistics():
 
 
 def test_ensemble_average_rejects_mismatched_grids():
-    series = {"cavity": np.zeros(5), "qubit1": np.zeros(5), "qubit2": np.zeros(5)}
-    a = TrajectoryRecord(
-        time_grid=np.linspace(0, 1, 5),
-        expectations=series, jumps=[],
-        final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
-    )
-    b = TrajectoryRecord(
-        time_grid=np.linspace(0, 2, 5),
-        expectations=series, jumps=[],
-        final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
-    )
-    with pytest.raises(Exception):
-        ensemble_average(collect([a, b], 2, 1.0))
-    with pytest.raises(DimensionMismatchError, match="time grids differ"):
-        collect([a, b], 2, 1.0)
-
-
-def test_collect_takes_exactly_n_records():
-    rec = TrajectoryRecord(
-        time_grid=np.linspace(0, 1, 5),
-        expectations={"cavity": np.zeros(5), "qubit1": np.zeros(5), "qubit2": np.zeros(5)},
-        jumps=[], final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
-    )
-    assert collect(iter([rec, rec]), 2, 1.0).n_trajectories == 2
-    with pytest.raises(ConfigError, match="got 0"):
-        collect(iter([]), 1, 1.0)
-    with pytest.raises(ConfigError, match="got 1"):
-        collect([rec], 2, 1.0)
+    with pytest.raises(DimensionMismatchError, match="time grid"):
+        ensemble_average(_constant_rows([0.0, 0.0], np.linspace(0, 2, 6)))
 
 
 def test_store_states_shape(system_eff):
@@ -216,8 +185,9 @@ def test_store_states_shape(system_eff):
         store_states=True,
     )
     assert rec.states is not None
-    assert rec.states.shape == (len(rec.time_grid), system_eff.dimension)
-    norms = np.linalg.norm(rec.states, axis=1)
+    assert rec.states.shape == (1, len(rec.time_grid), system_eff.dimension)
+    np.testing.assert_array_equal(rec.states[0, -1], rec.final_states[0])
+    norms = np.linalg.norm(rec.states, axis=2)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
@@ -305,6 +275,12 @@ def busy_references(busy_system):
     return refs
 
 
+def _as_reference(rec):
+    """A one-row result in the form of a reference run, without states."""
+    jumps = list(zip(rec.jump_time, rec.jump_channel, rec.jump_dp))
+    return rec.expectations[:, 0], jumps, rec.final_states[0], None
+
+
 def _assert_row_matches(result, j, ref):
     """Trajectory j of an EnsembleResult equals a per-step reference run."""
     series, jumps, final, _ = ref
@@ -333,18 +309,13 @@ def _assert_kernel_equals_the_references(system, references):
         for traj_index in range(6):
             ref = references[(init, t_final, record_every, traj_index)]
             _assert_row_matches(batch, traj_index, ref)
-            series, jumps, final, states = ref
+            _, jumps, _, states = ref
             rec = run_trajectory(
                 system, psi0, t_final, dt=0.5, seed=11, traj_index=traj_index,
                 record_every=record_every, store_states=True,
             )
-            for row, label in zip(series, ("cavity", "qubit1", "qubit2")):
-                np.testing.assert_array_equal(rec.expectations[label], row)
-            np.testing.assert_array_equal(rec.states, states)
-            np.testing.assert_array_equal(rec.final_state, final)
-            assert [(j.time, j.channel) for j in rec.jumps] == [j[:2] for j in jumps]
-            for got, want in zip(rec.jumps, jumps):
-                np.testing.assert_array_equal(got.pre_jump_norm_probabilities, want[2])
+            _assert_row_matches(rec, 0, ref)
+            np.testing.assert_array_equal(rec.states[0], states)
             if record_every == 1:
                 assert rec.top_fock_peak == mcwf._top_fock(states).max()
                 peaks.append(rec.top_fock_peak)
@@ -386,18 +357,10 @@ def test_shared_row_trajectories_equal_single_runs(busy_system, history_rows, mo
         for j in range(12)
     ]
     for j, rec in enumerate(singles):
-        for row, label in zip(batch.expectations[:, j], OBSERVABLE_LABELS):
-            np.testing.assert_array_equal(row, rec.expectations[label])
-        np.testing.assert_array_equal(batch.final_states[j], rec.final_state)
-        sel = batch.jump_traj == j
-        assert list(zip(batch.jump_time[sel], batch.jump_channel[sel])) == [
-            (e.time, e.channel) for e in rec.jumps
-        ]
-        for got, e in zip(batch.jump_dp[sel], rec.jumps):
-            np.testing.assert_array_equal(got, e.pre_jump_norm_probabilities)
+        _assert_row_matches(batch, j, _as_reference(rec))
     assert batch.top_fock_peak == max(rec.top_fock_peak for rec in singles)
     # the trajectories leave the shared row at many different steps
-    first_jumps = {rec.jumps[0].time for rec in singles if rec.jumps}
+    first_jumps = {rec.jump_time[0] for rec in singles if rec.jump_time.size}
     assert len(first_jumps) >= 8
 
 
@@ -409,7 +372,7 @@ def _outcome(run, *args, **kwargs):
         return str(err), getattr(err, "step", None)
     if isinstance(rec, tuple):
         return [jump[:2] for jump in rec[1]]
-    return [(jump.time, jump.channel) for jump in rec.jumps]
+    return list(zip(rec.jump_time, rec.jump_channel))
 
 
 def _assert_batch_raises_the_earliest(system, psi0, t_final, dt, seed, n):
@@ -488,7 +451,7 @@ def test_top_fock_peak_covers_every_visited_state():
         rec = run_trajectory(
             system, psi0, 3000.0, seed=5, traj_index=traj_index, store_states=True
         )
-        top = np.sum(np.abs(rec.states[:, -4:]) ** 2, axis=1)
+        top = np.sum(np.abs(rec.states[0, :, -4:]) ** 2, axis=1)
         assert rec.top_fock_peak == pytest.approx(top.max(), rel=1e-12)
         peaks.append((rec.top_fock_peak, top[0], top[-1]))
     # the peak lies inside the run, above both its ends

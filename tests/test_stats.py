@@ -12,7 +12,7 @@ from usctraj.dressed import CHANNEL_LABELS
 from usctraj.ensemble import run_ensemble
 from usctraj.errors import ConfigError
 from usctraj.hilbert import build_layout
-from usctraj.mcwf import JumpEvent, TrajectoryRecord, collect, ensemble_average
+from usctraj.mcwf import EnsembleResult, _jump_columns, ensemble_average
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.stats import (
     NORMALIZATION_MODES,
@@ -22,31 +22,33 @@ from usctraj.stats import (
     first_jump_histogram,
     write_histogram_csv,
 )
-from usctraj.system import build_system
+from usctraj.system import OBSERVABLE_LABELS, build_system
 
 GRID = np.linspace(0.0, 100.0, 11)
 
 
 def make_record(jump_specs, series=None):
-    """jump_specs: list of (time, channel); series: (3, 11) observables or zeros."""
-    jumps = [
-        JumpEvent(
-            time=t, channel=CHANNEL_LABELS.index(c), pre_jump_norm_probabilities=np.zeros(4)
-        )
-        for t, c in jump_specs
-    ]
+    """One trajectory on GRID as (series, jumps).
+
+    jump_specs: list of (time, channel label); series: (3, 11) observables
+    or zeros.  The jumps come back as (time, channel) pairs.
+    """
     if series is None:
         series = np.zeros((3, GRID.size))
-    return TrajectoryRecord(
-        time_grid=GRID,
-        expectations=dict(zip(("cavity", "qubit1", "qubit2"), series)),
-        jumps=jumps, final_state=np.array([1.0 + 0j]), top_fock_peak=0.0,
-    )
+    return series, [(t, CHANNEL_LABELS.index(c)) for t, c in jump_specs]
 
 
 def make_result(records):
-    """The ensemble of a list of records on GRID, whose last point is the horizon."""
-    return collect(records, len(records), GRID[-1])
+    """The ensemble of (series, jumps) trajectories on GRID, whose last point is the horizon."""
+    jumps = [(i, t, m, np.zeros(4)) for i, (_, log) in enumerate(records) for t, m in log]
+    return EnsembleResult(
+        time_grid=GRID,
+        horizon=GRID[-1],
+        expectations=np.stack([series for series, _ in records], axis=1),
+        final_states=np.ones((len(records), 1), dtype=complex),
+        top_fock_peak=0.0,
+        **_jump_columns(jumps),
+    )
 
 
 def test_first_jump_binning_and_edges():
@@ -157,8 +159,6 @@ def test_merge_is_order_independent(channel_picks, rnd):
 
 def test_validation_errors():
     with pytest.raises(ConfigError):
-        first_jump_histogram(make_result([]), 10.0)
-    with pytest.raises(ConfigError):
         first_jump_histogram(make_result([make_record([])]), -1.0)
     with pytest.raises(ConfigError):
         first_jump_histogram(
@@ -246,7 +246,8 @@ def test_histograms_count_jumps_after_the_last_sample():
 
 
 # ---------------------------------------------------------------------------
-# The per-record loops the columnar statistics replaced, kept as references.
+# The per-trajectory loops the columnar statistics replaced, kept as
+# references.  A trajectory is (series, jumps, ...), each jump (time, channel, ...).
 
 
 def _reference_bin_index(t, edges):
@@ -262,13 +263,13 @@ def _reference_first_jump_histogram(records, horizon, bin_width, channels_filter
     edges = _edges(horizon, bin_width)
     counts = np.zeros((len(CHANNEL_LABELS), edges.size - 1), dtype=np.int64)
     contributed = 0
-    for r in records:
-        for j in r.jumps:
-            if CHANNEL_LABELS[j.channel] not in channels_filter:
+    for _, jumps, *_ in records:
+        for time, channel, *_ in jumps:
+            if CHANNEL_LABELS[channel] not in channels_filter:
                 continue
-            b = _reference_bin_index(j.time, edges)
+            b = _reference_bin_index(time, edges)
             if b is not None:
-                counts[j.channel, b] += 1
+                counts[channel, b] += 1
                 contributed += 1
             break
     return edges, counts, contributed
@@ -278,13 +279,13 @@ def _reference_conditional_histogram(records, horizon, trigger_channel, bin_widt
     edges = _edges(horizon, bin_width)
     counts = np.zeros((len(CHANNEL_LABELS), edges.size - 1), dtype=np.int64)
     contributed = 0
-    for r in records:
-        if len(r.jumps) < 2 or CHANNEL_LABELS[r.jumps[0].channel] != trigger_channel:
+    for _, jumps, *_ in records:
+        if len(jumps) < 2 or CHANNEL_LABELS[jumps[0][1]] != trigger_channel:
             continue
-        second = r.jumps[1]
-        b = _reference_bin_index(second.time - r.jumps[0].time, edges)
+        (t1, *_), (t2, second, *_) = jumps[:2]
+        b = _reference_bin_index(t2 - t1, edges)
         if b is not None:
-            counts[second.channel, b] += 1
+            counts[second, b] += 1
             contributed += 1
     return edges, counts, contributed
 
@@ -292,13 +293,13 @@ def _reference_conditional_histogram(records, horizon, trigger_channel, bin_widt
 def _reference_ensemble_average(records):
     n = len(records)
     means, errors = {}, {}
-    for label in records[0].expectations:
-        stack = np.stack([r.expectations[label] for r in records])
+    for k, label in enumerate(OBSERVABLE_LABELS):
+        stack = np.stack([series[k] for series, *_ in records])
         means[label] = stack.mean(axis=0)
         if n > 1:
             errors[label] = stack.std(axis=0, ddof=1) / np.sqrt(n)
         else:
-            errors[label] = np.zeros_like(records[0].time_grid)
+            errors[label] = np.zeros(stack.shape[1])
     return means, errors
 
 
@@ -311,7 +312,7 @@ def _assert_same_histogram(hist, reference):
 
 
 def _assert_matches_the_loops(records, result, horizon, bin_widths, filters=(None,)):
-    """Histograms, means and SEs of ``result`` equal the per-record loops'.
+    """Histograms, means and SEs of ``result`` equal the per-trajectory loops'.
 
     ``horizon`` is the time of the runs' last step, where the bins end.
     """
@@ -349,15 +350,15 @@ def busy_system():
     [("effective", "grouped", 200), ("full", "direct", 12)],
 )
 def test_columnar_statistics_equal_the_record_loops_on_an_ensemble(
-    busy_system, run_with_records, hamiltonian, method, n_traj
+    busy_system, trajectories_alone, hamiltonian, method, n_traj
 ):
     system = busy_system[hamiltonian]
-    result, records = run_with_records(
-        system, system.initial_state("1gg"), 3000.0, n_traj, dt=0.5, master_seed=17,
-        record_every=20, method=method,
-    )
+    args = (system, system.initial_state("1gg"), 3000.0, n_traj)
+    common = dict(dt=0.5, master_seed=17, record_every=20)
+    result = run_ensemble(*args, method=method, **common)
+    records = trajectories_alone(*args, method=method, **common)
     assert len(records) == n_traj
-    n_jumps = [len(r.jumps) for r in records]
+    n_jumps = [len(jumps) for _, jumps, *_ in records]
     assert result.jump_traj.size == sum(n_jumps)
     assert max(n_jumps) >= 2 and min(n_jumps) <= 1
     _assert_matches_the_loops(
