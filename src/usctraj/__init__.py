@@ -6,9 +6,9 @@ Subpackage map:
 - ``model``: full and effective Hamiltonians, closed-form couplings, resonance calibration
 - ``dressed``: dressed bases; the positive-frequency jump channels as an S^+ stack and rates
 - ``system``: the assembled system every engine takes, and the shared time grid
-- ``mcwf``: photodetection (jump) trajectories, ``EnsembleResult`` (every engine's result), averages
+- ``mcwf``: the one trajectory kernel, for photodetection, homodyne and mixed unravellings;
+  ``EnsembleResult`` (every engine's result), averages
 - ``ensemble``: ensemble driver, grouped no-jump flows or the direct kernel
-- ``homodyne``: diffusive and mixed (photodetection + homodyne) unravellings
 - ``lme``: dressed-picture Lindblad master-equation integrator
 - ``oracles``: closed-form two-level subspace propagators and expectations
 - ``stats``: first-jump and conditional second-jump histograms from the jump columns

@@ -38,9 +38,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, TruncationError
 from .hilbert import build_layout
-from .homodyne import DRIFT_MODES, run_homodyne_ensemble
+from .mcwf import DRIFT_MODES, ensemble_average
 from .lme import density_from_state, evolve_lme
-from .mcwf import DEFAULT_DT, ensemble_average
 from .model import (
     SystemParams,
     calibrate_resonance,
@@ -99,7 +98,7 @@ class ExperimentConfig:
     solver: str = field(default="mcwf", metadata={"section": "run"})
     hamiltonian: str = "full"
     t_final: float = 1000.0
-    dt: float = DEFAULT_DT
+    dt: float = 0.5
     n_trajectories: int = 1
     master_seed: int = 0
     initial_state: str = "1gg"
@@ -151,6 +150,13 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown homodyne channel {label!r}")
         if not self.observables:
             raise ConfigError("observables must not be empty")
+        if self.solver in ("homodyne", "mixed") and self.method == "grouped":
+            raise ConfigError(
+                f"method = grouped needs solver = mcwf; solver = {self.solver} "
+                "runs the direct kernel (method = auto or direct)"
+            )
+        if self.solver == "mixed" and not self.homodyne_channels:
+            raise ConfigError("homodyne_channels must name a channel under solver = mixed")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be >= 1")
         if self.master_seed < 0:
@@ -212,7 +218,15 @@ def load_config(spec: str) -> ExperimentConfig:
         prefix = spec
 
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text, source=spec)
+    try:
+        parser.read_string(text, source=spec)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(
+            f"keys in [{parser.default_section}] are not supported; "
+            "put each key in its own section"
+        )
     sections = _sections()
     kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     values: dict = {"prefix": prefix}
@@ -334,20 +348,12 @@ def _require_trajectories(cfg: ExperimentConfig, command: str):
 def _run_records(cfg: ExperimentConfig, p: SystemParams, check_truncation: bool):
     """System and EnsembleResult of the configured stochastic solver."""
     system = _build_system(cfg, p)
-    psi0 = system.initial_state(cfg.initial_state)
-    if cfg.solver == "mcwf":
-        result = run_ensemble(
-            system, psi0, cfg.t_final, cfg.n_trajectories, dt=cfg.dt,
-            master_seed=cfg.master_seed, record_every=cfg.record_every,
-            method=cfg.method,
-        )
-    else:
-        monitored = None if cfg.solver == "homodyne" else cfg.homodyne_channels
-        result = run_homodyne_ensemble(
-            system, psi0, cfg.t_final, cfg.n_trajectories, dt=cfg.dt,
-            master_seed=cfg.master_seed, record_every=cfg.record_every,
-            homodyne_channels=monitored, drift_mode=cfg.drift_mode,
-        )
+    channels = {"mcwf": (), "homodyne": CHANNEL_LABELS}.get(cfg.solver, cfg.homodyne_channels)
+    result = run_ensemble(
+        system, system.initial_state(cfg.initial_state), cfg.t_final, cfg.n_trajectories,
+        dt=cfg.dt, master_seed=cfg.master_seed, record_every=cfg.record_every,
+        method=cfg.method, homodyne_channels=channels, drift_mode=cfg.drift_mode,
+    )
     if check_truncation:
         _check_truncation(result.top_fock_peak, cfg.n_fock)
     return system, result

@@ -36,7 +36,8 @@ post-jump global phase (last-ulp differences in expectations, threshold
 comparisons on razor edges) afterwards.  When flows do not recur, for
 instance with the full Hamiltonian where jump images carry step-dependent
 dressing, the driver falls back to that kernel, which advances the whole
-ensemble in lockstep.
+ensemble in lockstep.  A run with any homodyned channel goes to the kernel
+straight away: its diffusive states have no deterministic flow to share.
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ from scipy.linalg import expm
 from .dressed import CHANNEL_LABELS
 from .errors import ConfigError, NumericalInconsistencyError, TimestepError
 from .mcwf import (
-    DEFAULT_DT,
     JUMP_NORM_FLOOR,
     MAX_DP_PER_STEP,
     EnsembleResult,
     _check_dp,
     _chunk_amplitudes,
     _jump_columns,
+    _monitored,
     _no_jump_chain,
     _norm,
     _prepare,
@@ -321,28 +322,37 @@ def run_ensemble(
     psi0: np.ndarray,
     t_final: float,
     n_trajectories: int,
-    dt: float = DEFAULT_DT,
+    dt: float | None = None,
     master_seed: int = 0,
     record_every: int = 1,
     method: str = "auto",
+    homodyne_channels: tuple[str, ...] = (),
+    drift_mode: str = "qsd",
 ) -> EnsembleResult:
     """Run trajectories 0..n_trajectories-1 of the seeded family from psi0.
 
-    ``method`` "auto" tries flow grouping and falls back to the direct
-    kernel; "grouped" raises ConfigError when the run does not group;
-    "direct" forces the kernel.  Trajectory j of the direct kernel is
-    ``mcwf.run_trajectory(..., seed=master_seed, traj_index=j)`` bit for
-    bit; a direct batch raises the error of its earliest failing step.
+    ``homodyne_channels`` and ``drift_mode`` choose the unravelling and an
+    omitted dt, as in ``mcwf.run_trajectory``.  ``method`` "auto" tries
+    flow grouping and falls back to the direct kernel; "grouped" raises
+    ConfigError when the run does not group; "direct" forces the kernel.
+    Only photodetection groups: with any channel homodyned, "auto" runs
+    the kernel and "grouped" raises ConfigError.  Trajectory j of the
+    direct kernel is ``mcwf.run_trajectory(..., seed=master_seed,
+    traj_index=j)`` bit for bit; a direct batch raises the error of its
+    earliest failing step.
     """
     if method not in ENSEMBLE_METHODS:
         raise ConfigError(f"method must be one of {ENSEMBLE_METHODS}")
     if n_trajectories < 1:
         raise ConfigError("n_trajectories must be >= 1")
+    monitored, dt = _monitored(homodyne_channels, drift_mode, dt)
+    if monitored and method == "grouped":
+        raise ConfigError("grouped ensembles need every channel photodetected")
     psi0 = _prepare(psi0, system)
     n_steps, rec_steps = step_grid(t_final, dt, record_every)
 
     flows = None
-    if method in ("auto", "grouped"):
+    if method in ("auto", "grouped") and not monitored:
         propagator = expm(-1j * system.h_nh * dt)
         try:
             flows = _discover_flows(psi0, system, propagator, n_steps, dt)
@@ -355,7 +365,8 @@ def run_ensemble(
 
     if flows is None:
         return _run_rows(
-            system, psi0, t_final, dt, master_seed, range(n_trajectories), record_every
+            system, psi0, t_final, dt, master_seed, range(n_trajectories), record_every,
+            monitored, drift_mode,
         )
     powers = _binary_powers(propagator, n_steps)
     series = np.empty((len(OBSERVABLE_LABELS), n_trajectories, rec_steps.size))

@@ -22,6 +22,10 @@ class SingularCouplingError(ValueError):
     """Effective-coupling denominators vanish (|delta| >= omega0)."""
 
 
+class InitialStateError(ValueError):
+    """An initial state has non-finite entries or zero norm."""
+
+
 class ConfigError(ValueError):
     """Experiment configuration is malformed or inconsistent."""
 

@@ -68,8 +68,6 @@ HERMITICITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 POSITIVITY_GUARD = -1e-6
 
-DEFAULT_DT = 0.5
-
 # Steps between full eigenvalue checks during integration; the last step
 # is always checked, and so is rho0.  Trace and Hermiticity are cheap and
 # checked every step.

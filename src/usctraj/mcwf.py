@@ -14,11 +14,40 @@ frequencies.
 One kernel, ``_run_rows``, advances every trajectory that is not grouped
 (``ensemble``) one step at a time, the B trajectories of a run in lockstep
 as the rows of a (B, d) state.  Photodetection, homodyne and mixed
-unravellings differ only in the channels it monitors: a monitored channel
-adds the homodyne back-action after the propagator (``homodyne``), and the
-remaining channels follow the jump rule.  ``run_trajectory`` is its
-one-row case and ``ensemble.run_ensemble``'s direct branch its many-row
-case; both read every operator from the assembled ``DissipativeSystem``.
+detection are one master equation unravelled in different ways: the only
+choice is which channels go to a homodyne detector (``homodyne_channels``;
+empty is photodetection, ``CHANNEL_LABELS`` full homodyne) and which stay
+photodetected.  ``run_trajectory`` is the kernel's one-row case and
+``ensemble.run_ensemble`` its many-row case; both take the same
+unravelling arguments and read every operator from the assembled
+``DissipativeSystem``.
+
+Under continuous homodyne monitoring the state diffuses instead of
+jumping.  Each step applies the one-step propagator, then adds the
+measurement back-action of the homodyned channels,
+
+    dpsi += -(1/2) [ c_m dt + n_m dW_m ] S+_m psi ,
+
+and renormalizes.  The drift and noise coefficients (c_m, n_m) come in
+two conventions selected by ``drift_mode`` (``DRIFT_MODES``):
+
+- "as-printed": c_m = gamma_m^2 <S-_m - S+_m>, n_m = gamma_m.
+  The quadratic rate in the drift is unusual (a linear rate with a
+  sqrt-rate noise quadrature is the textbook normalization); it is kept
+  as printed for comparison.  At the rates used here both terms are
+  small corrections to the non-Hermitian damping either way.
+- "qsd" (default): standard homodyne unravelling of the master equation,
+  dpsi += [ gamma_m <X_m> dt + sqrt(gamma_m) dW_m ] S+_m psi with
+  X_m = S-_m + S+_m; averaging 2000+ of these trajectories reproduces
+  the master-equation evolution.
+
+The photodetected channels of a mixed run follow the jump rule (threshold
+draw each step, collapse on a hit), and a jump replaces the diffusive move
+for that step.  A jump records the probabilities of all four channels, 0 on
+the homodyned ones.  Diffusive runs need a finer step than jump runs: noise
+enters at O(sqrt(dt)), so the weak-convergence error is controlled by dt
+itself.  An omitted ``dt`` is therefore 0.5 with no homodyned channel and
+0.1 with any (``_monitored``).
 
 Every batched operation gives each row the bits of that row run alone
 (they are pinned in ``tests/test_batched_reductions.py``): the propagator,
@@ -69,14 +98,20 @@ import numpy as np
 from scipy.linalg import expm
 
 from .dressed import CHANNEL_LABELS
-from .errors import DimensionMismatchError, NumericalInconsistencyError, TimestepError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    InitialStateError,
+    NumericalInconsistencyError,
+    TimestepError,
+)
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, PURPOSE_NOISE, normal_words, uniform_words
 from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
 
 MAX_DP_PER_STEP = 0.1
 JUMP_NORM_FLOOR = 1e-14
 
-DEFAULT_DT = 0.5
+DRIFT_MODES = ("as-printed", "qsd")
 
 # Relative slack of the vectorized row sums that preselect jump candidates.
 _SUM_SLACK = 1e-9
@@ -162,12 +197,20 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _prepare(psi0: np.ndarray, system: DissipativeSystem) -> np.ndarray:
-    """psi0 as a complex vector, checked against the system's dimension."""
+    """psi0 as a complex vector, checked against the system's dimension.
+
+    It is not normalized (its first step is), but it must be finite and
+    nonzero: a zero or NaN state would run to the end as NaN.
+    """
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (system.dimension,):
         raise DimensionMismatchError(
             f"state shape {psi.shape} does not match system dimension {system.dimension}"
         )
+    if not np.isfinite(psi).all():
+        raise InitialStateError("initial state has non-finite entries")
+    if not psi.any():
+        raise InitialStateError("initial state has zero norm")
     return psi
 
 
@@ -278,6 +321,25 @@ def _jump_reach(jump_stack: np.ndarray, scale: np.ndarray, psi0: np.ndarray) -> 
     return bound if bound < MAX_DP_PER_STEP * (1.0 - _SUM_SLACK) else np.inf
 
 
+def _monitored(
+    homodyne_channels: tuple[str, ...], drift_mode: str, dt: float | None
+) -> tuple[tuple[int, ...], float]:
+    """Positions in ``CHANNEL_LABELS`` of the homodyned channels, and the step.
+
+    An omitted dt (None) is 0.5 when every channel is photodetected and 0.1
+    when any is homodyned.
+    """
+    if drift_mode not in DRIFT_MODES:
+        raise ConfigError(f"drift_mode must be one of {DRIFT_MODES}")
+    unknown = set(homodyne_channels) - set(CHANNEL_LABELS)
+    if unknown:
+        raise ConfigError(f"unknown homodyne channels {sorted(unknown)}")
+    monitored = tuple(m for m, label in enumerate(CHANNEL_LABELS) if label in homodyne_channels)
+    if dt is None:
+        dt = 0.1 if monitored else 0.5
+    return monitored, dt
+
+
 def _run_rows(
     system: DissipativeSystem,
     psi0: np.ndarray,
@@ -295,8 +357,9 @@ def _run_rows(
 
     ``monitored`` lists the homodyned channels (positions in
     ``CHANNEL_LABELS``); the others are photodetected.  ``drift_mode`` is
-    "qsd" or "as-printed" (see ``homodyne``), and ``zero_noise`` sets every
-    Wiener increment to 0 without drawing words.  Trajectory j of the
+    one of ``DRIFT_MODES``, and ``zero_noise`` sets every Wiener increment
+    to 0 without drawing words; a run that draws no noise shares one state
+    row among the trajectories that have not jumped.  Trajectory j of the
     result is ``rows[j]``; ``store_states`` fills its ``states``.
     """
     psi = _prepare(psi0, system)
@@ -441,22 +504,29 @@ def run_trajectory(
     system: DissipativeSystem,
     psi0: np.ndarray,
     t_final: float,
-    dt: float = DEFAULT_DT,
+    dt: float | None = None,
     seed: int = 0,
     traj_index: int = 0,
     record_every: int = 1,
     store_states: bool = False,
+    homodyne_channels: tuple[str, ...] = (),
+    drift_mode: str = "qsd",
 ) -> EnsembleResult:
     """Run one trajectory; deterministic in (system, psi0, dt, seed, traj_index).
 
-    The jump recorded at time (k+1) dt replaces the coherent propagation of
-    step k, so grid samples always show the post-jump state.  This is the
-    kernel's one-row case: row j of ``ensemble.run_ensemble(...,
-    method="direct")`` with the same master seed is this run's one row, bit
-    for bit.  ``store_states`` fills the result's ``states``.
+    ``homodyne_channels`` names the channels sent to a homodyne detector,
+    drifting by ``drift_mode``; the others are photodetected.  An omitted
+    dt is 0.5, or 0.1 when any channel is homodyned.  The jump recorded at
+    time (k+1) dt replaces the coherent propagation of step k, so grid
+    samples always show the post-jump state.  This is the kernel's one-row
+    case: row j of ``ensemble.run_ensemble(..., method="direct")`` with the
+    same master seed and unravelling is this run's one row, bit for bit.
+    ``store_states`` fills the result's ``states``.
     """
+    monitored, dt = _monitored(homodyne_channels, drift_mode, dt)
     return _run_rows(
-        system, psi0, t_final, dt, seed, [traj_index], record_every, store_states=store_states
+        system, psi0, t_final, dt, seed, [traj_index], record_every, monitored, drift_mode,
+        store_states=store_states,
     )
 
 

@@ -63,7 +63,7 @@ def trajectories_alone():
     over the run's flows; a direct one is ``mcwf.run_trajectory``.
     """
 
-    def run(system, psi0, t_final, n, dt=mcwf.DEFAULT_DT, master_seed=0, record_every=1,
+    def run(system, psi0, t_final, n, dt=0.5, master_seed=0, record_every=1,
             method="grouped"):
         if method == "direct":
             rows = [

@@ -19,7 +19,6 @@ import scipy.optimize
 from usctraj.dressed import CHANNEL_LABELS, diagonalize, jump_channels
 from usctraj.ensemble import run_ensemble
 from usctraj.hilbert import build_layout
-from usctraj.homodyne import run_homodyne_ensemble, run_trajectory_homodyne
 from usctraj.lme import density_from_state, evolve_lme, lindblad_rhs
 from usctraj.mcwf import ensemble_average, run_trajectory
 from usctraj.model import (
@@ -214,9 +213,9 @@ def diffusive_mean_comparison():
     psi0 = system.initial_state("1gg")
     n_traj = 2000
     labels = ("cavity", "qubit1", "qubit2")
-    result = run_homodyne_ensemble(
+    result = run_ensemble(
         system, psi0, 300.0, n_traj, dt=0.1, master_seed=0, record_every=10,
-        drift_mode="qsd",
+        homodyne_channels=CHANNEL_LABELS, drift_mode="qsd",
     )
     sums = {k: 0.0 for k in labels}
     sumsq = {k: 0.0 for k in labels}
@@ -574,9 +573,9 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
     base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=0.0)
     p = calibrate_resonance(base, layout10, which="full")
     system = build_system(p, n_fock=10, hamiltonian="full")
-    rec = run_trajectory_homodyne(
+    rec = run_trajectory(
         system, system.initial_state("1gg"), 20000.0, dt=0.1, seed=0,
-        record_every=1, drift_mode="qsd",
+        record_every=1, homodyne_channels=CHANNEL_LABELS, drift_mode="qsd",
     )
     max_step = float(np.max(np.abs(np.diff(rec.expectations[:, 0], axis=1))))
     continuous_ok = rec.jump_time.size == 0 and max_step < 0.05
@@ -587,7 +586,7 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
     p_m = calibrate_resonance(base_m, layout6, which="effective")
     system_m = build_system(p_m, n_fock=6, hamiltonian="effective")
     om2 = abs(effective_couplings(p_m).omega2)
-    rec_m = run_trajectory_homodyne(
+    rec_m = run_trajectory(
         system_m, system_m.initial_state("0ee"), 2500.0, dt=0.1, seed=1,
         record_every=5, homodyne_channels=("cavity",), drift_mode="as-printed",
     )

@@ -2,6 +2,7 @@
 
 import configparser
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -612,3 +613,54 @@ def test_cli_defaults_to_one_blas_thread(given, expected):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[system]\ng = 0.1\ng = 0.2\n", "malformed config"),
+        ("[system]\ng = 0.1\n[system]\nkappa = 0.0\n", "malformed config"),
+        ("g = 0.1\n[system]\nkappa = 0.0\n", "malformed config"),
+        ("[DEFAULT]\ng = 0.3\n", "keys in [DEFAULT]"),
+        ("[DEFAULT]\ng = 0.3\n[system]\nkappa = 0.0\n[run]\nt_final = 10\n",
+         "keys in [DEFAULT]"),
+    ],
+    ids=["duplicate-key", "duplicate-section", "no-section-header", "default-alone",
+         "default-and-system"],
+)
+def test_malformed_config_files_exit_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(cfg))
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "solver, extra",
+    [("homodyne", "method = grouped\n"), ("mixed", "method = grouped\n"),
+     ("mixed", "homodyne_channels =\n")],
+    ids=["homodyne-grouped", "mixed-grouped", "mixed-without-channels"],
+)
+def test_an_unused_diffusive_setting_is_rejected_before_calibration(
+    tmp_path, capsys, monkeypatch, solver, extra
+):
+    # grouped ensembles need every channel photodetected, and a mixed run
+    # with no homodyned channel would silently be a photodetection run
+    def calibrate(*args, **kwargs):
+        raise AssertionError("calibrated before the config was checked")
+
+    monkeypatch.setattr(usctraj.cli, "calibrate_resonance", calibrate)
+    cfg = write_config(
+        tmp_path, "diffusive.ini",
+        f"[run]\nsolver = {solver}\nhamiltonian = effective\nt_final = 10\n{extra}",
+    )
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -12,10 +12,10 @@ import pytest
 from scipy.linalg import expm
 
 from usctraj import ensemble
+from usctraj.dressed import CHANNEL_LABELS
 from usctraj.ensemble import ENSEMBLE_METHODS, run_ensemble
 from usctraj.errors import ConfigError, TimestepError
 from usctraj.hilbert import build_layout
-from usctraj.homodyne import run_homodyne_ensemble
 from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.system import build_system
@@ -322,4 +322,21 @@ def test_an_ensemble_of_no_trajectories_is_rejected(busy_systems):
         with pytest.raises(ConfigError, match="n_trajectories"):
             run_ensemble(system, psi0, 100.0, 0, method=method)
     with pytest.raises(ConfigError, match="n_trajectories"):
-        run_homodyne_ensemble(system, psi0, 100.0, 0)
+        run_ensemble(system, psi0, 100.0, 0, homodyne_channels=CHANNEL_LABELS)
+
+
+@pytest.mark.parametrize("channels", [("cavity",), CHANNEL_LABELS], ids=["mixed", "full"])
+def test_auto_builds_no_flow_for_a_homodyned_run(busy_systems, channels, monkeypatch):
+    def discover(*args):
+        raise AssertionError("a homodyned run must not build flows")
+
+    monkeypatch.setattr(ensemble, "_discover_flows", discover)
+    system = busy_systems["effective"]
+    psi0 = system.initial_state("0ee")
+    common = dict(dt=0.1, master_seed=3, record_every=5, homodyne_channels=channels)
+    auto = run_ensemble(system, psi0, 60.0, 3, **common)
+    direct = run_ensemble(system, psi0, 60.0, 3, method="direct", **common)
+    np.testing.assert_array_equal(auto.expectations, direct.expectations)
+    np.testing.assert_array_equal(auto.final_states, direct.final_states)
+    with pytest.raises(ConfigError, match="grouped"):
+        run_ensemble(system, psi0, 60.0, 3, method="grouped", **common)

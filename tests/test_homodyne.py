@@ -10,8 +10,8 @@ from usctraj import mcwf
 from usctraj.dressed import CHANNEL_LABELS
 from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
-from usctraj.homodyne import DRIFT_MODES, run_homodyne_ensemble, run_trajectory_homodyne
-from usctraj.mcwf import run_trajectory
+from usctraj.ensemble import run_ensemble
+from usctraj.mcwf import DRIFT_MODES, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.rng import (
     PURPOSE_CHANNEL,
@@ -37,9 +37,9 @@ def test_drift_modes_exported():
 
 def test_full_homodyne_never_jumps(hom_system):
     sys = hom_system
-    rec = run_trajectory_homodyne(
+    rec = run_trajectory(
         sys, sys.initial_state("1gg"), 500.0, dt=0.1, seed=2,
-        record_every=10, drift_mode="qsd",
+        record_every=10, homodyne_channels=CHANNEL_LABELS, drift_mode="qsd",
     )
     assert rec.jump_time.size == 0
     assert abs(np.linalg.norm(rec.final_states[0]) - 1.0) < 1e-12
@@ -49,9 +49,9 @@ def test_increments_are_bounded(hom_system):
     # diffusive records must be continuous: per-step observable changes stay
     # small compared to a jump discontinuity (which is order one)
     sys = hom_system
-    rec = run_trajectory_homodyne(
+    rec = run_trajectory(
         sys, sys.initial_state("1gg"), 400.0, dt=0.1, seed=5,
-        drift_mode="qsd",
+        homodyne_channels=CHANNEL_LABELS, drift_mode="qsd",
     )
     steps = np.abs(np.diff(rec.expectations[:, 0], axis=1))
     assert steps.max() < 0.05
@@ -59,26 +59,26 @@ def test_increments_are_bounded(hom_system):
 
 def test_determinism_and_traj_index_variation(hom_system):
     sys = hom_system
-    common = dict(dt=0.1, seed=8, record_every=5, drift_mode="qsd")
-    a = run_trajectory_homodyne(sys, sys.initial_state("1gg"), 200.0, **common)
-    b = run_trajectory_homodyne(sys, sys.initial_state("1gg"), 200.0, **common)
+    common = dict(
+        dt=0.1, seed=8, record_every=5, homodyne_channels=CHANNEL_LABELS, drift_mode="qsd"
+    )
+    a = run_trajectory(sys, sys.initial_state("1gg"), 200.0, **common)
+    b = run_trajectory(sys, sys.initial_state("1gg"), 200.0, **common)
     np.testing.assert_array_equal(a.final_states, b.final_states)
-    c = run_trajectory_homodyne(
+    c = run_trajectory(
         sys, sys.initial_state("1gg"), 200.0, dt=0.1, seed=8,
-        record_every=5, drift_mode="qsd", traj_index=1,
+        record_every=5, homodyne_channels=CHANNEL_LABELS, drift_mode="qsd", traj_index=1,
     )
     assert not np.array_equal(a.final_states, c.final_states)
 
 
 def test_zero_noise_reduces_to_deterministic_drift(hom_system):
     sys = hom_system
-    a = run_trajectory_homodyne(
-        sys, sys.initial_state("1gg"), 100.0, dt=0.1, seed=0,
-        drift_mode="qsd", zero_noise=True,
+    a = _zero_noise_rows(
+        sys, sys.initial_state("1gg"), 100.0, 0.1, 0, [0], 1, CHANNEL_LABELS, "qsd"
     )
-    b = run_trajectory_homodyne(
-        sys, sys.initial_state("1gg"), 100.0, dt=0.1, seed=99,
-        drift_mode="qsd", zero_noise=True,
+    b = _zero_noise_rows(
+        sys, sys.initial_state("1gg"), 100.0, 0.1, 99, [0], 1, CHANNEL_LABELS, "qsd"
     )
     np.testing.assert_array_equal(a.final_states, b.final_states)
     np.testing.assert_array_equal(a.expectations, b.expectations)
@@ -89,9 +89,9 @@ def test_lossless_homodyne_equals_jump_unravelling(p_resonant):
     # unravellings reduce to the same deterministic Schrodinger evolution
     system = build_system(p_resonant, n_fock=6, hamiltonian="effective")
     psi0 = system.initial_state("1gg")
-    hom = run_trajectory_homodyne(
-        system, psi0, 300.0, dt=0.5, seed=3, drift_mode="qsd",
-        record_every=2,
+    hom = run_trajectory(
+        system, psi0, 300.0, dt=0.5, seed=3, homodyne_channels=CHANNEL_LABELS,
+        drift_mode="qsd", record_every=2,
     )
     jmp = run_trajectory(system, psi0, 300.0, dt=0.5, seed=3, record_every=2)
     np.testing.assert_allclose(hom.expectations, jmp.expectations, atol=1e-10)
@@ -101,9 +101,9 @@ def test_drift_mode_changes_the_path(hom_system):
     sys = hom_system
     runs = {}
     for mode in DRIFT_MODES:
-        runs[mode] = run_trajectory_homodyne(
+        runs[mode] = run_trajectory(
             sys, sys.initial_state("1gg"), 200.0, dt=0.1, seed=4,
-            drift_mode=mode,
+            homodyne_channels=CHANNEL_LABELS, drift_mode=mode,
         )
     # same noise words, different drift: paths must differ across modes
     assert not np.array_equal(
@@ -116,7 +116,7 @@ def test_mixed_detection_produces_jumps(hom_system):
     sys = hom_system
     found = None
     for seed in range(40):
-        rec = run_trajectory_homodyne(
+        rec = run_trajectory(
             sys, sys.initial_state("0ee"), 3000.0, dt=0.1, seed=seed,
             record_every=50, homodyne_channels=("cavity",), drift_mode="qsd",
         )
@@ -131,14 +131,14 @@ def test_mixed_detection_produces_jumps(hom_system):
 def test_unknown_channel_and_mode_rejected(hom_system):
     sys = hom_system
     with pytest.raises(ConfigError):
-        run_trajectory_homodyne(
+        run_trajectory(
             sys, sys.initial_state("1gg"), 10.0, dt=0.1,
             homodyne_channels=("laser",),
         )
     with pytest.raises(ConfigError):
-        run_trajectory_homodyne(
+        run_trajectory(
             sys, sys.initial_state("1gg"), 10.0, dt=0.1,
-            drift_mode="sideways",
+            homodyne_channels=CHANNEL_LABELS, drift_mode="sideways",
         )
 
 
@@ -148,9 +148,10 @@ def test_qsd_ensemble_mean_decays(hom_system):
     sys = hom_system
     finals = []
     for i in range(30):
-        rec = run_trajectory_homodyne(
+        rec = run_trajectory(
             sys, sys.initial_state("1gg"), 500.0, dt=0.1, seed=11,
-            traj_index=i, record_every=100, drift_mode="qsd",
+            traj_index=i, record_every=100, homodyne_channels=CHANNEL_LABELS,
+            drift_mode="qsd",
         )
         total = rec.expectations[:, 0].sum(axis=0)
         assert total[0] == pytest.approx(1.0, abs=1e-6)
@@ -175,8 +176,6 @@ def _reference_homodyne(
     Channel m is row m of the system's S^+ stack and rate vector.
     """
     psi = np.asarray(psi0, dtype=complex)
-    if homodyne_channels is None:
-        homodyne_channels = CHANNEL_LABELS
     hom = [m for m, label in enumerate(CHANNEL_LABELS) if label in homodyne_channels]
     jump = [m for m, label in enumerate(CHANNEL_LABELS) if label not in homodyne_channels]
     propagator = expm(-1j * system.h_nh * dt)
@@ -249,15 +248,15 @@ def busy_hom_systems():
 
 # (hamiltonian, initial state, t_final, record_every, monitored, drift, zero_noise)
 _REFERENCE_CASES = [
-    ("effective", "1gg", 60.0, 1, None, "qsd", False),
-    ("effective", "1gg", 60.0, 3, None, "as-printed", False),
-    ("effective", "1gg", 60.0, 7, None, "as-printed", False),
+    ("effective", "1gg", 60.0, 1, CHANNEL_LABELS, "qsd", False),
+    ("effective", "1gg", 60.0, 3, CHANNEL_LABELS, "as-printed", False),
+    ("effective", "1gg", 60.0, 7, CHANNEL_LABELS, "as-printed", False),
     ("effective", "0ee", 150.0, 5, ("cavity",), "qsd", False),
     ("effective", "0ee", 150.0, 4, ("cavity",), "as-printed", False),
     ("effective", "0ee", 150.0, 1, ("cavity", "collective"), "as-printed", False),
     ("full", "0ee", 150.0, 5, ("cavity",), "qsd", False),
     ("effective", "0ee", 150.0, 5, ("cavity",), "qsd", True),
-    ("effective", "1gg", 40.0, 2, None, "qsd", True),
+    ("effective", "1gg", 40.0, 2, CHANNEL_LABELS, "qsd", True),
 ]
 
 
@@ -294,14 +293,28 @@ def hom_references(busy_hom_systems):
     return _references(busy_hom_systems)
 
 
+def _zero_noise_rows(system, psi0, t_final, dt, seed, rows, record_every,
+                     homodyne_channels, drift_mode, store_states=False):
+    """The kernel's rows with every Wiener increment 0; only ``_run_rows`` takes that."""
+    monitored = mcwf._monitored(homodyne_channels, drift_mode, dt)[0]
+    return mcwf._run_rows(
+        system, psi0, t_final, dt, seed, rows, record_every, monitored, drift_mode,
+        zero_noise=True, store_states=store_states,
+    )
+
+
 def _engine_outcome(systems, key):
     ham, init, t_final, record_every, monitored, drift, zero_noise, traj_index = key
     system = systems[ham]
+    if zero_noise:
+        return _outcome(
+            _zero_noise_rows, system, system.initial_state(init), t_final, 0.1, 13,
+            [traj_index], record_every, monitored, drift, store_states=True,
+        )
     return _outcome(
-        run_trajectory_homodyne, system, system.initial_state(init), t_final,
+        run_trajectory, system, system.initial_state(init), t_final,
         dt=0.1, seed=13, traj_index=traj_index, record_every=record_every,
         homodyne_channels=monitored, drift_mode=drift, store_states=True,
-        zero_noise=zero_noise,
     )
 
 
@@ -309,10 +322,15 @@ def _batch_outcome(systems, case, n):
     """Rows 0..n-1 of a reference case, run as one ensemble."""
     ham, init, t_final, record_every, monitored, drift, zero_noise = case
     system = systems[ham]
+    if zero_noise:
+        return _outcome(
+            _zero_noise_rows, system, system.initial_state(init), t_final, 0.1, 13,
+            range(n), record_every, monitored, drift,
+        )
     return _outcome(
-        run_homodyne_ensemble, system, system.initial_state(init), t_final, n,
+        run_ensemble, system, system.initial_state(init), t_final, n,
         dt=0.1, master_seed=13, record_every=record_every,
-        homodyne_channels=monitored, drift_mode=drift, zero_noise=zero_noise,
+        homodyne_channels=monitored, drift_mode=drift,
     )
 
 
@@ -332,8 +350,7 @@ def _assert_matches_reference(result, j, ref, monitored):
     assert list(zip(result.jump_time[sel], result.jump_channel[sel])) == [
         jump[:2] for jump in jumps
     ]
-    detected = [m for m, label in enumerate(CHANNEL_LABELS)
-                if monitored is not None and label not in monitored]
+    detected = [m for m, label in enumerate(CHANNEL_LABELS) if label not in monitored]
     for dp, want in zip(result.jump_dp[sel], jumps):
         assert dp.shape == (len(CHANNEL_LABELS),)
         np.testing.assert_array_equal(dp[detected], want[2])
@@ -436,9 +453,9 @@ def test_ensemble_rows_equal_single_runs(busy_hom_systems, monkeypatch):
     system = busy_hom_systems["effective"]
     psi0 = system.initial_state("0ee")
     common = dict(dt=0.1, record_every=5, homodyne_channels=("cavity",), drift_mode="qsd")
-    result = run_homodyne_ensemble(system, psi0, 150.0, 17, master_seed=13, **common)
+    result = run_ensemble(system, psi0, 150.0, 17, master_seed=13, **common)
     singles = [
-        run_trajectory_homodyne(system, psi0, 150.0, seed=13, traj_index=j, **common)
+        run_trajectory(system, psi0, 150.0, seed=13, traj_index=j, **common)
         for j in range(17)
     ]
     for j, rec in enumerate(singles):
@@ -476,9 +493,9 @@ def test_a_step_past_the_jump_bound_checks_every_row(busy_hom_systems):
     psi0 = system.initial_state("0ee")
     common = dict(dt=6.0, homodyne_channels=("cavity",), drift_mode="qsd")
     with pytest.raises(TimestepError) as alone:
-        run_trajectory_homodyne(system, psi0, 60.0, seed=13, **common)
+        run_trajectory(system, psi0, 60.0, seed=13, **common)
     with pytest.raises(TimestepError) as batch:
-        run_homodyne_ensemble(system, psi0, 60.0, 5, master_seed=13, **common)
+        run_ensemble(system, psi0, 60.0, 5, master_seed=13, **common)
     assert str(batch.value) == str(alone.value)
 
 
@@ -490,7 +507,7 @@ def _no_words(*args):
     "case, stream",
     [
         (("effective", "0ee", 150.0, 5, ("cavity",), "qsd", True), "normal_words"),
-        (("effective", "1gg", 60.0, 1, None, "qsd", False), "uniform_words"),
+        (("effective", "1gg", 60.0, 1, CHANNEL_LABELS, "qsd", False), "uniform_words"),
     ],
     ids=["zero-noise-mixed", "full-homodyne"],
 )
@@ -519,11 +536,25 @@ def test_top_fock_peak_covers_every_visited_state():
     base = SystemParams(kappa=4e-4, gamma1=2e-4, gamma2=2e-4)
     p = calibrate_resonance(base, build_layout(2), which="effective")
     system = build_system(p, n_fock=2, hamiltonian="effective")
-    for monitored in (None, ("cavity",)):
-        rec = run_trajectory_homodyne(
+    for monitored in (CHANNEL_LABELS, ("cavity",)):
+        rec = run_trajectory(
             system, system.initial_state("0ee"), 3000.0, seed=5,
             homodyne_channels=monitored, store_states=True,
         )
         top = np.sum(np.abs(rec.states[0, :, -4:]) ** 2, axis=1)
         assert rec.top_fock_peak == pytest.approx(top.max(), rel=1e-12)
         assert rec.top_fock_peak > max(0.5, top[0], top[-1])
+
+
+def test_an_omitted_step_depends_on_the_unravelling(hom_system):
+    # 0.5 for photodetection, 0.1 once any channel is homodyned
+    psi0 = hom_system.initial_state("1gg")
+    for channels, dt in [((), 0.5), (("cavity",), 0.1), (CHANNEL_LABELS, 0.1)]:
+        common = dict(homodyne_channels=channels, record_every=2)
+        alone = run_trajectory(hom_system, psi0, 3.0, **common)
+        batch = run_ensemble(hom_system, psi0, 3.0, 2, **common)
+        for result in (alone, batch):
+            np.testing.assert_array_equal(result.time_grid, np.arange(0, 3.0 / dt + 1, 2) * dt)
+        np.testing.assert_array_equal(
+            alone.expectations, run_trajectory(hom_system, psi0, 3.0, dt=dt, **common).expectations
+        )

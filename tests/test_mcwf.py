@@ -12,12 +12,12 @@ from usctraj.dressed import CHANNEL_LABELS
 from usctraj.errors import (
     ConfigError,
     DimensionMismatchError,
+    InitialStateError,
     NumericalInconsistencyError,
     TimestepError,
 )
 from usctraj.hilbert import build_layout
 from usctraj.ensemble import run_ensemble
-from usctraj.homodyne import run_trajectory_homodyne
 from usctraj.lme import density_from_state, evolve_lme
 from usctraj.mcwf import (
     EnsembleResult,
@@ -473,7 +473,9 @@ def test_every_engine_rejects_a_bad_step_grid(system_eff, engine, t_final, dt, r
     grid = dict(dt=dt, record_every=record_every)
     runs = {
         "run_trajectory": lambda: run_trajectory(system_eff, psi0, t_final, **grid),
-        "homodyne": lambda: run_trajectory_homodyne(system_eff, psi0, t_final, **grid),
+        "homodyne": lambda: run_trajectory(
+            system_eff, psi0, t_final, homodyne_channels=CHANNEL_LABELS, **grid
+        ),
         "direct": lambda: run_ensemble(system_eff, psi0, t_final, 2, method="direct", **grid),
         "grouped": lambda: run_ensemble(system_eff, psi0, t_final, 2, method="grouped", **grid),
         "lme": lambda: evolve_lme(
@@ -483,3 +485,20 @@ def test_every_engine_rejects_a_bad_step_grid(system_eff, engine, t_final, dt, r
     with pytest.raises(ConfigError):
         runs[engine]()
 
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+@pytest.mark.parametrize("engine", ["run_trajectory", "homodyne", "direct", "grouped"])
+def test_every_engine_rejects_an_unusable_initial_state(system_eff, engine, fill):
+    psi0 = np.zeros(system_eff.dimension, dtype=complex)
+    psi0[0] = fill
+    runs = {
+        "run_trajectory": lambda: run_trajectory(system_eff, psi0, 10.0),
+        "homodyne": lambda: run_trajectory(
+            system_eff, psi0, 10.0, homodyne_channels=("cavity",)
+        ),
+        "direct": lambda: run_ensemble(system_eff, psi0, 10.0, 2, method="direct"),
+        "grouped": lambda: run_ensemble(system_eff, psi0, 10.0, 2, method="grouped"),
+    }
+    with pytest.raises(InitialStateError):
+        runs[engine]()
