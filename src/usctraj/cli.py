@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, TruncationError
 from .hilbert import build_layout
-from .mcwf import DRIFT_MODES, ensemble_average
+from .mcwf import DRIFT_MODES, _monitored, ensemble_average
 from .lme import density_from_state, evolve_lme
 from .model import (
     SystemParams,
@@ -77,7 +77,8 @@ class ExperimentConfig:
 
     The fields are the config schema, in header order.  A field whose
     metadata names a "section" opens that INI section for itself and the
-    fields after it; a key's type is the type of its default.
+    fields after it; a key's type is the type of its default (``_kind``).
+    An omitted dt (None) becomes the step of the solver's unravelling.
     """
 
     omega0: float = field(default=1.0, metadata={"section": "system"})
@@ -98,7 +99,7 @@ class ExperimentConfig:
     solver: str = field(default="mcwf", metadata={"section": "run"})
     hamiltonian: str = "full"
     t_final: float = 1000.0
-    dt: float = 0.5
+    dt: float | None = None
     n_trajectories: int = 1
     master_seed: int = 0
     initial_state: str = "1gg"
@@ -121,10 +122,6 @@ class ExperimentConfig:
     normalization: str = "per-bin"
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is float and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         checks = (
             ("calibrate", CALIBRATION_CHOICES),
             ("qubit_exchange", ("auto", "on", "off")),
@@ -148,25 +145,33 @@ class ExperimentConfig:
         for label in self.homodyne_channels:
             if label not in CHANNEL_LABELS:
                 raise ConfigError(f"unknown homodyne channel {label!r}")
+        if self.dt is None:
+            object.__setattr__(self, "dt", _monitored(self.homodyned, self.drift_mode, None)[1])
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if _kind(f) is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not self.observables:
             raise ConfigError("observables must not be empty")
-        if self.solver in ("homodyne", "mixed") and self.method == "grouped":
+        if self.solver == "mixed" and not self.homodyne_channels:
+            raise ConfigError("homodyne_channels must name a channel under solver = mixed")
+        if self.homodyned and self.method == "grouped":
             raise ConfigError(
                 f"method = grouped needs solver = mcwf; solver = {self.solver} "
                 "runs the direct kernel (method = auto or direct)"
             )
-        if self.solver == "mixed" and not self.homodyne_channels:
-            raise ConfigError("homodyne_channels must name a channel under solver = mixed")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be >= 1")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.t_final <= 0 or self.dt <= 0:
-            raise ConfigError("t_final and dt must be positive")
+        for name in ("t_final", "dt"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
         if self.delta_points < 2:
             raise ConfigError("delta_points must be >= 2")
+        build_layout(self.n_fock)  # n_fock >= 2, named before the levels range
         if not 1 <= self.levels <= 4 * self.n_fock:
             raise ConfigError(
                 f"levels must lie in 1 .. 4 * n_fock = {4 * self.n_fock}, got {self.levels}"
@@ -176,6 +181,11 @@ class ExperimentConfig:
         if self.first_bin_width <= 0 or self.conditional_bin_width <= 0:
             raise ConfigError("histogram bin widths must be positive")
 
+    @property
+    def homodyned(self) -> tuple[str, ...]:
+        """The channels the solver sends to a homodyne detector; the rest are photodetected."""
+        return {"homodyne": CHANNEL_LABELS, "mixed": self.homodyne_channels}.get(self.solver, ())
+
     def exchange_flag(self) -> bool | None:
         return {"auto": None, "on": True, "off": False}[self.qubit_exchange]
 
@@ -183,6 +193,11 @@ class ExperimentConfig:
         return SystemParams(
             **{f.name: getattr(self, f.name) for f in fields(SystemParams)}
         )
+
+
+def _kind(f) -> type:
+    """A config key's type: its default's, and float for dt (default None)."""
+    return float if f.default is None else type(f.default)
 
 
 def _sections() -> dict[str, str]:
@@ -228,7 +243,7 @@ def load_config(spec: str) -> ExperimentConfig:
             "put each key in its own section"
         )
     sections = _sections()
-    kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+    kinds = {f.name: _kind(f) for f in fields(ExperimentConfig)}
     values: dict = {"prefix": prefix}
     for section in parser.sections():
         if section not in sections.values():
@@ -243,12 +258,12 @@ def load_config(spec: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _resolve_params(cfg: ExperimentConfig) -> SystemParams:
-    """System parameters with the calibration step applied."""
-    p = cfg.system_params()
+def _calibrated(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The config with the calibration step applied to its omega_c."""
     if cfg.calibrate == "none":
-        return p
-    return calibrate_resonance(p, build_layout(cfg.n_fock), which=cfg.calibrate)
+        return cfg
+    p = calibrate_resonance(cfg.system_params(), build_layout(cfg.n_fock), which=cfg.calibrate)
+    return replace(cfg, **asdict(p))
 
 
 def _fmt_value(v) -> str:
@@ -259,25 +274,23 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _header_lines(cfg: ExperimentConfig, p: SystemParams) -> list[str]:
-    """Resolved-config header; omega_c shows the calibrated value."""
-    resolved = replace(cfg, **asdict(p))
-    lines = [f"# usctraj {__version__}"]
+def _header(cfg: ExperimentConfig) -> str:
+    """Resolved-config header; after ``_calibrated``, omega_c is the calibrated value."""
+    lines = [f"# usctraj {__version__}\n"]
     for key, section in _sections().items():
         # Where the files go is not part of the experiment, and leaving it
         # out keeps a rerun into another directory byte-identical.
         if key != "directory":
-            value = _fmt_value(getattr(resolved, key))
-            lines.append(f"# [{section}] {key} = {value}")
-    return lines
+            value = _fmt_value(getattr(cfg, key))
+            lines.append(f"# [{section}] {key} = {value}\n")
+    return "".join(lines)
 
 
-def _write_table(path: Path, header: list[str], columns: list[tuple[str, np.ndarray]]):
+def _write_table(path: Path, header: str, columns: list[tuple[str, np.ndarray]]):
     names = ",".join(name for name, _ in columns)
     data = np.column_stack([np.asarray(col, dtype=float) for _, col in columns])
     with open(path, "w") as fh:
-        for line in header:
-            fh.write(line + "\n")
+        fh.write(header)
         fh.write(f"# columns: {names}\n")
         for row in data:
             fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
@@ -293,21 +306,30 @@ def _check_truncation(top: float, n_fock: int):
 
 
 def _out_dir(cfg: ExperimentConfig, out_flag: str | None) -> Path:
+    """The output directory, checked before any work; ``_make_dir`` creates it."""
     out = Path(out_flag) if out_flag is not None else Path(cfg.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output path {out} exists and is not a directory")
     return out
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out_flag, check_truncation) -> list[Path]:
+def _make_dir(out: Path) -> Path:
+    """Create the output directory once the run has succeeded."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
+def cmd_spectrum(cfg: ExperimentConfig, out: Path, check_truncation) -> list[Path]:
     layout = build_layout(cfg.n_fock)
     deltas = np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_points)
     full_levels = np.empty((cfg.delta_points, cfg.levels))
     eff_levels = np.empty((cfg.delta_points, cfg.levels))
     top = 0.0  # largest top-Fock population among the kept levels
     for i, d in enumerate(deltas):
-        p = replace(cfg.system_params(), delta=float(d))
-        if cfg.calibrate != "none":
-            p = calibrate_resonance(p, layout, which=cfg.calibrate)
+        p = _calibrated(replace(cfg, delta=float(d))).system_params()
         for matrix, store in (
             (full_hamiltonian(p, layout).matrix, full_levels),
             (effective_hamiltonian(p, layout, cfg.exchange_flag()).matrix, eff_levels),
@@ -319,40 +341,29 @@ def cmd_spectrum(cfg: ExperimentConfig, out_flag, check_truncation) -> list[Path
                 top = max(top, float(np.max(np.sum(np.abs(vecs[-4:]) ** 2, axis=0))))
     if check_truncation:
         _check_truncation(top, cfg.n_fock)
-    out = _out_dir(cfg, out_flag)
-    header = _header_lines(cfg, cfg.system_params())
+    header = _header(cfg)
     cols = [("delta", deltas)]
     cols += [(f"full_{k}", full_levels[:, k]) for k in range(cfg.levels)]
     cols += [(f"effective_{k}", eff_levels[:, k]) for k in range(cfg.levels)]
-    path = out / f"{cfg.prefix}_spectrum.csv"
+    path = _make_dir(out) / f"{cfg.prefix}_spectrum.csv"
     _write_table(path, header, cols)
     return [path]
 
 
-def _build_system(cfg: ExperimentConfig, p: SystemParams):
+def _build_system(cfg: ExperimentConfig):
     return build_system(
-        p, n_fock=cfg.n_fock, hamiltonian=cfg.hamiltonian,
+        cfg.system_params(), n_fock=cfg.n_fock, hamiltonian=cfg.hamiltonian,
         include_qubit_exchange=cfg.exchange_flag(),
     )
 
 
-def _require_trajectories(cfg: ExperimentConfig, command: str):
-    """Reject the master-equation solver where trajectories are needed."""
-    if cfg.solver == "lme":
-        raise ConfigError(
-            f"{command} needs a trajectory solver (mcwf, homodyne or mixed); "
-            "solver = lme runs only under ensemble"
-        )
-
-
-def _run_records(cfg: ExperimentConfig, p: SystemParams, check_truncation: bool):
+def _run_records(cfg: ExperimentConfig, check_truncation: bool):
     """System and EnsembleResult of the configured stochastic solver."""
-    system = _build_system(cfg, p)
-    channels = {"mcwf": (), "homodyne": CHANNEL_LABELS}.get(cfg.solver, cfg.homodyne_channels)
+    system = _build_system(cfg)
     result = run_ensemble(
         system, system.initial_state(cfg.initial_state), cfg.t_final, cfg.n_trajectories,
         dt=cfg.dt, master_seed=cfg.master_seed, record_every=cfg.record_every,
-        method=cfg.method, homodyne_channels=channels, drift_mode=cfg.drift_mode,
+        method=cfg.method, homodyne_channels=cfg.homodyned, drift_mode=cfg.drift_mode,
     )
     if check_truncation:
         _check_truncation(result.top_fock_peak, cfg.n_fock)
@@ -370,12 +381,11 @@ def _lme_series(cfg: ExperimentConfig, system, check_truncation: bool):
     return series
 
 
-def cmd_trajectory(cfg, out_flag, check_truncation) -> list[Path]:
-    _require_trajectories(cfg, "trajectory")
-    p = _resolve_params(cfg)
-    system, result = _run_records(cfg, p, check_truncation)
-    out = _out_dir(cfg, out_flag)
-    header = _header_lines(cfg, p)
+def cmd_trajectory(cfg, out: Path, check_truncation) -> list[Path]:
+    cfg = _calibrated(cfg)
+    system, result = _run_records(cfg, check_truncation)
+    _make_dir(out)
+    header = _header(cfg)
     written = []
     for i in range(result.n_trajectories):
         cols = [("time", result.time_grid)]
@@ -386,8 +396,7 @@ def cmd_trajectory(cfg, out_flag, check_truncation) -> list[Path]:
         written.append(path)
     jump_path = out / f"{cfg.prefix}_jumps.csv"
     with open(jump_path, "w") as fh:
-        for line in header:
-            fh.write(line + "\n")
+        fh.write(header)
         fh.write("# columns: traj_index,time,channel,"
                  + ",".join(f"dp_{c}" for c in CHANNEL_LABELS) + "\n")
         for i, time, channel, dp in zip(result.jump_traj, result.jump_time,
@@ -399,58 +408,50 @@ def cmd_trajectory(cfg, out_flag, check_truncation) -> list[Path]:
 
 
 def _write_histograms(cfg, result, header, out: Path) -> list[Path]:
-    written = []
+    hists = {}
     if cfg.histogram in ("first", "both"):
-        hist = first_jump_histogram(result, cfg.first_bin_width)
-        path = out / f"{cfg.prefix}_first_jump_hist.csv"
-        with open(path, "w") as fh:
-            for line in header:
-                fh.write(line + "\n")
-            write_histogram_csv(hist, fh, mode=cfg.normalization)
-        written.append(path)
+        hists["first_jump"] = first_jump_histogram(result, cfg.first_bin_width)
     if cfg.histogram in ("conditional", "both"):
-        hist = conditional_second_jump_histogram(
+        hists["conditional"] = conditional_second_jump_histogram(
             result, cfg.trigger_channel, cfg.conditional_bin_width
         )
-        path = out / f"{cfg.prefix}_conditional_hist.csv"
+    written = []
+    for name, hist in hists.items():
+        path = out / f"{cfg.prefix}_{name}_hist.csv"
         with open(path, "w") as fh:
-            for line in header:
-                fh.write(line + "\n")
+            fh.write(header)
             write_histogram_csv(hist, fh, mode=cfg.normalization)
         written.append(path)
     return written
 
 
-def cmd_ensemble(cfg, out_flag, check_truncation) -> list[Path]:
-    p = _resolve_params(cfg)
-    out = _out_dir(cfg, out_flag)
-    header = _header_lines(cfg, p)
+def cmd_ensemble(cfg, out: Path, check_truncation) -> list[Path]:
+    cfg = _calibrated(cfg)
+    header = _header(cfg)
     if cfg.solver == "lme":
-        series = _lme_series(cfg, _build_system(cfg, p), check_truncation)
+        series = _lme_series(cfg, _build_system(cfg), check_truncation)
         cols = [("time", series.time_grid)]
         cols += [(label, series.expectations[label]) for label in cfg.observables]
-        path = out / f"{cfg.prefix}_lme.csv"
+        path = _make_dir(out) / f"{cfg.prefix}_lme.csv"
         _write_table(path, header, cols)
         return [path]
-    system, result = _run_records(cfg, p, check_truncation)
+    system, result = _run_records(cfg, check_truncation)
     avg = ensemble_average(result)
     cols = [("time", avg.time_grid)]
     for label in cfg.observables:
         cols.append((f"{label}_mean", avg.means[label]))
         cols.append((f"{label}_se", avg.standard_errors[label]))
-    path = out / f"{cfg.prefix}_mean.csv"
+    path = _make_dir(out) / f"{cfg.prefix}_mean.csv"
     _write_table(path, header, cols)
     return [path] + _write_histograms(cfg, result, header, out)
 
 
-def cmd_compare_lme(cfg, out_flag, check_truncation) -> list[Path]:
-    _require_trajectories(cfg, "compare-lme")
-    p = _resolve_params(cfg)
-    system, result = _run_records(cfg, p, check_truncation)
+def cmd_compare_lme(cfg, out: Path, check_truncation) -> list[Path]:
+    cfg = _calibrated(cfg)
+    system, result = _run_records(cfg, check_truncation)
     series = _lme_series(cfg, system, check_truncation)
     avg = ensemble_average(result)
-    out = _out_dir(cfg, out_flag)
-    header = _header_lines(cfg, p)
+    header = _header(cfg)
     cols = [("time", avg.time_grid)]
     # Worst deviation as a fraction of criterion 08's allowance 3 SE + 3/N;
     # the 3/N term keeps it finite where every trajectory shares one state
@@ -468,7 +469,7 @@ def cmd_compare_lme(cfg, out_flag, check_truncation) -> list[Path]:
         cols.append((f"{label}_lme", series.expectations[label]))
         cols.append((f"{label}_mcwf", avg.means[label]))
         cols.append((f"{label}_se", se))
-    path = out / f"{cfg.prefix}_compare.csv"
+    path = _make_dir(out) / f"{cfg.prefix}_compare.csv"
     _write_table(path, header, cols)
     if cfg.n_trajectories > 1:
         print(
@@ -514,7 +515,11 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        written = _COMMANDS[args.command](cfg, args.out, args.check_truncation)
+        if cfg.solver == "lme" and args.command in ("trajectory", "compare-lme"):
+            raise ConfigError(f"{args.command} needs a trajectory solver (mcwf, homodyne "
+                              "or mixed); solver = lme runs only under ensemble")
+        out = _out_dir(cfg, args.out)
+        written = _COMMANDS[args.command](cfg, out, args.check_truncation)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

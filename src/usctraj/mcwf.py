@@ -350,22 +350,18 @@ def _run_rows(
     record_every: int,
     monitored: tuple[int, ...] = (),
     drift_mode: str = "qsd",
-    zero_noise: bool = False,
     store_states: bool = False,
 ) -> EnsembleResult:
     """Trajectories ``rows`` (traj_index values), advanced in lockstep.
 
     ``monitored`` lists the homodyned channels (positions in
     ``CHANNEL_LABELS``); the others are photodetected.  ``drift_mode`` is
-    one of ``DRIFT_MODES``, and ``zero_noise`` sets every Wiener increment
-    to 0 without drawing words; a run that draws no noise shares one state
-    row among the trajectories that have not jumped.  Trajectory j of the
-    result is ``rows[j]``; ``store_states`` fills its ``states``.
+    one of ``DRIFT_MODES``.  Trajectory j of the result is ``rows[j]``;
+    ``store_states`` fills its ``states``.
     """
     psi = _prepare(psi0, system)
     n_steps, rec_steps = step_grid(t_final, dt, record_every)
     n_rows, n_hom = len(rows), len(monitored)
-    noisy = n_hom > 0 and not zero_noise
     jump_idx = [m for m in range(len(CHANNEL_LABELS)) if m not in monitored]
     jump_stack, scale = system.plus_stack[jump_idx], dt * system.rates[jump_idx]
     hom = list(monitored)
@@ -386,14 +382,13 @@ def _run_rows(
     n_jumps = [0] * n_rows
 
     # Trajectory b is state row where[b], which members[r] trajectories share.
-    # Without noise all start on one row and leave it at their first jump.
-    where = np.arange(n_rows) if noisy else np.zeros(n_rows, dtype=int)
-    members = [1] * n_rows if noisy else [n_rows]
+    # Under photodetection all start on one row and leave it at their first jump.
+    where = np.arange(n_rows) if n_hom else np.zeros(n_rows, dtype=int)
+    members = [1] * n_rows if n_hom else [n_rows]
 
-    words_per_step = n_rows * ((n_hom if noisy else 0) + (1 if jump_idx else 0))
+    words_per_step = n_rows * (n_hom + (1 if jump_idx else 0))
     block = max(1, min(_WORD_BLOCK, _WORD_BUDGET // max(words_per_step, 1)))
     every_row = np.arange(n_rows)
-    step_noise = 0.0  # n_m dW_m, (rows, monitored) once noise is drawn
     sqrt_dt = np.sqrt(dt)
     drawn = np.zeros(n_rows, dtype=int)  # each row's noise words before the block
     diffused = np.zeros(n_rows, dtype=int)  # and its diffusive steps in the block
@@ -424,7 +419,7 @@ def _run_rows(
                     thresholds[b] = uniform_words(seed, row, PURPOSE_JUMP, k, count)
                 exposed = thresholds < reach
                 exposed_steps = exposed.any(axis=0).tolist()
-            if noisy:
+            if n_hom:
                 drawn += n_hom * diffused
                 diffused[:] = 0
                 noise = np.empty((n_rows, count, n_hom))
@@ -451,9 +446,8 @@ def _run_rows(
 
         phi = np.matmul(propagator, states[:, :, None])[..., 0]
         if n_hom:
-            if noisy:
-                step_noise = noise[every_row, diffused]
-                diffused += 1
+            step_noise = noise[every_row, diffused]  # n_m dW_m, (rows, monitored)
+            diffused += 1
             hom_amps = np.matmul(hom_stack, phi[:, None, :, None])[..., 0]
             z = np.vecdot(phi[:, None], hom_amps)  # <S+>
             if drift_mode == "qsd":  # <S- + S+> = 2 Re <S+>
@@ -476,7 +470,7 @@ def _run_rows(
                 r = where[b] = len(members)
                 members.append(1)
             landing.append((r, post_jump))
-            if noisy:
+            if n_hom:
                 diffused[b] -= 1
         if filled + len(members) > len(history):
             peak = max(peak, float(_top_fock(history[:filled]).max()))

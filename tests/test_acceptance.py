@@ -112,17 +112,30 @@ def band_fraction(values, spacing, lo, hi):
 
 
 @pytest.fixture(scope="module")
-def emission_hist_fit():
-    """Cavity first-jump histogram of the pair process at 2e4 trajectories."""
+def pair_histograms():
+    """Histograms of one grouped run of the pair process from |1,g,g>: 4e4 trajectories.
+
+    Returns the first-jump histogram of trajectories 0..19999, the
+    conditional second-jump histogram (qubit1 trigger) of all of them, and
+    the parameters.  A grouped trajectory depends only on its index, so the
+    first 2e4 trajectories are bit for bit a 2e4-trajectory run.
+    """
     layout = build_layout(10)
     base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=0.0)
     p = calibrate_resonance(base, layout, which="full")
     system = build_system(p, n_fock=10, hamiltonian="effective")
     result = run_ensemble(
-        system, system.initial_state("1gg"), 60000.0, 20000, dt=0.5, master_seed=0,
+        system, system.initial_state("1gg"), 60000.0, 40000, dt=0.5, master_seed=0,
         record_every=1000, method="grouped",
     )
-    hist = first_jump_histogram(result, 200.0)
+    first = first_jump_histogram(trajectories(result, 0, 20000), 200.0)
+    return first, conditional_second_jump_histogram(result, "qubit1", 50.0), p
+
+
+@pytest.fixture(scope="module")
+def emission_hist_fit(pair_histograms):
+    """Cavity first-jump histogram of the pair process at 2e4 trajectories."""
+    hist, _, p = pair_histograms
     idx = {label: i for i, label in enumerate(CHANNEL_LABELS)}
     counts = hist.counts[idx["cavity"]].astype(float)
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
@@ -139,17 +152,9 @@ def emission_hist_fit():
 
 
 @pytest.fixture(scope="module")
-def exchange_hist():
+def exchange_hist(pair_histograms):
     """Conditional second-jump histogram (local trigger) at 4e4 trajectories."""
-    layout = build_layout(10)
-    base = SystemParams(kappa=4e-5, gamma1=4e-5, gamma2=4e-5, gamma_c=0.0)
-    p = calibrate_resonance(base, layout, which="full")
-    system = build_system(p, n_fock=10, hamiltonian="effective")
-    result = run_ensemble(
-        system, system.initial_state("1gg"), 60000.0, 40000, dt=0.5, master_seed=0,
-        record_every=1000, method="grouped",
-    )
-    hist = conditional_second_jump_histogram(result, "qubit1", 50.0)
+    _, hist, p = pair_histograms
     return hist, p
 
 

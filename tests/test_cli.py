@@ -449,7 +449,7 @@ def test_single_fock_level_exits_2_naming_n_fock(tmp_path, capsys):
     )
     rc = main(["trajectory", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "n_fock" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: n_fock")
 
 
 PINNED_CONFIG = """
@@ -568,6 +568,8 @@ def test_config_validation_direct():
         ("system", "g", "nan"),
         ("system", "theta", "-inf"),
         ("run", "dt", "nan"),
+        ("run", "dt", "0"),
+        ("run", "dt", "-1"),
         ("run", "t_final", "inf"),
         ("run", "delta_max", "nan"),
         ("run", "levels", "9"),  # n_fock = 2 has 8 levels
@@ -663,4 +665,88 @@ def test_an_unused_diffusive_setting_is_rejected_before_calibration(
     out = tmp_path / "out"
     assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "solver, extra, dt, command",
+    [
+        ("mcwf", "", 0.5, "trajectory"),
+        ("homodyne", "", 0.1, "trajectory"),
+        ("mixed", "homodyne_channels = cavity\n", 0.1, "trajectory"),
+        ("lme", "", 0.5, "ensemble"),
+        ("homodyne", "dt = 0.25\n", 0.25, "trajectory"),
+    ],
+    ids=["mcwf", "homodyne", "mixed", "lme", "explicit"],
+)
+def test_an_omitted_step_follows_the_solver(tmp_path, solver, extra, dt, command):
+    # the step of the solver's unravelling: 0.1 once a channel is homodyned,
+    # 0.5 otherwise; a dt in the config wins
+    cfg = write_config(
+        tmp_path, "step.ini",
+        f"[run]\nsolver = {solver}\nhamiltonian = effective\nt_final = 2\n{extra}"
+        "[output]\nprefix = st\n",
+    )
+    assert load_config(cfg).dt == dt
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    table = out / ("st_lme.csv" if solver == "lme" else "st_traj0.csv")
+    assert f"# [run] dt = {dt}" in read_header(table)
+    time = np.loadtxt(table, delimiter=",", comments="#")[:, 0]
+    np.testing.assert_allclose(time, np.arange(round(2 / dt) + 1) * dt, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "trajectory", "ensemble", "compare-lme"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_an_output_path_that_is_a_file_exits_2_before_calibration(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    def calibrate(*args, **kwargs):
+        raise AssertionError("calibrated before the output directory was checked")
+
+    monkeypatch.setattr(usctraj.cli, "calibrate_resonance", calibrate)
+    taken, unused = tmp_path / "taken", tmp_path / "unused"
+    taken.write_text("not a directory\n")
+    directory = taken if where == "config" else unused
+    cfg = write_config(
+        tmp_path, "file.ini",
+        f"[run]\nhamiltonian = effective\nt_final = 10\n\n[output]\ndirectory = {directory}\n",
+    )
+    argv = [command, "--config", cfg] + (["--out", str(taken)] if where == "flag" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: output path {taken} ")
+    assert taken.read_text() == "not a directory\n"
+    assert not unused.exists()
+
+
+def test_an_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    cfg = write_config(tmp_path, "ok.ini", "[run]\nhamiltonian = effective\nt_final = 10\n")
+    assert main(["trajectory", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot create output directory ")
+
+
+@pytest.mark.parametrize("command", ["trajectory", "ensemble", "compare-lme"])
+def test_a_failed_run_creates_no_output_directory(tmp_path, capsys, command):
+    # the step is too coarse for kappa = 0.25, so every run fails after calibration
+    cfg = tmp_path / "hot.ini"
+    cfg.write_text(
+        BASE_SYSTEM.replace("kappa = 4e-4", "kappa = 0.25")
+        + "\n[run]\nhamiltonian = effective\nt_final = 50\ndt = 1.0\nn_trajectories = 2\n"
+    )
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert "reduce dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_truncation_rejected_ensemble_creates_no_output_directory(tmp_path, capsys):
+    cfg = tmp_path / "decay.ini"
+    cfg.write_text(SHALLOW_DECAY.format(n=50, method="grouped"))
+    out = tmp_path / "o"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out), "--check-truncation"]) == 2
+    assert "top Fock level" in capsys.readouterr().err
     assert not out.exists()

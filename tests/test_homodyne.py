@@ -72,18 +72,6 @@ def test_determinism_and_traj_index_variation(hom_system):
     assert not np.array_equal(a.final_states, c.final_states)
 
 
-def test_zero_noise_reduces_to_deterministic_drift(hom_system):
-    sys = hom_system
-    a = _zero_noise_rows(
-        sys, sys.initial_state("1gg"), 100.0, 0.1, 0, [0], 1, CHANNEL_LABELS, "qsd"
-    )
-    b = _zero_noise_rows(
-        sys, sys.initial_state("1gg"), 100.0, 0.1, 99, [0], 1, CHANNEL_LABELS, "qsd"
-    )
-    np.testing.assert_array_equal(a.final_states, b.final_states)
-    np.testing.assert_array_equal(a.expectations, b.expectations)
-
-
 def test_lossless_homodyne_equals_jump_unravelling(p_resonant):
     # with all rates zero the measurement back-action vanishes and both
     # unravellings reduce to the same deterministic Schrodinger evolution
@@ -167,7 +155,7 @@ def _at_step(err, k):
 
 def _reference_homodyne(
     system, psi0, t_final, dt, seed, traj_index, record_every,
-    homodyne_channels, drift_mode, zero_noise=False,
+    homodyne_channels, drift_mode,
 ):
     """The homodyne engine one step at a time: (series, jumps, final, states).
 
@@ -211,13 +199,10 @@ def _reference_homodyne(
                 psi = amps[m] / norm
                 jumps.append(((k + 1) * dt, jump[m], dp))
                 continue
-        if zero_noise:
-            dw = np.zeros(len(hom))
-        else:
-            words = [normal_words(seed, traj_index, PURPOSE_NOISE, drawn + i, 1)[0]
-                     for i in range(len(hom))]
-            dw = np.sqrt(dt) * np.array(words)
-            drawn += len(hom)
+        words = [normal_words(seed, traj_index, PURPOSE_NOISE, drawn + i, 1)[0]
+                 for i in range(len(hom))]
+        dw = np.sqrt(dt) * np.array(words)
+        drawn += len(hom)
         phi = propagator @ psi
         back = np.zeros_like(phi)
         for m, w in zip(hom, dw):
@@ -246,17 +231,16 @@ def busy_hom_systems():
     }
 
 
-# (hamiltonian, initial state, t_final, record_every, monitored, drift, zero_noise)
+# (hamiltonian, initial state, t_final, record_every, monitored, drift)
 _REFERENCE_CASES = [
-    ("effective", "1gg", 60.0, 1, CHANNEL_LABELS, "qsd", False),
-    ("effective", "1gg", 60.0, 3, CHANNEL_LABELS, "as-printed", False),
-    ("effective", "1gg", 60.0, 7, CHANNEL_LABELS, "as-printed", False),
-    ("effective", "0ee", 150.0, 5, ("cavity",), "qsd", False),
-    ("effective", "0ee", 150.0, 4, ("cavity",), "as-printed", False),
-    ("effective", "0ee", 150.0, 1, ("cavity", "collective"), "as-printed", False),
-    ("full", "0ee", 150.0, 5, ("cavity",), "qsd", False),
-    ("effective", "0ee", 150.0, 5, ("cavity",), "qsd", True),
-    ("effective", "1gg", 40.0, 2, CHANNEL_LABELS, "qsd", True),
+    ("effective", "1gg", 60.0, 1, CHANNEL_LABELS, "qsd"),
+    ("effective", "1gg", 60.0, 3, CHANNEL_LABELS, "as-printed"),
+    ("effective", "1gg", 60.0, 7, CHANNEL_LABELS, "as-printed"),
+    ("effective", "0ee", 150.0, 5, ("cavity",), "qsd"),
+    ("effective", "0ee", 150.0, 4, ("cavity",), "as-printed"),
+    ("effective", "0ee", 150.0, 1, ("cavity", "collective"), "as-printed"),
+    ("full", "0ee", 150.0, 5, ("cavity",), "qsd"),
+    ("effective", "0ee", 150.0, 5, (), "qsd"),
 ]
 
 
@@ -278,12 +262,12 @@ def _references(systems):
     """Per-step reference outcomes keyed by reference case plus traj_index."""
     refs = {}
     for case in _REFERENCE_CASES:
-        ham, init, t_final, record_every, monitored, drift, zero_noise = case
+        ham, init, t_final, record_every, monitored, drift = case
         system = systems[ham]
         for traj_index in range(3):
             refs[case + (traj_index,)] = _outcome(
                 _reference_homodyne, system, system.initial_state(init), t_final, 0.1,
-                13, traj_index, record_every, monitored, drift, zero_noise,
+                13, traj_index, record_every, monitored, drift,
             )
     return refs
 
@@ -293,24 +277,9 @@ def hom_references(busy_hom_systems):
     return _references(busy_hom_systems)
 
 
-def _zero_noise_rows(system, psi0, t_final, dt, seed, rows, record_every,
-                     homodyne_channels, drift_mode, store_states=False):
-    """The kernel's rows with every Wiener increment 0; only ``_run_rows`` takes that."""
-    monitored = mcwf._monitored(homodyne_channels, drift_mode, dt)[0]
-    return mcwf._run_rows(
-        system, psi0, t_final, dt, seed, rows, record_every, monitored, drift_mode,
-        zero_noise=True, store_states=store_states,
-    )
-
-
 def _engine_outcome(systems, key):
-    ham, init, t_final, record_every, monitored, drift, zero_noise, traj_index = key
+    ham, init, t_final, record_every, monitored, drift, traj_index = key
     system = systems[ham]
-    if zero_noise:
-        return _outcome(
-            _zero_noise_rows, system, system.initial_state(init), t_final, 0.1, 13,
-            [traj_index], record_every, monitored, drift, store_states=True,
-        )
     return _outcome(
         run_trajectory, system, system.initial_state(init), t_final,
         dt=0.1, seed=13, traj_index=traj_index, record_every=record_every,
@@ -319,18 +288,13 @@ def _engine_outcome(systems, key):
 
 
 def _batch_outcome(systems, case, n):
-    """Rows 0..n-1 of a reference case, run as one ensemble."""
-    ham, init, t_final, record_every, monitored, drift, zero_noise = case
+    """Rows 0..n-1 of a reference case, run as one direct ensemble."""
+    ham, init, t_final, record_every, monitored, drift = case
     system = systems[ham]
-    if zero_noise:
-        return _outcome(
-            _zero_noise_rows, system, system.initial_state(init), t_final, 0.1, 13,
-            range(n), record_every, monitored, drift,
-        )
     return _outcome(
         run_ensemble, system, system.initial_state(init), t_final, n,
         dt=0.1, master_seed=13, record_every=record_every,
-        homodyne_channels=monitored, drift_mode=drift,
+        homodyne_channels=monitored, drift_mode=drift, method="direct",
     )
 
 
@@ -419,13 +383,13 @@ def test_a_batch_raises_the_error_of_its_earliest_failing_row(busy_hom_systems, 
     # at this floor rows 0 and 3..7 raise, row 5 first (step 255, row 0 at
     # 588): the batch must raise row 5's error, not row 0's
     monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", 0.995)
-    case = ("effective", "0ee", 150.0, 1, ("cavity", "collective"), "as-printed", False)
-    ham, init, t_final, record_every, monitored, drift, zero_noise = case
+    case = ("effective", "0ee", 150.0, 1, ("cavity", "collective"), "as-printed")
+    ham, init, t_final, record_every, monitored, drift = case
     system = busy_hom_systems[ham]
     rows = [
         _outcome(
             _reference_homodyne, system, system.initial_state(init), t_final, 0.1, 13, j,
-            record_every, monitored, drift, zero_noise,
+            record_every, monitored, drift,
         )
         for j in range(8)
     ]
@@ -506,10 +470,10 @@ def _no_words(*args):
 @pytest.mark.parametrize(
     "case, stream",
     [
-        (("effective", "0ee", 150.0, 5, ("cavity",), "qsd", True), "normal_words"),
-        (("effective", "1gg", 60.0, 1, CHANNEL_LABELS, "qsd", False), "uniform_words"),
+        (("effective", "0ee", 150.0, 5, (), "qsd"), "normal_words"),
+        (("effective", "1gg", 60.0, 1, CHANNEL_LABELS, "qsd"), "uniform_words"),
     ],
-    ids=["zero-noise-mixed", "full-homodyne"],
+    ids=["photodetection", "full-homodyne"],
 )
 def test_runs_that_need_no_words_draw_none(
     busy_hom_systems, hom_references, case, stream, monkeypatch
@@ -527,7 +491,7 @@ def test_runs_that_need_no_words_draw_none(
             batch, traj_index, hom_references[case + (traj_index,)], monitored=case[4]
         )
     if stream == "normal_words":
-        assert n_jumps > 0  # the zero-noise mixed run still reads its jump words
+        assert n_jumps > 0  # the photodetection run still reads its jump words
 
 
 def test_top_fock_peak_covers_every_visited_state():
