@@ -58,6 +58,7 @@ from .system import (
     HAMILTONIAN_CHOICES,
     INITIAL_STATE_LABELS,
     OBSERVABLE_LABELS,
+    TOP_FOCK,
     build_system,
 )
 
@@ -308,8 +309,9 @@ def _check_truncation(top: float, n_fock: int):
 def _out_dir(cfg: ExperimentConfig, out_flag: str | None) -> Path:
     """The output directory, checked before any work; ``_make_dir`` creates it."""
     out = Path(out_flag) if out_flag is not None else Path(cfg.directory)
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"output path {out} exists and is not a directory")
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"output path {out} cannot be a directory: {existing} is not one")
     return out
 
 
@@ -338,7 +340,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path, check_truncation) -> list[Pat
             store[i] = evals[: cfg.levels] - evals[0]
             if check_truncation:
                 vecs = np.linalg.eigh(matrix)[1][:, : cfg.levels]
-                top = max(top, float(np.max(np.sum(np.abs(vecs[-4:]) ** 2, axis=0))))
+                top = max(top, float(np.max(np.sum(np.abs(vecs[TOP_FOCK]) ** 2, axis=0))))
     if check_truncation:
         _check_truncation(top, cfg.n_fock)
     header = _header(cfg)

@@ -25,10 +25,10 @@ no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| over the whole horizon.
 ``_build_flow`` runs only that chain step by step, into a buffer of
 ``_FLOW_CHUNK`` states, and derives everything else (jump amplitudes,
 jump probabilities, observables, amplitude norms, the ray check) once per
-chunk with vectorized calls (``mcwf._no_jump_chain`` and
-``mcwf._chunk_amplitudes``), whose per-state numbers are bitwise those of
-one step at a time: amplitudes stay one matrix-vector product per state (a
-single matrix-matrix product over the chunk sums in another order).
+chunk with vectorized calls (``mcwf._chunk_amplitudes``), whose per-state
+numbers are bitwise those of one step at a time: amplitudes stay one
+matrix-vector product per state (a single matrix-matrix product over the
+chunk sums in another order).
 
 Agreement with the direct kernel (``mcwf._run_rows``) is exact for the
 first segment and for all jump bookkeeping, and up to the arbitrary
@@ -42,22 +42,22 @@ straight away: its diffusive states have no deterministic flow to share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
-from .dressed import CHANNEL_LABELS
-from .errors import ConfigError, NumericalInconsistencyError, TimestepError
+from .errors import ConfigError, TimestepError
 from .mcwf import (
     JUMP_NORM_FLOOR,
     MAX_DP_PER_STEP,
     EnsembleResult,
     _check_dp,
+    _check_jump_norm,
     _chunk_amplitudes,
     _jump_columns,
     _monitored,
-    _no_jump_chain,
     _norm,
     _prepare,
     _run_rows,
@@ -115,7 +115,7 @@ def _build_flow(
     """Propagate the normalized no-jump chain and collect per-age arrays.
 
     Only the chain psi_{k+1} = U psi_k / ||U psi_k|| is sequential; it fills
-    a buffer of ``_FLOW_CHUNK`` states through ``mcwf._no_jump_chain``.
+    a buffer of ``_FLOW_CHUNK`` states one step at a time.
     Everything else is computed once per chunk, and only with operations
     whose per-state result is bitwise that of the per-step call, so the root
     flow matches the direct kernel exactly:
@@ -149,7 +149,10 @@ def _build_flow(
     psi = state0
     for start in range(0, n_steps + 1, _FLOW_CHUNK):
         block = states[: min(_FLOW_CHUNK, n_steps + 1 - start)]
-        psi = _no_jump_chain(psi, propagator.__matmul__, block)
+        for i in range(len(block)):
+            block[i] = psi
+            phi = propagator @ psi
+            psi = phi / _norm(phi)
         stop = start + len(block)
         amps, sq = _chunk_amplitudes(block, plus_stack)
         dp[:, start : min(stop, n_steps)] = (scale * sq)[: n_steps - start].T
@@ -293,10 +296,7 @@ def _sample_grouped(
             master_seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1
         )[0]
         m = _select_channel(dp_col, eps_prime)
-        if dp_col[m] / (dt * rates[m]) < JUMP_NORM_FLOOR**2:
-            raise NumericalInconsistencyError(
-                f"channel {CHANNEL_LABELS[m]} selected with vanishing amplitude"
-            )
+        _check_jump_norm(math.sqrt(dp_col[m] / (dt * rates[m])), m)
         jumps.append(((hit + 1) * dt, m, dp_col))
         fid = int(flow.image_flow[m])
         k = hit + 1

@@ -55,19 +55,21 @@ the stacked (B, m, d) channel amplitudes and their inner products are
 C-looped matrix-vector and vector-vector products, the back-action is summed
 into a zero array channel by channel, and the norm reads the strided real
 and imaginary views.  In a run that draws no noise, trajectories that have
-not jumped hold the same state, so they share one row: it is propagated,
-read and jump-tested once per step, and a trajectory splits off onto its
-own row at its first jump.  The visited states are buffered
-(``_HISTORY_ROWS``) and their top-Fock populations reduced to one maximum
-whenever the buffer fills; only that maximum is reported.
+not jumped hold the same state, so they share one row: it is propagated
+and read once per step, and a trajectory splits off onto its own row at
+its first jump.  The visited states are buffered (``_HISTORY_ROWS``) and
+their top-Fock populations reduced to one maximum whenever the buffer
+fills; only that maximum is reported.
 
 The jump rule computes amplitudes only where a jump is possible.  The jump
 probabilities of a normalized state have an a priori bound
 (``_jump_reach``), so a trajectory whose threshold word lies above it can
 neither fire nor fail the dp guard at that step; the bound is small at
-physical rates, and most steps evaluate no row.  Among the rows left,
-vectorized row sums preselect candidates (``_jump_candidates``), and each
-candidate is decided, collapsed and logged by the per-state expressions.
+physical rates, and most steps expose no trajectory.  The exposed
+trajectories get their amplitudes from one stacked call (a shared row once
+for each of them, with identical bits), and each is decided in ascending
+order by the per-step rule (``_fires``: the dp guard, then a strict
+comparison of the total with the threshold word), collapsed and logged.
 
 Each trajectory reads its own words by index (``rng``), so (master_seed,
 traj_index) fixes it bit for bit however the run is batched.  Threshold
@@ -91,7 +93,6 @@ result type of every trajectory engine; a single run is its one-row case.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,8 +114,6 @@ JUMP_NORM_FLOOR = 1e-14
 
 DRIFT_MODES = ("as-printed", "qsd")
 
-# Relative slack of the vectorized row sums that preselect jump candidates.
-_SUM_SLACK = 1e-9
 # Relative slack of the a priori jump-probability bound (``_jump_reach``): it
 # covers the rounding of ||S+ psi||^2, of dp and of their sum, and the
 # few-ulp distance of a renormalized state's norm from 1.
@@ -224,27 +223,19 @@ def _top_fock(states: np.ndarray) -> np.ndarray:
     return np.vecdot(tail, tail).real
 
 
-def _collapse(phi: np.ndarray, m: int) -> np.ndarray:
-    """The normalized post-jump state from the amplitude phi = S^+_m psi."""
-    norm = _norm(phi)
+def _check_jump_norm(norm: float, m: int) -> None:
+    """Raise unless the selected channel m's amplitude norm ||S^+_m psi|| clears the floor."""
     if norm < JUMP_NORM_FLOOR:
         raise NumericalInconsistencyError(
             f"channel {CHANNEL_LABELS[m]} selected but ||S^+ psi|| = {norm:.3e}"
         )
+
+
+def _collapse(phi: np.ndarray, m: int) -> np.ndarray:
+    """The normalized post-jump state from the amplitude phi = S^+_m psi."""
+    norm = _norm(phi)
+    _check_jump_norm(norm, m)
     return phi / norm
-
-
-def _no_jump_chain(psi: np.ndarray, advance, out: np.ndarray) -> np.ndarray:
-    """Write the renormalized no-jump chain from psi into the rows of out.
-
-    ``advance`` maps a state to its unnormalized successor.  Returns the
-    state that follows the last row.
-    """
-    for i in range(len(out)):
-        out[i] = psi
-        phi = advance(psi)
-        psi = phi / _norm(phi)
-    return psi
 
 
 def _chunk_amplitudes(
@@ -262,21 +253,6 @@ def _chunk_amplitudes(
     return amps, np.einsum("kmd,kmd->km", amps.conj(), amps).real
 
 
-def _jump_candidates(dp: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Rows of dp (rows, channels) that may fire against eps or fail ``_check_dp``.
-
-    A row left out has a vectorized sum below eps and below 1 by more than
-    the ``_SUM_SLACK`` that summation order can move it, and no entry at
-    ``MAX_DP_PER_STEP``: it neither fires nor fails.
-    """
-    total = dp.sum(axis=1)
-    return np.flatnonzero(
-        ~(total <= eps * (1.0 - _SUM_SLACK))
-        | (total >= 1.0 - _SUM_SLACK)
-        | (dp.max(axis=1, initial=0.0) >= MAX_DP_PER_STEP)
-    )
-
-
 def _check_dp(dp: np.ndarray) -> None:
     if dp.max(initial=0.0) >= MAX_DP_PER_STEP:
         raise TimestepError(
@@ -286,19 +262,14 @@ def _check_dp(dp: np.ndarray) -> None:
         raise TimestepError(f"total jump probability {dp.sum():.3g} >= 1; reduce dt")
 
 
-def _fired(dp: np.ndarray, eps: np.ndarray) -> Iterator[int]:
-    """Rows of dp (rows, channels) whose jump fires against eps, lowest first.
+def _fires(dp: np.ndarray, eps: float) -> bool:
+    """Whether a step with jump probabilities dp fires against threshold word eps.
 
-    Each candidate row is checked by ``_check_dp`` and decided by the
-    per-step expressions when the iteration reaches it, so a row that fails
-    the check raises only after every lower row that fires was handed out.
-    A total equal to its threshold does not fire; a zero-probability row
-    never does.
+    dp passes ``_check_dp`` first.  A total equal to eps does not fire, so a
+    zero-probability step never does.
     """
-    for c in _jump_candidates(dp, eps):
-        _check_dp(dp[c])
-        if dp[c].sum() > eps[c]:
-            yield int(c)
+    _check_dp(dp)
+    return bool(dp.sum() > eps)
 
 
 def _select_channel(dp: np.ndarray, eps_prime: float) -> int:
@@ -318,7 +289,7 @@ def _jump_reach(jump_stack: np.ndarray, scale: np.ndarray, psi0: np.ndarray) -> 
     norm_sq = max(1.0, float(np.vdot(psi0, psi0).real))
     op_norm_sq = np.linalg.norm(jump_stack, 2, axis=(1, 2)) ** 2
     bound = float(np.sum(scale * op_norm_sq)) * norm_sq * (1.0 + _BOUND_SLACK)
-    return bound if bound < MAX_DP_PER_STEP * (1.0 - _SUM_SLACK) else np.inf
+    return bound if bound < MAX_DP_PER_STEP else np.inf
 
 
 def _monitored(
@@ -430,15 +401,15 @@ def _run_rows(
         collapsed = []
         if exposed_steps[i]:
             live = np.flatnonzero(exposed[:, i])
-            tested, row_of = np.unique(where[live], return_inverse=True)
-            amps, sq = _chunk_amplitudes(states[tested], jump_stack)
-            dp = (scale * sq)[row_of]
-            for c in _fired(dp, thresholds[live, i]):
-                b = int(live[c])
+            amps, sq = _chunk_amplitudes(states[where[live]], jump_stack)
+            dp = scale * sq
+            for c, b in enumerate(live.tolist()):
+                if not _fires(dp[c], thresholds[b, i]):
+                    continue
                 eps_prime = uniform_words(seed, rows[b], PURPOSE_CHANNEL, n_jumps[b], 1)
                 j = _select_channel(dp[c], eps_prime[0])
                 m = jump_idx[j]
-                collapsed.append((b, _collapse(amps[row_of[c], j], m)))
+                collapsed.append((b, _collapse(amps[c, j], m)))
                 dp_all = np.zeros(len(CHANNEL_LABELS))
                 dp_all[jump_idx] = dp[c]
                 jumps.append((b, (k + 1) * dt, m, dp_all))

@@ -697,24 +697,26 @@ def test_an_omitted_step_follows_the_solver(tmp_path, solver, extra, dt, command
 
 
 @pytest.mark.parametrize("command", ["spectrum", "trajectory", "ensemble", "compare-lme"])
-@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("where", ["flag", "config", "below"])
 def test_an_output_path_that_is_a_file_exits_2_before_calibration(
     tmp_path, capsys, monkeypatch, command, where
 ):
+    # "below" asks for a directory under the file, which cannot be made
     def calibrate(*args, **kwargs):
         raise AssertionError("calibrated before the output directory was checked")
 
     monkeypatch.setattr(usctraj.cli, "calibrate_resonance", calibrate)
     taken, unused = tmp_path / "taken", tmp_path / "unused"
     taken.write_text("not a directory\n")
+    out = taken / "sub" if where == "below" else taken
     directory = taken if where == "config" else unused
     cfg = write_config(
         tmp_path, "file.ini",
         f"[run]\nhamiltonian = effective\nt_final = 10\n\n[output]\ndirectory = {directory}\n",
     )
-    argv = [command, "--config", cfg] + (["--out", str(taken)] if where == "flag" else [])
+    argv = [command, "--config", cfg] + (["--out", str(out)] if where != "config" else [])
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"error: output path {taken} ")
+    assert capsys.readouterr().err.startswith(f"error: output path {out} ")
     assert taken.read_text() == "not a directory\n"
     assert not unused.exists()
 

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from usctraj import ensemble
+from usctraj import ensemble, mcwf
 from usctraj.dressed import CHANNEL_LABELS
 from usctraj.ensemble import ENSEMBLE_METHODS, run_ensemble
-from usctraj.errors import ConfigError, TimestepError
+from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
 from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
@@ -185,6 +185,20 @@ def _jump_probabilities(psi, dt, plus_stack, rates):
     amps = plus_stack @ psi
     dp = dt * rates * np.einsum("md,md->m", amps.conj(), amps).real
     return dp, amps
+
+
+def test_a_grouped_run_raises_the_kernel_norm_floor_error(busy_systems, monkeypatch):
+    # the grouped sampler reads the kernel's floor and raises its message:
+    # trajectory 0 is sampled first and raises what it raises run alone
+    monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", 0.99)
+    system = busy_systems["effective"]
+    psi0 = system.initial_state("1gg")
+    with pytest.raises(NumericalInconsistencyError) as alone:
+        run_trajectory(system, psi0, T_FINAL, dt=0.5, seed=11)
+    with pytest.raises(NumericalInconsistencyError) as grouped:
+        run_ensemble(system, psi0, T_FINAL, 8, dt=0.5, master_seed=11, method="grouped")
+    assert "selected but ||S^+ psi|| = " in str(grouped.value)
+    assert str(grouped.value) == str(alone.value)
 
 
 def _reference_build_flow(state0, system, propagator, n_steps, dt):

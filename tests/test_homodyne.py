@@ -450,6 +450,17 @@ def test_jump_reach_bounds_the_jump_probability_of_every_state(busy_hom_systems)
             assert mcwf._jump_reach(stack, 60 * scale, psi0) == np.inf
 
 
+def test_a_jump_bound_just_below_the_cap_is_kept():
+    # one channel with ||S+|| = 1 on a normalized state: the bound is the
+    # scale times the slack, a relative 1e-10 below MAX_DP_PER_STEP
+    stack, psi0 = np.eye(3, dtype=complex)[None], np.array([1.0, 0.0, 0.0], dtype=complex)
+    bound = mcwf.MAX_DP_PER_STEP * (1.0 - 1e-10)
+    scale = np.array([bound / (1.0 + mcwf._BOUND_SLACK)])
+    reach = mcwf._jump_reach(stack, scale, psi0)
+    assert reach < mcwf.MAX_DP_PER_STEP
+    assert reach == pytest.approx(bound, rel=1e-15)
+
+
 def test_a_step_past_the_jump_bound_checks_every_row(busy_hom_systems):
     # at dt = 6 the bound passes MAX_DP_PER_STEP, so every threshold word
     # counts; from 0ee each row fails the dp guard at its first step

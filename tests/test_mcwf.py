@@ -21,7 +21,7 @@ from usctraj.ensemble import run_ensemble
 from usctraj.lme import density_from_state, evolve_lme
 from usctraj.mcwf import (
     EnsembleResult,
-    _fired,
+    _fires,
     _jump_columns,
     ensemble_average,
     run_trajectory,
@@ -419,24 +419,31 @@ def test_a_batch_raises_the_error_of_its_earliest_failing_row(busy_system, monke
 
 
 def test_first_jump_follows_the_per_step_rule():
-    eps = np.array([0.1, 0.05, 0.06, 0.0])
     # a total equal to its threshold does not fire (strict comparison)
-    level = np.array([[0.05, 0.05], [0.025, 0.025], [0.03, 0.03], [0.0, 0.0]])
-    assert list(_fired(level, eps)) == []
-    level[2, 0] = 0.04
-    assert list(_fired(level, eps)) == [2]
-    # a zero-probability row never fires, even against a zero threshold
-    assert list(_fired(np.zeros((4, 2)), eps)) == []
-    # a capped row raises only once every lower row that fires is handed out
-    capped = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [0.0, 0.0]])
-    with pytest.raises(TimestepError):
-        list(_fired(capped, eps))
-    capped[1] = [0.03, 0.03]
-    fired = _fired(capped, eps)
-    assert next(fired) == 1
-    with pytest.raises(TimestepError):
-        next(fired)
-    assert list(_fired(np.empty((0, 2)), np.empty(0))) == []
+    assert not _fires(np.array([0.03, 0.03]), 0.06)
+    assert _fires(np.array([0.04, 0.03]), 0.06)
+    # a zero-probability step never fires, even against a zero threshold
+    assert not _fires(np.zeros(2), 0.0)
+    # a capped row raises, whatever its threshold
+    for eps in (0.0, 0.5, 0.99):
+        with pytest.raises(TimestepError):
+            _fires(np.array([0.1, 0.0]), eps)
+
+
+def test_trajectories_live_together_on_the_shared_row_decide_alone(busy_system):
+    # at dt = 10 the jump bound passes MAX_DP_PER_STEP, so every trajectory
+    # is live at every step: all 6 are live together on the shared row at
+    # step 0, and those that have not jumped stay so until they do
+    dt, psi0 = 10.0, busy_system.initial_state("0ee")
+    scale = dt * busy_system.rates
+    assert mcwf._jump_reach(busy_system.plus_stack, scale, psi0) == np.inf
+    result = run_ensemble(busy_system, psi0, 400.0, 6, dt=dt, master_seed=11, method="direct")
+    for j in range(6):
+        alone = run_trajectory(busy_system, psi0, 400.0, dt=dt, seed=11, traj_index=j)
+        _assert_row_matches(result, j, _as_reference(alone))
+        _assert_row_matches(result, j, _reference_run(busy_system, psi0, 400.0, dt, 11, j, 1))
+    first_jumps = result.jump_time[np.r_[True, np.diff(result.jump_traj) != 0]]
+    assert result.jump_traj.size and len(set(first_jumps.tolist())) > 1
 
 
 def test_top_fock_peak_covers_every_visited_state():
