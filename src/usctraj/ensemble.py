@@ -9,26 +9,35 @@ and jump images.  When post-jump states recur up to a global phase (they do
 for the effective-Hamiltonian subspace cascades: the photon pair feeds
 |0,g,e>, |0,e,g>, their symmetric combination, and the dark |0,g,g>), the
 handful of distinct flows is propagated once over the horizon and each
-trajectory reduces to scanning its own uniform words against precomputed
-arrays, writing its observables straight into its row of the result.
+trajectory reduces to scanning its own threshold words against
+precomputed arrays, copying its observables straight into its row of the
+result one segment (a run of recorded steps) at a time.
 
 Random access makes the scans cheap: the threshold word for step k is
 word k of the trajectory's threshold stream regardless of history, and
 the channel word for the q-th jump is word q, so a segment draws its
-words in bulk without replaying earlier steps.  Flows whose jump
-probabilities vanish identically (the dark state) terminate a
-trajectory outright: with the strict threshold comparison a
-zero-probability step can never fire.
+words in bulk without replaying earlier steps.  The scan reads raw 64-bit
+words (``rng.RawWords``) in growing windows and compares them as
+integers with each flow's per-age ``rng.raw_thresholds`` of its total
+jump probability, which decides exactly as the strict comparison
+dp_sum > u with the uniform word.  A trajectory reads each word once:
+after a jump the next segment first scans the rest of the window that
+held it.  Flows whose jump probabilities vanish identically (the dark
+state) terminate a trajectory outright: with the strict threshold
+comparison a zero-probability step can never fire.
 
 Building a flow is the one long sequential computation: the renormalized
 no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| over the whole horizon.
-``_build_flow`` runs only that chain step by step, into a buffer of
-``_FLOW_CHUNK`` states, and derives everything else (jump amplitudes,
-jump probabilities, observables, amplitude norms, the ray check) once per
-chunk with vectorized calls (``mcwf._chunk_amplitudes``), whose per-state
-numbers are bitwise those of one step at a time: amplitudes stay one
+A dark entry state, one whose support U keeps closed and no jump operator
+reads, runs no chain: its flow is exact zeros.  Otherwise ``_build_flow``
+runs only that chain step by step, into a buffer of ``_FLOW_CHUNK``
+states, and derives everything else (jump amplitudes, jump probabilities,
+observables, amplitude norms, the ray check) once per chunk with
+vectorized calls (``mcwf._chunk_amplitudes``), whose per-state numbers
+are bitwise those of one step at a time: amplitudes stay one
 matrix-vector product per state (a single matrix-matrix product over the
-chunk sums in another order).
+chunk sums in another order).  Channels with a zero rate get amplitudes
+only when they carry an observable.
 
 Agreement with the direct kernel (``mcwf._run_rows``) is exact for the
 first segment and for all jump bookkeeping, and up to the arbitrary
@@ -48,9 +57,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
+from . import mcwf
+from .dressed import CHANNEL_LABELS
 from .errors import ConfigError, TimestepError
 from .mcwf import (
-    JUMP_NORM_FLOOR,
     MAX_DP_PER_STEP,
     EnsembleResult,
     _check_dp,
@@ -64,8 +74,8 @@ from .mcwf import (
     _select_channel,
     _top_fock,
 )
-from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
-from .system import OBSERVABLE_LABELS, DissipativeSystem, step_grid
+from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, RawWords, raw_thresholds, uniform_words
+from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
 
 ENSEMBLE_METHODS = ("auto", "grouped", "direct")
 
@@ -100,6 +110,11 @@ class _Flow:
     image_state: list         # per channel: canonical post-jump state or None
     first_violation: int      # first age violating the dp guards, or n_steps + 1
     dark: bool = False
+    # (n_steps,) uint64: raw threshold word w fires at age j when w < threshold[j]
+    threshold: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.threshold = raw_thresholds(self.dp_sum)
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -108,22 +123,42 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (abs(w) / w)
 
 
+def _is_dark(state0: np.ndarray, plus_stack: np.ndarray, propagator: np.ndarray) -> bool:
+    """Whether the chain from state0 stays exactly where no amplitude can reach.
+
+    With S the support of state0: U maps S into itself (``U[not S, S]`` is
+    exactly 0), every jump operator's columns on S are exactly 0, and S
+    misses the top Fock levels.  Every state of the chain then lives on S,
+    so each amplitude, dp, observable and top-Fock population is an exact
+    sum of exact zeros.
+    """
+    support = state0 != 0
+    return not (
+        propagator[np.ix_(~support, support)].any()
+        or plus_stack[:, :, support].any()
+        or state0[TOP_FOCK].any()
+    )
+
+
 def _build_flow(
     state0: np.ndarray, system: DissipativeSystem, propagator: np.ndarray,
     n_steps: int, dt: float,
 ) -> _Flow:
     """Propagate the normalized no-jump chain and collect per-age arrays.
 
-    Only the chain psi_{k+1} = U psi_k / ||U psi_k|| is sequential; it fills
-    a buffer of ``_FLOW_CHUNK`` states one step at a time.
-    Everything else is computed once per chunk, and only with operations
-    whose per-state result is bitwise that of the per-step call, so the root
-    flow matches the direct kernel exactly:
+    A dark entry state (``_is_dark``) needs no chain: its flow is built from
+    zeros.  Otherwise only the chain psi_{k+1} = U psi_k / ||U psi_k|| is
+    sequential; it writes each state straight into a buffer of
+    ``_FLOW_CHUNK`` states, with ``mcwf._norm``'s expression on views of
+    one step buffer.  Everything else is computed once per chunk, and
+    only with operations whose per-state result is bitwise that of the
+    per-step call, so the root flow matches the direct kernel exactly:
 
     - amplitudes S^+_m psi_k as a C-looped stack of per-state matrix-vector
-      products, ``matmul(plus_stack[None], states[:, None, :, None])``.  One
-      GEMM over the chunk would block the sums differently and change the
-      last bits;
+      products (``mcwf._chunk_amplitudes``), for the channels with a
+      nonzero rate and the observable channels only; one GEMM over the
+      chunk would block the sums differently and change the last bits.
+      A zero-rate channel's dp is exactly 0 and stays so;
     - squared amplitude norms as ``einsum("kmd,kmd->km", ...)``, whose sum
       over d runs in the same order as the per-state ``einsum("md,md->m")``
       for any number of channels; ``dp`` scales them and the observables
@@ -140,25 +175,35 @@ def _build_flow(
     """
     plus_stack, rates = system.plus_stack, system.rates
     n_channels = rates.size
-    scale = dt * rates
-    dp = np.empty((n_channels, n_steps))
-    obs = np.empty((3, n_steps + 1))
-    top = np.empty(n_steps + 1)
+    # amplitudes of the channels that can jump and of the three observables
+    channels = np.flatnonzero((rates != 0.0) | (np.arange(n_channels) < 3))
+    plus_live = plus_stack[channels]
+    scale = dt * rates[channels]
+    dp = np.zeros((n_channels, n_steps))
+    obs = np.zeros((3, n_steps + 1))
+    top = np.zeros(n_steps + 1)
     refs: list[np.ndarray | None] = [None] * n_channels
     states = np.empty((min(_FLOW_CHUNK, n_steps + 1), state0.size), dtype=complex)
-    psi = state0
-    for start in range(0, n_steps + 1, _FLOW_CHUNK):
+    phi = np.empty(state0.size, dtype=complex)
+    re, im = phi.real, phi.imag  # _norm(phi) is sqrt(re.dot(re) + im.dot(im))
+    # a dark entry state runs no chain: every array keeps its exact zeros
+    chunks = () if _is_dark(state0, plus_stack, propagator) else range(0, n_steps + 1, _FLOW_CHUNK)
+    for start in chunks:
         block = states[: min(_FLOW_CHUNK, n_steps + 1 - start)]
-        for i in range(len(block)):
-            block[i] = psi
-            phi = propagator @ psi
-            psi = phi / _norm(phi)
+        rows = iter(block)
+        if start == 0:
+            prev = next(rows)
+            prev[:] = state0
+        for row in rows:  # prev is the state before row, in this chunk or the last
+            np.matmul(propagator, prev, out=phi)
+            np.divide(phi, math.sqrt(re.dot(re) + im.dot(im)), out=row)
+            prev = row
         stop = start + len(block)
-        amps, sq = _chunk_amplitudes(block, plus_stack)
-        dp[:, start : min(stop, n_steps)] = (scale * sq)[: n_steps - start].T
+        amps, sq = _chunk_amplitudes(block, plus_live)
+        dp[channels, start : min(stop, n_steps)] = (scale * sq)[: n_steps - start].T
         obs[:, start:stop] = sq[:, :3].T
         top[start:stop] = _top_fock(block)
-        _check_rays(amps, np.linalg.norm(amps, axis=2), rates, refs)
+        _check_rays(amps, np.linalg.norm(amps, axis=2), channels, rates, refs, start)
     viol = np.flatnonzero((dp.max(axis=0) >= MAX_DP_PER_STEP) | (dp.sum(axis=0) >= 1.0))
     return _Flow(
         state0=state0,
@@ -174,29 +219,40 @@ def _build_flow(
 
 
 def _check_rays(
-    amps: np.ndarray, norms: np.ndarray, rates: np.ndarray,
-    refs: list[np.ndarray | None],
+    amps: np.ndarray, norms: np.ndarray, channels: np.ndarray, rates: np.ndarray,
+    refs: list[np.ndarray | None], start: int,
 ) -> None:
     """Raise _Ungroupable unless each channel's jump images lie on one ray.
 
-    ``amps`` and ``norms`` are one chunk of amplitudes (state, channel, d)
-    and their norms.  A channel's first image above the norm floor becomes
-    its reference, stored in ``refs``.
+    ``amps`` and ``norms`` are one chunk of amplitudes (state, column, d)
+    and their norms, from age ``start`` on; column c holds channel
+    ``channels[c]``.  A channel's first image above ``mcwf.JUMP_NORM_FLOOR``
+    becomes its reference, stored in ``refs`` by channel.
     """
-    for m in np.flatnonzero(rates != 0.0):
-        live = np.flatnonzero(norms[:, m] > JUMP_NORM_FLOOR)
+    for c, m in enumerate(channels):
+        if rates[m] == 0.0:
+            continue
+        live = np.flatnonzero(norms[:, c] > mcwf.JUMP_NORM_FLOOR)
         if live.size == 0:
             continue
         if refs[m] is None:
-            refs[m] = amps[live[0], m] / norms[live[0], m]
-        n = norms[live, m]
-        overlap = np.abs(np.einsum("d,kd->k", refs[m].conj(), amps[live, m]))
-        if np.any(np.abs(overlap - n) > RAY_TOL * n):
-            raise _Ungroupable()
+            refs[m] = amps[live[0], c] / norms[live[0], c]
+        n = norms[live, c]
+        overlap = np.abs(np.einsum("d,kd->k", refs[m].conj(), amps[live, c]))
+        broken = np.flatnonzero(np.abs(overlap - n) > RAY_TOL * n)
+        if broken.size:
+            raise _Ungroupable(
+                f"the {CHANNEL_LABELS[m]} jump images leave their ray at flow age "
+                f"{start + live[broken[0]]}"
+            )
 
 
 class _Ungroupable(Exception):
-    """Raised internally when post-jump states do not form stable rays."""
+    """Raised internally when post-jump states do not form stable rays.
+
+    Its message says why: the channel and flow age at which a ray broke, or
+    that more than ``FLOW_CAP`` flows were seen.
+    """
 
 
 def _discover_flows(
@@ -218,7 +274,7 @@ def _discover_flows(
                     break
             else:
                 if len(flows) >= FLOW_CAP:
-                    raise _Ungroupable()
+                    raise _Ungroupable(f"more than {FLOW_CAP} distinct flows")
                 flows.append(_build_flow(image, system, propagator, n_steps, dt))
                 flow.image_flow[m] = len(flows) - 1
                 pending.append(len(flows) - 1)
@@ -253,11 +309,13 @@ def _sample_grouped(
     rec_steps: np.ndarray,
     powers: list[np.ndarray],
     series: np.ndarray,
+    read_words: RawWords,
 ) -> tuple[list[tuple], np.ndarray, float]:
     """Walk one trajectory across flows, writing its (3, T) observables into series.
 
-    Returns its jumps as (time, channel, dp of every channel) tuples in time
-    order, its final state and its top-Fock peak.
+    Its threshold words come from ``read_words``.  Returns its jumps as
+    (time, channel, dp of every channel) tuples in time order, its final
+    state and its top-Fock peak.
     """
     rates = system.rates
     jumps = []
@@ -265,6 +323,9 @@ def _sample_grouped(
     segments_flow = [0]
     k, fid = 0, 0
     peak = 0.0
+    # threshold words [base, base + words.size): each is read once, and the
+    # words after a hit are scanned again by the next segment's flow
+    base, words = 0, np.empty(0, dtype=np.uint64)
     while k < n_steps:
         flow = flows[fid]
         entry = segments_entry[-1]
@@ -275,15 +336,17 @@ def _sample_grouped(
         chunk = _CHUNK0
         j = k
         while j < n_steps:
-            count = min(chunk, n_steps - j)
-            u = uniform_words(master_seed, traj_index, PURPOSE_JUMP, j, count)
-            cmp = flow.dp_sum[j - entry : j - entry + count] > u
+            if j == base + words.size:
+                count = min(chunk, n_steps - j)
+                base, words = j, read_words(master_seed, traj_index, PURPOSE_JUMP, j, count)
+                chunk = min(2 * chunk, _CHUNK_MAX)
+            w = words[j - base :]
+            cmp = w < flow.threshold[j - entry : j - entry + w.size]
             off = int(np.argmax(cmp))
             if cmp[off]:
                 hit = j + off
                 break
-            j += count
-            chunk = min(2 * chunk, _CHUNK_MAX)
+            j += w.size
         if viol_step <= (n_steps - 1 if hit < 0 else hit):
             _check_dp(flow.dp[:, flow.first_violation])
             raise TimestepError("per-channel jump probability exceeds guard")
@@ -303,14 +366,12 @@ def _sample_grouped(
         segments_entry.append(k)
         segments_flow.append(fid)
 
-    # Stitch observables: for each recorded step, the active segment is the
-    # last one entered at or before it.
-    entries = np.array(segments_entry)
-    seg_of_rec = np.searchsorted(entries, rec_steps, side="right") - 1
-    for s, (entry, fid) in enumerate(zip(segments_entry, segments_flow)):
-        sel = seg_of_rec == s
-        if np.any(sel):
-            series[:, sel] = flows[fid].obs[:, rec_steps[sel] - entry]
+    # Stitch observables: segment s holds the recorded steps from its entry
+    # up to the next segment's entry, a run of columns of series.
+    bounds = np.searchsorted(rec_steps, segments_entry)
+    ends = [*bounds[1:], rec_steps.size]
+    for lo, hi, entry, fid in zip(bounds, ends, segments_entry, segments_flow):
+        series[:, lo:hi] = flows[fid].obs.take(rec_steps[lo:hi] - entry, axis=1)
     last = flows[segments_flow[-1]]
     age = n_steps - segments_entry[-1]
     final = _state_at_age(last.state0, powers, age)
@@ -356,11 +417,11 @@ def run_ensemble(
         propagator = expm(-1j * system.h_nh * dt)
         try:
             flows = _discover_flows(psi0, system, propagator, n_steps, dt)
-        except _Ungroupable:
+        except _Ungroupable as why:
             if method == "grouped":
                 raise ConfigError(
-                    "post-jump states do not recur; grouped ensembles need "
-                    "stable jump images (try the effective Hamiltonian)"
+                    f"post-jump states do not recur ({why}); grouped ensembles "
+                    "need stable jump images (try the effective Hamiltonian)"
                 ) from None
 
     if flows is None:
@@ -372,9 +433,11 @@ def run_ensemble(
     series = np.empty((len(OBSERVABLE_LABELS), n_trajectories, rec_steps.size))
     finals = np.empty((n_trajectories, psi0.size), dtype=complex)
     jumps, peak = [], 0.0
+    read_words = RawWords()
     for i in range(n_trajectories):
         sampled, finals[i], traj_peak = _sample_grouped(
-            i, flows, system, master_seed, n_steps, dt, rec_steps, powers, series[:, i]
+            i, flows, system, master_seed, n_steps, dt, rec_steps, powers, series[:, i],
+            read_words,
         )
         jumps += [(i, *jump) for jump in sampled]
         peak = max(peak, traj_peak)

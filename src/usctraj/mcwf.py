@@ -188,8 +188,9 @@ def _norm(v: np.ndarray) -> float:
 
     This is the expression ``np.linalg.norm`` evaluates for a 1-D complex
     input, without its argument dispatch.  Every single-state
-    renormalization (jump collapse, flow builder) goes through it; the
-    kernel's batched norm is pinned equal to it.
+    renormalization goes through it (the jump collapse) or evaluates it on
+    views of one step buffer (the flow builder); the kernel's batched norm
+    is pinned equal to it.
     """
     re, im = v.real, v.imag
     return math.sqrt(re.dot(re) + im.dot(im))

@@ -10,9 +10,14 @@ draws, and the diffusive-noise draws never interleave.
 Purposes: 0 jump thresholds (word k belongs to time step k), 1 channel
 selection (word q belongs to the q-th jump), 2 diffusive noise (one normal
 per monitored channel per diffusive step, in order).  Word ``k`` of a stream
-is fixed forever, and ``uniform_words``/``normal_words`` are the only
-readers: every engine asks for a window of words by its index, so no reader
-keeps a position that could drift from the step it belongs to.
+is fixed forever, and ``uniform_words``/``normal_words``/``RawWords`` are
+the only readers: every engine asks for a window of words by its index, so
+no reader keeps a position that could drift from the step it belongs to.
+
+``uniform_words`` is the contract: a raw 64-bit word w is the uniform
+u = (w >> 11) 2**-53.  A ``RawWords`` reader returns the words themselves,
+for scans that compare them with ``raw_thresholds`` as integers (the
+grouped ensemble's threshold scan).
 """
 
 from __future__ import annotations
@@ -28,9 +33,17 @@ PURPOSE_NOISE = 2
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter tick
 
 
-def _generator_at(master_seed: int, traj_index: int, purpose: int, block: int) -> Generator:
+# The largest uniform below 1; total probabilities at or above 1 saturate here.
+_TOP_UNIFORM = 1.0 - 2.0**-53
+
+
+def _check_ids(master_seed: int, traj_index: int) -> None:
     if traj_index < 0 or master_seed < 0:
         raise ValueError("master_seed and traj_index must be non-negative")
+
+
+def _generator_at(master_seed: int, traj_index: int, purpose: int, block: int) -> Generator:
+    _check_ids(master_seed, traj_index)
     # Philox increments the counter before it draws a block, so words
     # 4 block .. 4 block + 3 come from counter block + 1.
     bg = Philox(key=[master_seed, (traj_index << 2) | purpose], counter=[block, 0, 0, 0])
@@ -46,6 +59,47 @@ def uniform_words(
     block, offset = divmod(start, _WORDS_PER_BLOCK)
     gen = _generator_at(master_seed, traj_index, purpose, block)
     return gen.random(offset + count)[offset:]
+
+
+class RawWords:
+    """A reader of raw uint64 words from any stream, by index.
+
+    Called with (master_seed, traj_index, purpose, start, count), it returns
+    the words [start, start + count) of that stream.  It re-keys the reader's
+    one Philox through its state dict, several times cheaper than building
+    a Generator per window as ``uniform_words`` does.  A reader holds that
+    Philox, so create one per caller (the grouped ensemble makes one per
+    run) rather than share it across threads.
+    """
+
+    def __init__(self):
+        self._bg = Philox(key=[0, 0])
+        self._state = self._bg.state
+
+    def __call__(
+        self, master_seed: int, traj_index: int, purpose: int, start: int, count: int
+    ) -> np.ndarray:
+        _check_ids(master_seed, traj_index)
+        block, offset = divmod(start, _WORDS_PER_BLOCK)
+        self._state["state"]["key"][:] = (master_seed, (traj_index << 2) | purpose)
+        self._state["state"]["counter"][:] = (block, 0, 0, 0)
+        self._state["buffer_pos"] = _WORDS_PER_BLOCK
+        self._bg.state = self._state
+        return self._bg.random_raw(offset + count)[offset:]
+
+
+def raw_thresholds(p: np.ndarray) -> np.ndarray:
+    """uint64 thresholds t with (w < t) == (p > u) for every raw word w, u its uniform.
+
+    u = n 2**-53 with n = w >> 11, so p > u exactly when n < ceil(p 2**53),
+    that is w < ceil(p 2**53) << 11; the scaling by 2**53 is exact, subnormal
+    p included.  p that is not positive (nan too) never fires (t = 0).  p >= 1
+    saturates at the threshold of the largest uniform below 1, so it fires on
+    every word except those with u = 1 - 2**-53: callers treat a total
+    probability of 1 as a guard violation and never read that decision.
+    """
+    p = np.where(p > 0.0, np.minimum(p, _TOP_UNIFORM), 0.0)
+    return np.ceil(p * 2.0**53).astype(np.uint64) << np.uint64(11)
 
 
 def normal_words(

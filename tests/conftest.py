@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from usctraj import ensemble, mcwf
 from usctraj.hilbert import build_layout
 from usctraj.model import SystemParams, calibrate_resonance
+from usctraj.rng import RawWords
 from usctraj.system import OBSERVABLE_LABELS, build_system, step_grid
 
 
@@ -82,11 +83,13 @@ def trajectories_alone():
         propagator = expm(-1j * system.h_nh * dt)
         flows = ensemble._discover_flows(psi0, system, propagator, n_steps, dt)
         powers = ensemble._binary_powers(propagator, n_steps)
+        read_words = RawWords()
         alone = []
         for i in range(n):
             series = np.empty((len(OBSERVABLE_LABELS), rec_steps.size))
             alone.append((series, *ensemble._sample_grouped(
-                i, flows, system, master_seed, n_steps, dt, rec_steps, powers, series
+                i, flows, system, master_seed, n_steps, dt, rec_steps, powers, series,
+                read_words,
             )))
         return alone
 

@@ -116,6 +116,18 @@ def test_chunk_amplitudes_equal_the_per_state_jump_probabilities(d, b):
         np.testing.assert_array_equal(row_sq, np.einsum("md,md->m", want.conj(), want).real)
 
 
+@pytest.mark.parametrize("d, b", SIZES)
+def test_chunk_amplitudes_of_the_first_channels_equal_the_full_call(d, b):
+    # the flow builder drops zero-rate channels from the stack; the channels
+    # it keeps get the bits of the four-channel call
+    plus = _states(d, 4 * d, 14).reshape(4, d, d)
+    psi = _states(d, b, 15)
+    amps, sq = _chunk_amplitudes(psi, plus)
+    amps3, sq3 = _chunk_amplitudes(psi, plus[:3])
+    np.testing.assert_array_equal(amps3, amps[:, :3])
+    np.testing.assert_array_equal(sq3, sq[:, :3])
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(
         np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8)

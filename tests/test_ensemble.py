@@ -7,6 +7,8 @@ loop; observables agree exactly on the first segment and to rounding noise
 after jumps (post-jump states are stored with a canonical global phase).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -18,6 +20,7 @@ from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepErr
 from usctraj.hilbert import build_layout
 from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
+from usctraj.rng import RawWords
 from usctraj.system import build_system
 
 N_TRAJ = 40
@@ -354,3 +357,122 @@ def test_auto_builds_no_flow_for_a_homodyned_run(busy_systems, channels, monkeyp
     np.testing.assert_array_equal(auto.final_states, direct.final_states)
     with pytest.raises(ConfigError, match="grouped"):
         run_ensemble(system, psi0, 60.0, 3, method="grouped", **common)
+
+
+def _assert_flows_equal(got, ref):
+    for name in ("dp", "dp_sum", "obs", "top_peak", "threshold", "image_flow"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+    assert got.image_state == ref.image_state == [None] * ref.dp.shape[0]
+    assert (got.first_violation, got.dark) == (ref.first_violation, ref.dark)
+
+
+def test_a_dark_flow_is_built_from_zeros_without_a_chain(busy_effective, monkeypatch):
+    # |0,g,g> is closed under U and every jump operator's column there is 0:
+    # the flow the qubits decay into is built from zeros, no amplitude read
+    system, propagator = busy_effective
+    dark = system.layout.basis_state(0, 0, 0)
+    assert ensemble._is_dark(dark, system.plus_stack, propagator)
+    ref = _reference_build_flow(dark, system, propagator, 700, 0.5)
+    assert ref.dark and not ref.obs.any()
+
+    def no_chain(*args):
+        raise AssertionError("a dark flow must not compute amplitudes")
+
+    monkeypatch.setattr(ensemble, "_chunk_amplitudes", no_chain)
+    _assert_flows_equal(ensemble._build_flow(dark, system, propagator, 700, 0.5), ref)
+
+
+def test_the_busy_run_reaches_its_dark_flow(busy_effective):
+    system, propagator = busy_effective
+    flows = ensemble._discover_flows(
+        system.initial_state("1gg"), system, propagator, 40, 0.5
+    )
+    dark = [f for f in flows if f.dark]
+    assert len(dark) == 1
+    assert ensemble._is_dark(dark[0].state0, system.plus_stack, propagator)
+
+
+def test_zero_rate_flows_equal_the_per_step_reference(system_eff, monkeypatch):
+    # gamma_c = 0: the collective channel gets no amplitudes and a dp row of 0
+    assert system_eff.rates[3] == 0.0 and np.all(system_eff.rates[:3] > 0.0)
+    propagator = expm(-1j * system_eff.h_nh * 0.5)
+    monkeypatch.setattr(ensemble, "_FLOW_CHUNK", 7)
+    entries = [system_eff.initial_state("1gg"), system_eff.initial_state("0ee")]
+    for state0 in entries + [system_eff.initial_state("chi_plus")]:
+        ref = _reference_build_flow(state0, system_eff, propagator, 30, 0.5)
+        got = ensemble._build_flow(state0, system_eff, propagator, 30, 0.5)
+        for name in ("dp", "dp_sum", "obs", "threshold"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        assert not got.dp[3].any()
+        for a, b in zip(got.image_state, ref.image_state):
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a, b)
+        assert (got.first_violation, got.dark) == (ref.first_violation, ref.dark)
+
+
+def test_the_ray_check_reads_the_kernel_norm_floor(busy_effective, monkeypatch):
+    # a floor above every amplitude norm leaves no channel an image
+    system, propagator = busy_effective
+    psi0 = system.initial_state("1gg")
+    assert any(s is not None for s in
+               ensemble._build_flow(psi0, system, propagator, 20, 0.5).image_state)
+    top = np.linalg.norm(system.plus_stack, 2, axis=(1, 2)).max()
+    monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", 2.0 * top)
+    flow = ensemble._build_flow(psi0, system, propagator, 20, 0.5)
+    assert all(image is None for image in flow.image_state)
+
+
+def test_grouped_refusal_says_why(busy_systems, busy_effective, monkeypatch):
+    full = busy_systems["full"]
+    common = dict(dt=0.5, master_seed=5, method="grouped")
+    with pytest.raises(ConfigError, match=r"\(the \w+ jump images leave their ray at flow age \d+\)"):
+        run_ensemble(full, full.initial_state("1gg"), 200.0, 3, **common)
+    monkeypatch.setattr(ensemble, "FLOW_CAP", 1)
+    system, _ = busy_effective
+    with pytest.raises(ConfigError, match=r"\(more than 1 distinct flows\)"):
+        run_ensemble(system, system.initial_state("1gg"), 200.0, 3, **common)
+
+
+def test_a_total_probability_of_one_raises_before_its_decision_is_read():
+    # raw_thresholds saturates at dp_sum >= 1 (the word with u = 1 - 2**-53
+    # would not fire); such an age is a guard violation, so the sampler
+    # raises once its scan reaches it, whatever the decision there
+    n_steps = 12
+    dp = np.zeros((4, n_steps))
+    dp[:, 5] = [0.3, 0.3, 0.3, 0.3]
+    flow = ensemble._Flow(
+        state0=np.ones(2, dtype=complex), dp=dp, dp_sum=dp.sum(axis=0),
+        obs=np.zeros((3, n_steps + 1)), top_peak=np.zeros(n_steps + 1),
+        image_flow=np.full(4, -1), image_state=[None] * 4, first_violation=5,
+    )
+    assert flow.threshold[5] == np.uint64(2**64 - 2**11)
+    system = SimpleNamespace(rates=np.ones(4))
+    with pytest.raises(TimestepError, match="reduce dt"):
+        ensemble._sample_grouped(
+            0, [flow], system, 0, n_steps, 0.5, np.arange(n_steps + 1), [],
+            np.empty((3, n_steps + 1)), RawWords(),
+        )
+
+
+def test_each_threshold_word_is_read_once(busy_systems, monkeypatch):
+    # a segment scans the words its predecessor read past the jump before
+    # it reads on; per trajectory the windows tile the stream from word 0
+    windows = {}
+
+    class Recorded(RawWords):
+        def __call__(self, master_seed, traj_index, purpose, start, count):
+            windows.setdefault(traj_index, []).append((start, count))
+            return super().__call__(master_seed, traj_index, purpose, start, count)
+
+    monkeypatch.setattr(ensemble, "RawWords", Recorded)
+    system = busy_systems["effective"]
+    result = run_ensemble(
+        system, system.initial_state("1gg"), T_FINAL, 12, dt=0.5, master_seed=11,
+        method="grouped",
+    )
+    assert result.jump_traj.size > 12
+    for traj_windows in windows.values():
+        starts = [start for start, _ in traj_windows]
+        ends = [start + count for start, count in traj_windows]
+        assert starts == [0] + ends[:-1]

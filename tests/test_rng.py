@@ -10,7 +10,9 @@ from usctraj.rng import (
     PURPOSE_CHANNEL,
     PURPOSE_JUMP,
     PURPOSE_NOISE,
+    RawWords,
     normal_words,
+    raw_thresholds,
     uniform_words,
 )
 
@@ -93,3 +95,75 @@ def test_words_pinned_to_state_dict_construction(purpose, traj_index):
             uniform_words(9, traj_index, purpose, start, 13),
             _words_via_state_dict(9, traj_index, purpose, start, 13),
         )
+
+
+def _as_uniform(raw):
+    return (raw >> 11).astype(float) * 2.0**-53
+
+
+STARTS = [0, 1, 2, 3, 5, 6, 7, 4 * 2**30 + 2, 10**12 + 1]
+
+
+@pytest.mark.parametrize("purpose", [PURPOSE_JUMP, PURPOSE_CHANNEL, PURPOSE_NOISE])
+@pytest.mark.parametrize("traj_index", [0, 5, 2**40 + 3])
+def test_raw_words_are_the_uniform_words(purpose, traj_index):
+    read = RawWords()
+    for start in STARTS:
+        raw = read(9, traj_index, purpose, start, 13)
+        assert raw.dtype == np.uint64
+        np.testing.assert_array_equal(
+            _as_uniform(raw), uniform_words(9, traj_index, purpose, start, 13)
+        )
+
+
+@pytest.mark.parametrize("traj_index", [0, 5, 2**40 + 3])
+def test_integer_thresholds_decide_as_the_uniform_comparison(traj_index):
+    # dp > u exactly when raw < raw_thresholds(dp), for every word and every
+    # dp below 1: zero, subnormal, exactly on a word's u and one ulp either side
+    tiny = np.finfo(float).smallest_subnormal
+    read = RawWords()
+    for start in STARTS:
+        raw = read(3, traj_index, PURPOSE_JUMP, start, 11)
+        u = uniform_words(3, traj_index, PURPOSE_JUMP, start, 11)
+        dps = [0.0, -0.0, tiny, 1e-310, 2.0**-53, 0.5, 1.0 - 2.0**-53]
+        for x in u:
+            dps += [x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)]
+        for dp in dps:
+            t = raw_thresholds(np.full(u.size, dp))
+            np.testing.assert_array_equal(raw < t, dp > u)
+
+
+def test_integer_thresholds_at_the_edges_of_the_word_range():
+    words = np.array([0, 2**11 - 1, 2**11, 2**64 - 2**12, 2**64 - 2**11 - 1,
+                      2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
+    u = _as_uniform(words)
+    tiny = np.finfo(float).smallest_subnormal
+    for dp in [0.0, tiny, 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-53]:
+        np.testing.assert_array_equal(words < raw_thresholds(np.full(7, dp)), dp > u)
+    # not positive (nan too) never fires, as nan > u never holds
+    for dp in [-1.0, -tiny, np.nan]:
+        assert not (words < raw_thresholds(np.full(7, dp))).any()
+    # dp >= 1 saturates: every word fires but those with u = 1 - 2**-53, a
+    # decision the grouped sampler never reads (dp >= 1 is a guard violation)
+    for dp in [1.0, 1.5, np.inf]:
+        assert raw_thresholds(np.array([dp]))[0] == np.uint64(2**64 - 2**11)
+        np.testing.assert_array_equal(words < raw_thresholds(np.full(7, dp)),
+                                      u < 1.0 - 2.0**-53)
+
+
+def test_raw_words_reject_negative_ids():
+    read = RawWords()
+    with pytest.raises(ValueError):
+        read(-1, 0, PURPOSE_JUMP, 0, 4)
+    with pytest.raises(ValueError):
+        read(0, -1, PURPOSE_JUMP, 0, 4)
+
+
+def test_a_reader_keeps_no_position_between_streams():
+    # each call re-keys and re-positions: interleaved streams and windows
+    # read as they do from fresh readers
+    read = RawWords()
+    calls = [(3, 5, PURPOSE_JUMP, 7, 9), (3, 6, PURPOSE_CHANNEL, 0, 5),
+             (4, 5, PURPOSE_JUMP, 2, 3), (3, 5, PURPOSE_JUMP, 7, 9)]
+    for call in calls:
+        np.testing.assert_array_equal(read(*call), RawWords()(*call))
