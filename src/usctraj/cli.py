@@ -389,10 +389,9 @@ def cmd_trajectory(cfg, out: Path, check_truncation) -> list[Path]:
     _make_dir(out)
     header = _header(cfg)
     written = []
-    for i in range(result.n_trajectories):
+    for i, row in enumerate(result.rows):
         cols = [("time", result.time_grid)]
-        cols += [(label, result.expectations[OBSERVABLE_LABELS.index(label), i])
-                 for label in cfg.observables]
+        cols += [(label, row[OBSERVABLE_LABELS.index(label)]) for label in cfg.observables]
         path = out / f"{cfg.prefix}_traj{i}.csv"
         _write_table(path, header, cols)
         written.append(path)

@@ -10,21 +10,28 @@ for the effective-Hamiltonian subspace cascades: the photon pair feeds
 |0,g,e>, |0,e,g>, their symmetric combination, and the dark |0,g,g>), the
 handful of distinct flows is propagated once over the horizon and each
 trajectory reduces to scanning its own threshold words against
-precomputed arrays, copying its observables straight into its row of the
-result one segment (a run of recorded steps) at a time.
+precomputed arrays.  A trajectory is then its segment table, the step at
+which it entered each flow and that flow's id: its row of observables is
+the flows' observables copied one segment (a run of recorded steps) at a
+time.  The result stores the table, not the rows: the sampler stitches
+each trajectory into one reused row and adds it to a running sum (the
+first pass of ``mcwf.ensemble_average``), and ``_SegmentRows`` stitches a
+row again whenever it is read, so the means and standard errors of an
+ensemble never hold its (3, N, T) rows.
 
 Random access makes the scans cheap: the threshold word for step k is
 word k of the trajectory's threshold stream regardless of history, and
 the channel word for the q-th jump is word q, so a segment draws its
 words in bulk without replaying earlier steps.  The scan reads raw 64-bit
-words (``rng.RawWords``) in growing windows and compares them as
-integers with each flow's per-age ``rng.raw_thresholds`` of its total
-jump probability, which decides exactly as the strict comparison
-dp_sum > u with the uniform word.  A trajectory reads each word once:
-after a jump the next segment first scans the rest of the window that
-held it.  Flows whose jump probabilities vanish identically (the dark
-state) terminate a trajectory outright: with the strict threshold
-comparison a zero-probability step can never fire.
+words (``rng.RawWords``, which also reads the channel words) in growing
+windows and compares them as integers with each flow's per-age
+``rng.raw_thresholds`` of its total jump probability, which decides
+exactly as the strict comparison dp_sum > u with the uniform word.  A
+trajectory reads each word once: after a jump the next segment first
+scans the rest of the window that held it.  Flows whose jump
+probabilities vanish identically (the dark state) terminate a trajectory
+outright: with the strict threshold comparison a zero-probability step
+can never fire.
 
 Building a flow is the one long sequential computation: the renormalized
 no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| over the whole horizon.
@@ -74,7 +81,7 @@ from .mcwf import (
     _select_channel,
     _top_fock,
 )
-from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, RawWords, raw_thresholds, uniform_words
+from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, RawWords, raw_thresholds, raw_uniforms
 from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
 
 ENSEMBLE_METHODS = ("auto", "grouped", "direct")
@@ -310,12 +317,13 @@ def _sample_grouped(
     powers: list[np.ndarray],
     series: np.ndarray,
     read_words: RawWords,
-) -> tuple[list[tuple], np.ndarray, float]:
+) -> tuple[list[tuple], np.ndarray, float, tuple[list[int], list[int]]]:
     """Walk one trajectory across flows, writing its (3, T) observables into series.
 
-    Its threshold words come from ``read_words``.  Returns its jumps as
-    (time, channel, dp of every channel) tuples in time order, its final
-    state and its top-Fock peak.
+    Its threshold and channel words come from ``read_words``.  Returns its
+    jumps as (time, channel, dp of every channel) tuples in time order, its
+    final state, its top-Fock peak and its segment table: the step at which
+    each segment entered its flow, and that flow's id.
     """
     rates = system.rates
     jumps = []
@@ -355,9 +363,9 @@ def _sample_grouped(
         age = hit - entry
         peak = max(peak, flow.top_peak[age])
         dp_col = flow.dp[:, age]
-        eps_prime = uniform_words(
-            master_seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1
-        )[0]
+        eps_prime = raw_uniforms(
+            read_words(master_seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
+        )
         m = _select_channel(dp_col, eps_prime)
         _check_jump_norm(math.sqrt(dp_col[m] / (dt * rates[m])), m)
         jumps.append(((hit + 1) * dt, m, dp_col))
@@ -366,16 +374,68 @@ def _sample_grouped(
         segments_entry.append(k)
         segments_flow.append(fid)
 
-    # Stitch observables: segment s holds the recorded steps from its entry
-    # up to the next segment's entry, a run of columns of series.
-    bounds = np.searchsorted(rec_steps, segments_entry)
-    ends = [*bounds[1:], rec_steps.size]
-    for lo, hi, entry, fid in zip(bounds, ends, segments_entry, segments_flow):
-        series[:, lo:hi] = flows[fid].obs.take(rec_steps[lo:hi] - entry, axis=1)
+    _stitch([f.obs for f in flows], rec_steps, segments_entry, segments_flow, series)
     last = flows[segments_flow[-1]]
     age = n_steps - segments_entry[-1]
     final = _state_at_age(last.state0, powers, age)
-    return jumps, final, float(max(peak, last.top_peak[age]))
+    return jumps, final, float(max(peak, last.top_peak[age])), (segments_entry, segments_flow)
+
+
+def _stitch(
+    obs: list[np.ndarray], rec_steps: np.ndarray, entries, flow_ids, out: np.ndarray
+) -> None:
+    """Write one trajectory's observables on the recorded steps into out (3, T).
+
+    Segment s entered flow ``flow_ids[s]`` (observables ``obs[flow_ids[s]]``
+    by flow age) at step ``entries[s]``; it holds the recorded steps from
+    there up to the next segment's entry, a run of columns of out.
+    """
+    bounds = np.searchsorted(rec_steps, entries)
+    ends = [*bounds[1:], rec_steps.size]
+    for lo, hi, entry, fid in zip(bounds, ends, entries, flow_ids):
+        out[:, lo:hi] = obs[fid].take(rec_steps[lo:hi] - entry, axis=1)
+
+
+class _SegmentRows:
+    """A grouped ensemble's ``mcwf.RowSource``: rows rebuilt from segment tables.
+
+    Trajectory i ran segments ``starts[i]`` to ``starts[i + 1] - 1`` of the
+    table ``(entries, flow_ids)``.  Reading its row stitches it from the
+    flows' observables as the sampler did (``_stitch``), so every read is
+    bitwise the row the sampler wrote, and ``total`` is the sum the sampler
+    added up as it went.  The table holds one entry per trajectory and per
+    jump; no row is kept.
+    """
+
+    def __init__(
+        self, obs: list[np.ndarray], rec_steps: np.ndarray, entries: np.ndarray,
+        flow_ids: np.ndarray, starts: np.ndarray, total: np.ndarray,
+    ):
+        self.obs, self.rec_steps = obs, rec_steps
+        self.entries, self.flow_ids, self.starts = entries, flow_ids, starts
+        self.total = total
+
+    def __len__(self) -> int:
+        return self.starts.size - 1
+
+    def _into(self, i: int, out: np.ndarray) -> np.ndarray:
+        i = range(len(self))[i]  # IndexError out of range, negative from the end
+        lo, hi = self.starts[i], self.starts[i + 1]
+        _stitch(self.obs, self.rec_steps, self.entries[lo:hi], self.flow_ids[lo:hi], out)
+        return out
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._into(i, np.empty(self.total.shape))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        n_obs, n_rec = self.total.shape
+        stack = np.empty((n_obs, len(self), n_rec))
+        for i in range(len(self)):
+            self._into(i, stack[:, i])
+        return stack if dtype is None else stack.astype(dtype)
 
 
 def run_ensemble(
@@ -430,21 +490,29 @@ def run_ensemble(
             monitored, drift_mode,
         )
     powers = _binary_powers(propagator, n_steps)
-    series = np.empty((len(OBSERVABLE_LABELS), n_trajectories, rec_steps.size))
+    row = np.empty((len(OBSERVABLE_LABELS), rec_steps.size))
+    total = np.zeros(row.shape)  # pass 1 of ensemble_average, added as mcwf.add_rows does
     finals = np.empty((n_trajectories, psi0.size), dtype=complex)
     jumps, peak = [], 0.0
+    entries, flow_ids, starts = [], [], [0]
     read_words = RawWords()
     for i in range(n_trajectories):
-        sampled, finals[i], traj_peak = _sample_grouped(
-            i, flows, system, master_seed, n_steps, dt, rec_steps, powers, series[:, i],
-            read_words,
+        sampled, finals[i], traj_peak, (entry, fid) = _sample_grouped(
+            i, flows, system, master_seed, n_steps, dt, rec_steps, powers, row, read_words,
         )
+        total += row
         jumps += [(i, *jump) for jump in sampled]
         peak = max(peak, traj_peak)
+        entries += entry
+        flow_ids += fid
+        starts.append(len(entries))
     return EnsembleResult(
         time_grid=rec_steps * dt,
         horizon=n_steps * dt,
-        expectations=series,
+        rows=_SegmentRows(
+            [f.obs for f in flows], rec_steps, np.array(entries), np.array(flow_ids),
+            np.array(starts), total,
+        ),
         final_states=finals,
         top_fock_peak=peak,
         **_jump_columns(jumps),

@@ -88,12 +88,18 @@ of the earliest step at which any trajectory raises, the lowest trajectory
 at that step; its message is the one that trajectory raises when run alone.
 The kernel writes the columns of its ``EnsembleResult`` itself, the one
 result type of every trajectory engine; a single run is its one-row case.
+It stores its rows (``StoredRows``).  ``ensemble_average`` reads any
+result's rows one at a time, in two passes (``add_rows``), so a grouped
+ensemble, which rebuilds each row when it is read, never holds them all.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Protocol
 
 import numpy as np
 from scipy.linalg import expm
@@ -128,27 +134,90 @@ _WORD_BUDGET = 1 << 20
 _HISTORY_ROWS = 1024
 
 
+def add_rows(rows: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The rows of ``shape`` added up in order: bitwise numpy's sum over them.
+
+    numpy sums a stack along its leading axis into zeros, adding the rows in
+    order (so a column of -0.0 sums to +0.0); this does the same without
+    holding the stack.
+    """
+    total = np.zeros(shape)
+    for row in rows:
+        total += row
+    return total
+
+
+class RowSource(Protocol):
+    """What an ``EnsembleResult`` reads its trajectories' observables through.
+
+    ``len(rows)`` is N, ``rows[i]`` is the (3, T) series of trajectory i,
+    iterating yields the rows in trajectory order, ``rows.total`` is their
+    sum in that order (``add_rows``) and ``np.asarray(rows)`` is the
+    (3, N, T) stack.  The kernel stores its rows (``StoredRows``); a grouped
+    ensemble (``ensemble._SegmentRows``) stores none and rebuilds each row
+    from the trajectory's segments when it is read.
+    """
+
+    total: np.ndarray
+
+    def __len__(self) -> int: ...
+
+    def __getitem__(self, i: int) -> np.ndarray: ...
+
+    def __iter__(self) -> Iterator[np.ndarray]: ...
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray: ...
+
+
+class StoredRows:
+    """The kernel's rows, held as one (3, N, T) array: a ``RowSource``."""
+
+    def __init__(self, stack: np.ndarray):
+        self.stack = stack
+
+    def __len__(self) -> int:
+        return self.stack.shape[1]
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.stack[:, i]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.stack, dtype=dtype, copy=copy)
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        return add_rows(self, self.stack.shape[::2])
+
+
 @dataclass(frozen=True)
 class EnsembleResult:
     """Trajectories 0..N-1 of one ensemble, as columns; a single run is N = 1.
 
-    ``expectations`` is (3, N, T): the real series <S^- S^+> of the
-    ``OBSERVABLE_LABELS`` on ``time_grid``.  They use the dressed operators,
-    so the cavity series is a photon number an external detector would see.
-    ``final_states`` is (N, d).  Jump q came from trajectory ``jump_traj[q]``
-    at ``jump_time[q]`` through ``CHANNEL_LABELS[jump_channel[q]]``, with
-    every channel's pre-jump probability in ``jump_dp[q]``; jumps are
-    ordered by trajectory, then time.  ``horizon`` is the time of the last
-    step, n_steps * dt: jumps land up to it, later than the last sample when
-    the recording stride does not divide the step count.  ``top_fock_peak``
-    is the largest top-Fock population of any state a trajectory visited,
-    the quantity the truncation check bounds.  ``states`` holds the (N, T, d)
-    states on the time grid when the run was asked to store them, else None.
+    ``rows[i]`` is trajectory i's (3, T) real series <S^- S^+> of the
+    ``OBSERVABLE_LABELS`` on ``time_grid`` (``RowSource``).  They use the
+    dressed operators, so the cavity series is a photon number an external
+    detector would see.  ``expectations`` is the (3, N, T) stack of every
+    row: the kernel's stored array, or, for a grouped ensemble, built when
+    it is first read; callers that need only statistics read neither the
+    stack nor more than one row at a time (``ensemble_average``).
+    ``final_states`` is (N, d).  Jump q came from trajectory
+    ``jump_traj[q]`` at ``jump_time[q]`` through
+    ``CHANNEL_LABELS[jump_channel[q]]``, with every channel's pre-jump
+    probability in ``jump_dp[q]``; jumps are ordered by trajectory, then
+    time.  ``horizon`` is the time of the last step, n_steps * dt: jumps
+    land up to it, later than the last sample when the recording stride does
+    not divide the step count.  ``top_fock_peak`` is the largest top-Fock
+    population of any state a trajectory visited, the quantity the
+    truncation check bounds.  ``states`` holds the (N, T, d) states on the
+    time grid when the run was asked to store them, else None.
     """
 
     time_grid: np.ndarray
     horizon: float
-    expectations: np.ndarray
+    rows: RowSource = field(repr=False)
     final_states: np.ndarray
     jump_traj: np.ndarray
     jump_time: np.ndarray
@@ -159,7 +228,11 @@ class EnsembleResult:
 
     @property
     def n_trajectories(self) -> int:
-        return self.expectations.shape[1]
+        return len(self.rows)
+
+    @cached_property
+    def expectations(self) -> np.ndarray:
+        return np.asarray(self.rows)
 
 
 def _jump_columns(jumps: list[tuple]) -> dict[str, np.ndarray]:
@@ -458,7 +531,7 @@ def _run_rows(
     return EnsembleResult(
         time_grid=rec_steps * dt,
         horizon=n_steps * dt,
-        expectations=series,
+        rows=StoredRows(series),
         final_states=states[where],
         top_fock_peak=peak,
         states=snapshots,
@@ -497,16 +570,27 @@ def run_trajectory(
 
 
 def ensemble_average(result: EnsembleResult) -> EnsembleAverage:
-    """Pointwise mean and standard error over the trajectories of an ensemble."""
-    if result.expectations.shape[2:] != result.time_grid.shape:
+    """Pointwise mean and standard error over the trajectories of an ensemble.
+
+    Two passes over the rows, each in trajectory order: the mean is
+    ``rows.total / N``, then the squared deviations from it are added up
+    (``add_rows``).  Both are bitwise ``mean(axis=0)`` and
+    ``std(axis=0, ddof=1) / sqrt(N)`` over the (N, T) stack of each
+    observable, and neither holds more than a row at a time.
+    """
+    rows = result.rows
+    if rows.total.shape[1:] != result.time_grid.shape:
         raise DimensionMismatchError("series and time grid differ in length")
-    n = result.n_trajectories
-    means, errors = {}, {}
-    for label, stack in zip(OBSERVABLE_LABELS, result.expectations):
-        means[label] = stack.mean(axis=0)
-        errors[label] = (
-            stack.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(means[label])
-        )
+    n = len(rows)
+    mean = rows.total / n
+    if n > 1:
+        sq = add_rows((np.square(row - mean) for row in rows), mean.shape)
+        error = np.sqrt(sq / (n - 1)) / np.sqrt(n)
+    else:
+        error = np.zeros_like(mean)
     return EnsembleAverage(
-        time_grid=result.time_grid, means=means, standard_errors=errors, n_trajectories=n
+        time_grid=result.time_grid,
+        means=dict(zip(OBSERVABLE_LABELS, mean)),
+        standard_errors=dict(zip(OBSERVABLE_LABELS, error)),
+        n_trajectories=n,
     )

@@ -17,7 +17,8 @@ no reader keeps a position that could drift from the step it belongs to.
 ``uniform_words`` is the contract: a raw 64-bit word w is the uniform
 u = (w >> 11) 2**-53.  A ``RawWords`` reader returns the words themselves,
 for scans that compare them with ``raw_thresholds`` as integers (the
-grouped ensemble's threshold scan).
+grouped ensemble's threshold scan), or that map them to those uniforms
+with ``raw_uniforms`` (its channel words).
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ class RawWords:
         self._state["buffer_pos"] = _WORDS_PER_BLOCK
         self._bg.state = self._state
         return self._bg.random_raw(offset + count)[offset:]
+
+
+def raw_uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms u = (w >> 11) 2**-53 of raw words: bitwise ``uniform_words``.
+
+    Both factors are exact in a double (w >> 11 < 2**53), so is their product.
+    """
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def raw_thresholds(p: np.ndarray) -> np.ndarray:

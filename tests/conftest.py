@@ -87,10 +87,11 @@ def trajectories_alone():
         alone = []
         for i in range(n):
             series = np.empty((len(OBSERVABLE_LABELS), rec_steps.size))
-            alone.append((series, *ensemble._sample_grouped(
+            jumps, final, peak, _ = ensemble._sample_grouped(
                 i, flows, system, master_seed, n_steps, dt, rec_steps, powers, series,
                 read_words,
-            )))
+            )
+            alone.append((series, jumps, final, peak))
         return alone
 
     return run

@@ -75,16 +75,15 @@ def fit_cosine(tau, values, w0):
 
 
 def trajectories(result, lo, hi):
-    """Trajectories lo..hi-1 of an ensemble result, renumbered from 0.
+    """The jumps of trajectories lo..hi-1 of an ensemble result, renumbered from 0.
 
-    ``top_fock_peak`` stays the whole ensemble's: the result keeps no
-    per-trajectory peak.
+    Only the jump columns are narrowed, which is all the histograms read
+    besides the horizon: rows, final states and ``top_fock_peak`` stay the
+    whole ensemble's, so a grouped result never stitches its rows here.
     """
     keep = (result.jump_traj >= lo) & (result.jump_traj < hi)
     return dataclasses.replace(
         result,
-        expectations=result.expectations[:, lo:hi],
-        final_states=result.final_states[lo:hi],
         jump_traj=result.jump_traj[keep] - lo,
         jump_time=result.jump_time[keep],
         jump_channel=result.jump_channel[keep],

@@ -7,6 +7,7 @@ loop; observables agree exactly on the first segment and to rounding noise
 after jumps (post-jump states are stored with a canonical global phase).
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,9 +19,9 @@ from usctraj.dressed import CHANNEL_LABELS
 from usctraj.ensemble import ENSEMBLE_METHODS, run_ensemble
 from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
-from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, run_trajectory
+from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, ensemble_average, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
-from usctraj.rng import RawWords
+from usctraj.rng import PURPOSE_JUMP, RawWords
 from usctraj.system import build_system
 
 N_TRAJ = 40
@@ -319,7 +320,14 @@ def test_grouped_rows_equal_trajectories_sampled_alone(
         system, system.initial_state("1gg"), T_FINAL, N_TRAJ, dt=0.5, master_seed=11,
         record_every=4,
     )
+    # the result keeps segment tables, not rows: the row accessor, and the
+    # stack built on the first read of expectations, stitch them again
+    assert len(grouped.rows) == grouped.n_trajectories == N_TRAJ
+    np.testing.assert_array_equal(grouped.rows[-1], alone[-1][0])
+    with pytest.raises(IndexError):
+        grouped.rows[N_TRAJ]
     for j, (series, jumps, final, _) in enumerate(alone):
+        np.testing.assert_array_equal(grouped.rows[j], series)
         np.testing.assert_array_equal(grouped.expectations[:, j], series)
         np.testing.assert_array_equal(grouped.final_states[j], final)
         sel = grouped.jump_traj == j
@@ -462,7 +470,8 @@ def test_each_threshold_word_is_read_once(busy_systems, monkeypatch):
 
     class Recorded(RawWords):
         def __call__(self, master_seed, traj_index, purpose, start, count):
-            windows.setdefault(traj_index, []).append((start, count))
+            if purpose == PURPOSE_JUMP:
+                windows.setdefault(traj_index, []).append((start, count))
             return super().__call__(master_seed, traj_index, purpose, start, count)
 
     monkeypatch.setattr(ensemble, "RawWords", Recorded)
@@ -476,3 +485,23 @@ def test_each_threshold_word_is_read_once(busy_systems, monkeypatch):
         starts = [start for start, _ in traj_windows]
         ends = [start + count for start, count in traj_windows]
         assert starts == [0] + ends[:-1]
+
+
+def test_grouped_statistics_hold_no_rows(system_eff):
+    # a grouped run and its average hold the final states, the jumps and one
+    # segment table entry per trajectory and jump, never the (3, N, T) rows:
+    # 4500 more trajectories grow the peak far less than their rows would
+    psi0 = system_eff.initial_state("1gg")
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            result = run_ensemble(system_eff, psi0, 3000.0, n, dt=0.5, master_seed=1,
+                                  record_every=5, method="grouped")
+            ensemble_average(result)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows = 3 * 4500 * 1201 * 8  # bytes of 4500 rows at T = 3000 / (0.5 * 5) + 1
+    assert traced_peak(5000) - traced_peak(500) < rows / 20

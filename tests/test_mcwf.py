@@ -21,6 +21,7 @@ from usctraj.ensemble import run_ensemble
 from usctraj.lme import density_from_state, evolve_lme
 from usctraj.mcwf import (
     EnsembleResult,
+    StoredRows,
     _fires,
     _jump_columns,
     ensemble_average,
@@ -155,15 +156,20 @@ def test_non_hermitian_hamiltonian_assembly(system_eff):
     assert decay.max() > 0
 
 
+def _stored(series, grid):
+    """An ensemble of the (3, N, T) rows series on grid, with no jumps."""
+    return EnsembleResult(
+        time_grid=grid, horizon=1.0, rows=StoredRows(series),
+        final_states=np.ones((series.shape[1], 1), dtype=complex), top_fock_peak=0.0,
+        **_jump_columns([]),
+    )
+
+
 def _constant_rows(values, grid):
     """An ensemble whose cavity row i is values[i] on grid, with no jumps."""
     series = np.zeros((len(OBSERVABLE_LABELS), len(values), 5))
     series[0] = np.asarray(values)[:, None]
-    return EnsembleResult(
-        time_grid=grid, horizon=1.0, expectations=series,
-        final_states=np.ones((len(values), 1), dtype=complex), top_fock_peak=0.0,
-        **_jump_columns([]),
-    )
+    return _stored(series, grid)
 
 
 def test_ensemble_average_statistics():
@@ -172,6 +178,27 @@ def test_ensemble_average_statistics():
     # sample std with ddof=1 is sqrt(2); SE divides by sqrt(n)
     np.testing.assert_allclose(avg.standard_errors["cavity"], 1.0)
     assert avg.n_trajectories == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 4000])
+@pytest.mark.parametrize("magnitude", [1e-12, 1e-6, 1.0, 10.0])
+def test_streamed_statistics_are_numpys_mean_and_std(n, magnitude):
+    # pass 1 (rows.total / N) and pass 2 (the squared deviations added up
+    # row by row) give the bits of mean(axis=0) and std(axis=0, ddof=1) /
+    # sqrt(N) over each observable's (N, T) stack.  The first four columns
+    # are shared by every row, as before a grouped ensemble's first jump:
+    # -0.0, 0.5 and 2.0 have exact means and so an SE of exactly 0
+    rng = np.random.default_rng(n)
+    series = rng.random((len(OBSERVABLE_LABELS), n, 40)) * magnitude
+    series[:, :, :3] = [-0.0, 0.5, 2.0]
+    series[:, :, 3] = series[:, :1, 3]
+    grid = np.linspace(0.0, 1.0, 40)
+    avg = ensemble_average(_stored(series, grid))
+    for stack, label in zip(series, OBSERVABLE_LABELS):
+        assert avg.means[label].tobytes() == stack.mean(axis=0).tobytes()
+        se = stack.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(40)
+        assert avg.standard_errors[label].tobytes() == se.tobytes()
+        assert (avg.standard_errors[label][:3] == 0.0).all()
 
 
 def test_ensemble_average_rejects_mismatched_grids():

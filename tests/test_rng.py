@@ -13,6 +13,7 @@ from usctraj.rng import (
     RawWords,
     normal_words,
     raw_thresholds,
+    raw_uniforms,
     uniform_words,
 )
 
@@ -97,23 +98,29 @@ def test_words_pinned_to_state_dict_construction(purpose, traj_index):
         )
 
 
-def _as_uniform(raw):
-    return (raw >> 11).astype(float) * 2.0**-53
-
-
 STARTS = [0, 1, 2, 3, 5, 6, 7, 4 * 2**30 + 2, 10**12 + 1]
 
 
 @pytest.mark.parametrize("purpose", [PURPOSE_JUMP, PURPOSE_CHANNEL, PURPOSE_NOISE])
 @pytest.mark.parametrize("traj_index", [0, 5, 2**40 + 3])
 def test_raw_words_are_the_uniform_words(purpose, traj_index):
+    # raw_uniforms maps a window, or one word as the grouped sampler reads
+    # each channel word, to the uniforms of uniform_words bit for bit
     read = RawWords()
     for start in STARTS:
         raw = read(9, traj_index, purpose, start, 13)
         assert raw.dtype == np.uint64
-        np.testing.assert_array_equal(
-            _as_uniform(raw), uniform_words(9, traj_index, purpose, start, 13)
-        )
+        u = uniform_words(9, traj_index, purpose, start, 13)
+        np.testing.assert_array_equal(raw_uniforms(raw), u)
+        one = raw_uniforms(read(9, traj_index, purpose, start, 1)[0])
+        assert isinstance(one, np.float64) and one == u[0]
+
+
+def test_raw_uniforms_at_the_edges_of_the_word_range():
+    words = np.array([0, 2**11 - 1, 2**11, 2**64 - 2**11 - 1, 2**64 - 1], dtype=np.uint64)
+    np.testing.assert_array_equal(
+        raw_uniforms(words), [0.0, 0.0, 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+    )
 
 
 @pytest.mark.parametrize("traj_index", [0, 5, 2**40 + 3])
@@ -136,7 +143,7 @@ def test_integer_thresholds_decide_as_the_uniform_comparison(traj_index):
 def test_integer_thresholds_at_the_edges_of_the_word_range():
     words = np.array([0, 2**11 - 1, 2**11, 2**64 - 2**12, 2**64 - 2**11 - 1,
                       2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
-    u = _as_uniform(words)
+    u = raw_uniforms(words)
     tiny = np.finfo(float).smallest_subnormal
     for dp in [0.0, tiny, 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-53]:
         np.testing.assert_array_equal(words < raw_thresholds(np.full(7, dp)), dp > u)

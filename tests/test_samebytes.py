@@ -75,17 +75,29 @@ def test_every_case_runs_and_any_difference_exits_1(monkeypatch, capsys, tmp_pat
     monkeypatch.setattr(gate.subprocess, "run", lambda *args, **kwargs: None)
 
     def run_case(tree, case, workdir):
-        changed = workdir.name == "head" and case.name in ("a", "b")
-        return result({"x.csv": b"2\n" if changed else b"1\n"})
+        head = workdir.name == "head"
+        changed = head and case.name in ("a", "b")
+        return gate.Result(0, "", "", {"x.csv": b"2\n" if changed else b"1\n"},
+                           wall_s=2.5 if head else 1.25, rss_mb=99.6 if head else 203.0)
 
     monkeypatch.setattr(gate, "run_case", run_case)
     assert gate.main(["--base", "HEAD", "--scratch", str(tmp_path)]) == 1
     out = capsys.readouterr().out.splitlines()
+    usage = "base 1.25 s 203 MB, head 2.50 s 100 MB"
     assert out == [
-        "DIFFERS a (ensemble):",
+        f"DIFFERS a (ensemble): {usage}",
         "    x.csv line 1",
-        "DIFFERS b (ensemble):",
+        f"DIFFERS b (ensemble): {usage}",
         "    x.csv line 1",
-        "same    c (ensemble): exit 0, 1 files",
+        f"same    c (ensemble): exit 0, 1 files; {usage}",
         "2 of 3 cases differ: a, b",
     ]
+
+
+def test_a_case_reports_its_exit_code_streams_files_time_and_peak_rss(tmp_path):
+    # a real CLI run: a config error exits 2 before any work, with no files
+    ini = "[run]\nsolver = mcwf\nt_final = -1\n"
+    run = gate.run_case(ROOT, gate.Case("bad", "ensemble", ini), tmp_path / "head")
+    assert run.code == 2 and run.files == {} and run.stdout == ""
+    assert run.stderr.startswith("error: ")
+    assert run.wall_s > 0.0 and run.rss_mb > 10.0

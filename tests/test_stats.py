@@ -12,7 +12,7 @@ from usctraj.dressed import CHANNEL_LABELS
 from usctraj.ensemble import run_ensemble
 from usctraj.errors import ConfigError
 from usctraj.hilbert import build_layout
-from usctraj.mcwf import EnsembleResult, _jump_columns, ensemble_average
+from usctraj.mcwf import EnsembleResult, StoredRows, _jump_columns, ensemble_average
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.stats import (
     NORMALIZATION_MODES,
@@ -44,7 +44,7 @@ def make_result(records):
     return EnsembleResult(
         time_grid=GRID,
         horizon=GRID[-1],
-        expectations=np.stack([series for series, _ in records], axis=1),
+        rows=StoredRows(np.stack([series for series, _ in records], axis=1)),
         final_states=np.ones((len(records), 1), dtype=complex),
         top_fock_peak=0.0,
         **_jump_columns(jumps),

@@ -15,7 +15,9 @@ README's preset table pairs it with, and the workloads of
 Every case runs as one CLI process, one process at a time, base first.  A
 case is the same when both runs exit with the same code, write the same
 files with the same bytes, print the same stderr, and print the same stdout
-once each run's output directory is replaced by ``<out>``.
+once each run's output directory is replaced by ``<out>``.  Each case's
+line also gives the wall time and peak RSS of its base and head runs
+(``os.wait4``'s ``ru_maxrss``); they inform and never change the verdict.
 
 Every case runs.  Each case that differs is named with every output that
 differs (exit code, files, stderr, stdout) and, for text, the number of its
@@ -33,6 +35,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,6 +94,11 @@ class Result:
     stdout: str
     stderr: str
     files: dict[str, bytes]
+    wall_s: float = 0.0
+    rss_mb: float = 0.0
+
+    def usage(self) -> str:
+        return f"{self.wall_s:.2f} s {self.rss_mb:.0f} MB"
 
 
 def run_case(tree: Path, case: Case, workdir: Path) -> Result:
@@ -102,17 +110,33 @@ def run_case(tree: Path, case: Case, workdir: Path) -> Result:
         config = str(workdir / f"{case.name}.ini")
         Path(config).write_text(case.ini)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "usctraj.cli", case.command, "--config", config,
-         "--out", str(out)],
-        cwd=workdir, env=env, capture_output=True, text=True,
-    )
+    # the streams go to files beside the output, so that os.wait4 can reap
+    # the process and report its own peak RSS
+    with open(workdir / "stdout.txt", "w+") as stdout, \
+            open(workdir / "stderr.txt", "w+") as stderr:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "usctraj.cli", case.command, "--config", config,
+             "--out", str(out)],
+            cwd=workdir, env=env, stdout=stdout, stderr=stderr,
+        )
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        streams = stdout.read(), stderr.read()
     files = {}
     if out.is_dir():
         files = {str(p.relative_to(out)): p.read_bytes()
                  for p in sorted(out.rglob("*")) if p.is_file()}
-    return Result(proc.returncode, proc.stdout.replace(str(out), "<out>"),
-                  proc.stderr, files)
+    return Result(proc.returncode, streams[0].replace(str(out), "<out>"), streams[1], files,
+                  wall, usage.ru_maxrss / 1024.0)
 
 
 def _first_differing_line(a: str, b: str) -> int:
@@ -185,14 +209,15 @@ def main(argv=None) -> int:
             base = run_case(trees["base"], case, scratch / "runs" / "base")
             head_result = run_case(trees["head"], case, scratch / "runs" / "head")
             found = differences(base, head_result)
+            usage = f"base {base.usage()}, head {head_result.usage()}"
             if found:
                 differing.append(case.name)
-                print(f"DIFFERS {case.name} ({case.command}):", flush=True)
+                print(f"DIFFERS {case.name} ({case.command}): {usage}", flush=True)
                 for item in found:
                     print(f"    {item}", flush=True)
             else:
                 print(f"same    {case.name} ({case.command}): exit {base.code}, "
-                      f"{len(head_result.files)} files", flush=True)
+                      f"{len(head_result.files)} files; {usage}", flush=True)
         if differing:
             print(f"{len(differing)} of {len(cases)} cases differ: {', '.join(differing)}")
             return 1
