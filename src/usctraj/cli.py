@@ -47,6 +47,7 @@ from .model import (
     full_hamiltonian,
 )
 from .ensemble import ENSEMBLE_METHODS, run_ensemble
+from .rng import SEED_LIMIT
 from .stats import (
     NORMALIZATION_MODES,
     conditional_second_jump_histogram,
@@ -163,8 +164,8 @@ class ExperimentConfig:
             )
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not 0 <= self.master_seed < SEED_LIMIT:  # the first word of every stream's key
+            raise ConfigError(f"master_seed must lie in 0 .. 2**64 - 1, got {self.master_seed}")
         for name in ("t_final", "dt"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")

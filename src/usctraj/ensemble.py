@@ -13,11 +13,9 @@ trajectory reduces to scanning its own threshold words against
 precomputed arrays.  A trajectory is then its segment table, the step at
 which it entered each flow and that flow's id: its row of observables is
 the flows' observables copied one segment (a run of recorded steps) at a
-time.  The result stores the table, not the rows: the sampler stitches
-each trajectory into one reused row and adds it to a running sum (the
-first pass of ``mcwf.ensemble_average``), and ``_SegmentRows`` stitches a
-row again whenever it is read, so the means and standard errors of an
-ensemble never hold its (3, N, T) rows.
+time.  The result stores the tables, not the rows: ``_SegmentRows``
+stitches a row whenever it is read, so the means and standard errors of
+an ensemble (``mcwf.ensemble_average``) never hold its (3, N, T) rows.
 
 Random access makes the scans cheap: the threshold word for step k is
 word k of the trajectory's threshold stream regardless of history, and
@@ -59,6 +57,7 @@ straight away: its diffusive states have no deterministic flow to share.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +81,7 @@ from .mcwf import (
     _top_fock,
 )
 from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, RawWords, raw_thresholds, raw_uniforms
-from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
+from .system import TOP_FOCK, DissipativeSystem, step_grid
 
 ENSEMBLE_METHODS = ("auto", "grouped", "direct")
 
@@ -313,17 +312,16 @@ def _sample_grouped(
     master_seed: int,
     n_steps: int,
     dt: float,
-    rec_steps: np.ndarray,
     powers: list[np.ndarray],
-    series: np.ndarray,
     read_words: RawWords,
 ) -> tuple[list[tuple], np.ndarray, float, tuple[list[int], list[int]]]:
-    """Walk one trajectory across flows, writing its (3, T) observables into series.
+    """Walk one trajectory across flows.
 
     Its threshold and channel words come from ``read_words``.  Returns its
     jumps as (time, channel, dp of every channel) tuples in time order, its
     final state, its top-Fock peak and its segment table: the step at which
-    each segment entered its flow, and that flow's id.
+    each segment entered its flow, and that flow's id (``_stitch`` turns
+    the table into the trajectory's observables).
     """
     rates = system.rates
     jumps = []
@@ -374,68 +372,50 @@ def _sample_grouped(
         segments_entry.append(k)
         segments_flow.append(fid)
 
-    _stitch([f.obs for f in flows], rec_steps, segments_entry, segments_flow, series)
     last = flows[segments_flow[-1]]
     age = n_steps - segments_entry[-1]
     final = _state_at_age(last.state0, powers, age)
     return jumps, final, float(max(peak, last.top_peak[age])), (segments_entry, segments_flow)
 
 
-def _stitch(
-    obs: list[np.ndarray], rec_steps: np.ndarray, entries, flow_ids, out: np.ndarray
-) -> None:
-    """Write one trajectory's observables on the recorded steps into out (3, T).
+def _stitch(obs: list[np.ndarray], rec_steps: np.ndarray, entries, flow_ids) -> np.ndarray:
+    """One trajectory's (3, T) observables on the recorded steps, from its segment table.
 
     Segment s entered flow ``flow_ids[s]`` (observables ``obs[flow_ids[s]]``
     by flow age) at step ``entries[s]``; it holds the recorded steps from
-    there up to the next segment's entry, a run of columns of out.
+    there up to the next segment's entry, a run of columns of the row.
     """
+    row = np.empty((len(obs[0]), rec_steps.size))
     bounds = np.searchsorted(rec_steps, entries)
     ends = [*bounds[1:], rec_steps.size]
     for lo, hi, entry, fid in zip(bounds, ends, entries, flow_ids):
-        out[:, lo:hi] = obs[fid].take(rec_steps[lo:hi] - entry, axis=1)
+        row[:, lo:hi] = obs[fid].take(rec_steps[lo:hi] - entry, axis=1)
+    return row
 
 
-class _SegmentRows:
-    """A grouped ensemble's ``mcwf.RowSource``: rows rebuilt from segment tables.
+class _SegmentRows(Sequence):
+    """A grouped ensemble's rows, rebuilt from its segment tables when read.
 
     Trajectory i ran segments ``starts[i]`` to ``starts[i + 1] - 1`` of the
-    table ``(entries, flow_ids)``.  Reading its row stitches it from the
-    flows' observables as the sampler did (``_stitch``), so every read is
-    bitwise the row the sampler wrote, and ``total`` is the sum the sampler
-    added up as it went.  The table holds one entry per trajectory and per
-    jump; no row is kept.
+    table ``(entries, flow_ids)``, and reading its row stitches them from the
+    flows' observables (``_stitch``).  The table holds one entry per
+    trajectory and per jump; no row is kept.
     """
 
     def __init__(
         self, obs: list[np.ndarray], rec_steps: np.ndarray, entries: np.ndarray,
-        flow_ids: np.ndarray, starts: np.ndarray, total: np.ndarray,
+        flow_ids: np.ndarray, starts: np.ndarray,
     ):
         self.obs, self.rec_steps = obs, rec_steps
         self.entries, self.flow_ids, self.starts = entries, flow_ids, starts
-        self.total = total
 
     def __len__(self) -> int:
         return self.starts.size - 1
 
-    def _into(self, i: int, out: np.ndarray) -> np.ndarray:
+    def __getitem__(self, i: int) -> np.ndarray:
         i = range(len(self))[i]  # IndexError out of range, negative from the end
         lo, hi = self.starts[i], self.starts[i + 1]
-        _stitch(self.obs, self.rec_steps, self.entries[lo:hi], self.flow_ids[lo:hi], out)
-        return out
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self._into(i, np.empty(self.total.shape))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        n_obs, n_rec = self.total.shape
-        stack = np.empty((n_obs, len(self), n_rec))
-        for i in range(len(self)):
-            self._into(i, stack[:, i])
-        return stack if dtype is None else stack.astype(dtype)
+        return _stitch(self.obs, self.rec_steps, self.entries[lo:hi], self.flow_ids[lo:hi])
 
 
 def run_ensemble(
@@ -490,17 +470,14 @@ def run_ensemble(
             monitored, drift_mode,
         )
     powers = _binary_powers(propagator, n_steps)
-    row = np.empty((len(OBSERVABLE_LABELS), rec_steps.size))
-    total = np.zeros(row.shape)  # pass 1 of ensemble_average, added as mcwf.add_rows does
     finals = np.empty((n_trajectories, psi0.size), dtype=complex)
     jumps, peak = [], 0.0
     entries, flow_ids, starts = [], [], [0]
     read_words = RawWords()
     for i in range(n_trajectories):
         sampled, finals[i], traj_peak, (entry, fid) = _sample_grouped(
-            i, flows, system, master_seed, n_steps, dt, rec_steps, powers, row, read_words,
+            i, flows, system, master_seed, n_steps, dt, powers, read_words,
         )
-        total += row
         jumps += [(i, *jump) for jump in sampled]
         peak = max(peak, traj_peak)
         entries += entry
@@ -511,7 +488,7 @@ def run_ensemble(
         horizon=n_steps * dt,
         rows=_SegmentRows(
             [f.obs for f in flows], rec_steps, np.array(entries), np.array(flow_ids),
-            np.array(starts), total,
+            np.array(starts),
         ),
         final_states=finals,
         top_fock_peak=peak,

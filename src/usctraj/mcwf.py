@@ -71,24 +71,25 @@ for each of them, with identical bits), and each is decided in ascending
 order by the per-step rule (``_fires``: the dp guard, then a strict
 comparison of the total with the threshold word), collapsed and logged.
 
-Each trajectory reads its own words by index (``rng``), so (master_seed,
-traj_index) fixes it bit for bit however the run is batched.  Threshold
-word k belongs to step k and channel word q to the trajectory's q-th jump.
-Wiener words are consumed only on diffusive steps, one per monitored
-channel, so a trajectory that jumped keeps a lower noise offset than its
-neighbours.  The words are read a block of steps at a time: ``_WORD_BLOCK``
-steps, fewer when the rows together would hold more than ``_WORD_BUDGET``
-words.  A block holds each trajectory's threshold words and enough noise
-words for every step of it to be diffusive, from the trajectory's own offset
-on; words a jump leaves unread are read again by the next block, so memory
-grows neither with the run nor beyond the budget with the ensemble.
+Each trajectory reads its own words by index through the run's one
+``rng.RawWords`` reader, so (master_seed, traj_index) fixes it bit for bit
+however the run is batched.  Threshold word k belongs to step k and channel
+word q to the trajectory's q-th jump.  Wiener words are consumed only on
+diffusive steps, one per monitored channel, so a trajectory that jumped
+keeps a lower noise offset than its neighbours.  The words are read a
+block of steps at a time: ``_WORD_BLOCK`` steps, fewer when the rows
+together would hold more than ``_WORD_BUDGET`` words.  A block holds each
+trajectory's threshold words and enough noise words for every step of it
+to be diffusive, from the trajectory's own offset on; words a jump leaves
+unread are read again by the next block, so memory grows neither with the
+run nor beyond the budget with the ensemble.
 
 A ``TimestepError`` or ``NumericalInconsistencyError`` of a batch is the one
 of the earliest step at which any trajectory raises, the lowest trajectory
 at that step; its message is the one that trajectory raises when run alone.
 The kernel writes the columns of its ``EnsembleResult`` itself, the one
 result type of every trajectory engine; a single run is its one-row case.
-It stores its rows (``StoredRows``).  ``ensemble_average`` reads any
+Its rows are views of one (3, N, T) array.  ``ensemble_average`` reads any
 result's rows one at a time, in two passes (``add_rows``), so a grouped
 ensemble, which rebuilds each row when it is read, never holds them all.
 """
@@ -96,10 +97,9 @@ ensemble, which rebuilds each row when it is read, never holds them all.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Protocol
 
 import numpy as np
 from scipy.linalg import expm
@@ -112,7 +112,7 @@ from .errors import (
     NumericalInconsistencyError,
     TimestepError,
 )
-from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, PURPOSE_NOISE, normal_words, uniform_words
+from .rng import PURPOSE_CHANNEL, PURPOSE_JUMP, PURPOSE_NOISE, RawWords, raw_normals, raw_uniforms
 from .system import OBSERVABLE_LABELS, TOP_FOCK, DissipativeSystem, step_grid
 
 MAX_DP_PER_STEP = 0.1
@@ -147,62 +147,17 @@ def add_rows(rows: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     return total
 
 
-class RowSource(Protocol):
-    """What an ``EnsembleResult`` reads its trajectories' observables through.
-
-    ``len(rows)`` is N, ``rows[i]`` is the (3, T) series of trajectory i,
-    iterating yields the rows in trajectory order, ``rows.total`` is their
-    sum in that order (``add_rows``) and ``np.asarray(rows)`` is the
-    (3, N, T) stack.  The kernel stores its rows (``StoredRows``); a grouped
-    ensemble (``ensemble._SegmentRows``) stores none and rebuilds each row
-    from the trajectory's segments when it is read.
-    """
-
-    total: np.ndarray
-
-    def __len__(self) -> int: ...
-
-    def __getitem__(self, i: int) -> np.ndarray: ...
-
-    def __iter__(self) -> Iterator[np.ndarray]: ...
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray: ...
-
-
-class StoredRows:
-    """The kernel's rows, held as one (3, N, T) array: a ``RowSource``."""
-
-    def __init__(self, stack: np.ndarray):
-        self.stack = stack
-
-    def __len__(self) -> int:
-        return self.stack.shape[1]
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.stack[:, i]
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.stack, dtype=dtype, copy=copy)
-
-    @cached_property
-    def total(self) -> np.ndarray:
-        return add_rows(self, self.stack.shape[::2])
-
-
 @dataclass(frozen=True)
 class EnsembleResult:
     """Trajectories 0..N-1 of one ensemble, as columns; a single run is N = 1.
 
-    ``rows[i]`` is trajectory i's (3, T) real series <S^- S^+> of the
-    ``OBSERVABLE_LABELS`` on ``time_grid`` (``RowSource``).  They use the
-    dressed operators, so the cavity series is a photon number an external
-    detector would see.  ``expectations`` is the (3, N, T) stack of every
-    row: the kernel's stored array, or, for a grouped ensemble, built when
-    it is first read; callers that need only statistics read neither the
-    stack nor more than one row at a time (``ensemble_average``).
+    ``rows`` is a sequence of N rows: ``rows[i]`` is trajectory i's (3, T)
+    real series <S^- S^+> of the ``OBSERVABLE_LABELS`` on ``time_grid``.
+    They use the dressed operators, so the cavity series is a photon number
+    an external detector would see.  ``expectations`` is the (3, N, T)
+    stack of every row, built when it is first read (a view of the kernel's
+    array); callers that need only statistics read neither the stack nor
+    more than one row at a time (``ensemble_average``).
     ``final_states`` is (N, d).  Jump q came from trajectory
     ``jump_traj[q]`` at ``jump_time[q]`` through
     ``CHANNEL_LABELS[jump_channel[q]]``, with every channel's pre-jump
@@ -217,7 +172,7 @@ class EnsembleResult:
 
     time_grid: np.ndarray
     horizon: float
-    rows: RowSource = field(repr=False)
+    rows: Sequence[np.ndarray] = field(repr=False)
     final_states: np.ndarray
     jump_traj: np.ndarray
     jump_time: np.ndarray
@@ -232,7 +187,7 @@ class EnsembleResult:
 
     @cached_property
     def expectations(self) -> np.ndarray:
-        return np.asarray(self.rows)
+        return np.asarray(self.rows).swapaxes(0, 1)
 
 
 def _jump_columns(jumps: list[tuple]) -> dict[str, np.ndarray]:
@@ -434,6 +389,7 @@ def _run_rows(
     words_per_step = n_rows * (n_hom + (1 if jump_idx else 0))
     block = max(1, min(_WORD_BLOCK, _WORD_BUDGET // max(words_per_step, 1)))
     every_row = np.arange(n_rows)
+    read_words = RawWords()
     sqrt_dt = np.sqrt(dt)
     drawn = np.zeros(n_rows, dtype=int)  # each row's noise words before the block
     diffused = np.zeros(n_rows, dtype=int)  # and its diffusive steps in the block
@@ -461,7 +417,7 @@ def _run_rows(
             if jump_idx:
                 thresholds = np.empty((n_rows, count))
                 for b, row in enumerate(rows):
-                    thresholds[b] = uniform_words(seed, row, PURPOSE_JUMP, k, count)
+                    thresholds[b] = raw_uniforms(read_words(seed, row, PURPOSE_JUMP, k, count))
                 exposed = thresholds < reach
                 exposed_steps = exposed.any(axis=0).tolist()
             if n_hom:
@@ -469,8 +425,8 @@ def _run_rows(
                 diffused[:] = 0
                 noise = np.empty((n_rows, count, n_hom))
                 for b, row in enumerate(rows):
-                    words = normal_words(seed, row, PURPOSE_NOISE, drawn[b], count * n_hom)
-                    noise[b] = noise_scale * (sqrt_dt * words.reshape(count, n_hom))
+                    words = read_words(seed, row, PURPOSE_NOISE, drawn[b], count * n_hom)
+                    noise[b] = noise_scale * (sqrt_dt * raw_normals(words).reshape(count, n_hom))
 
         collapsed = []
         if exposed_steps[i]:
@@ -480,8 +436,8 @@ def _run_rows(
             for c, b in enumerate(live.tolist()):
                 if not _fires(dp[c], thresholds[b, i]):
                     continue
-                eps_prime = uniform_words(seed, rows[b], PURPOSE_CHANNEL, n_jumps[b], 1)
-                j = _select_channel(dp[c], eps_prime[0])
+                word = read_words(seed, rows[b], PURPOSE_CHANNEL, n_jumps[b], 1)[0]
+                j = _select_channel(dp[c], raw_uniforms(word))
                 m = jump_idx[j]
                 collapsed.append((b, _collapse(amps[c, j], m)))
                 dp_all = np.zeros(len(CHANNEL_LABELS))
@@ -531,7 +487,7 @@ def _run_rows(
     return EnsembleResult(
         time_grid=rec_steps * dt,
         horizon=n_steps * dt,
-        rows=StoredRows(series),
+        rows=series.swapaxes(0, 1),
         final_states=states[where],
         top_fock_peak=peak,
         states=snapshots,
@@ -572,17 +528,18 @@ def run_trajectory(
 def ensemble_average(result: EnsembleResult) -> EnsembleAverage:
     """Pointwise mean and standard error over the trajectories of an ensemble.
 
-    Two passes over the rows, each in trajectory order: the mean is
-    ``rows.total / N``, then the squared deviations from it are added up
-    (``add_rows``).  Both are bitwise ``mean(axis=0)`` and
+    Two passes over the rows, each in trajectory order (``add_rows``): the
+    rows added up and divided by N give the mean, then the squared
+    deviations from it are added up.  Both are bitwise ``mean(axis=0)`` and
     ``std(axis=0, ddof=1) / sqrt(N)`` over the (N, T) stack of each
     observable, and neither holds more than a row at a time.
     """
     rows = result.rows
-    if rows.total.shape[1:] != result.time_grid.shape:
+    total = add_rows(rows, np.shape(rows[0]))
+    if total.shape[1:] != result.time_grid.shape:
         raise DimensionMismatchError("series and time grid differ in length")
     n = len(rows)
-    mean = rows.total / n
+    mean = total / n
     if n > 1:
         sq = add_rows((np.square(row - mean) for row in rows), mean.shape)
         error = np.sqrt(sq / (n - 1)) / np.sqrt(n)

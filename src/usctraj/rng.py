@@ -5,31 +5,37 @@ consumes the same random words no matter how the ensemble is scheduled
 (sequentially, batched, or resumed).  Philox provides this for free: the
 stream is a pure function of (key, counter), and we key each (trajectory,
 purpose) pair separately so the jump-threshold draws, the channel-selection
-draws, and the diffusive-noise draws never interleave.
+draws, and the diffusive-noise draws never interleave.  The key is the two
+uint64 words (master_seed, traj_index << 2 | purpose), so master seeds lie
+below 2**64 and trajectory indices below 2**62.
 
 Purposes: 0 jump thresholds (word k belongs to time step k), 1 channel
 selection (word q belongs to the q-th jump), 2 diffusive noise (one normal
 per monitored channel per diffusive step, in order).  Word ``k`` of a stream
-is fixed forever, and ``uniform_words``/``normal_words``/``RawWords`` are
-the only readers: every engine asks for a window of words by its index, so
-no reader keeps a position that could drift from the step it belongs to.
+is fixed forever, and ``RawWords`` is its one reader: every engine asks for
+a window of raw 64-bit words by its index, so no reader keeps a position
+that could drift from the step it belongs to.
 
-``uniform_words`` is the contract: a raw 64-bit word w is the uniform
-u = (w >> 11) 2**-53.  A ``RawWords`` reader returns the words themselves,
-for scans that compare them with ``raw_thresholds`` as integers (the
-grouped ensemble's threshold scan), or that map them to those uniforms
-with ``raw_uniforms`` (its channel words).
+A word w is the uniform u = (w >> 11) 2**-53 (``raw_uniforms``, the bits of
+numpy's ``Generator.random`` on the same stream), and the standard normal
+of that uniform (``raw_normals``).  Scans that only compare uniforms with
+probabilities compare the words themselves with ``raw_thresholds`` as
+integers (the grouped ensemble's threshold scan).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 from scipy.special import ndtri
 
 PURPOSE_JUMP = 0
 PURPOSE_CHANNEL = 1
 PURPOSE_NOISE = 2
+
+# Master seeds and trajectory indices below these fit the uint64 key words.
+SEED_LIMIT = 2**64
+TRAJ_LIMIT = 2**62
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter tick
 
@@ -41,36 +47,18 @@ _TOP_UNIFORM = 1.0 - 2.0**-53
 def _check_ids(master_seed: int, traj_index: int) -> None:
     if traj_index < 0 or master_seed < 0:
         raise ValueError("master_seed and traj_index must be non-negative")
-
-
-def _generator_at(master_seed: int, traj_index: int, purpose: int, block: int) -> Generator:
-    _check_ids(master_seed, traj_index)
-    # Philox increments the counter before it draws a block, so words
-    # 4 block .. 4 block + 3 come from counter block + 1.
-    bg = Philox(key=[master_seed, (traj_index << 2) | purpose], counter=[block, 0, 0, 0])
-    return Generator(bg)
-
-
-def uniform_words(
-    master_seed: int, traj_index: int, purpose: int, start: int, count: int
-) -> np.ndarray:
-    """Words [start, start + count) of a stream as uniforms in [0, 1)."""
-    if count == 0:
-        return np.empty(0)
-    block, offset = divmod(start, _WORDS_PER_BLOCK)
-    gen = _generator_at(master_seed, traj_index, purpose, block)
-    return gen.random(offset + count)[offset:]
+    if master_seed >= SEED_LIMIT or traj_index >= TRAJ_LIMIT:
+        raise ValueError("master_seed must be below 2**64 and traj_index below 2**62")
 
 
 class RawWords:
-    """A reader of raw uint64 words from any stream, by index.
+    """The reader of raw uint64 words from any stream, by index.
 
     Called with (master_seed, traj_index, purpose, start, count), it returns
     the words [start, start + count) of that stream.  It re-keys the reader's
     one Philox through its state dict, several times cheaper than building
-    a Generator per window as ``uniform_words`` does.  A reader holds that
-    Philox, so create one per caller (the grouped ensemble makes one per
-    run) rather than share it across threads.
+    a Generator per window.  A reader holds that Philox, so create one per
+    caller (each ensemble run makes one) rather than share it across threads.
     """
 
     def __init__(self):
@@ -81,6 +69,8 @@ class RawWords:
         self, master_seed: int, traj_index: int, purpose: int, start: int, count: int
     ) -> np.ndarray:
         _check_ids(master_seed, traj_index)
+        # Philox increments the counter before it draws a block, so words
+        # 4 block .. 4 block + 3 come from counter block + 1.
         block, offset = divmod(start, _WORDS_PER_BLOCK)
         self._state["state"]["key"][:] = (master_seed, (traj_index << 2) | purpose)
         self._state["state"]["counter"][:] = (block, 0, 0, 0)
@@ -90,11 +80,21 @@ class RawWords:
 
 
 def raw_uniforms(words: np.ndarray) -> np.ndarray:
-    """The uniforms u = (w >> 11) 2**-53 of raw words: bitwise ``uniform_words``.
+    """The uniforms u = (w >> 11) 2**-53 in [0, 1) of raw words.
 
     Both factors are exact in a double (w >> 11 < 2**53), so is their product.
     """
     return (words >> np.uint64(11)) * 2.0**-53
+
+
+def raw_normals(words: np.ndarray) -> np.ndarray:
+    """Raw words mapped to standard normals through the inverse CDF of their uniforms.
+
+    One word maps to one normal, preserving random access.  u = 0 (possible,
+    the uniforms live in [0, 1)) is nudged to the smallest positive double
+    to keep the quantile finite.
+    """
+    return ndtri(np.maximum(raw_uniforms(words), np.finfo(float).tiny))
 
 
 def raw_thresholds(p: np.ndarray) -> np.ndarray:
@@ -109,17 +109,3 @@ def raw_thresholds(p: np.ndarray) -> np.ndarray:
     """
     p = np.where(p > 0.0, np.minimum(p, _TOP_UNIFORM), 0.0)
     return np.ceil(p * 2.0**53).astype(np.uint64) << np.uint64(11)
-
-
-def normal_words(
-    master_seed: int, traj_index: int, purpose: int, start: int, count: int
-) -> np.ndarray:
-    """Words [start, start + count) mapped to standard normals.
-
-    One uniform word maps to one normal through the inverse CDF, preserving
-    random access.  u = 0 (possible, the uniforms live in [0, 1)) is nudged
-    to the smallest positive double to keep the quantile finite.
-    """
-    u = uniform_words(master_seed, traj_index, purpose, start, count)
-    np.maximum(u, np.finfo(float).tiny, out=u)
-    return ndtri(u)

@@ -1,18 +1,60 @@
 """Shared fixtures: prebuilt layouts and dissipative systems.
 
 Building a system diagonalizes the Hamiltonian and dresses the jump
-operators, so the common configurations are session-scoped.
+operators, so the common configurations are session-scoped.  The
+``reference_*`` functions read the random streams without ``usctraj.rng``,
+for the reference steppers and the pins of the one reader.
 """
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.linalg import expm
+from scipy.special import ndtri
 
 from usctraj import ensemble, mcwf
 from usctraj.hilbert import build_layout
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.rng import RawWords
-from usctraj.system import OBSERVABLE_LABELS, build_system, step_grid
+from usctraj.system import build_system, step_grid
+
+
+def _philox_at(master_seed, traj_index, purpose, start):
+    """A fresh Philox at word ``start`` of a stream, and start's offset in its block.
+
+    The stream as first defined: the key is the uint64 array (master_seed,
+    traj_index << 2 | purpose), and the counter is set through the state
+    dict to the block that holds word ``start``, four words per block.
+    """
+    block, offset = divmod(start, 4)
+    key = np.array([master_seed, (traj_index << 2) | purpose], dtype=np.uint64)
+    bg = Philox(key=key)
+    st = bg.state
+    st["state"]["counter"][:] = 0
+    st["state"]["counter"][0] = block
+    st["buffer_pos"] = 4
+    st["has_uint32"] = 0
+    st["uinteger"] = 0
+    bg.state = st
+    return bg, offset
+
+
+def reference_words(master_seed, traj_index, purpose, start, count):
+    """Raw uint64 words [start, start + count) of a stream."""
+    bg, offset = _philox_at(master_seed, traj_index, purpose, start)
+    return bg.random_raw(offset + count)[offset:]
+
+
+def reference_uniforms(master_seed, traj_index, purpose, start, count):
+    """Words [start, start + count) of a stream as numpy's uniforms in [0, 1)."""
+    bg, offset = _philox_at(master_seed, traj_index, purpose, start)
+    return Generator(bg).random(offset + count)[offset:]
+
+
+def reference_normals(master_seed, traj_index, purpose, start, count):
+    """Those uniforms as standard normals, u = 0 nudged to the smallest positive double."""
+    u = reference_uniforms(master_seed, traj_index, purpose, start, count)
+    return ndtri(np.maximum(u, np.finfo(float).tiny))
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +103,8 @@ def trajectories_alone():
     Returns one (series, jumps, final, peak) tuple per trajectory: its (3, T)
     observables, its jumps as (time, channel, dp) tuples, its final state and
     its top-Fock peak.  A grouped trajectory is ``ensemble._sample_grouped``
-    over the run's flows; a direct one is ``mcwf.run_trajectory``.
+    over the run's flows, its series stitched from the segment table the
+    sampler returns; a direct one is ``mcwf.run_trajectory``.
     """
 
     def run(system, psi0, t_final, n, dt=0.5, master_seed=0, record_every=1,
@@ -86,11 +129,10 @@ def trajectories_alone():
         read_words = RawWords()
         alone = []
         for i in range(n):
-            series = np.empty((len(OBSERVABLE_LABELS), rec_steps.size))
-            jumps, final, peak, _ = ensemble._sample_grouped(
-                i, flows, system, master_seed, n_steps, dt, rec_steps, powers, series,
-                read_words,
+            jumps, final, peak, (entries, flow_ids) = ensemble._sample_grouped(
+                i, flows, system, master_seed, n_steps, dt, powers, read_words,
             )
+            series = ensemble._stitch([f.obs for f in flows], rec_steps, entries, flow_ids)
             alone.append((series, jumps, final, peak))
         return alone
 

@@ -574,6 +574,7 @@ def test_config_validation_direct():
         ("run", "delta_max", "nan"),
         ("run", "levels", "9"),  # n_fock = 2 has 8 levels
         ("run", "master_seed", "-1"),
+        ("run", "master_seed", "18446744073709551616"),  # 2**64 overflows the stream key
     ],
 )
 def test_bad_values_are_rejected_before_calibration(

@@ -8,6 +8,7 @@ after jumps (post-jump states are stored with a canonical global phase).
 """
 
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -312,8 +313,8 @@ def test_grouped_top_fock_peak_matches_the_direct_engine(trajectories_alone):
 def test_grouped_rows_equal_trajectories_sampled_alone(
     busy_systems, grouped_and_direct, trajectories_alone
 ):
-    # the grouped run writes each trajectory into its row of the result: row
-    # j is trajectory j sampled on its own, bit for bit
+    # row j of the grouped result is trajectory j sampled on its own, bit
+    # for bit
     grouped, _ = grouped_and_direct
     system = busy_systems["effective"]
     alone = trajectories_alone(
@@ -338,6 +339,27 @@ def test_grouped_rows_equal_trajectories_sampled_alone(
             np.testing.assert_array_equal(got, jump[2])
     assert grouped.jump_traj.size == sum(len(jumps) for _, jumps, *_ in alone) > 10
     assert grouped.top_fock_peak == max(peak for *_, peak in alone)
+
+
+def test_the_largest_master_seed_reads_the_same_words_on_both_engines(busy_systems):
+    # 2**64 - 1 is the largest seed the uint64 key holds; both engines read
+    # it through the one reader, with no cast through float (no warning)
+    system = busy_systems["effective"]
+    psi0 = system.initial_state("1gg")
+    common = dict(dt=0.5, master_seed=2**64 - 1, record_every=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grouped = run_ensemble(system, psi0, T_FINAL, 12, method="grouped", **common)
+        direct = run_ensemble(system, psi0, T_FINAL, 12, method="direct", **common)
+    assert grouped.jump_traj.size > 12
+    np.testing.assert_array_equal(grouped.jump_traj, direct.jump_traj)
+    np.testing.assert_array_equal(grouped.jump_time, direct.jump_time)
+    np.testing.assert_array_equal(grouped.jump_channel, direct.jump_channel)
+    first = first_jumps(grouped)
+    np.testing.assert_array_equal(grouped.jump_dp[first], direct.jump_dp[first])
+    for method in ENSEMBLE_METHODS:
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            run_ensemble(system, psi0, 10.0, 2, method=method, **dict(common, master_seed=2**64))
 
 
 def test_an_ensemble_of_no_trajectories_is_rejected(busy_systems):
@@ -457,10 +479,7 @@ def test_a_total_probability_of_one_raises_before_its_decision_is_read():
     assert flow.threshold[5] == np.uint64(2**64 - 2**11)
     system = SimpleNamespace(rates=np.ones(4))
     with pytest.raises(TimestepError, match="reduce dt"):
-        ensemble._sample_grouped(
-            0, [flow], system, 0, n_steps, 0.5, np.arange(n_steps + 1), [],
-            np.empty((3, n_steps + 1)), RawWords(),
-        )
+        ensemble._sample_grouped(0, [flow], system, 0, n_steps, 0.5, [], RawWords())
 
 
 def test_each_threshold_word_is_read_once(busy_systems, monkeypatch):

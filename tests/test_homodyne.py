@@ -4,6 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from conftest import reference_normals, reference_uniforms
 from scipy.linalg import expm
 
 from usctraj import mcwf
@@ -13,13 +14,7 @@ from usctraj.hilbert import build_layout
 from usctraj.ensemble import run_ensemble
 from usctraj.mcwf import DRIFT_MODES, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
-from usctraj.rng import (
-    PURPOSE_CHANNEL,
-    PURPOSE_JUMP,
-    PURPOSE_NOISE,
-    normal_words,
-    uniform_words,
-)
+from usctraj.rng import PURPOSE_CHANNEL, PURPOSE_JUMP, PURPOSE_NOISE, RawWords
 from usctraj.system import build_system
 
 
@@ -187,8 +182,8 @@ def _reference_homodyne(
             dp = dt * system.rates[jump] * np.einsum("md,md->m", amps.conj(), amps).real
             if dp.max() >= mcwf.MAX_DP_PER_STEP or dp.sum() >= 1.0:
                 raise TimestepError(f"jump probabilities {dp} too large; reduce dt")
-            if dp.sum() > uniform_words(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
-                eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
+            if dp.sum() > reference_uniforms(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
+                eps_prime = reference_uniforms(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
                 cum = np.cumsum(dp)
                 m = int(np.searchsorted(cum / cum[-1], eps_prime, side="right"))
                 norm = np.linalg.norm(amps[m])
@@ -199,7 +194,7 @@ def _reference_homodyne(
                 psi = amps[m] / norm
                 jumps.append(((k + 1) * dt, jump[m], dp))
                 continue
-        words = [normal_words(seed, traj_index, PURPOSE_NOISE, drawn + i, 1)[0]
+        words = [reference_normals(seed, traj_index, PURPOSE_NOISE, drawn + i, 1)[0]
                  for i in range(len(hom))]
         dw = np.sqrt(dt) * np.array(words)
         drawn += len(hom)
@@ -474,35 +469,38 @@ def test_a_step_past_the_jump_bound_checks_every_row(busy_hom_systems):
     assert str(batch.value) == str(alone.value)
 
 
-def _no_words(*args):
-    raise AssertionError("this run must draw no words from this stream")
-
-
 @pytest.mark.parametrize(
-    "case, stream",
+    "case, purposes",
     [
-        (("effective", "0ee", 150.0, 5, (), "qsd"), "normal_words"),
-        (("effective", "1gg", 60.0, 1, CHANNEL_LABELS, "qsd"), "uniform_words"),
+        (("effective", "0ee", 150.0, 5, (), "qsd"), {PURPOSE_JUMP, PURPOSE_CHANNEL}),
+        (("effective", "1gg", 60.0, 1, CHANNEL_LABELS, "qsd"), {PURPOSE_NOISE}),
     ],
     ids=["photodetection", "full-homodyne"],
 )
 def test_runs_that_need_no_words_draw_none(
-    busy_hom_systems, hom_references, case, stream, monkeypatch
+    busy_hom_systems, hom_references, case, purposes, monkeypatch
 ):
-    monkeypatch.setattr(mcwf, stream, _no_words)
-    n_jumps = 0
+    # photodetection reads no noise words, full homodyne no threshold or
+    # channel words: the purposes the runs read are exactly those they need
+    # (the photodetection runs jump, so they read channel words)
+    read = set()
+
+    class Recorded(RawWords):
+        def __call__(self, master_seed, traj_index, purpose, start, count):
+            read.add(purpose)
+            return super().__call__(master_seed, traj_index, purpose, start, count)
+
+    monkeypatch.setattr(mcwf, "RawWords", Recorded)
     for traj_index in range(3):
         ref = hom_references[case + (traj_index,)]
         rec = _engine_outcome(busy_hom_systems, case + (traj_index,))
         _assert_matches_reference(rec, 0, ref, monitored=case[4])
-        n_jumps += len(ref[1])
     batch = _batch_outcome(busy_hom_systems, case, 3)
     for traj_index in range(3):
         _assert_matches_reference(
             batch, traj_index, hom_references[case + (traj_index,)], monitored=case[4]
         )
-    if stream == "normal_words":
-        assert n_jumps > 0  # the photodetection run still reads its jump words
+    assert read == purposes
 
 
 def test_top_fock_peak_covers_every_visited_state():

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-
+from conftest import reference_uniforms
 from scipy.linalg import expm
 
 from usctraj import mcwf
@@ -21,7 +21,6 @@ from usctraj.ensemble import run_ensemble
 from usctraj.lme import density_from_state, evolve_lme
 from usctraj.mcwf import (
     EnsembleResult,
-    StoredRows,
     _fires,
     _jump_columns,
     ensemble_average,
@@ -29,7 +28,7 @@ from usctraj.mcwf import (
 )
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.oracles import expectations_1p2a
-from usctraj.rng import PURPOSE_CHANNEL, PURPOSE_JUMP, uniform_words
+from usctraj.rng import PURPOSE_CHANNEL, PURPOSE_JUMP
 from usctraj.system import OBSERVABLE_LABELS, build_system
 
 
@@ -159,7 +158,7 @@ def test_non_hermitian_hamiltonian_assembly(system_eff):
 def _stored(series, grid):
     """An ensemble of the (3, N, T) rows series on grid, with no jumps."""
     return EnsembleResult(
-        time_grid=grid, horizon=1.0, rows=StoredRows(series),
+        time_grid=grid, horizon=1.0, rows=series.swapaxes(0, 1),
         final_states=np.ones((series.shape[1], 1), dtype=complex), top_fock_peak=0.0,
         **_jump_columns([]),
     )
@@ -183,9 +182,10 @@ def test_ensemble_average_statistics():
 @pytest.mark.parametrize("n", [1, 2, 17, 4000])
 @pytest.mark.parametrize("magnitude", [1e-12, 1e-6, 1.0, 10.0])
 def test_streamed_statistics_are_numpys_mean_and_std(n, magnitude):
-    # pass 1 (rows.total / N) and pass 2 (the squared deviations added up
-    # row by row) give the bits of mean(axis=0) and std(axis=0, ddof=1) /
-    # sqrt(N) over each observable's (N, T) stack.  The first four columns
+    # pass 1 (the rows added up, divided by N) and pass 2 (the squared
+    # deviations added up row by row) give the bits of mean(axis=0) and
+    # std(axis=0, ddof=1) / sqrt(N) over each observable's (N, T) stack,
+    # whatever sequence holds the rows.  The first four columns
     # are shared by every row, as before a grouped ensemble's first jump:
     # -0.0, 0.5 and 2.0 have exact means and so an SE of exactly 0
     rng = np.random.default_rng(n)
@@ -193,12 +193,14 @@ def test_streamed_statistics_are_numpys_mean_and_std(n, magnitude):
     series[:, :, :3] = [-0.0, 0.5, 2.0]
     series[:, :, 3] = series[:, :1, 3]
     grid = np.linspace(0.0, 1.0, 40)
-    avg = ensemble_average(_stored(series, grid))
-    for stack, label in zip(series, OBSERVABLE_LABELS):
-        assert avg.means[label].tobytes() == stack.mean(axis=0).tobytes()
-        se = stack.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(40)
-        assert avg.standard_errors[label].tobytes() == se.tobytes()
-        assert (avg.standard_errors[label][:3] == 0.0).all()
+    stored = _stored(series, grid)
+    listed = dataclasses.replace(stored, rows=[series[:, i].copy() for i in range(n)])
+    for avg in map(ensemble_average, (stored, listed)):
+        for stack, label in zip(series, OBSERVABLE_LABELS):
+            assert avg.means[label].tobytes() == stack.mean(axis=0).tobytes()
+            se = stack.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(40)
+            assert avg.standard_errors[label].tobytes() == se.tobytes()
+            assert (avg.standard_errors[label][:3] == 0.0).all()
 
 
 def test_ensemble_average_rejects_mismatched_grids():
@@ -256,11 +258,11 @@ def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every):
             ), k)
         if dp.sum() >= 1.0:
             raise _at_step(TimestepError(f"total jump probability {dp.sum():.3g} >= 1; reduce dt"), k)
-        if dp.sum() <= uniform_words(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
+        if dp.sum() <= reference_uniforms(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
             phi = propagator @ psi
             psi = phi / np.linalg.norm(phi)
         else:
-            eps_prime = uniform_words(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
+            eps_prime = reference_uniforms(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
             cum = np.cumsum(dp)
             m = int(np.searchsorted(cum / cum[-1], eps_prime, side="right"))
             norm = np.linalg.norm(amps[m])

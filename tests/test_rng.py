@@ -2,43 +2,46 @@
 
 import numpy as np
 import pytest
+from conftest import reference_normals, reference_uniforms, reference_words
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
 
 from usctraj.rng import (
     PURPOSE_CHANNEL,
     PURPOSE_JUMP,
     PURPOSE_NOISE,
     RawWords,
-    normal_words,
+    raw_normals,
     raw_thresholds,
     raw_uniforms,
-    uniform_words,
 )
 
 
 def test_uniform_words_deterministic():
-    a = uniform_words(7, 3, PURPOSE_JUMP, 0, 64)
-    b = uniform_words(7, 3, PURPOSE_JUMP, 0, 64)
+    a = RawWords()(7, 3, PURPOSE_JUMP, 0, 64)
+    b = RawWords()(7, 3, PURPOSE_JUMP, 0, 64)
     np.testing.assert_array_equal(a, b)
-    assert a.dtype == np.float64
-    assert np.all((a >= 0.0) & (a < 1.0))
+    assert a.dtype == np.uint64
+    u = raw_uniforms(a)
+    assert u.dtype == np.float64
+    assert np.all((u >= 0.0) & (u < 1.0))
 
 
 def test_streams_differ_across_keys():
-    base = uniform_words(7, 3, PURPOSE_JUMP, 0, 32)
-    assert not np.array_equal(base, uniform_words(8, 3, PURPOSE_JUMP, 0, 32))
-    assert not np.array_equal(base, uniform_words(7, 4, PURPOSE_JUMP, 0, 32))
-    assert not np.array_equal(base, uniform_words(7, 3, PURPOSE_CHANNEL, 0, 32))
-    assert not np.array_equal(base, uniform_words(7, 3, PURPOSE_NOISE, 0, 32))
+    read = RawWords()
+    base = read(7, 3, PURPOSE_JUMP, 0, 32)
+    assert not np.array_equal(base, read(8, 3, PURPOSE_JUMP, 0, 32))
+    assert not np.array_equal(base, read(7, 4, PURPOSE_JUMP, 0, 32))
+    assert not np.array_equal(base, read(7, 3, PURPOSE_CHANNEL, 0, 32))
+    assert not np.array_equal(base, read(7, 3, PURPOSE_NOISE, 0, 32))
 
 
 def test_random_access_equals_sequential():
     # word k of the stream must not depend on how the stream is chunked
-    whole = uniform_words(11, 5, PURPOSE_JUMP, 0, 100)
-    np.testing.assert_array_equal(uniform_words(11, 5, PURPOSE_JUMP, 37, 21), whole[37:58])
-    np.testing.assert_array_equal(uniform_words(11, 5, PURPOSE_JUMP, 99, 1), whole[99:])
+    read = RawWords()
+    whole = read(11, 5, PURPOSE_JUMP, 0, 100)
+    np.testing.assert_array_equal(read(11, 5, PURPOSE_JUMP, 37, 21), whole[37:58])
+    np.testing.assert_array_equal(read(11, 5, PURPOSE_JUMP, 99, 1), whole[99:])
 
 
 @settings(max_examples=40, deadline=None)
@@ -47,71 +50,82 @@ def test_random_access_equals_sequential():
     count=st.integers(min_value=1, max_value=50),
 )
 def test_random_access_property(start, count):
-    whole = uniform_words(3, 9, PURPOSE_CHANNEL, 0, start + count)
-    part = uniform_words(3, 9, PURPOSE_CHANNEL, start, count)
+    read = RawWords()
+    whole = read(3, 9, PURPOSE_CHANNEL, 0, start + count)
+    part = read(3, 9, PURPOSE_CHANNEL, start, count)
     np.testing.assert_array_equal(part, whole[start:])
 
 
 def test_normal_words_match_uniform_source():
     # same words, transformed; moments are only sanity-checked
-    z = normal_words(0, 0, PURPOSE_NOISE, 0, 20000)
+    z = raw_normals(RawWords()(0, 0, PURPOSE_NOISE, 0, 20000))
     assert abs(np.mean(z)) < 0.03
     assert abs(np.std(z) - 1.0) < 0.02
-    again = normal_words(0, 0, PURPOSE_NOISE, 0, 20000)
+    again = raw_normals(RawWords()(0, 0, PURPOSE_NOISE, 0, 20000))
     np.testing.assert_array_equal(z, again)
 
 
 def test_normal_words_random_access():
-    whole = normal_words(5, 2, PURPOSE_NOISE, 0, 64)
-    np.testing.assert_array_equal(normal_words(5, 2, PURPOSE_NOISE, 10, 30), whole[10:40])
+    read = RawWords()
+    whole = raw_normals(read(5, 2, PURPOSE_NOISE, 0, 64))
+    np.testing.assert_array_equal(raw_normals(read(5, 2, PURPOSE_NOISE, 10, 30)), whole[10:40])
 
 
 def test_invalid_arguments_and_empty_request():
+    read = RawWords()
     with pytest.raises(ValueError):
-        uniform_words(-1, 0, PURPOSE_JUMP, 0, 4)
+        read(-1, 0, PURPOSE_JUMP, 0, 4)
     with pytest.raises(ValueError):
-        uniform_words(0, -1, PURPOSE_JUMP, 0, 4)
-    assert uniform_words(0, 0, PURPOSE_JUMP, 0, 0).size == 0
+        read(0, -1, PURPOSE_JUMP, 0, 4)
+    empty = read(0, 0, PURPOSE_JUMP, 5, 0)
+    assert empty.size == 0 and empty.dtype == np.uint64
+    assert raw_uniforms(empty).size == raw_normals(empty).size == 0
 
 
-def _words_via_state_dict(master_seed, traj_index, purpose, start, count):
-    """The stream as first defined: Philox positioned through its state dict."""
-    block, offset = divmod(start, 4)
-    bg = Philox(key=[master_seed, (traj_index << 2) | purpose])
-    st = bg.state
-    st["state"]["counter"][:] = 0
-    st["state"]["counter"][0] = block
-    st["buffer_pos"] = 4
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
-    bg.state = st
-    return Generator(bg).random(offset + count)[offset:]
+STARTS = list(range(8)) + [4 * 2**30 + 2, 2**32 + 6, 10**12 + 1]
+
+
+def _assert_pinned(read, master_seed, traj_index, purpose):
+    """The reader and both mappings equal the reference on every window of STARTS."""
+    for start in STARTS:
+        raw = read(master_seed, traj_index, purpose, start, 13)
+        assert raw.dtype == np.uint64
+        np.testing.assert_array_equal(
+            raw, reference_words(master_seed, traj_index, purpose, start, 13)
+        )
+        np.testing.assert_array_equal(
+            raw_uniforms(raw), reference_uniforms(master_seed, traj_index, purpose, start, 13)
+        )
+        np.testing.assert_array_equal(
+            raw_normals(raw), reference_normals(master_seed, traj_index, purpose, start, 13)
+        )
 
 
 @pytest.mark.parametrize("purpose", [PURPOSE_JUMP, PURPOSE_CHANNEL, PURPOSE_NOISE])
 @pytest.mark.parametrize("traj_index", [0, 5, 2**40 + 3])
 def test_words_pinned_to_state_dict_construction(purpose, traj_index):
-    for start in list(range(8)) + [2**32 + 6, 10**12 + 1]:
-        np.testing.assert_array_equal(
-            uniform_words(9, traj_index, purpose, start, 13),
-            _words_via_state_dict(9, traj_index, purpose, start, 13),
-        )
+    _assert_pinned(RawWords(), 9, traj_index, purpose)
 
 
-STARTS = [0, 1, 2, 3, 5, 6, 7, 4 * 2**30 + 2, 10**12 + 1]
+def test_words_pinned_up_to_the_largest_key_words():
+    # the key words are uint64, given to the reference as a uint64 array:
+    # above 2**63 a key given as a list would be cast through float
+    read = RawWords()
+    for master_seed in [2**63 + 5, 2**64 - 1]:
+        for traj_index in [0, 2**62 - 1]:
+            for purpose in [PURPOSE_JUMP, PURPOSE_CHANNEL, PURPOSE_NOISE]:
+                _assert_pinned(read, master_seed, traj_index, purpose)
 
 
 @pytest.mark.parametrize("purpose", [PURPOSE_JUMP, PURPOSE_CHANNEL, PURPOSE_NOISE])
 @pytest.mark.parametrize("traj_index", [0, 5, 2**40 + 3])
 def test_raw_words_are_the_uniform_words(purpose, traj_index):
-    # raw_uniforms maps a window, or one word as the grouped sampler reads
-    # each channel word, to the uniforms of uniform_words bit for bit
+    # raw_uniforms maps a window, or one word as the kernel and the grouped
+    # sampler read each channel word, to numpy's uniforms bit for bit
     read = RawWords()
     for start in STARTS:
-        raw = read(9, traj_index, purpose, start, 13)
-        assert raw.dtype == np.uint64
-        u = uniform_words(9, traj_index, purpose, start, 13)
-        np.testing.assert_array_equal(raw_uniforms(raw), u)
+        u = reference_uniforms(9, traj_index, purpose, start, 13)
+        np.testing.assert_array_equal(raw_uniforms(read(9, traj_index, purpose, start, 13)), u)
         one = raw_uniforms(read(9, traj_index, purpose, start, 1)[0])
         assert isinstance(one, np.float64) and one == u[0]
 
@@ -121,6 +135,9 @@ def test_raw_uniforms_at_the_edges_of_the_word_range():
     np.testing.assert_array_equal(
         raw_uniforms(words), [0.0, 0.0, 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
     )
+    # u = 0 maps to the quantile of the smallest positive double, not -inf
+    z = raw_normals(words)
+    assert np.isfinite(z).all() and z[0] == z[1] < -37.0
 
 
 @pytest.mark.parametrize("traj_index", [0, 5, 2**40 + 3])
@@ -131,7 +148,7 @@ def test_integer_thresholds_decide_as_the_uniform_comparison(traj_index):
     read = RawWords()
     for start in STARTS:
         raw = read(3, traj_index, PURPOSE_JUMP, start, 11)
-        u = uniform_words(3, traj_index, PURPOSE_JUMP, start, 11)
+        u = reference_uniforms(3, traj_index, PURPOSE_JUMP, start, 11)
         dps = [0.0, -0.0, tiny, 1e-310, 2.0**-53, 0.5, 1.0 - 2.0**-53]
         for x in u:
             dps += [x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)]
@@ -166,11 +183,22 @@ def test_raw_words_reject_negative_ids():
         read(0, -1, PURPOSE_JUMP, 0, 4)
 
 
+def test_raw_words_reject_ids_beyond_the_key_words():
+    # master seeds below 2**64, and trajectory indices below 2**62 so that
+    # (traj_index << 2) | purpose fits the second key word
+    read = RawWords()
+    for ids in [(2**64, 0), (2**70, 0), (0, 2**62), (0, 2**64)]:
+        with pytest.raises(ValueError, match="below"):
+            read(*ids, PURPOSE_JUMP, 0, 4)
+    assert read(2**64 - 1, 2**62 - 1, PURPOSE_NOISE, 0, 4).size == 4
+
+
 def test_a_reader_keeps_no_position_between_streams():
     # each call re-keys and re-positions: interleaved streams and windows
     # read as they do from fresh readers
     read = RawWords()
     calls = [(3, 5, PURPOSE_JUMP, 7, 9), (3, 6, PURPOSE_CHANNEL, 0, 5),
-             (4, 5, PURPOSE_JUMP, 2, 3), (3, 5, PURPOSE_JUMP, 7, 9)]
+             (4, 5, PURPOSE_JUMP, 2, 3), (2**64 - 1, 5, PURPOSE_NOISE, 1, 4),
+             (3, 5, PURPOSE_JUMP, 7, 9)]
     for call in calls:
         np.testing.assert_array_equal(read(*call), RawWords()(*call))
