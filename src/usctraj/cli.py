@@ -80,7 +80,9 @@ class ExperimentConfig:
     The fields are the config schema, in header order.  A field whose
     metadata names a "section" opens that INI section for itself and the
     fields after it; a key's type is the type of its default (``_kind``).
-    An omitted dt (None) becomes the step of the solver's unravelling.
+    Metadata "choices" are the values a key may take, or the labels a list
+    key may name.  An omitted dt (None) becomes the step of the solver's
+    unravelling.
     """
 
     omega0: float = field(default=1.0, metadata={"section": "system"})
@@ -93,23 +95,27 @@ class ExperimentConfig:
     gamma2: float = 0.0
     gamma_c: float = 0.0
     n_fock: int = 10
-    calibrate: str = "none"
+    calibrate: str = field(default="none", metadata={"choices": CALIBRATION_CHOICES})
     # "auto" keeps the qubit-exchange coupling only for near-identical
     # qubits; "on"/"off" force it, e.g. to keep the effective spectrum
     # smooth through the branch point.
-    qubit_exchange: str = "auto"
-    solver: str = field(default="mcwf", metadata={"section": "run"})
-    hamiltonian: str = "full"
+    qubit_exchange: str = field(default="auto", metadata={"choices": ("auto", "on", "off")})
+    solver: str = field(default="mcwf", metadata={"section": "run", "choices": SOLVERS})
+    hamiltonian: str = field(default="full", metadata={"choices": HAMILTONIAN_CHOICES})
     t_final: float = 1000.0
     dt: float | None = None
     n_trajectories: int = 1
     master_seed: int = 0
-    initial_state: str = "1gg"
-    observables: tuple[str, ...] = OBSERVABLE_LABELS
+    initial_state: str = field(default="1gg", metadata={"choices": INITIAL_STATE_LABELS})
+    observables: tuple[str, ...] = field(
+        default=OBSERVABLE_LABELS, metadata={"choices": OBSERVABLE_LABELS}
+    )
     record_every: int = 1
-    method: str = "auto"
-    drift_mode: str = "qsd"
-    homodyne_channels: tuple[str, ...] = ("cavity",)
+    method: str = field(default="auto", metadata={"choices": ENSEMBLE_METHODS})
+    drift_mode: str = field(default="qsd", metadata={"choices": DRIFT_MODES})
+    homodyne_channels: tuple[str, ...] = field(
+        default=("cavity",), metadata={"choices": CHANNEL_LABELS}
+    )
     delta_min: float = -0.3
     delta_max: float = 0.3
     delta_points: int = 61
@@ -117,36 +123,23 @@ class ExperimentConfig:
     directory: str = field(default=".", metadata={"section": "output"})
     prefix: str = "run"
     formats: str = "csv"
-    histogram: str = "none"
+    histogram: str = field(default="none", metadata={"choices": HISTOGRAM_CHOICES})
     first_bin_width: float = 2000.0
     conditional_bin_width: float = 50.0
-    trigger_channel: str = "qubit1"
-    normalization: str = "per-bin"
+    trigger_channel: str = field(default="qubit1", metadata={"choices": CHANNEL_LABELS})
+    normalization: str = field(default="per-bin", metadata={"choices": NORMALIZATION_MODES})
 
     def __post_init__(self):
-        checks = (
-            ("calibrate", CALIBRATION_CHOICES),
-            ("qubit_exchange", ("auto", "on", "off")),
-            ("solver", SOLVERS),
-            ("hamiltonian", HAMILTONIAN_CHOICES),
-            ("initial_state", INITIAL_STATE_LABELS),
-            ("method", ENSEMBLE_METHODS),
-            ("drift_mode", DRIFT_MODES),
-            ("histogram", HISTOGRAM_CHOICES),
-            ("trigger_channel", CHANNEL_LABELS),
-            ("normalization", NORMALIZATION_MODES),
-        )
-        for name, allowed in checks:
-            if getattr(self, name) not in allowed:
-                raise ConfigError(
-                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
-                )
-        for label in self.observables:
-            if label not in OBSERVABLE_LABELS:
-                raise ConfigError(f"unknown observable {label!r}")
-        for label in self.homodyne_channels:
-            if label not in CHANNEL_LABELS:
-                raise ConfigError(f"unknown homodyne channel {label!r}")
+        for f in fields(self):
+            allowed, value = f.metadata.get("choices"), getattr(self, f.name)
+            if allowed is None:
+                continue
+            if _kind(f) is tuple:  # "unknown observable", "unknown homodyne channel"
+                for label in value:
+                    if label not in allowed:
+                        raise ConfigError(f"unknown {f.name[:-1].replace('_', ' ')} {label!r}")
+            elif value not in allowed:
+                raise ConfigError(f"{f.name} must be one of {allowed}, got {value!r}")
         if self.dt is None:
             object.__setattr__(self, "dt", _monitored(self.homodyned, self.drift_mode, None)[1])
         for f in fields(self):

@@ -24,7 +24,7 @@ words in bulk without replaying earlier steps.  The scan reads raw 64-bit
 words (``rng.RawWords``, which also reads the channel words) in growing
 windows and compares them as integers with each flow's per-age
 ``rng.raw_thresholds`` of its total jump probability, which decides
-exactly as the strict comparison dp_sum > u with the uniform word.  A
+exactly as the strict comparison sum(dp) > u with the uniform word.  A
 trajectory reads each word once: after a jump the next segment first
 scans the rest of the window that held it.  Flows whose jump
 probabilities vanish identically (the dark state) terminate a trajectory
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -109,18 +109,14 @@ class _Flow:
 
     state0: np.ndarray
     dp: np.ndarray            # (4, n_steps) jump probabilities at age j
-    dp_sum: np.ndarray        # (n_steps,)
+    # (n_steps,) uint64: raw threshold word w fires at age j when w < threshold[j]
+    threshold: np.ndarray
     obs: np.ndarray           # (3, n_steps + 1) observables at age j
     top_peak: np.ndarray      # (n_steps + 1,) top-Fock population, running max to age j
     image_flow: np.ndarray    # (4,) target flow id per channel, -1 if never
     image_state: list         # per channel: canonical post-jump state or None
     first_violation: int      # first age violating the dp guards, or n_steps + 1
     dark: bool = False
-    # (n_steps,) uint64: raw threshold word w fires at age j when w < threshold[j]
-    threshold: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.threshold = raw_thresholds(self.dp_sum)
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -214,7 +210,7 @@ def _build_flow(
     return _Flow(
         state0=state0,
         dp=dp,
-        dp_sum=dp.sum(axis=0),
+        threshold=raw_thresholds(dp.sum(axis=0)),
         obs=obs,
         top_peak=np.maximum.accumulate(top),
         image_flow=np.full(n_channels, -1, dtype=int),
@@ -398,8 +394,9 @@ class _SegmentRows(Sequence):
 
     Trajectory i ran segments ``starts[i]`` to ``starts[i + 1] - 1`` of the
     table ``(entries, flow_ids)``, and reading its row stitches them from the
-    flows' observables (``_stitch``).  The table holds one entry per
-    trajectory and per jump; no row is kept.
+    flows' observables (``_stitch``).  A slice reads its rows into one
+    (k, 3, T) array, as a slice of the kernel's rows does.  The table holds
+    one entry per trajectory and per jump; no row is kept.
     """
 
     def __init__(
@@ -412,7 +409,10 @@ class _SegmentRows(Sequence):
     def __len__(self) -> int:
         return self.starts.size - 1
 
-    def __getitem__(self, i: int) -> np.ndarray:
+    def __getitem__(self, i: int | slice) -> np.ndarray:
+        if isinstance(i, slice):
+            rows = [self[j] for j in range(len(self))[i]]
+            return np.array(rows).reshape(len(rows), len(self.obs[0]), self.rec_steps.size)
         i = range(len(self))[i]  # IndexError out of range, negative from the end
         lo, hi = self.starts[i], self.starts[i + 1]
         return _stitch(self.obs, self.rec_steps, self.entries[lo:hi], self.flow_ids[lo:hi])

@@ -89,9 +89,11 @@ of the earliest step at which any trajectory raises, the lowest trajectory
 at that step; its message is the one that trajectory raises when run alone.
 The kernel writes the columns of its ``EnsembleResult`` itself, the one
 result type of every trajectory engine; a single run is its one-row case.
-Its rows are views of one (3, N, T) array.  ``ensemble_average`` reads any
-result's rows one at a time, in two passes (``add_rows``), so a grouped
-ensemble, which rebuilds each row when it is read, never holds them all.
+Its rows are views of one (3, N, T) array, and ``rows`` is the one way to
+read any result's observables: ``rows[j]`` for trajectory j, a slice for
+several.  ``ensemble_average`` reads the rows one at a time, in two passes
+(``add_rows``), so a grouped ensemble, which rebuilds each row when it is
+read, never holds them all.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -151,13 +152,14 @@ def add_rows(rows: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
 class EnsembleResult:
     """Trajectories 0..N-1 of one ensemble, as columns; a single run is N = 1.
 
-    ``rows`` is a sequence of N rows: ``rows[i]`` is trajectory i's (3, T)
-    real series <S^- S^+> of the ``OBSERVABLE_LABELS`` on ``time_grid``.
-    They use the dressed operators, so the cavity series is a photon number
-    an external detector would see.  ``expectations`` is the (3, N, T)
-    stack of every row, built when it is first read (a view of the kernel's
-    array); callers that need only statistics read neither the stack nor
-    more than one row at a time (``ensemble_average``).
+    ``rows`` is a sequence of N rows, the one way to read the observables:
+    ``rows[i]`` is trajectory i's (3, T) real series <S^- S^+> of the
+    ``OBSERVABLE_LABELS`` on ``time_grid``, and a slice gives the (k, 3, T)
+    array of its rows (``np.asarray(rows)`` is the (N, 3, T) stack).  They
+    use the dressed operators, so the cavity series is a photon number an
+    external detector would see.  The kernel's rows are views of its one
+    array; a grouped ensemble rebuilds a row whenever it is read, and
+    ``ensemble_average`` holds no more than one at a time.
     ``final_states`` is (N, d).  Jump q came from trajectory
     ``jump_traj[q]`` at ``jump_time[q]`` through
     ``CHANNEL_LABELS[jump_channel[q]]``, with every channel's pre-jump
@@ -184,10 +186,6 @@ class EnsembleResult:
     @property
     def n_trajectories(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def expectations(self) -> np.ndarray:
-        return np.asarray(self.rows).swapaxes(0, 1)
 
 
 def _jump_columns(jumps: list[tuple]) -> dict[str, np.ndarray]:

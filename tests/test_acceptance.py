@@ -224,7 +224,7 @@ def diffusive_mean_comparison():
     sums = {k: 0.0 for k in labels}
     sumsq = {k: 0.0 for k in labels}
     for j in range(n_traj):
-        for k, series in zip(labels, result.expectations[:, j]):
+        for k, series in zip(labels, result.rows[j]):
             sums[k] = sums[k] + series
             sumsq[k] = sumsq[k] + series ** 2
     means, ses = {}, {}
@@ -417,7 +417,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
     t1 = rec.jump_time[0]
     assert abs(t1 - 1019.0) < 1e-9
     sel = rec.time_grid >= t1
-    _, _, qubit2 = rec.expectations[:, 0, sel]
+    _, _, qubit2 = rec.rows[0][:, sel]
     w = fit_cosine(rec.time_grid[sel] - t1, qubit2, 2.0 * om2)
     freq_dev = abs(w / 2.0 - om2) / om2
 
@@ -434,7 +434,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
         assert rec_d.jump_time.size == 1 and CHANNEL_LABELS[rec_d.jump_channel[0]] == channel
         assert abs(rec_d.jump_time[0] - t_jump) < 1e-9
         sel_d = rec_d.time_grid >= rec_d.jump_time[0]
-        for qubit in rec_d.expectations[1:, 0]:
+        for qubit in rec_d.rows[0][1:]:
             frozen_ptp = max(frozen_ptp, float(np.ptp(qubit[sel_d])))
 
     # Collective jump, identical qubits: the bright superposition holds both
@@ -449,7 +449,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
     assert abs(rec_c.jump_time[0] - 2243.5) < 1e-9
     sel_c = rec_c.time_grid >= rec_c.jump_time[0]
     bright_dev = max(
-        float(np.max(np.abs(qubit[sel_c] - 0.5))) for qubit in rec_c.expectations[1:, 0]
+        float(np.max(np.abs(qubit[sel_c] - 0.5))) for qubit in rec_c.rows[0][1:]
     )
 
     # Collective jump with unequal local rates: the conditional populations
@@ -468,7 +468,7 @@ def test_criterion_06_trajectory_phenomenology(announce, p_paper_rates, system_e
         )
         assert rec_i.jump_time.size and CHANNEL_LABELS[rec_i.jump_channel[0]] == "collective"
         sel_i = rec_i.time_grid >= rec_i.jump_time[0]
-        _, q1, q2 = rec_i.expectations[:, 0, sel_i]
+        _, q1, q2 = rec_i.rows[0][:, sel_i]
         gaining, losing = (q2, q1) if g1 > g2 else (q1, q2)
         block = 100
         n_full = (gaining.size // block) * block
@@ -581,7 +581,7 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
         system, system.initial_state("1gg"), 20000.0, dt=0.1, seed=0,
         record_every=1, homodyne_channels=CHANNEL_LABELS, drift_mode="qsd",
     )
-    max_step = float(np.max(np.abs(np.diff(rec.expectations[:, 0], axis=1))))
+    max_step = float(np.max(np.abs(np.diff(rec.rows[0], axis=1))))
     continuous_ok = rec.jump_time.size == 0 and max_step < 0.05
 
     # Cavity homodyned, qubits photodetected: local jumps survive and the
@@ -600,7 +600,7 @@ def test_criterion_09_homodyne(announce, layout10, layout6,
     t1 = qjumps[0]
     t2 = qjumps[1] if len(qjumps) > 1 else rec_m.time_grid[-1]
     sel = (rec_m.time_grid >= t1) & (rec_m.time_grid <= t2)
-    _, _, qubit2 = rec_m.expectations[:, 0, sel]
+    _, _, qubit2 = rec_m.rows[0][:, sel]
     w = fit_cosine(rec_m.time_grid[sel] - t1, qubit2, 2.0 * om2)
     mixed_dev = abs(w / 2.0 - om2) / om2
 

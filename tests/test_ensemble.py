@@ -22,7 +22,7 @@ from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepErr
 from usctraj.hilbert import build_layout
 from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, ensemble_average, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
-from usctraj.rng import PURPOSE_JUMP, RawWords
+from usctraj.rng import PURPOSE_JUMP, RawWords, raw_thresholds
 from usctraj.system import build_system
 
 N_TRAJ = 40
@@ -95,13 +95,13 @@ def test_observables_before_first_jump_bitwise(grouped_and_direct):
     for i, t_first in enumerate(first_jump_times(grouped)):
         head = grouped.time_grid < t_first
         np.testing.assert_array_equal(
-            grouped.expectations[:, i, head], direct.expectations[:, i, head]
+            grouped.rows[i][:, head], direct.rows[i][:, head]
         )
 
 
 def test_observables_after_jumps_close(grouped_and_direct):
     grouped, direct = grouped_and_direct
-    worst = np.max(np.abs(grouped.expectations - direct.expectations))
+    worst = np.max(np.abs(np.asarray(grouped.rows) - np.asarray(direct.rows)))
     assert worst < 1e-10
 
 
@@ -124,7 +124,7 @@ def test_auto_uses_direct_loop_on_the_full_hamiltonian(busy_systems):
         ref = run_trajectory(
             system, psi0, 200.0, dt=0.5, seed=5, traj_index=i, record_every=2,
         )
-        np.testing.assert_array_equal(result.expectations[:, i], ref.expectations[:, 0])
+        np.testing.assert_array_equal(result.rows[i], ref.rows[0])
         np.testing.assert_array_equal(result.final_states[i], ref.final_states[0])
 
 
@@ -157,7 +157,7 @@ def test_lossless_ensemble_never_jumps(p_resonant):
     )
     assert result.jump_traj.size == 0
     # all trajectories identical: no randomness enters without dissipation
-    cavity = result.expectations[0]
+    cavity = [row[0] for row in result.rows]
     for row in cavity[1:]:
         np.testing.assert_array_equal(row, cavity[0])
 
@@ -171,7 +171,7 @@ def test_ensemble_size_does_not_change_results(busy_systems):
     three = run_ensemble(system, psi0, 400.0, 3, **common)
     six = run_ensemble(system, psi0, 400.0, 6, **common)
     assert six.n_trajectories == 6
-    np.testing.assert_array_equal(three.expectations, six.expectations[:, :3])
+    np.testing.assert_array_equal(np.asarray(three.rows), six.rows[:3])
     head = six.jump_traj < 3
     np.testing.assert_array_equal(three.jump_traj, six.jump_traj[head])
     np.testing.assert_array_equal(three.jump_time, six.jump_time[head])
@@ -237,7 +237,7 @@ def _reference_build_flow(state0, system, propagator, n_steps, dt):
     return ensemble._Flow(
         state0=state0,
         dp=dp,
-        dp_sum=dp.sum(axis=0),
+        threshold=raw_thresholds(dp.sum(axis=0)),
         obs=obs,
         top_peak=np.maximum.accumulate(top),
         image_flow=np.full(n_channels, -1, dtype=int),
@@ -265,7 +265,7 @@ def test_chunked_flows_equal_the_per_step_reference(busy_effective, chunk, monke
         for state0 in entries:
             ref = _reference_build_flow(state0, system, propagator, n_steps, 0.5)
             got = ensemble._build_flow(state0, system, propagator, n_steps, 0.5)
-            for name in ("dp", "dp_sum", "obs"):
+            for name in ("dp", "threshold", "obs"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
             np.testing.assert_allclose(got.top_peak, ref.top_peak, rtol=1e-13, atol=0.0)
             assert len(got.image_state) == len(ref.image_state)
@@ -322,14 +322,15 @@ def test_grouped_rows_equal_trajectories_sampled_alone(
         record_every=4,
     )
     # the result keeps segment tables, not rows: the row accessor, and the
-    # stack built on the first read of expectations, stitch them again
+    # stack numpy builds through it, stitch them again
     assert len(grouped.rows) == grouped.n_trajectories == N_TRAJ
     np.testing.assert_array_equal(grouped.rows[-1], alone[-1][0])
     with pytest.raises(IndexError):
         grouped.rows[N_TRAJ]
+    stack = np.asarray(grouped.rows)
     for j, (series, jumps, final, _) in enumerate(alone):
         np.testing.assert_array_equal(grouped.rows[j], series)
-        np.testing.assert_array_equal(grouped.expectations[:, j], series)
+        np.testing.assert_array_equal(stack[j], series)
         np.testing.assert_array_equal(grouped.final_states[j], final)
         sel = grouped.jump_traj == j
         assert list(zip(grouped.jump_time[sel], grouped.jump_channel[sel])) == [
@@ -339,6 +340,26 @@ def test_grouped_rows_equal_trajectories_sampled_alone(
             np.testing.assert_array_equal(got, jump[2])
     assert grouped.jump_traj.size == sum(len(jumps) for _, jumps, *_ in alone) > 10
     assert grouped.top_fock_peak == max(peak for *_, peak in alone)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [slice(1, 3), slice(None), slice(2, 2), slice(None, None, -1), slice(-3, None, 2),
+     slice(30, 5, -7), slice(N_TRAJ - 2, N_TRAJ + 5), slice(N_TRAJ + 1, None),
+     slice(-N_TRAJ - 9, 2)],
+    ids=["1:3", ":", "empty", "reversed", "-3::2", "30:5:-7", "past-the-end", "out-of-range",
+         "before-the-start"],
+)
+def test_grouped_rows_slice_like_the_kernels(grouped_and_direct, s):
+    # a slice of either engine's rows is the (k, 3, T) stack of rows[j] for
+    # j in range(N)[s]
+    picked = range(N_TRAJ)[s]
+    for result in grouped_and_direct:
+        got = np.asarray(result.rows[s])
+        assert got.shape == np.shape(grouped_and_direct[1].rows[s])
+        assert got.shape == (len(picked), 3, result.time_grid.size)
+        for row, j in zip(got, picked, strict=True):
+            np.testing.assert_array_equal(row, result.rows[j], strict=True)
 
 
 def test_the_largest_master_seed_reads_the_same_words_on_both_engines(busy_systems):
@@ -383,14 +404,14 @@ def test_auto_builds_no_flow_for_a_homodyned_run(busy_systems, channels, monkeyp
     common = dict(dt=0.1, master_seed=3, record_every=5, homodyne_channels=channels)
     auto = run_ensemble(system, psi0, 60.0, 3, **common)
     direct = run_ensemble(system, psi0, 60.0, 3, method="direct", **common)
-    np.testing.assert_array_equal(auto.expectations, direct.expectations)
+    np.testing.assert_array_equal(np.asarray(auto.rows), np.asarray(direct.rows))
     np.testing.assert_array_equal(auto.final_states, direct.final_states)
     with pytest.raises(ConfigError, match="grouped"):
         run_ensemble(system, psi0, 60.0, 3, method="grouped", **common)
 
 
 def _assert_flows_equal(got, ref):
-    for name in ("dp", "dp_sum", "obs", "top_peak", "threshold", "image_flow"):
+    for name in ("dp", "obs", "top_peak", "threshold", "image_flow"):
         np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
     assert got.image_state == ref.image_state == [None] * ref.dp.shape[0]
     assert (got.first_violation, got.dark) == (ref.first_violation, ref.dark)
@@ -431,7 +452,7 @@ def test_zero_rate_flows_equal_the_per_step_reference(system_eff, monkeypatch):
     for state0 in entries + [system_eff.initial_state("chi_plus")]:
         ref = _reference_build_flow(state0, system_eff, propagator, 30, 0.5)
         got = ensemble._build_flow(state0, system_eff, propagator, 30, 0.5)
-        for name in ("dp", "dp_sum", "obs", "threshold"):
+        for name in ("dp", "obs", "threshold"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
         assert not got.dp[3].any()
         for a, b in zip(got.image_state, ref.image_state):
@@ -465,14 +486,14 @@ def test_grouped_refusal_says_why(busy_systems, busy_effective, monkeypatch):
 
 
 def test_a_total_probability_of_one_raises_before_its_decision_is_read():
-    # raw_thresholds saturates at dp_sum >= 1 (the word with u = 1 - 2**-53
+    # raw_thresholds saturates at sum(dp) >= 1 (the word with u = 1 - 2**-53
     # would not fire); such an age is a guard violation, so the sampler
     # raises once its scan reaches it, whatever the decision there
     n_steps = 12
     dp = np.zeros((4, n_steps))
     dp[:, 5] = [0.3, 0.3, 0.3, 0.3]
     flow = ensemble._Flow(
-        state0=np.ones(2, dtype=complex), dp=dp, dp_sum=dp.sum(axis=0),
+        state0=np.ones(2, dtype=complex), dp=dp, threshold=raw_thresholds(dp.sum(axis=0)),
         obs=np.zeros((3, n_steps + 1)), top_peak=np.zeros(n_steps + 1),
         image_flow=np.full(4, -1), image_state=[None] * 4, first_violation=5,
     )

@@ -1,15 +1,18 @@
 """Diffusive (homodyne) unravelling: continuity, determinism, mixed detection."""
 
-from typing import NamedTuple
-
 import numpy as np
 import pytest
-from conftest import reference_normals, reference_uniforms
-from scipy.linalg import expm
+from conftest import (
+    Raised,
+    assert_batch_equals_references,
+    assert_row_equals,
+    outcome,
+    reference_run,
+)
 
 from usctraj import mcwf
 from usctraj.dressed import CHANNEL_LABELS
-from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepError
+from usctraj.errors import ConfigError, TimestepError
 from usctraj.hilbert import build_layout
 from usctraj.ensemble import run_ensemble
 from usctraj.mcwf import DRIFT_MODES, run_trajectory
@@ -48,7 +51,7 @@ def test_increments_are_bounded(hom_system):
         sys, sys.initial_state("1gg"), 400.0, dt=0.1, seed=5,
         homodyne_channels=CHANNEL_LABELS, drift_mode="qsd",
     )
-    steps = np.abs(np.diff(rec.expectations[:, 0], axis=1))
+    steps = np.abs(np.diff(rec.rows[0], axis=1))
     assert steps.max() < 0.05
 
 
@@ -77,7 +80,7 @@ def test_lossless_homodyne_equals_jump_unravelling(p_resonant):
         drift_mode="qsd", record_every=2,
     )
     jmp = run_trajectory(system, psi0, 300.0, dt=0.5, seed=3, record_every=2)
-    np.testing.assert_allclose(hom.expectations, jmp.expectations, atol=1e-10)
+    np.testing.assert_allclose(hom.rows[0], jmp.rows[0], atol=1e-10)
 
 
 def test_drift_mode_changes_the_path(hom_system):
@@ -136,83 +139,10 @@ def test_qsd_ensemble_mean_decays(hom_system):
             traj_index=i, record_every=100, homodyne_channels=CHANNEL_LABELS,
             drift_mode="qsd",
         )
-        total = rec.expectations[:, 0].sum(axis=0)
+        total = rec.rows[0].sum(axis=0)
         assert total[0] == pytest.approx(1.0, abs=1e-6)
         finals.append(total[-1])
     assert np.mean(finals) < 0.98
-
-
-def _at_step(err, k):
-    """err, marked with the step k at which the reference raised it."""
-    err.step = k
-    return err
-
-
-def _reference_homodyne(
-    system, psi0, t_final, dt, seed, traj_index, record_every,
-    homodyne_channels, drift_mode,
-):
-    """The homodyne engine one step at a time: (series, jumps, final, states).
-
-    Each random word is read by its own index: threshold k at step k,
-    channel word q at the q-th jump, and the noise words in order of use.
-    Channel m is row m of the system's S^+ stack and rate vector.
-    """
-    psi = np.asarray(psi0, dtype=complex)
-    hom = [m for m, label in enumerate(CHANNEL_LABELS) if label in homodyne_channels]
-    jump = [m for m, label in enumerate(CHANNEL_LABELS) if label not in homodyne_channels]
-    propagator = expm(-1j * system.h_nh * dt)
-    n_steps = int(round(t_final / dt))
-    rec_steps = np.arange(0, n_steps + 1, record_every)
-    series = np.empty((3, rec_steps.size))
-    snapshots = np.empty((rec_steps.size, psi.size), dtype=complex)
-    jumps = []
-    rec_i = 0
-    drawn = 0  # noise words consumed
-    for k in range(n_steps + 1):
-        if rec_i < rec_steps.size and k == rec_steps[rec_i]:
-            amps3 = system.plus_stack[:3] @ psi
-            series[:, rec_i] = np.einsum("md,md->m", amps3.conj(), amps3).real
-            snapshots[rec_i] = psi
-            rec_i += 1
-        if k == n_steps:
-            break
-        if jump:
-            amps = system.plus_stack[jump] @ psi
-            dp = dt * system.rates[jump] * np.einsum("md,md->m", amps.conj(), amps).real
-            if dp.max() >= mcwf.MAX_DP_PER_STEP or dp.sum() >= 1.0:
-                raise TimestepError(f"jump probabilities {dp} too large; reduce dt")
-            if dp.sum() > reference_uniforms(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
-                eps_prime = reference_uniforms(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
-                cum = np.cumsum(dp)
-                m = int(np.searchsorted(cum / cum[-1], eps_prime, side="right"))
-                norm = np.linalg.norm(amps[m])
-                if norm < mcwf.JUMP_NORM_FLOOR:
-                    raise _at_step(NumericalInconsistencyError(
-                        f"channel {CHANNEL_LABELS[jump[m]]} selected but ||S^+ psi|| = {norm:.3e}"
-                    ), k)
-                psi = amps[m] / norm
-                jumps.append(((k + 1) * dt, jump[m], dp))
-                continue
-        words = [reference_normals(seed, traj_index, PURPOSE_NOISE, drawn + i, 1)[0]
-                 for i in range(len(hom))]
-        dw = np.sqrt(dt) * np.array(words)
-        drawn += len(hom)
-        phi = propagator @ psi
-        back = np.zeros_like(phi)
-        for m, w in zip(hom, dw):
-            rate = float(system.rates[m])
-            amp = system.plus_stack[m] @ phi
-            z = np.vdot(phi, amp)
-            if drift_mode == "qsd":
-                x = 2.0 * z.real
-                back += (rate * x * dt + np.sqrt(rate) * w) * amp
-            else:
-                drift = rate**2 * (np.conj(z) - z)
-                back += -0.5 * (drift * dt + rate * w) * amp
-        phi = phi + back
-        psi = phi / np.linalg.norm(phi)
-    return series, jumps, psi, snapshots
 
 
 @pytest.fixture(scope="module")
@@ -239,20 +169,6 @@ _REFERENCE_CASES = [
 ]
 
 
-class _Raised(NamedTuple):
-    """A run that raised: its message and, for the reference, the step."""
-
-    message: str
-    step: int | None = None
-
-
-def _outcome(run, *args, **kwargs):
-    try:
-        return run(*args, **kwargs)
-    except NumericalInconsistencyError as err:
-        return _Raised(str(err), getattr(err, "step", None))
-
-
 def _references(systems):
     """Per-step reference outcomes keyed by reference case plus traj_index."""
     refs = {}
@@ -260,8 +176,8 @@ def _references(systems):
         ham, init, t_final, record_every, monitored, drift = case
         system = systems[ham]
         for traj_index in range(3):
-            refs[case + (traj_index,)] = _outcome(
-                _reference_homodyne, system, system.initial_state(init), t_final, 0.1,
+            refs[case + (traj_index,)] = outcome(
+                reference_run, system, system.initial_state(init), t_final, 0.1,
                 13, traj_index, record_every, monitored, drift,
             )
     return refs
@@ -275,7 +191,7 @@ def hom_references(busy_hom_systems):
 def _engine_outcome(systems, key):
     ham, init, t_final, record_every, monitored, drift, traj_index = key
     system = systems[ham]
-    return _outcome(
+    return outcome(
         run_trajectory, system, system.initial_state(init), t_final,
         dt=0.1, seed=13, traj_index=traj_index, record_every=record_every,
         homodyne_channels=monitored, drift_mode=drift, store_states=True,
@@ -286,67 +202,30 @@ def _batch_outcome(systems, case, n):
     """Rows 0..n-1 of a reference case, run as one direct ensemble."""
     ham, init, t_final, record_every, monitored, drift = case
     system = systems[ham]
-    return _outcome(
+    return outcome(
         run_ensemble, system, system.initial_state(init), t_final, n,
         dt=0.1, master_seed=13, record_every=record_every,
         homodyne_channels=monitored, drift_mode=drift, method="direct",
     )
 
 
-def _assert_matches_reference(result, j, ref, monitored):
-    """Row j of the engine's result equals the reference; ``monitored`` as in the key.
-
-    The states are compared where the result stored them.  The engine
-    records the probabilities of all four channels per jump, the reference
-    those of the photodetected channels; the homodyned ones read 0.
-    """
-    series, jumps, final, states = ref
-    np.testing.assert_array_equal(result.expectations[:, j], series)
-    if result.states is not None:
-        np.testing.assert_array_equal(result.states[j], states)
-    np.testing.assert_array_equal(result.final_states[j], final)
-    sel = result.jump_traj == j
-    assert list(zip(result.jump_time[sel], result.jump_channel[sel])) == [
-        jump[:2] for jump in jumps
-    ]
-    detected = [m for m, label in enumerate(CHANNEL_LABELS) if label not in monitored]
-    for dp, want in zip(result.jump_dp[sel], jumps):
-        assert dp.shape == (len(CHANNEL_LABELS),)
-        np.testing.assert_array_equal(dp[detected], want[2])
-        np.testing.assert_array_equal(np.delete(dp, detected), 0.0)
-
-
-def _first_raised(refs):
-    """The row whose reference raised at the earliest step, lowest on a tie."""
-    raised = [(ref.step, j) for j, ref in enumerate(refs) if isinstance(ref, _Raised)]
-    return min(raised)[1] if raised else None
-
-
 def _compare_with_reference(systems, refs):
     """Run the engine on every reference key, alone and as one batch per case.
 
     A batch raises the error of its row that raised at the earliest step,
-    the lowest such row on a tie (``_first_raised``).  Counts the jumps and
-    the raises.
+    the lowest such row on a tie (``assert_batch_equals_references``).
+    Counts the jumps and the raises.
     """
     n_jumps = n_raised = 0
     for key, ref in refs.items():
-        rec = _engine_outcome(systems, key)
-        if isinstance(ref, _Raised):
-            assert rec == _Raised(ref.message)
+        assert_batch_equals_references(_engine_outcome(systems, key), [ref])
+        if isinstance(ref, Raised):
             n_raised += 1
         else:
-            _assert_matches_reference(rec, 0, ref, monitored=key[4])
             n_jumps += len(ref[1])
     for case in _REFERENCE_CASES:
         rows = [refs[case + (j,)] for j in range(3)]
-        batch = _batch_outcome(systems, case, len(rows))
-        first = _first_raised(rows)
-        if first is not None:
-            assert batch == _Raised(rows[first].message)
-        else:
-            for j, ref in enumerate(rows):
-                _assert_matches_reference(batch, j, ref, monitored=case[4])
+        assert_batch_equals_references(_batch_outcome(systems, case, len(rows)), rows)
     return n_jumps, n_raised
 
 
@@ -382,26 +261,15 @@ def test_a_batch_raises_the_error_of_its_earliest_failing_row(busy_hom_systems, 
     ham, init, t_final, record_every, monitored, drift = case
     system = busy_hom_systems[ham]
     rows = [
-        _outcome(
-            _reference_homodyne, system, system.initial_state(init), t_final, 0.1, 13, j,
+        outcome(
+            reference_run, system, system.initial_state(init), t_final, 0.1, 13, j,
             record_every, monitored, drift,
         )
         for j in range(8)
     ]
-    first = _first_raised(rows)
-    lowest = min(j for j, ref in enumerate(rows) if isinstance(ref, _Raised))
+    first = assert_batch_equals_references(_batch_outcome(busy_hom_systems, case, len(rows)), rows)
+    lowest = min(j for j, ref in enumerate(rows) if isinstance(ref, Raised))
     assert first is not None and first != lowest
-    assert _batch_outcome(busy_hom_systems, case, len(rows)) == _Raised(rows[first].message)
-
-
-def _assert_same_row(result, j, rec):
-    """Row j of an ensemble equals the one row of a single run."""
-    np.testing.assert_array_equal(result.expectations[:, j], rec.expectations[:, 0])
-    np.testing.assert_array_equal(result.final_states[j], rec.final_states[0])
-    sel = result.jump_traj == j
-    np.testing.assert_array_equal(result.jump_time[sel], rec.jump_time)
-    np.testing.assert_array_equal(result.jump_channel[sel], rec.jump_channel)
-    np.testing.assert_array_equal(result.jump_dp[sel], rec.jump_dp)
 
 
 def test_ensemble_rows_equal_single_runs(busy_hom_systems, monkeypatch):
@@ -418,7 +286,7 @@ def test_ensemble_rows_equal_single_runs(busy_hom_systems, monkeypatch):
         for j in range(17)
     ]
     for j, rec in enumerate(singles):
-        _assert_same_row(result, j, rec)
+        assert_row_equals(result, j, rec)
     assert result.top_fock_peak == max(rec.top_fock_peak for rec in singles)
     first_jumps = {rec.jump_time[0] for rec in singles if rec.jump_time.size}
     assert len(first_jumps) >= 5
@@ -458,7 +326,8 @@ def test_a_jump_bound_just_below_the_cap_is_kept():
 
 def test_a_step_past_the_jump_bound_checks_every_row(busy_hom_systems):
     # at dt = 6 the bound passes MAX_DP_PER_STEP, so every threshold word
-    # counts; from 0ee each row fails the dp guard at its first step
+    # counts; from 0ee each row fails the dp guard at its first step, with
+    # the reference's message
     system = busy_hom_systems["effective"]
     psi0 = system.initial_state("0ee")
     common = dict(dt=6.0, homodyne_channels=("cavity",), drift_mode="qsd")
@@ -467,6 +336,12 @@ def test_a_step_past_the_jump_bound_checks_every_row(busy_hom_systems):
     with pytest.raises(TimestepError) as batch:
         run_ensemble(system, psi0, 60.0, 5, master_seed=13, **common)
     assert str(batch.value) == str(alone.value)
+    refs = [
+        outcome(reference_run, system, psi0, 60.0, 6.0, 13, j, 1, ("cavity",), "qsd")
+        for j in range(5)
+    ]
+    assert [ref.step for ref in refs] == [0] * 5
+    assert refs[0].message == str(alone.value)
 
 
 @pytest.mark.parametrize(
@@ -493,13 +368,10 @@ def test_runs_that_need_no_words_draw_none(
     monkeypatch.setattr(mcwf, "RawWords", Recorded)
     for traj_index in range(3):
         ref = hom_references[case + (traj_index,)]
-        rec = _engine_outcome(busy_hom_systems, case + (traj_index,))
-        _assert_matches_reference(rec, 0, ref, monitored=case[4])
+        assert_row_equals(_engine_outcome(busy_hom_systems, case + (traj_index,)), 0, ref)
     batch = _batch_outcome(busy_hom_systems, case, 3)
     for traj_index in range(3):
-        _assert_matches_reference(
-            batch, traj_index, hom_references[case + (traj_index,)], monitored=case[4]
-        )
+        assert_row_equals(batch, traj_index, hom_references[case + (traj_index,)])
     assert read == purposes
 
 
@@ -529,5 +401,5 @@ def test_an_omitted_step_depends_on_the_unravelling(hom_system):
         for result in (alone, batch):
             np.testing.assert_array_equal(result.time_grid, np.arange(0, 3.0 / dt + 1, 2) * dt)
         np.testing.assert_array_equal(
-            alone.expectations, run_trajectory(hom_system, psi0, 3.0, dt=dt, **common).expectations
+            alone.rows[0], run_trajectory(hom_system, psi0, 3.0, dt=dt, **common).rows[0]
         )

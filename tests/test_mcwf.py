@@ -4,8 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import reference_uniforms
-from scipy.linalg import expm
+from conftest import (
+    Raised,
+    assert_batch_equals_references,
+    assert_row_equals,
+    make_result,
+    outcome,
+    reference_run,
+)
 
 from usctraj import mcwf
 from usctraj.dressed import CHANNEL_LABELS
@@ -13,7 +19,6 @@ from usctraj.errors import (
     ConfigError,
     DimensionMismatchError,
     InitialStateError,
-    NumericalInconsistencyError,
     TimestepError,
 )
 from usctraj.hilbert import build_layout
@@ -22,13 +27,11 @@ from usctraj.lme import density_from_state, evolve_lme
 from usctraj.mcwf import (
     EnsembleResult,
     _fires,
-    _jump_columns,
     ensemble_average,
     run_trajectory,
 )
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.oracles import expectations_1p2a
-from usctraj.rng import PURPOSE_CHANNEL, PURPOSE_JUMP
 from usctraj.system import OBSERVABLE_LABELS, build_system
 
 
@@ -46,10 +49,10 @@ def test_trajectory_record_structure(system_eff):
     assert rec.n_trajectories == 1 and rec.states is None
     assert rec.time_grid[0] == 0.0
     assert rec.time_grid[-1] == pytest.approx(100.0)
-    assert rec.expectations.shape == (len(OBSERVABLE_LABELS), 1, rec.time_grid.size)
+    assert np.shape(rec.rows) == (1, len(OBSERVABLE_LABELS), rec.time_grid.size)
     assert rec.final_states.shape == (1, system_eff.dimension)
     # initial state |1,g,g>: one detectable photon, no qubit excitation
-    cavity, qubit1, qubit2 = rec.expectations[:, 0]
+    cavity, qubit1, qubit2 = rec.rows[0]
     assert cavity[0] == pytest.approx(1.0, abs=1e-3)
     assert qubit1[0] < 1e-3
     assert qubit2[0] < 1e-3
@@ -64,7 +67,7 @@ def test_trajectory_is_deterministic(system_eff):
     a = run_trajectory(system_eff, system_eff.initial_state("1gg"), 500.0, dt=0.5, seed=9)
     b = run_trajectory(system_eff, system_eff.initial_state("1gg"), 500.0, dt=0.5, seed=9)
     np.testing.assert_array_equal(a.final_states, b.final_states)
-    np.testing.assert_array_equal(a.expectations, b.expectations)
+    np.testing.assert_array_equal(a.rows[0], b.rows[0])
     np.testing.assert_array_equal(a.jump_time, b.jump_time)
     np.testing.assert_array_equal(a.jump_channel, b.jump_channel)
 
@@ -73,7 +76,7 @@ def test_trajectories_differ_across_index(system_eff):
     a = run_trajectory(system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=9, traj_index=0)
     b = run_trajectory(system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=9, traj_index=1)
     differs = (
-        not np.array_equal(a.expectations, b.expectations)
+        not np.array_equal(a.rows[0], b.rows[0])
         or a.jump_time.size != b.jump_time.size
     )
     assert differs
@@ -88,7 +91,7 @@ def test_no_jump_segment_matches_pair_subspace_solution(balanced_params):
     first_jump = rec.jump_time[0] if rec.jump_time.size else np.inf
     assert first_jump > 1500.0, "need a jump-free window for this seed"
     pc, pq = expectations_1p2a(rec.time_grid, p)
-    cavity, qubit1, qubit2 = rec.expectations[:, 0]
+    cavity, qubit1, qubit2 = rec.rows[0]
     np.testing.assert_allclose(cavity, pc, atol=1e-8)
     np.testing.assert_allclose(qubit1, pq, atol=1e-8)
     np.testing.assert_allclose(qubit2, pq, atol=1e-8)
@@ -102,7 +105,7 @@ def test_cavity_jump_empties_the_system(system_eff):
     assert cavity_jumps.size, "seed expected to produce a cavity jump"
     t_jump = cavity_jumps[0]
     after = rec.time_grid > t_jump
-    for series in rec.expectations[:, 0]:
+    for series in rec.rows[0]:
         assert np.max(series[after]) < 1e-10
 
 
@@ -116,7 +119,7 @@ def test_local_jump_starts_exchange_oscillation(system_eff):
     assert q1_jumps.size, "seed expected to produce a qubit-1 jump"
     t_jump = q1_jumps[0]
     window = (rec.time_grid > t_jump) & (rec.time_grid <= t_jump + 1000.0)
-    _, qubit1, qubit2 = rec.expectations[:, 0, window]
+    _, qubit1, qubit2 = rec.rows[0][:, window]
     np.testing.assert_allclose(qubit1 + qubit2, 1.0, atol=1e-6)
     # the partner qubit population must actually move
     assert np.ptp(qubit1) > 0.5
@@ -140,7 +143,7 @@ def test_halving_the_step_changes_little(balanced_params):
         system, system.initial_state("1gg"), 400.0, dt=0.25, seed=3, record_every=2,
     )
     assert coarse.jump_time.size == fine.jump_time.size == 0
-    np.testing.assert_allclose(coarse.expectations[0], fine.expectations[0], atol=1e-9)
+    np.testing.assert_allclose(coarse.rows[0][0], fine.rows[0][0], atol=1e-9)
 
 
 def test_non_hermitian_hamiltonian_assembly(system_eff):
@@ -155,20 +158,11 @@ def test_non_hermitian_hamiltonian_assembly(system_eff):
     assert decay.max() > 0
 
 
-def _stored(series, grid):
-    """An ensemble of the (3, N, T) rows series on grid, with no jumps."""
-    return EnsembleResult(
-        time_grid=grid, horizon=1.0, rows=series.swapaxes(0, 1),
-        final_states=np.ones((series.shape[1], 1), dtype=complex), top_fock_peak=0.0,
-        **_jump_columns([]),
-    )
-
-
 def _constant_rows(values, grid):
     """An ensemble whose cavity row i is values[i] on grid, with no jumps."""
     series = np.zeros((len(OBSERVABLE_LABELS), len(values), 5))
     series[0] = np.asarray(values)[:, None]
-    return _stored(series, grid)
+    return make_result([(row, []) for row in series.swapaxes(0, 1)], grid)
 
 
 def test_ensemble_average_statistics():
@@ -193,8 +187,8 @@ def test_streamed_statistics_are_numpys_mean_and_std(n, magnitude):
     series[:, :, :3] = [-0.0, 0.5, 2.0]
     series[:, :, 3] = series[:, :1, 3]
     grid = np.linspace(0.0, 1.0, 40)
-    stored = _stored(series, grid)
-    listed = dataclasses.replace(stored, rows=[series[:, i].copy() for i in range(n)])
+    listed = make_result([(series[:, i].copy(), []) for i in range(n)], grid)
+    stored = dataclasses.replace(listed, rows=series.swapaxes(0, 1))
     for avg in map(ensemble_average, (stored, listed)):
         for stack, label in zip(series, OBSERVABLE_LABELS):
             assert avg.means[label].tobytes() == stack.mean(axis=0).tobytes()
@@ -220,61 +214,6 @@ def test_store_states_shape(system_eff):
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
-def _at_step(err, k):
-    """err, marked with the step k at which the reference raised it."""
-    err.step = k
-    return err
-
-
-def _reference_run(system, psi0, t_final, dt, seed, traj_index, record_every):
-    """The direct engine one step at a time: (series, jumps, final, states).
-
-    Each random word is read by its own index: threshold k at step k,
-    channel word q at the q-th jump.  Channel m is row m of the system's
-    S^+ stack and rate vector.  An error carries the step that raised it.
-    """
-    psi = np.asarray(psi0, dtype=complex)
-    propagator = expm(-1j * system.h_nh * dt)
-    plus_stack, rates = system.plus_stack, system.rates
-    n_steps = int(round(t_final / dt))
-    rec_steps = np.arange(0, n_steps + 1, record_every)
-    series = np.empty((3, rec_steps.size))
-    snapshots = np.empty((rec_steps.size, psi.size), dtype=complex)
-    jumps = []
-    rec_i = 0
-    for k in range(n_steps + 1):
-        if rec_i < rec_steps.size and k == rec_steps[rec_i]:
-            amps3 = plus_stack[:3] @ psi
-            series[:, rec_i] = np.einsum("md,md->m", amps3.conj(), amps3).real
-            snapshots[rec_i] = psi
-            rec_i += 1
-        if k == n_steps:
-            break
-        amps = plus_stack @ psi
-        dp = dt * rates * np.einsum("md,md->m", amps.conj(), amps).real
-        if dp.max() >= mcwf.MAX_DP_PER_STEP:
-            raise _at_step(TimestepError(
-                f"per-channel jump probability {dp.max():.3g} >= {mcwf.MAX_DP_PER_STEP}; reduce dt"
-            ), k)
-        if dp.sum() >= 1.0:
-            raise _at_step(TimestepError(f"total jump probability {dp.sum():.3g} >= 1; reduce dt"), k)
-        if dp.sum() <= reference_uniforms(seed, traj_index, PURPOSE_JUMP, k, 1)[0]:
-            phi = propagator @ psi
-            psi = phi / np.linalg.norm(phi)
-        else:
-            eps_prime = reference_uniforms(seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
-            cum = np.cumsum(dp)
-            m = int(np.searchsorted(cum / cum[-1], eps_prime, side="right"))
-            norm = np.linalg.norm(amps[m])
-            if norm < mcwf.JUMP_NORM_FLOOR:
-                raise _at_step(NumericalInconsistencyError(
-                    f"channel {CHANNEL_LABELS[m]} selected but ||S^+ psi|| = {norm:.3e}"
-                ), k)
-            psi = amps[m] / norm
-            jumps.append(((k + 1) * dt, m, dp))
-    return series, jumps, psi, snapshots
-
-
 @pytest.fixture(scope="module")
 def busy_system():
     """Jumps every few hundred steps, a collective channel included."""
@@ -297,30 +236,11 @@ def busy_references(busy_system):
     ]:
         init, t_final, record_every = case
         for traj_index in range(6):
-            refs[case + (traj_index,)] = _reference_run(
+            refs[case + (traj_index,)] = reference_run(
                 busy_system, busy_system.initial_state(init), t_final, 0.5, 11,
                 traj_index, record_every,
             )
     return refs
-
-
-def _as_reference(rec):
-    """A one-row result in the form of a reference run, without states."""
-    jumps = list(zip(rec.jump_time, rec.jump_channel, rec.jump_dp))
-    return rec.expectations[:, 0], jumps, rec.final_states[0], None
-
-
-def _assert_row_matches(result, j, ref):
-    """Trajectory j of an EnsembleResult equals a per-step reference run."""
-    series, jumps, final, _ = ref
-    np.testing.assert_array_equal(result.expectations[:, j], series)
-    np.testing.assert_array_equal(result.final_states[j], final)
-    sel = result.jump_traj == j
-    assert list(zip(result.jump_time[sel], result.jump_channel[sel])) == [
-        jump[:2] for jump in jumps
-    ]
-    for got, jump in zip(result.jump_dp[sel], jumps):
-        np.testing.assert_array_equal(got, jump[2])
 
 
 def _assert_kernel_equals_the_references(system, references):
@@ -337,14 +257,13 @@ def _assert_kernel_equals_the_references(system, references):
         )
         for traj_index in range(6):
             ref = references[(init, t_final, record_every, traj_index)]
-            _assert_row_matches(batch, traj_index, ref)
+            assert_row_equals(batch, traj_index, ref)
             _, jumps, _, states = ref
             rec = run_trajectory(
                 system, psi0, t_final, dt=0.5, seed=11, traj_index=traj_index,
                 record_every=record_every, store_states=True,
             )
-            _assert_row_matches(rec, 0, ref)
-            np.testing.assert_array_equal(rec.states[0], states)
+            assert_row_equals(rec, 0, ref)
             if record_every == 1:
                 assert rec.top_fock_peak == mcwf._top_fock(states).max()
                 peaks.append(rec.top_fock_peak)
@@ -386,41 +305,25 @@ def test_shared_row_trajectories_equal_single_runs(busy_system, history_rows, mo
         for j in range(12)
     ]
     for j, rec in enumerate(singles):
-        _assert_row_matches(batch, j, _as_reference(rec))
+        assert_row_equals(batch, j, rec)
     assert batch.top_fock_peak == max(rec.top_fock_peak for rec in singles)
     # the trajectories leave the shared row at many different steps
     first_jumps = {rec.jump_time[0] for rec in singles if rec.jump_time.size}
     assert len(first_jumps) >= 8
 
 
-def _outcome(run, *args, **kwargs):
-    """A run's jumps as (time, channel) pairs, or the (message, step) it raised."""
-    try:
-        rec = run(*args, **kwargs)
-    except (TimestepError, NumericalInconsistencyError) as err:
-        return str(err), getattr(err, "step", None)
-    if isinstance(rec, tuple):
-        return [jump[:2] for jump in rec[1]]
-    return list(zip(rec.jump_time, rec.jump_channel))
-
-
 def _assert_batch_raises_the_earliest(system, psi0, t_final, dt, seed, n):
     """Each row alone does what the reference does, and the batch of n rows
     raises the error of the earliest step, the lowest row there.  Returns
-    the outcomes and the rows that raised, as (step, row)."""
-    refs = []
-    for traj_index in range(n):
-        ref = _outcome(_reference_run, system, psi0, t_final, dt, seed, traj_index, 1)
-        got = _outcome(run_trajectory, system, psi0, t_final, dt=dt, seed=seed,
-                       traj_index=traj_index)
-        assert got == (ref if isinstance(ref, list) else (ref[0], None))
-        refs.append(ref)
-    raised = sorted((ref[1], j) for j, ref in enumerate(refs) if isinstance(ref, tuple))
-    assert raised
-    with pytest.raises((TimestepError, NumericalInconsistencyError)) as batch:
-        run_ensemble(system, psi0, t_final, n, dt=dt, master_seed=seed, method="direct")
-    assert str(batch.value) == refs[raised[0][1]][0]
-    return refs, raised
+    the reference outcomes and that row."""
+    refs = [outcome(reference_run, system, psi0, t_final, dt, seed, j, 1) for j in range(n)]
+    for j, ref in enumerate(refs):
+        alone = outcome(run_trajectory, system, psi0, t_final, dt=dt, seed=seed, traj_index=j)
+        assert_batch_equals_references(alone, [ref])
+    batch = outcome(run_ensemble, system, psi0, t_final, n, dt=dt, master_seed=seed, method="direct")
+    first = assert_batch_equals_references(batch, refs)
+    assert first is not None
+    return refs, first
 
 
 def test_a_batch_stops_at_the_earliest_reference_timestep_error():
@@ -429,11 +332,11 @@ def test_a_batch_stops_at_the_earliest_reference_timestep_error():
     layout = build_layout(4)
     p = calibrate_resonance(SystemParams(kappa=2e-3), layout, which="effective")
     system = build_system(p, n_fock=4, hamiltonian="effective")
-    refs, raised = _assert_batch_raises_the_earliest(
+    refs, _ = _assert_batch_raises_the_earliest(
         system, system.initial_state("0ee"), 6000.0, 60.0, 2, 8
     )
-    assert len(raised) > 1
-    assert any(isinstance(ref, list) and ref for ref in refs)
+    assert sum(isinstance(ref, Raised) for ref in refs) > 1
+    assert any(not isinstance(ref, Raised) and ref[1] for ref in refs)
 
 
 def test_a_batch_raises_the_error_of_its_earliest_failing_row(busy_system, monkeypatch):
@@ -441,10 +344,10 @@ def test_a_batch_raises_the_error_of_its_earliest_failing_row(busy_system, monke
     # row raises at a jump, row 5 first (t = 168) and row 0 at t = 236: the
     # batch must raise row 5's error, not row 0's
     monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", 0.99)
-    _, raised = _assert_batch_raises_the_earliest(
+    refs, first = _assert_batch_raises_the_earliest(
         busy_system, busy_system.initial_state("0ee"), 1500.0, 0.5, 11, 8
     )
-    assert raised[0][1] != min(j for _, j in raised)
+    assert first != min(j for j, ref in enumerate(refs) if isinstance(ref, Raised))
 
 
 def test_first_jump_follows_the_per_step_rule():
@@ -469,8 +372,8 @@ def test_trajectories_live_together_on_the_shared_row_decide_alone(busy_system):
     result = run_ensemble(busy_system, psi0, 400.0, 6, dt=dt, master_seed=11, method="direct")
     for j in range(6):
         alone = run_trajectory(busy_system, psi0, 400.0, dt=dt, seed=11, traj_index=j)
-        _assert_row_matches(result, j, _as_reference(alone))
-        _assert_row_matches(result, j, _reference_run(busy_system, psi0, 400.0, dt, 11, j, 1))
+        assert_row_equals(result, j, alone)
+        assert_row_equals(result, j, reference_run(busy_system, psi0, 400.0, dt, 11, j, 1))
     first_jumps = result.jump_time[np.r_[True, np.diff(result.jump_traj) != 0]]
     assert result.jump_traj.size and len(set(first_jumps.tolist())) > 1
 

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import make_result
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from usctraj.dressed import CHANNEL_LABELS
 from usctraj.ensemble import run_ensemble
 from usctraj.errors import ConfigError
 from usctraj.hilbert import build_layout
-from usctraj.mcwf import EnsembleResult, _jump_columns, ensemble_average
+from usctraj.mcwf import ensemble_average
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.stats import (
     NORMALIZATION_MODES,
@@ -38,19 +39,6 @@ def make_record(jump_specs, series=None):
     return series, [(t, CHANNEL_LABELS.index(c)) for t, c in jump_specs]
 
 
-def make_result(records):
-    """The ensemble of (series, jumps) trajectories on GRID, whose last point is the horizon."""
-    jumps = [(i, t, m, np.zeros(4)) for i, (_, log) in enumerate(records) for t, m in log]
-    return EnsembleResult(
-        time_grid=GRID,
-        horizon=GRID[-1],
-        rows=[series for series, _ in records],
-        final_states=np.ones((len(records), 1), dtype=complex),
-        top_fock_peak=0.0,
-        **_jump_columns(jumps),
-    )
-
-
 def test_first_jump_binning_and_edges():
     records = [
         make_record([(5.0, "cavity")]),
@@ -58,7 +46,7 @@ def test_first_jump_binning_and_edges():
         make_record([(100.0, "qubit2")]),    # final edge: included in last bin
         make_record([]),                     # no jumps: no contribution
     ]
-    hist = first_jump_histogram(make_result(records), bin_width=10.0)
+    hist = first_jump_histogram(make_result(records, GRID), bin_width=10.0)
     assert hist.n_bins == 10
     assert hist.trajectory_count == 3
     idx = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
@@ -75,14 +63,14 @@ def test_first_jump_channel_filter():
     ]
     # a detector blind to the cavity sees the qubit jump as "first"...
     hist = first_jump_histogram(
-        make_result(records), 10.0, channels_filter=("qubit1", "qubit2")
+        make_result(records, GRID), 10.0, channels_filter=("qubit1", "qubit2")
     )
     assert hist.trajectory_count == 2
     idx = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
     assert hist.counts[idx["qubit1"], 2] == 1
     assert hist.counts[idx["qubit1"], 1] == 1
     # ...whereas the cavity-covering detector stops at the cavity click
-    full = first_jump_histogram(make_result(records), 10.0)
+    full = first_jump_histogram(make_result(records, GRID), 10.0)
     assert full.counts[idx["cavity"], 0] == 1
     assert full.counts[idx["qubit1"], 2] == 0
 
@@ -94,7 +82,7 @@ def test_conditional_histogram_clock_restart():
         make_record([(10.0, "cavity"), (20.0, "qubit1")]),   # wrong trigger
         make_record([(10.0, "qubit1")]),                     # only one jump
     ]
-    hist = conditional_second_jump_histogram(make_result(records), "qubit1", 10.0)
+    hist = conditional_second_jump_histogram(make_result(records, GRID), "qubit1", 10.0)
     assert hist.trajectory_count == 2
     idx = {lbl: i for i, lbl in enumerate(CHANNEL_LABELS)}
     assert hist.counts[idx["qubit2"], 2] == 1
@@ -103,7 +91,7 @@ def test_conditional_histogram_clock_restart():
 
 def test_conditional_histogram_empty_is_valid():
     hist = conditional_second_jump_histogram(
-        make_result([make_record([])]), "collective", 10.0
+        make_result([make_record([])], GRID), "collective", 10.0
     )
     assert hist.trajectory_count == 0
     assert hist.counts.sum() == 0
@@ -116,7 +104,7 @@ def test_ratio_modes():
         make_record([(6.0, "qubit1")]),
         make_record([(15.0, "qubit1")]),
     ]
-    hist = first_jump_histogram(make_result(records), 10.0)
+    hist = first_jump_histogram(make_result(records, GRID), 10.0)
     per_bin = hist.ratios("per-bin")
     sums = per_bin.sum(axis=0)
     np.testing.assert_allclose(sums[0], 1.0)
@@ -133,8 +121,8 @@ def test_ratio_modes():
 
 
 def test_merge_requires_matching_shape():
-    a = first_jump_histogram(make_result([make_record([(5.0, "cavity")])]), 10.0)
-    b = first_jump_histogram(make_result([make_record([(5.0, "cavity")])]), 20.0)
+    a = first_jump_histogram(make_result([make_record([(5.0, "cavity")])], GRID), 10.0)
+    b = first_jump_histogram(make_result([make_record([(5.0, "cavity")])], GRID), 20.0)
     with pytest.raises(ConfigError):
         a.merge(b)
 
@@ -148,10 +136,10 @@ def test_merge_is_order_independent(channel_picks, rnd):
     records = [
         make_record([(float(5 + 90 * rnd.random()), labels[c])]) for c in channel_picks
     ]
-    whole = first_jump_histogram(make_result(records), 10.0)
+    whole = first_jump_histogram(make_result(records, GRID), 10.0)
     cut = rnd.randrange(1, len(records))
-    left = first_jump_histogram(make_result(records[:cut]), 10.0)
-    right = first_jump_histogram(make_result(records[cut:]), 10.0)
+    left = first_jump_histogram(make_result(records[:cut], GRID), 10.0)
+    right = first_jump_histogram(make_result(records[cut:], GRID), 10.0)
     for merged in (left.merge(right), right.merge(left)):
         np.testing.assert_array_equal(merged.counts, whole.counts)
         assert merged.trajectory_count == whole.trajectory_count
@@ -159,13 +147,13 @@ def test_merge_is_order_independent(channel_picks, rnd):
 
 def test_validation_errors():
     with pytest.raises(ConfigError):
-        first_jump_histogram(make_result([make_record([])]), -1.0)
+        first_jump_histogram(make_result([make_record([])], GRID), -1.0)
     with pytest.raises(ConfigError):
         first_jump_histogram(
-            make_result([make_record([])]), 10.0, channels_filter=("laser",)
+            make_result([make_record([])], GRID), 10.0, channels_filter=("laser",)
         )
     with pytest.raises(ConfigError):
-        conditional_second_jump_histogram(make_result([make_record([])]), "laser", 10.0)
+        conditional_second_jump_histogram(make_result([make_record([])], GRID), "laser", 10.0)
     with pytest.raises(ConfigError):
         JumpHistogram(
             bin_edges=np.array([0.0, 1.0]),
@@ -179,7 +167,7 @@ def test_csv_round_trip():
         make_record([(5.0, "cavity")]),
         make_record([(6.0, "qubit1")]),
     ]
-    hist = first_jump_histogram(make_result(records), 10.0)
+    hist = first_jump_histogram(make_result(records, GRID), 10.0)
     buf = io.StringIO()
     write_histogram_csv(hist, buf, mode="absolute")
     lines = buf.getvalue().splitlines()
@@ -396,6 +384,6 @@ def test_columnar_statistics_equal_the_record_loops_on_any_jump_log(
 ):
     rng = np.random.default_rng(seed)
     records = [make_record(jumps, rng.random((3, GRID.size))) for jumps in trajectories]
-    result = make_result(records)
+    result = make_result(records, GRID)
     assert result.jump_traj.size == sum(len(jumps) for jumps in trajectories)
     _assert_matches_the_loops(records, result, GRID[-1], (10.0, 7.0, 250.0), (None, channels))
