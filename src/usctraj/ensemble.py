@@ -13,9 +13,13 @@ trajectory reduces to scanning its own threshold words against
 precomputed arrays.  A trajectory is then its segment table, the step at
 which it entered each flow and that flow's id: its row of observables is
 the flows' observables copied one segment (a run of recorded steps) at a
-time.  The result stores the tables, not the rows: ``_SegmentRows``
-stitches a row whenever it is read, so the means and standard errors of
+time, and its final state is its last flow's at the horizon.  The result
+stores the tables, not the rows or the final states: ``_SegmentRows``
+rebuilds either whenever it is read, so the means and standard errors of
 an ensemble (``mcwf.ensemble_average``) never hold its (3, N, T) rows.
+The tables and the jumps are appended to typed columns as trajectories
+are sampled (``_Segments``, ``mcwf._JumpColumns``): a run holds its
+flows' per-age tables, 24 bytes per trajectory and 72 per jump.
 
 Random access makes the scans cheap: the threshold word for step k is
 word k of the trajectory's threshold stream regardless of history, and
@@ -34,15 +38,20 @@ can never fire.
 Building a flow is the one long sequential computation: the renormalized
 no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| over the whole horizon.
 A dark entry state, one whose support U keeps closed and no jump operator
-reads, runs no chain: its flow is exact zeros.  Otherwise ``_build_flow``
-runs only that chain step by step, into a buffer of ``_FLOW_CHUNK``
-states, and derives everything else (jump amplitudes, jump probabilities,
-observables, amplitude norms, the ray check) once per chunk with
-vectorized calls (``mcwf._chunk_amplitudes``), whose per-state numbers
-are bitwise those of one step at a time: amplitudes stay one
-matrix-vector product per state (a single matrix-matrix product over the
-chunk sums in another order).  Channels with a zero rate get amplitudes
-only when they carry an observable.
+reads, runs no chain: its flow is exact zeros, never written.  Otherwise
+``_build_flow`` runs only that chain step by step, into a buffer of
+``_FLOW_CHUNK`` states, and derives everything else (jump amplitudes,
+their squared norms, the thresholds and dp guards, amplitude norms, the
+ray check) once per chunk with vectorized calls
+(``mcwf._chunk_amplitudes``), whose per-state numbers are bitwise those of
+one step at a time: amplitudes stay one matrix-vector product per state
+(a single matrix-matrix product over the chunk sums in another order).
+Channels with a zero rate get amplitudes only when they carry an
+observable.  A flow keeps one table per age, the squared amplitude norms
+``sq`` (its observables are the first three rows), beside its threshold
+words and top-Fock peaks; the jump probabilities of an age are formed
+from ``sq`` where they are read (``_Flow.dp``), with the multiply of the
+per-step rule.
 
 Agreement with the direct kernel (``mcwf._run_rows``) is exact for the
 first segment and for all jump bookkeeping, and up to the arbitrary
@@ -57,8 +66,10 @@ straight away: its diffusive states have no deterministic flow to share.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from array import array
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -72,7 +83,7 @@ from .mcwf import (
     _check_dp,
     _check_jump_norm,
     _chunk_amplitudes,
-    _jump_columns,
+    _JumpColumns,
     _monitored,
     _norm,
     _prepare,
@@ -105,18 +116,40 @@ _FLOW_CHUNK = 512
 
 @dataclass
 class _Flow:
-    """One no-jump flow over the full horizon, in flow-local age."""
+    """One no-jump flow over the full horizon, in flow-local age.
+
+    Its one table of floats is ``sq``; the jump probabilities of an age are
+    formed from it where they are read (``dp``), and the observables are
+    its first three rows (``obs``).
+    """
 
     state0: np.ndarray
-    dp: np.ndarray            # (4, n_steps) jump probabilities at age j
+    channels: np.ndarray      # channels with a row of sq: a nonzero rate, or an observable
+    scale: np.ndarray         # dt * rate of each of channels
+    sq: np.ndarray            # (len(channels), n_steps + 1) ||S^+_m psi||^2 at age j
     # (n_steps,) uint64: raw threshold word w fires at age j when w < threshold[j]
     threshold: np.ndarray
-    obs: np.ndarray           # (3, n_steps + 1) observables at age j
     top_peak: np.ndarray      # (n_steps + 1,) top-Fock population, running max to age j
     image_flow: np.ndarray    # (4,) target flow id per channel, -1 if never
     image_state: list         # per channel: canonical post-jump state or None
     first_violation: int      # first age violating the dp guards, or n_steps + 1
     dark: bool = False
+
+    @property
+    def obs(self) -> np.ndarray:
+        """(3, n_steps + 1) observables at age j: channels 0-2 lead ``channels``."""
+        return self.sq[:3]
+
+    def dp(self, ages: int | slice) -> np.ndarray:
+        """Jump probabilities of every channel at ``ages``: (4,) for an age, (4, k) for k.
+
+        dt * rate * sq on ``channels``, the multiply of the per-step rule,
+        and 0 on the others.
+        """
+        sq = self.sq[:, ages]
+        dp = np.zeros((len(CHANNEL_LABELS), *sq.shape[1:]))
+        dp[self.channels] = (self.scale * sq.T).T
+        return dp
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -148,13 +181,14 @@ def _build_flow(
 ) -> _Flow:
     """Propagate the normalized no-jump chain and collect per-age arrays.
 
-    A dark entry state (``_is_dark``) needs no chain: its flow is built from
-    zeros.  Otherwise only the chain psi_{k+1} = U psi_k / ||U psi_k|| is
-    sequential; it writes each state straight into a buffer of
-    ``_FLOW_CHUNK`` states, with ``mcwf._norm``'s expression on views of
-    one step buffer.  Everything else is computed once per chunk, and
-    only with operations whose per-state result is bitwise that of the
-    per-step call, so the root flow matches the direct kernel exactly:
+    A dark entry state (``_is_dark``) needs no chain: its flow writes
+    nothing, and its arrays stay untouched zero pages.  Otherwise only the
+    chain psi_{k+1} = U psi_k / ||U psi_k|| is sequential; it writes each
+    state straight into a buffer of ``_FLOW_CHUNK`` states, with
+    ``mcwf._norm``'s expression on views of one step buffer.  Everything
+    else is computed once per chunk, and only with operations whose
+    per-state result is bitwise that of the per-step call, so the root flow
+    matches the direct kernel exactly:
 
     - amplitudes S^+_m psi_k as a C-looped stack of per-state matrix-vector
       products (``mcwf._chunk_amplitudes``), for the channels with a
@@ -163,12 +197,16 @@ def _build_flow(
       A zero-rate channel's dp is exactly 0 and stays so;
     - squared amplitude norms as ``einsum("kmd,kmd->km", ...)``, whose sum
       over d runs in the same order as the per-state ``einsum("md,md->m")``
-      for any number of channels; ``dp`` scales them and the observables
-      are their first three columns;
+      for any number of channels.  They are the flow's one table ``sq``;
+    - the chunk's jump probabilities, from ``sq`` by ``_Flow.dp``, and
+      from them its threshold words, its first dp-guard violation and
+      whether the flow is dark so far.  No dp outlives its chunk: the
+      sampler forms the column of an age from ``sq`` when it reads one;
     - amplitude norms as ``np.linalg.norm(amps, axis=2)``, the same
       reduction as the per-state ``axis=1`` call, so the stored jump images
       keep their bits;
-    - the top-Fock populations, as a running maximum over age.
+    - the top-Fock populations, as a running maximum over age carried from
+      chunk to chunk.
 
     The ray check (do jump images stay on one ray up to phase?) is a
     thresholded comparison and uses einsum rather than a BLAS product,
@@ -180,15 +218,23 @@ def _build_flow(
     # amplitudes of the channels that can jump and of the three observables
     channels = np.flatnonzero((rates != 0.0) | (np.arange(n_channels) < 3))
     plus_live = plus_stack[channels]
-    scale = dt * rates[channels]
-    dp = np.zeros((n_channels, n_steps))
-    obs = np.zeros((3, n_steps + 1))
-    top = np.zeros(n_steps + 1)
+    flow = _Flow(
+        state0=state0,
+        channels=channels,
+        scale=dt * rates[channels],
+        sq=np.zeros((channels.size, n_steps + 1)),
+        threshold=np.zeros(n_steps, dtype=np.uint64),
+        top_peak=np.zeros(n_steps + 1),
+        image_flow=np.full(n_channels, -1, dtype=int),
+        image_state=[None] * n_channels,
+        first_violation=n_steps + 1,
+        dark=True,
+    )
     refs: list[np.ndarray | None] = [None] * n_channels
     states = np.empty((min(_FLOW_CHUNK, n_steps + 1), state0.size), dtype=complex)
     phi = np.empty(state0.size, dtype=complex)
     re, im = phi.real, phi.imag  # _norm(phi) is sqrt(re.dot(re) + im.dot(im))
-    # a dark entry state runs no chain: every array keeps its exact zeros
+    # a dark entry state runs no chain: every array keeps its untouched zeros
     chunks = () if _is_dark(state0, plus_stack, propagator) else range(0, n_steps + 1, _FLOW_CHUNK)
     for start in chunks:
         block = states[: min(_FLOW_CHUNK, n_steps + 1 - start)]
@@ -202,22 +248,24 @@ def _build_flow(
             prev = row
         stop = start + len(block)
         amps, sq = _chunk_amplitudes(block, plus_live)
-        dp[channels, start : min(stop, n_steps)] = (scale * sq)[: n_steps - start].T
-        obs[:, start:stop] = sq[:, :3].T
-        top[start:stop] = _top_fock(block)
+        flow.sq[:, start:stop] = sq.T
+        top = _top_fock(block)
+        if start:  # the running maximum carried over from the last chunk
+            top[0] = np.maximum(top[0], flow.top_peak[start - 1])
+        np.maximum.accumulate(top, out=flow.top_peak[start:stop])
         _check_rays(amps, np.linalg.norm(amps, axis=2), channels, rates, refs, start)
-    viol = np.flatnonzero((dp.max(axis=0) >= MAX_DP_PER_STEP) | (dp.sum(axis=0) >= 1.0))
-    return _Flow(
-        state0=state0,
-        dp=dp,
-        threshold=raw_thresholds(dp.sum(axis=0)),
-        obs=obs,
-        top_peak=np.maximum.accumulate(top),
-        image_flow=np.full(n_channels, -1, dtype=int),
-        image_state=[None if r is None else _canonical_phase(r) for r in refs],
-        first_violation=int(viol[0]) if viol.size else n_steps + 1,
-        dark=bool(dp.max(initial=0.0) == 0.0),
-    )
+        # the guards and thresholds of this chunk's steps, from a (4, chunk)
+        # dp whose total adds the channels in order, zeros included
+        ages = slice(start, min(stop, n_steps))
+        dp = flow.dp(ages)
+        total = dp.sum(axis=0)
+        flow.threshold[ages] = raw_thresholds(total)
+        viol = np.flatnonzero((dp.max(axis=0) >= MAX_DP_PER_STEP) | (total >= 1.0))
+        if viol.size and flow.first_violation > n_steps:
+            flow.first_violation = start + int(viol[0])
+        flow.dark = flow.dark and bool(dp.max(initial=0.0) == 0.0)
+    flow.image_state = [None if r is None else _canonical_phase(r) for r in refs]
+    return flow
 
 
 def _check_rays(
@@ -308,29 +356,27 @@ def _sample_grouped(
     master_seed: int,
     n_steps: int,
     dt: float,
-    powers: list[np.ndarray],
     read_words: RawWords,
-) -> tuple[list[tuple], np.ndarray, float, tuple[list[int], list[int]]]:
-    """Walk one trajectory across flows.
+    jumps: _JumpColumns,
+    segments: _Segments,
+) -> float:
+    """Walk one trajectory across flows; return its top-Fock peak.
 
-    Its threshold and channel words come from ``read_words``.  Returns its
-    jumps as (time, channel, dp of every channel) tuples in time order, its
-    final state, its top-Fock peak and its segment table: the step at which
-    each segment entered its flow, and that flow's id (``_stitch`` turns
-    the table into the trajectory's observables).
+    Its threshold and channel words come from ``read_words``.  It appends
+    its jumps, in time order, to ``jumps`` and its segment table to
+    ``segments``: the step at which each segment entered its flow, and that
+    flow's id (``_stitch`` turns the table into the trajectory's
+    observables, and its last segment gives the final state).
     """
     rates = system.rates
-    jumps = []
-    segments_entry = [0]
-    segments_flow = [0]
-    k, fid = 0, 0
+    k, fid, entry, n_jumps = 0, 0, 0, 0
+    segments.append(entry, fid)
     peak = 0.0
     # threshold words [base, base + words.size): each is read once, and the
     # words after a hit are scanned again by the next segment's flow
     base, words = 0, np.empty(0, dtype=np.uint64)
     while k < n_steps:
         flow = flows[fid]
-        entry = segments_entry[-1]
         viol_step = entry + flow.first_violation
         if flow.dark:  # all dp are zero, so no guard can be violated
             break
@@ -350,28 +396,32 @@ def _sample_grouped(
                 break
             j += w.size
         if viol_step <= (n_steps - 1 if hit < 0 else hit):
-            _check_dp(flow.dp[:, flow.first_violation])
+            _check_dp(flow.dp(flow.first_violation))
             raise TimestepError("per-channel jump probability exceeds guard")
         if hit < 0:
             break
         age = hit - entry
         peak = max(peak, flow.top_peak[age])
-        dp_col = flow.dp[:, age]
+        dp_col = flow.dp(age)
         eps_prime = raw_uniforms(
-            read_words(master_seed, traj_index, PURPOSE_CHANNEL, len(jumps), 1)[0]
+            read_words(master_seed, traj_index, PURPOSE_CHANNEL, n_jumps, 1)[0]
         )
         m = _select_channel(dp_col, eps_prime)
         _check_jump_norm(math.sqrt(dp_col[m] / (dt * rates[m])), m)
-        jumps.append(((hit + 1) * dt, m, dp_col))
+        jumps.append(traj_index, (hit + 1) * dt, m, dp_col)
+        n_jumps += 1
         fid = int(flow.image_flow[m])
-        k = hit + 1
-        segments_entry.append(k)
-        segments_flow.append(fid)
+        k = entry = hit + 1
+        segments.append(entry, fid)
+    segments.end_trajectory()
+    return float(max(peak, flows[fid].top_peak[n_steps - entry]))
 
-    last = flows[segments_flow[-1]]
-    age = n_steps - segments_entry[-1]
-    final = _state_at_age(last.state0, powers, age)
-    return jumps, final, float(max(peak, last.top_peak[age])), (segments_entry, segments_flow)
+
+def _final_state(
+    states0: list[np.ndarray], powers: list[np.ndarray], n_steps: int, entries, flow_ids,
+) -> np.ndarray:
+    """One trajectory's state at the horizon: its last segment's flow at that age."""
+    return _state_at_age(states0[flow_ids[-1]], powers, int(n_steps - entries[-1]))
 
 
 def _stitch(obs: list[np.ndarray], rec_steps: np.ndarray, entries, flow_ids) -> np.ndarray:
@@ -389,21 +439,45 @@ def _stitch(obs: list[np.ndarray], rec_steps: np.ndarray, entries, flow_ids) -> 
     return row
 
 
-class _SegmentRows(Sequence):
-    """A grouped ensemble's rows, rebuilt from its segment tables when read.
+class _Segments:
+    """The segment tables of trajectories 0, 1, ..., appended in order to typed columns.
 
-    Trajectory i ran segments ``starts[i]`` to ``starts[i + 1] - 1`` of the
-    table ``(entries, flow_ids)``, and reading its row stitches them from the
-    flows' observables (``_stitch``).  A slice reads its rows into one
-    (k, 3, T) array, as a slice of the kernel's rows does.  The table holds
-    one entry per trajectory and per jump; no row is kept.
+    Segment s entered flow ``flow_ids[s]`` at step ``entries[s]``, and
+    trajectory i ran segments ``starts[i]`` to ``starts[i + 1] - 1``.
+    """
+
+    def __init__(self):
+        self.entries, self.flow_ids, self.starts = array("q"), array("q"), array("q", [0])
+
+    def append(self, entry: int, fid: int) -> None:
+        self.entries.append(entry)
+        self.flow_ids.append(fid)
+
+    def end_trajectory(self) -> None:
+        self.starts.append(len(self.entries))
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(entries, flow_ids, starts) as int arrays on the columns' buffers."""
+        columns = (self.entries, self.flow_ids, self.starts)
+        return tuple(np.frombuffer(c, dtype=int) for c in columns)
+
+
+class _SegmentRows(Sequence):
+    """Per-trajectory arrays of a grouped ensemble, rebuilt from its segment tables when read.
+
+    Item i is ``build(entries, flow_ids)`` of trajectory i's segments (its
+    rows of ``_Segments``' columns), an array of ``shape``: the
+    trajectory's observables (``_stitch``) or its final state
+    (``_final_state``).  A slice reads its items into one (k, *shape)
+    array, as a slice of the kernel's arrays does.  The table holds one
+    entry per trajectory and per jump; no item is kept.
     """
 
     def __init__(
-        self, obs: list[np.ndarray], rec_steps: np.ndarray, entries: np.ndarray,
-        flow_ids: np.ndarray, starts: np.ndarray,
+        self, build: Callable[[np.ndarray, np.ndarray], np.ndarray], shape: tuple[int, ...],
+        dtype: type, entries: np.ndarray, flow_ids: np.ndarray, starts: np.ndarray,
     ):
-        self.obs, self.rec_steps = obs, rec_steps
+        self.build, self.shape, self.dtype = build, shape, dtype
         self.entries, self.flow_ids, self.starts = entries, flow_ids, starts
 
     def __len__(self) -> int:
@@ -411,11 +485,11 @@ class _SegmentRows(Sequence):
 
     def __getitem__(self, i: int | slice) -> np.ndarray:
         if isinstance(i, slice):
-            rows = [self[j] for j in range(len(self))[i]]
-            return np.array(rows).reshape(len(rows), len(self.obs[0]), self.rec_steps.size)
+            items = [self[j] for j in range(len(self))[i]]
+            return np.array(items, dtype=self.dtype).reshape(len(items), *self.shape)
         i = range(len(self))[i]  # IndexError out of range, negative from the end
         lo, hi = self.starts[i], self.starts[i + 1]
-        return _stitch(self.obs, self.rec_steps, self.entries[lo:hi], self.flow_ids[lo:hi])
+        return self.build(self.entries[lo:hi], self.flow_ids[lo:hi])
 
 
 def run_ensemble(
@@ -469,28 +543,25 @@ def run_ensemble(
             system, psi0, t_final, dt, master_seed, range(n_trajectories), record_every,
             monitored, drift_mode,
         )
-    powers = _binary_powers(propagator, n_steps)
-    finals = np.empty((n_trajectories, psi0.size), dtype=complex)
-    jumps, peak = [], 0.0
-    entries, flow_ids, starts = [], [], [0]
+    jumps, segments = _JumpColumns(), _Segments()
+    peak = 0.0
     read_words = RawWords()
     for i in range(n_trajectories):
-        sampled, finals[i], traj_peak, (entry, fid) = _sample_grouped(
-            i, flows, system, master_seed, n_steps, dt, powers, read_words,
-        )
-        jumps += [(i, *jump) for jump in sampled]
-        peak = max(peak, traj_peak)
-        entries += entry
-        flow_ids += fid
-        starts.append(len(entries))
+        peak = max(peak, _sample_grouped(
+            i, flows, system, master_seed, n_steps, dt, read_words, jumps, segments,
+        ))
+    table = segments.columns()
+    final_state = partial(
+        _final_state, [f.state0 for f in flows], _binary_powers(propagator, n_steps), n_steps,
+    )
     return EnsembleResult(
         time_grid=rec_steps * dt,
         horizon=n_steps * dt,
         rows=_SegmentRows(
-            [f.obs for f in flows], rec_steps, np.array(entries), np.array(flow_ids),
-            np.array(starts),
+            partial(_stitch, [f.obs for f in flows], rec_steps), (3, rec_steps.size), float,
+            *table,
         ),
-        final_states=finals,
+        final_states=_SegmentRows(final_state, psi0.shape, complex, *table),
         top_fock_peak=peak,
-        **_jump_columns(jumps),
+        **jumps.columns(),
     )

@@ -89,9 +89,11 @@ of the earliest step at which any trajectory raises, the lowest trajectory
 at that step; its message is the one that trajectory raises when run alone.
 The kernel writes the columns of its ``EnsembleResult`` itself, the one
 result type of every trajectory engine; a single run is its one-row case.
-Its rows are views of one (3, N, T) array, and ``rows`` is the one way to
-read any result's observables: ``rows[j]`` for trajectory j, a slice for
-several.  ``ensemble_average`` reads the rows one at a time, in two passes
+Its jumps go to typed columns (``_JumpColumns``, the grouped sampler's
+builder too) and are ordered by trajectory at the end.  Its rows are
+views of one (3, N, T) array, and ``rows`` is the one way to read any
+result's observables: ``rows[j]`` for trajectory j, a slice for several.
+``ensemble_average`` reads the rows one at a time, in two passes
 (``add_rows``), so a grouped ensemble, which rebuilds each row when it is
 read, never holds them all.
 """
@@ -99,6 +101,7 @@ read, never holds them all.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -160,22 +163,27 @@ class EnsembleResult:
     external detector would see.  The kernel's rows are views of its one
     array; a grouped ensemble rebuilds a row whenever it is read, and
     ``ensemble_average`` holds no more than one at a time.
-    ``final_states`` is (N, d).  Jump q came from trajectory
-    ``jump_traj[q]`` at ``jump_time[q]`` through
-    ``CHANNEL_LABELS[jump_channel[q]]``, with every channel's pre-jump
-    probability in ``jump_dp[q]``; jumps are ordered by trajectory, then
-    time.  ``horizon`` is the time of the last step, n_steps * dt: jumps
-    land up to it, later than the last sample when the recording stride does
-    not divide the step count.  ``top_fock_peak`` is the largest top-Fock
-    population of any state a trajectory visited, the quantity the
-    truncation check bounds.  ``states`` holds the (N, T, d) states on the
-    time grid when the run was asked to store them, else None.
+    ``final_states`` is a sequence of N states read the same way:
+    ``final_states[i]`` is trajectory i's (d,) state at the horizon, a
+    slice gives a (k, d) array and ``np.asarray(final_states)`` the (N, d)
+    one.  The kernel's are rows of its (N, d) array; a grouped ensemble
+    rebuilds a state from the trajectory's last segment whenever it is
+    read.  Jump q came from trajectory ``jump_traj[q]`` at ``jump_time[q]``
+    through ``CHANNEL_LABELS[jump_channel[q]]``, with every channel's
+    pre-jump probability in ``jump_dp[q]``; jumps are ordered by
+    trajectory, then time.  ``horizon`` is the time of the last step,
+    n_steps * dt: jumps land up to it, later than the last sample when the
+    recording stride does not divide the step count.  ``top_fock_peak`` is
+    the largest top-Fock population of any state a trajectory visited, the
+    quantity the truncation check bounds.  ``states`` holds the (N, T, d)
+    states on the time grid when the run was asked to store them, else
+    None.
     """
 
     time_grid: np.ndarray
     horizon: float
     rows: Sequence[np.ndarray] = field(repr=False)
-    final_states: np.ndarray
+    final_states: Sequence[np.ndarray] = field(repr=False)
     jump_traj: np.ndarray
     jump_time: np.ndarray
     jump_channel: np.ndarray
@@ -188,15 +196,38 @@ class EnsembleResult:
         return len(self.rows)
 
 
-def _jump_columns(jumps: list[tuple]) -> dict[str, np.ndarray]:
-    """The jump columns of (trajectory, time, channel, dp) tuples, in their order."""
-    traj, times, channels, dps = zip(*jumps) if jumps else ((), (), (), ())
-    return dict(
-        jump_traj=np.array(traj, dtype=int),
-        jump_time=np.array(times, dtype=float),
-        jump_channel=np.array(channels, dtype=int),
-        jump_dp=np.array(dps, dtype=float).reshape(len(jumps), len(CHANNEL_LABELS)),
-    )
+class _JumpColumns:
+    """The jump columns of a run, appended one jump at a time to typed buffers.
+
+    A jump adds its trajectory, time, channel and the probabilities of every
+    channel.  ``columns`` gives the result's four arrays, ordered by
+    trajectory, then time: a stable sort by trajectory of jumps appended in
+    time order (the kernel logs its rows' jumps step by step), none when
+    they were appended trajectory by trajectory (the grouped sampler).
+    """
+
+    def __init__(self):
+        self.traj, self.time = array("q"), array("d")
+        self.channel, self.dp = array("q"), array("d")
+
+    def append(self, traj: int, time: float, channel: int, dp: np.ndarray) -> None:
+        self.traj.append(traj)
+        self.time.append(time)
+        self.channel.append(channel)
+        self.dp.frombytes(np.asarray(dp, dtype=float).tobytes())
+
+    def columns(self) -> dict[str, np.ndarray]:
+        cols = dict(
+            jump_traj=np.frombuffer(self.traj, dtype=int),
+            jump_time=np.frombuffer(self.time, dtype=float),
+            jump_channel=np.frombuffer(self.channel, dtype=int),
+            jump_dp=np.frombuffer(self.dp, dtype=float).reshape(-1, len(CHANNEL_LABELS)),
+        )
+        traj = cols["jump_traj"]
+        if np.any(traj[1:] < traj[:-1]):
+            order = np.argsort(traj, kind="stable")
+            cols = {name: col[order] for name, col in cols.items()}
+        return cols
 
 
 @dataclass(frozen=True)
@@ -376,7 +407,7 @@ def _run_rows(
     snapshots = (
         np.empty((n_rows, rec_steps.size, psi.size), dtype=complex) if store_states else None
     )
-    jumps = []  # (trajectory, time, channel, dp of every channel), in step order
+    jumps = _JumpColumns()  # in step order
     n_jumps = [0] * n_rows
 
     # Trajectory b is state row where[b], which members[r] trajectories share.
@@ -440,7 +471,7 @@ def _run_rows(
                 collapsed.append((b, _collapse(amps[c, j], m)))
                 dp_all = np.zeros(len(CHANNEL_LABELS))
                 dp_all[jump_idx] = dp[c]
-                jumps.append((b, (k + 1) * dt, m, dp_all))
+                jumps.append(b, (k + 1) * dt, m, dp_all)
                 n_jumps[b] += 1
 
         phi = np.matmul(propagator, states[:, :, None])[..., 0]
@@ -481,7 +512,6 @@ def _run_rows(
         filled += len(states)
 
     peak = max(peak, float(_top_fock(history[:filled]).max()))
-    jumps.sort(key=lambda jump: jump[0])  # stable: by trajectory, then time
     return EnsembleResult(
         time_grid=rec_steps * dt,
         horizon=n_steps * dt,
@@ -489,7 +519,7 @@ def _run_rows(
         final_states=states[where],
         top_fock_peak=peak,
         states=snapshots,
-        **_jump_columns(jumps),
+        **jumps.columns(),
     )
 
 

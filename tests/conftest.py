@@ -21,7 +21,7 @@ from usctraj import ensemble, mcwf
 from usctraj.dressed import CHANNEL_LABELS
 from usctraj.errors import NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
-from usctraj.mcwf import EnsembleResult, _jump_columns
+from usctraj.mcwf import EnsembleResult, _JumpColumns
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.rng import PURPOSE_CHANNEL, PURPOSE_JUMP, PURPOSE_NOISE, RawWords
 from usctraj.system import build_system, step_grid
@@ -212,14 +212,17 @@ def make_result(records, time_grid):
     Record i holds trajectory i's (3, T) series and its jumps as (time,
     channel) pairs, each with zero jump probabilities.
     """
-    jumps = [(i, t, m, np.zeros(4)) for i, (_, log) in enumerate(records) for t, m in log]
+    jumps = _JumpColumns()
+    for i, (_, log) in enumerate(records):
+        for t, m in log:
+            jumps.append(i, t, m, np.zeros(4))
     return EnsembleResult(
         time_grid=time_grid,
         horizon=time_grid[-1],
         rows=[series for series, _ in records],
         final_states=np.ones((len(records), 1), dtype=complex),
         top_fock_peak=0.0,
-        **_jump_columns(jumps),
+        **jumps.columns(),
     )
 
 
@@ -269,8 +272,10 @@ def trajectories_alone():
     Returns one (series, jumps, final, peak) tuple per trajectory: its (3, T)
     observables, its jumps as (time, channel, dp) tuples, its final state and
     its top-Fock peak.  A grouped trajectory is ``ensemble._sample_grouped``
-    over the run's flows, its series stitched from the segment table the
-    sampler returns; a direct one is ``mcwf.run_trajectory``.
+    over the run's flows into columns of its own, its series stitched from
+    the segment table the sampler appends and its final state computed
+    from that table's last segment (``_state_at_age``) right away; a direct
+    one is ``mcwf.run_trajectory``.
     """
 
     def run(system, psi0, t_final, n, dt=0.5, master_seed=0, record_every=1,
@@ -295,10 +300,18 @@ def trajectories_alone():
         read_words = RawWords()
         alone = []
         for i in range(n):
-            jumps, final, peak, (entries, flow_ids) = ensemble._sample_grouped(
-                i, flows, system, master_seed, n_steps, dt, powers, read_words,
+            log, segments = _JumpColumns(), ensemble._Segments()
+            peak = ensemble._sample_grouped(
+                i, flows, system, master_seed, n_steps, dt, read_words, log, segments,
             )
+            entries, flow_ids, _ = segments.columns()
             series = ensemble._stitch([f.obs for f in flows], rec_steps, entries, flow_ids)
+            # the final state computed right away from the last segment
+            final = ensemble._state_at_age(
+                flows[flow_ids[-1]].state0, powers, n_steps - int(entries[-1])
+            )
+            cols = log.columns()
+            jumps = list(zip(cols["jump_time"], cols["jump_channel"], cols["jump_dp"]))
             alone.append((series, jumps, final, peak))
         return alone
 

@@ -3,9 +3,13 @@
 Every test measures its headline quantities at the documented ensemble
 size and asserts the stated tolerance, printing a single
 ``criterion NN PASS/FAIL`` line that stays visible under captured output.
-The full-Hamiltonian ensemble-vs-master-equation comparison and the
-diffusive ensemble dominate the runtime (several minutes each); the rest
-together add a few more.
+Three fixtures take most of the runtime.  On a 2-core Xeon with one
+OpenBLAS thread, ``pytest -m acceptance --durations=10`` ran the module in
+75 s.  The setups took 28.3 s for criterion 07 (one 40 000-trajectory
+grouped run of the pair process), 22.1 s for criterion 08 (500
+full-Hamiltonian trajectories beside the master equation) and 13.9 s for
+criterion 09 (2000 diffusive trajectories), whose call took 6.7 s more.
+Every other criterion took under 2 s.
 """
 
 import dataclasses
@@ -16,7 +20,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from usctraj.dressed import CHANNEL_LABELS, diagonalize, jump_channels
+from usctraj.dressed import CHANNEL_LABELS
 from usctraj.ensemble import run_ensemble
 from usctraj.hilbert import build_layout
 from usctraj.lme import density_from_state, evolve_lme, lindblad_rhs

@@ -1,6 +1,5 @@
 """Command-line interface: config parsing, artifacts, exit codes, determinism."""
 
-import configparser
 import os
 import re
 import subprocess
@@ -616,6 +615,30 @@ def test_cli_defaults_to_one_blas_thread(given, expected):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == expected
+
+
+@pytest.mark.parametrize("calibrate, imported", [("effective", False), ("none", False),
+                                                 ("full", True)])
+def test_only_the_full_calibration_imports_scipy_optimize(tmp_path, calibrate, imported):
+    # the golden-section scan of the full calibration is its one user: a run
+    # that calibrates in closed form, or not at all, loads its config,
+    # calibrates and builds its system without importing it
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(BASE_SYSTEM.replace("calibrate = effective", f"calibrate = {calibrate}"))
+    env = dict(os.environ)
+    src = str(Path(usctraj.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from usctraj import cli\n"
+        f"cfg = cli._calibrated(cli.load_config({str(cfg)!r}))\n"
+        "cli._build_system(cfg)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == str(imported)
 
 
 @pytest.mark.parametrize(

@@ -207,7 +207,11 @@ def test_a_grouped_run_raises_the_kernel_norm_floor_error(busy_systems, monkeypa
 
 
 def _reference_build_flow(state0, system, propagator, n_steps, dt):
-    """The flow builder one step at a time, with the per-state expressions."""
+    """The flow builder one step at a time, with the per-state expressions.
+
+    It keeps the whole (4, n_steps) ``dp`` and the (3, n_steps + 1) ``obs``
+    beside the fields of ``ensemble._Flow``.
+    """
     plus_stack, rates = system.plus_stack, system.rates
     n_channels = rates.size
     dp = np.empty((n_channels, n_steps))
@@ -234,7 +238,7 @@ def _reference_build_flow(state0, system, propagator, n_steps, dt):
         phi = propagator @ psi
         psi = phi / np.linalg.norm(phi)
     viol = np.flatnonzero((dp.max(axis=0) >= MAX_DP_PER_STEP) | (dp.sum(axis=0) >= 1.0))
-    return ensemble._Flow(
+    return SimpleNamespace(
         state0=state0,
         dp=dp,
         threshold=raw_thresholds(dp.sum(axis=0)),
@@ -245,6 +249,24 @@ def _reference_build_flow(state0, system, propagator, n_steps, dt):
         first_violation=int(viol[0]) if viol.size else n_steps + 1,
         dark=bool(dp.max(initial=0.0) == 0.0),
     )
+
+
+def _assert_flow_matches(got, ref):
+    """A built flow against the per-step reference, as its sampler reads it.
+
+    The dp column the flow forms at each age is the reference's, bit for
+    bit, and so are the thresholds, observables, images and guard ages.
+    """
+    for age in range(ref.dp.shape[1]):
+        np.testing.assert_array_equal(got.dp(age), ref.dp[:, age], strict=True)
+    for name in ("threshold", "obs"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), strict=True)
+    np.testing.assert_allclose(got.top_peak, ref.top_peak, rtol=1e-13, atol=0.0)
+    for a, b in zip(got.image_state, ref.image_state, strict=True):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_array_equal(a, b)
+    assert (got.first_violation, got.dark) == (ref.first_violation, ref.dark)
 
 
 @pytest.fixture(scope="module")
@@ -265,16 +287,7 @@ def test_chunked_flows_equal_the_per_step_reference(busy_effective, chunk, monke
         for state0 in entries:
             ref = _reference_build_flow(state0, system, propagator, n_steps, 0.5)
             got = ensemble._build_flow(state0, system, propagator, n_steps, 0.5)
-            for name in ("dp", "threshold", "obs"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
-            np.testing.assert_allclose(got.top_peak, ref.top_peak, rtol=1e-13, atol=0.0)
-            assert len(got.image_state) == len(ref.image_state)
-            for a, b in zip(got.image_state, ref.image_state):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    np.testing.assert_array_equal(a, b)
-            assert got.first_violation == ref.first_violation
-            assert got.dark == ref.dark
+            _assert_flow_matches(got, ref)
 
 
 def test_grouped_refuses_a_ray_broken_after_the_first_chunk(busy_systems, monkeypatch):
@@ -310,17 +323,21 @@ def test_grouped_top_fock_peak_matches_the_direct_engine(trajectories_alone):
     assert max(peak for *_, peak in runs["grouped"]) > 0.5
 
 
-def test_grouped_rows_equal_trajectories_sampled_alone(
-    busy_systems, grouped_and_direct, trajectories_alone
-):
-    # row j of the grouped result is trajectory j sampled on its own, bit
-    # for bit
-    grouped, _ = grouped_and_direct
+@pytest.fixture(scope="module")
+def grouped_alone(busy_systems, trajectories_alone):
+    """Each trajectory of the grouped run of ``grouped_and_direct``, sampled on its own."""
     system = busy_systems["effective"]
-    alone = trajectories_alone(
+    return trajectories_alone(
         system, system.initial_state("1gg"), T_FINAL, N_TRAJ, dt=0.5, master_seed=11,
         record_every=4,
     )
+
+
+def test_grouped_rows_equal_trajectories_sampled_alone(grouped_and_direct, grouped_alone):
+    # row j of the grouped result is trajectory j sampled on its own, bit
+    # for bit
+    grouped, _ = grouped_and_direct
+    alone = grouped_alone
     # the result keeps segment tables, not rows: the row accessor, and the
     # stack numpy builds through it, stitch them again
     assert len(grouped.rows) == grouped.n_trajectories == N_TRAJ
@@ -342,6 +359,65 @@ def test_grouped_rows_equal_trajectories_sampled_alone(
     assert grouped.top_fock_peak == max(peak for *_, peak in alone)
 
 
+def test_grouped_final_states_are_rebuilt_as_computed_right_away(
+    grouped_and_direct, grouped_alone
+):
+    # the result keeps no final state: each is rebuilt from the trajectory's
+    # last segment when read, with the bits of computing it right away
+    grouped, _ = grouped_and_direct
+    finals = grouped.final_states
+    eager = np.array([final for _, _, final, _ in grouped_alone])
+    assert len(finals) == N_TRAJ and eager.shape == (N_TRAJ, grouped.final_states[0].size)
+    np.testing.assert_array_equal(np.asarray(finals), eager, strict=True)
+    for j in (0, 1, N_TRAJ - 1, -1, -2, -N_TRAJ):
+        np.testing.assert_array_equal(finals[j], eager[j], strict=True)
+    for s in (slice(None), slice(3, 9, 2), slice(None, None, -3), slice(5, 5)):
+        np.testing.assert_array_equal(finals[s], eager[s], strict=True)
+    for j in (N_TRAJ, -N_TRAJ - 1):
+        with pytest.raises(IndexError):
+            finals[j]
+
+
+def test_grouped_columns_equal_the_per_trajectory_records(
+    busy_systems, grouped_and_direct, grouped_alone
+):
+    # the jump columns and segment tables a grouped run appends to are the
+    # per-trajectory records put together as lists and zipped into arrays
+    grouped, direct = grouped_and_direct
+    log = [(i, *jump) for i, (_, jumps, _, _) in enumerate(grouped_alone) for jump in jumps]
+    traj, times, channels, dps = zip(*log)
+    want = dict(
+        jump_traj=np.array(traj, dtype=int), jump_time=np.array(times, dtype=float),
+        jump_channel=np.array(channels, dtype=int),
+        jump_dp=np.array(dps, dtype=float).reshape(len(log), len(CHANNEL_LABELS)),
+    )
+    assert len(log) > N_TRAJ
+    for name, column in want.items():
+        np.testing.assert_array_equal(getattr(grouped, name), column, strict=True)
+        assert getattr(direct, name).dtype == column.dtype
+    # the table: each trajectory enters flow 0 at step 0, then after each
+    # jump the image flow of its channel at the step after the jump
+    system = busy_systems["effective"]
+    flows = ensemble._discover_flows(
+        system.initial_state("1gg"), system, expm(-1j * system.h_nh * 0.5),
+        int(T_FINAL / 0.5), 0.5,
+    )
+    entries, flow_ids, starts = [], [], [0]
+    for _, jumps, _, _ in grouped_alone:
+        fid = 0
+        entries.append(0)
+        flow_ids.append(fid)
+        for t, m, _ in jumps:
+            fid = int(flows[fid].image_flow[m])
+            entries.append(int(t / 0.5))
+            flow_ids.append(fid)
+        starts.append(len(entries))
+    for result_items in (grouped.rows, grouped.final_states):
+        for name, column in zip(("entries", "flow_ids", "starts"), (entries, flow_ids, starts)):
+            got = getattr(result_items, name)
+            np.testing.assert_array_equal(got, np.array(column), strict=True)
+
+
 @pytest.mark.parametrize(
     "s",
     [slice(1, 3), slice(None), slice(2, 2), slice(None, None, -1), slice(-3, None, 2),
@@ -360,6 +436,12 @@ def test_grouped_rows_slice_like_the_kernels(grouped_and_direct, s):
         assert got.shape == (len(picked), 3, result.time_grid.size)
         for row, j in zip(got, picked, strict=True):
             np.testing.assert_array_equal(row, result.rows[j], strict=True)
+        # and so do their final states, (k, d) complex
+        got = np.asarray(result.final_states[s])
+        assert got.shape == np.shape(grouped_and_direct[1].final_states[s])
+        assert got.dtype == complex
+        for state, j in zip(got, picked, strict=True):
+            np.testing.assert_array_equal(state, result.final_states[j], strict=True)
 
 
 def test_the_largest_master_seed_reads_the_same_words_on_both_engines(busy_systems):
@@ -410,13 +492,6 @@ def test_auto_builds_no_flow_for_a_homodyned_run(busy_systems, channels, monkeyp
         run_ensemble(system, psi0, 60.0, 3, method="grouped", **common)
 
 
-def _assert_flows_equal(got, ref):
-    for name in ("dp", "obs", "top_peak", "threshold", "image_flow"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
-    assert got.image_state == ref.image_state == [None] * ref.dp.shape[0]
-    assert (got.first_violation, got.dark) == (ref.first_violation, ref.dark)
-
-
 def test_a_dark_flow_is_built_from_zeros_without_a_chain(busy_effective, monkeypatch):
     # |0,g,g> is closed under U and every jump operator's column there is 0:
     # the flow the qubits decay into is built from zeros, no amplitude read
@@ -430,7 +505,33 @@ def test_a_dark_flow_is_built_from_zeros_without_a_chain(busy_effective, monkeyp
         raise AssertionError("a dark flow must not compute amplitudes")
 
     monkeypatch.setattr(ensemble, "_chunk_amplitudes", no_chain)
-    _assert_flows_equal(ensemble._build_flow(dark, system, propagator, 700, 0.5), ref)
+    got = ensemble._build_flow(dark, system, propagator, 700, 0.5)
+    _assert_flow_matches(got, ref)
+    np.testing.assert_array_equal(got.top_peak, ref.top_peak)
+    np.testing.assert_array_equal(got.image_flow, ref.image_flow)
+    assert got.image_state == ref.image_state == [None] * ref.dp.shape[0]
+    # it holds nothing but zeros
+    assert not (got.sq.any() or got.threshold.any() or got.top_peak.any())
+
+
+def test_a_flow_holds_one_table_and_builds_it_chunk_by_chunk(busy_effective, monkeypatch):
+    # per age a flow keeps its squared amplitude norms, one threshold word
+    # and its top-Fock peak, and the build holds nothing else that grows
+    # with the horizon: its temporaries are a chunk's
+    system, propagator = busy_effective
+    monkeypatch.setattr(ensemble, "_FLOW_CHUNK", 16)
+    n_steps = 20000
+    tracemalloc.start()
+    try:
+        flow = ensemble._build_flow(system.initial_state("1gg"), system, propagator, n_steps, 0.5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not flow.dark and flow.channels.size == 4
+    per_age = 8 * (flow.channels.size + 2) * (n_steps + 1)
+    assert sum(a.nbytes for a in (flow.sq, flow.threshold, flow.top_peak)) <= per_age
+    assert held <= per_age + 16384  # the entry and image states, the small fields
+    assert peak - held <= 8 * (n_steps + 1)
 
 
 def test_the_busy_run_reaches_its_dark_flow(busy_effective):
@@ -452,14 +553,9 @@ def test_zero_rate_flows_equal_the_per_step_reference(system_eff, monkeypatch):
     for state0 in entries + [system_eff.initial_state("chi_plus")]:
         ref = _reference_build_flow(state0, system_eff, propagator, 30, 0.5)
         got = ensemble._build_flow(state0, system_eff, propagator, 30, 0.5)
-        for name in ("dp", "obs", "threshold"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
-        assert not got.dp[3].any()
-        for a, b in zip(got.image_state, ref.image_state):
-            assert (a is None) == (b is None)
-            if a is not None:
-                np.testing.assert_array_equal(a, b)
-        assert (got.first_violation, got.dark) == (ref.first_violation, ref.dark)
+        _assert_flow_matches(got, ref)
+        assert 3 not in got.channels and got.sq.shape == (3, 31)
+        assert not any(got.dp(age)[3] for age in range(30))
 
 
 def test_the_ray_check_reads_the_kernel_norm_floor(busy_effective, monkeypatch):
@@ -490,17 +586,21 @@ def test_a_total_probability_of_one_raises_before_its_decision_is_read():
     # would not fire); such an age is a guard violation, so the sampler
     # raises once its scan reaches it, whatever the decision there
     n_steps = 12
-    dp = np.zeros((4, n_steps))
-    dp[:, 5] = [0.3, 0.3, 0.3, 0.3]
+    sq = np.zeros((4, n_steps + 1))
+    sq[:, 5] = [0.3, 0.3, 0.3, 0.3]
     flow = ensemble._Flow(
-        state0=np.ones(2, dtype=complex), dp=dp, threshold=raw_thresholds(dp.sum(axis=0)),
-        obs=np.zeros((3, n_steps + 1)), top_peak=np.zeros(n_steps + 1),
+        state0=np.ones(2, dtype=complex), channels=np.arange(4), scale=np.ones(4), sq=sq,
+        threshold=raw_thresholds(sq[:, :n_steps].sum(axis=0)), top_peak=np.zeros(n_steps + 1),
         image_flow=np.full(4, -1), image_state=[None] * 4, first_violation=5,
     )
     assert flow.threshold[5] == np.uint64(2**64 - 2**11)
+    np.testing.assert_array_equal(flow.dp(5), [0.3, 0.3, 0.3, 0.3])
     system = SimpleNamespace(rates=np.ones(4))
     with pytest.raises(TimestepError, match="reduce dt"):
-        ensemble._sample_grouped(0, [flow], system, 0, n_steps, 0.5, [], RawWords())
+        ensemble._sample_grouped(
+            0, [flow], system, 0, n_steps, 0.5, RawWords(), mcwf._JumpColumns(),
+            ensemble._Segments(),
+        )
 
 
 def test_each_threshold_word_is_read_once(busy_systems, monkeypatch):
@@ -528,9 +628,9 @@ def test_each_threshold_word_is_read_once(busy_systems, monkeypatch):
 
 
 def test_grouped_statistics_hold_no_rows(system_eff):
-    # a grouped run and its average hold the final states, the jumps and one
-    # segment table entry per trajectory and jump, never the (3, N, T) rows:
-    # 4500 more trajectories grow the peak far less than their rows would
+    # a grouped run and its average hold the jumps and one segment table
+    # entry per trajectory and jump, never the (3, N, T) rows: 4500 more
+    # trajectories grow the peak far less than their rows would
     psi0 = system_eff.initial_state("1gg")
 
     def traced_peak(n):

@@ -1,6 +1,7 @@
 """The same-bytes gate script: its inputs and its comparison rule."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +34,23 @@ def test_workloads_come_from_the_benchmark_at_seed_7():
     assert [c.name for c in cases] == ["grouped-conditional", "direct-vs-lme",
                                        "mixed-unravelling"]
     assert all("master_seed = 7\n" in c.ini for c in cases)
+
+
+def test_reading_the_workloads_imports_no_numpy():
+    # a child's peak RSS starts from its parent's, so the gate stays small:
+    # the workloads are read in a process of their own
+    gate_path = str(ROOT / "tools/samebytes.py")
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('gate', {gate_path!r})\n"
+        "gate = importlib.util.module_from_spec(spec)\n"
+        "sys.modules['gate'] = gate\n"
+        "spec.loader.exec_module(gate)\n"
+        f"cases = gate.workload_cases(gate.Path({str(ROOT)!r}))\n"
+        "print(len(cases), 'numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["3", "False"]
 
 
 def result(files, code=0, stdout="<out>/a.csv\n", stderr=""):

@@ -18,6 +18,7 @@ files with the same bytes, print the same stderr, and print the same stdout
 once each run's output directory is replaced by ``<out>``.  Each case's
 line also gives the wall time and peak RSS of its base and head runs
 (``os.wait4``'s ``ru_maxrss``); they inform and never change the verdict.
+This process imports no numpy, so a run's peak RSS is the CLI's own.
 
 Every case runs.  Each case that differs is named with every output that
 differs (exit code, files, stderr, stdout) and, for text, the number of its
@@ -28,7 +29,7 @@ differs; a usage or git failure exits 2.
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import json
 import os
 import re
 import shutil
@@ -76,15 +77,31 @@ def preset_cases(tree: Path) -> list[Case]:
     return [Case(p, command[p]) for p in presets]
 
 
+# Prints the ``WORKLOADS`` of the perfbench/run.py named by argv[1] as JSON.
+_PRINT_WORKLOADS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("_perfbench_run", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = module  # its dataclasses look their module up
+spec.loader.exec_module(module)
+print(json.dumps([[name, w.command, w.config] for name, w in module.WORKLOADS.items()]))
+"""
+
+
 def workload_cases(tree: Path) -> list[Case]:
-    """The perfbench workloads at the fixed seed."""
-    spec = importlib.util.spec_from_file_location("_perfbench_run", tree / "perfbench/run.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
+    """The perfbench workloads at the fixed seed.
+
+    They are read in a child process: perfbench/run.py imports numpy and
+    scipy, and a process this one starts would begin at the RSS they add
+    (about 100 MB), so every case's peak RSS would read at least that.
+    """
+    listing = subprocess.run(
+        [sys.executable, "-c", _PRINT_WORKLOADS, str(tree / "perfbench/run.py")],
+        check=True, capture_output=True, text=True,
+    ).stdout
     return [
-        Case(name, w.command, w.config.format(seed=WORKLOAD_SEED))
-        for name, w in module.WORKLOADS.items()
+        Case(name, command, config.format(seed=WORKLOAD_SEED))
+        for name, command, config in json.loads(listing)
     ]
 
 
