@@ -109,8 +109,10 @@ _CHUNK0, _CHUNK_MAX = 8192, 65536
 
 # States per chunk of the flow builder.  Larger chunks amortize more
 # per-chunk overhead but hold (chunk x channels x dimension) amplitudes at
-# once: a 3000-trajectory Fig. 2b run peaks at 233.5 MB with 512 and at
-# 253 MB with 2048, against 233.0 MB for the per-step builder.
+# once.  On a 2-core Xeon the fig2b preset's CLI process peaks at 103 MB
+# with 256 or 512 and at 110 MB with 2048 (grouped-conditional: 97, 99
+# and 110 MB), while its flows take 2.5-2.9 s at every size, within the
+# spread between runs.
 _FLOW_CHUNK = 512
 
 
@@ -369,20 +371,20 @@ def _sample_grouped(
     observables, and its last segment gives the final state).
     """
     rates = system.rates
-    k, fid, entry, n_jumps = 0, 0, 0, 0
+    fid, entry, n_jumps = 0, 0, 0
     segments.append(entry, fid)
     peak = 0.0
     # threshold words [base, base + words.size): each is read once, and the
     # words after a hit are scanned again by the next segment's flow
     base, words = 0, np.empty(0, dtype=np.uint64)
-    while k < n_steps:
+    while entry < n_steps:
         flow = flows[fid]
         viol_step = entry + flow.first_violation
         if flow.dark:  # all dp are zero, so no guard can be violated
             break
         hit = -1
         chunk = _CHUNK0
-        j = k
+        j = entry
         while j < n_steps:
             if j == base + words.size:
                 count = min(chunk, n_steps - j)
@@ -411,7 +413,7 @@ def _sample_grouped(
         jumps.append(traj_index, (hit + 1) * dt, m, dp_col)
         n_jumps += 1
         fid = int(flow.image_flow[m])
-        k = entry = hit + 1
+        entry = hit + 1
         segments.append(entry, fid)
     segments.end_trajectory()
     return float(max(peak, flows[fid].top_peak[n_steps - entry]))

@@ -148,7 +148,7 @@ def reference_run(
 
 
 class Raised(NamedTuple):
-    """A run that raised: its message and, for the reference, the step."""
+    """A run that raised: its error's type and message and, for the reference, the step."""
 
     message: str
     step: int | None = None
@@ -159,7 +159,7 @@ def outcome(run, *args, **kwargs):
     try:
         return run(*args, **kwargs)
     except (TimestepError, NumericalInconsistencyError) as err:
-        return Raised(str(err), getattr(err, "step", None))
+        return Raised(f"{type(err).__name__}: {err}", getattr(err, "step", None))
 
 
 def _row(result, j):
@@ -252,6 +252,14 @@ def p_paper_rates(layout6):
 @pytest.fixture(scope="session")
 def system_eff(p_paper_rates):
     return build_system(p_paper_rates, n_fock=6, hamiltonian="effective")
+
+
+@pytest.fixture(scope="session")
+def hom_system(layout6):
+    """Rates ten times the headline ones, for the diffusive unravelling at dt = 0.1."""
+    base = SystemParams(kappa=4e-4, gamma1=4e-4, gamma2=4e-4, gamma_c=0.0)
+    p = calibrate_resonance(base, layout6, which="effective")
+    return build_system(p, n_fock=6, hamiltonian="effective")
 
 
 @pytest.fixture(scope="session")

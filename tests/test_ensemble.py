@@ -14,16 +14,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import ndtri
 
 from usctraj import ensemble, mcwf
 from usctraj.dressed import CHANNEL_LABELS
 from usctraj.ensemble import ENSEMBLE_METHODS, run_ensemble
 from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepError
 from usctraj.hilbert import build_layout
+from usctraj.lme import density_from_state, evolve_lme
 from usctraj.mcwf import JUMP_NORM_FLOOR, MAX_DP_PER_STEP, ensemble_average, run_trajectory
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.rng import PURPOSE_JUMP, RawWords, raw_thresholds
-from usctraj.system import build_system
+from usctraj.system import OBSERVABLE_LABELS, build_system
 
 N_TRAJ = 40
 T_FINAL = 3000.0
@@ -645,3 +647,30 @@ def test_grouped_statistics_hold_no_rows(system_eff):
 
     rows = 3 * 4500 * 1201 * 8  # bytes of 4500 rows at T = 3000 / (0.5 * 5) + 1
     assert traced_peak(5000) - traced_peak(500) < rows / 20
+
+
+def test_grouped_means_match_the_master_equation(layout6):
+    # At each of the 2 x 3 x 61 (gamma_c, observable, time) points,
+    # |mean - LME| <= z SE + 3/N: z is the two-sided Bonferroni bound for a
+    # family-wise false-fail rate of 1e-3 (z = 4.69), and 3/N is criterion
+    # 08's allowance for points where all trajectories share one state.  N
+    # is set so that a cavity rate 5 % off, which moves the cavity mean by
+    # up to 0.016, fails this rule
+    n, points = 20_000, 61
+    z = ndtri(1.0 - 1e-3 / (2 * 2 * len(OBSERVABLE_LABELS) * points))
+    for gamma_c, seed in [(0.0, 21), (2e-3, 22)]:
+        base = SystemParams(kappa=2e-3, gamma1=2e-3, gamma2=2e-3, gamma_c=gamma_c)
+        p = calibrate_resonance(base, layout6, which="effective")
+        system = build_system(p, n_fock=6, hamiltonian="effective")
+        psi0 = system.initial_state("1gg")
+        avg = ensemble_average(run_ensemble(
+            system, psi0, 3000.0, n, dt=0.5, master_seed=seed, record_every=100,
+            method="grouped",
+        ))
+        lme = evolve_lme(system, density_from_state(psi0, layout6), 3000.0, 0.5, record_every=100)
+        assert avg.time_grid.size == points
+        for label in OBSERVABLE_LABELS:
+            dev = np.abs(avg.means[label] - lme.expectations[label])
+            allowed = z * avg.standard_errors[label] + 3.0 / n
+            worst = int(np.argmax(dev / allowed))
+            assert dev[worst] <= allowed[worst], (gamma_c, label, avg.time_grid[worst])

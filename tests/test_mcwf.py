@@ -1,6 +1,12 @@
-"""Monte-Carlo wave-function trajectories: stepping, jumps, reproducibility."""
+"""The trajectory kernel under every unravelling: stepping, jumps, reproducibility.
+
+One reference harness covers the kernel: each case of the table below runs
+alone and as one batch against ``conftest.reference_run``, under the
+knob settings of its group.
+"""
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -32,6 +38,7 @@ from usctraj.mcwf import (
 )
 from usctraj.model import SystemParams, calibrate_resonance
 from usctraj.oracles import expectations_1p2a
+from usctraj.rng import PURPOSE_CHANNEL, PURPOSE_JUMP, PURPOSE_NOISE, RawWords
 from usctraj.system import OBSERVABLE_LABELS, build_system
 
 
@@ -63,23 +70,27 @@ def test_final_state_stays_normalized(system_eff):
     assert abs(np.linalg.norm(rec.final_states[0]) - 1.0) < 1e-12
 
 
-def test_trajectory_is_deterministic(system_eff):
-    a = run_trajectory(system_eff, system_eff.initial_state("1gg"), 500.0, dt=0.5, seed=9)
-    b = run_trajectory(system_eff, system_eff.initial_state("1gg"), 500.0, dt=0.5, seed=9)
+@pytest.mark.parametrize(
+    "system, t_repeat, t_differ, kwargs",
+    [
+        ("system_eff", 500.0, 3000.0, dict(dt=0.5, seed=9)),
+        ("hom_system", 200.0, 200.0, dict(
+            dt=0.1, seed=8, record_every=5, homodyne_channels=CHANNEL_LABELS, drift_mode="qsd",
+        )),
+    ],
+    ids=["photodetection", "homodyne"],
+)
+def test_a_trajectory_is_fixed_by_its_seed_and_index(request, system, t_repeat, t_differ, kwargs):
+    system = request.getfixturevalue(system)
+    psi0 = system.initial_state("1gg")
+    a, b = (run_trajectory(system, psi0, t_repeat, **kwargs) for _ in range(2))
     np.testing.assert_array_equal(a.final_states, b.final_states)
     np.testing.assert_array_equal(a.rows[0], b.rows[0])
     np.testing.assert_array_equal(a.jump_time, b.jump_time)
     np.testing.assert_array_equal(a.jump_channel, b.jump_channel)
-
-
-def test_trajectories_differ_across_index(system_eff):
-    a = run_trajectory(system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=9, traj_index=0)
-    b = run_trajectory(system_eff, system_eff.initial_state("1gg"), 3000.0, dt=0.5, seed=9, traj_index=1)
-    differs = (
-        not np.array_equal(a.rows[0], b.rows[0])
-        or a.jump_time.size != b.jump_time.size
-    )
-    assert differs
+    a, c = (run_trajectory(system, psi0, t_differ, traj_index=j, **kwargs) for j in (0, 1))
+    assert not np.array_equal(a.rows[0], c.rows[0])
+    assert not np.array_equal(a.final_states, c.final_states)
 
 
 def test_no_jump_segment_matches_pair_subspace_solution(balanced_params):
@@ -215,139 +226,261 @@ def test_store_states_shape(system_eff):
 
 
 @pytest.fixture(scope="module")
-def busy_system():
-    """Jumps every few hundred steps, a collective channel included."""
-    layout = build_layout(4)
-    base = SystemParams(kappa=2e-3, gamma1=3e-3, gamma2=2e-3, gamma_c=1e-3)
-    p = calibrate_resonance(base, layout, which="effective")
-    return build_system(p, n_fock=4, hamiltonian="effective")
+def systems():
+    """The kernel's test systems at n_fock 4, by name, and one at n_fock 2.
+
+    "weak" jumps every few hundred steps at dt = 0.5, a collective channel
+    included; "strong" and "strong-full" (its full Hamiltonian) do so at
+    dt = 0.1; "cavity" decays through its cavity alone; "pair" is small
+    enough for the pair exchange to fill its top Fock level.
+    """
+    def built(n_fock=4, hamiltonian="effective", **rates):
+        p = calibrate_resonance(SystemParams(**rates), build_layout(n_fock), which="effective")
+        return build_system(p, n_fock=n_fock, hamiltonian=hamiltonian)
+
+    strong = dict(kappa=1e-2, gamma1=2e-2, gamma2=1.5e-2, gamma_c=1e-2)
+    return {
+        "weak": built(kappa=2e-3, gamma1=3e-3, gamma2=2e-3, gamma_c=1e-3),
+        "strong": built(**strong),
+        "strong-full": built(hamiltonian="full", **strong),
+        "cavity": built(kappa=2e-3),
+        "pair": built(n_fock=2, kappa=4e-4, gamma1=2e-4, gamma2=2e-4),
+    }
+
+
+class Case(NamedTuple):
+    """Trajectories 0..n-1 of one seeded family, as the kernel and the reference run them."""
+
+    system: str  # a key of ``systems``
+    init: str
+    t_final: float
+    dt: float | None
+    seed: int
+    n: int
+    record_every: int = 1
+    homodyne_channels: tuple[str, ...] = ()
+    drift_mode: str = "qsd"
+
+
+def _alone(systems, case, j):
+    """Trajectory j of a case run alone, with its states, or the error it raised."""
+    system = systems[case.system]
+    return outcome(
+        run_trajectory, system, system.initial_state(case.init), case.t_final, dt=case.dt,
+        seed=case.seed, traj_index=j, record_every=case.record_every, store_states=True,
+        homodyne_channels=case.homodyne_channels, drift_mode=case.drift_mode,
+    )
+
+
+def _batch(systems, case):
+    """A case run as one direct ensemble, or the error it raised."""
+    system = systems[case.system]
+    return outcome(
+        run_ensemble, system, system.initial_state(case.init), case.t_final, case.n,
+        dt=case.dt, master_seed=case.seed, record_every=case.record_every, method="direct",
+        homodyne_channels=case.homodyne_channels, drift_mode=case.drift_mode,
+    )
 
 
 @pytest.fixture(scope="module")
-def busy_references(busy_system):
-    """Per-step reference runs keyed by (init, t_final, record_every, index)."""
-    refs = {}
-    for case in [
-        ("0ee", 1500.0, 1),
-        ("1gg", 1000.5, 7),
-        ("0ee", 600.0, 5),
-        ("1gg", 0.5, 1),
+def references(systems):
+    """The per-step reference outcomes of a case, computed once per jump-norm floor."""
+    computed = {}
+
+    def get(case):
+        key = case, mcwf.JUMP_NORM_FLOOR
+        if key not in computed:
+            system = systems[case.system]
+            computed[key] = [
+                outcome(
+                    reference_run, system, system.initial_state(case.init), case.t_final,
+                    case.dt, case.seed, j, case.record_every, case.homodyne_channels,
+                    case.drift_mode,
+                )
+                for j in range(case.n)
+            ]
+        return computed[key]
+
+    return get
+
+
+def _assert_kernel_equals_the_references(systems, cases, references):
+    """Each trajectory of each case run alone, and each case as one batch,
+    equal the per-step references; returns the numbers of jumps and raises.
+
+    A batch raises the error of its row that raised at the earliest step,
+    the lowest such row on a tie (``assert_batch_equals_references``).
+    Where every step is recorded, the top-Fock peaks are those of the
+    reference's states.
+    """
+    n_jumps = n_raised = 0
+    for case in cases:
+        refs, peaks = references(case), []
+        for j, ref in enumerate(refs):
+            alone = _alone(systems, case, j)
+            assert_batch_equals_references(alone, [ref])
+            if isinstance(ref, Raised):
+                n_raised += 1
+                continue
+            n_jumps += len(ref[1])
+            if case.record_every == 1:
+                assert alone.top_fock_peak == mcwf._top_fock(ref[3]).max()
+                peaks.append(alone.top_fock_peak)
+        batch = _batch(systems, case)
+        if assert_batch_equals_references(batch, refs) is None and peaks:
+            assert batch.top_fock_peak == max(peaks)
+    return n_jumps, n_raised
+
+
+_WEAK_CASES = [
+    Case("weak", init, t_final, 0.5, 11, 6, record_every)
+    for init, t_final, record_every in [
+        ("0ee", 1500.0, 1), ("1gg", 1000.5, 7), ("0ee", 600.0, 5), ("1gg", 0.5, 1),
         ("1gg", 0.0, 1),
-    ]:
-        init, t_final, record_every = case
-        for traj_index in range(6):
-            refs[case + (traj_index,)] = reference_run(
-                busy_system, busy_system.initial_state(init), t_final, 0.5, 11,
-                traj_index, record_every,
-            )
-    return refs
-
-
-def _assert_kernel_equals_the_references(system, references):
-    """One direct batch per case, and every trajectory run alone with its
-    states, equal the per-step reference runs.  Where every step is
-    recorded, the top-Fock peak is that of the reference's states."""
-    n_jumps, peaks = 0, []
-    cases = sorted({key[:3] for key in references})
-    for init, t_final, record_every in cases:
-        psi0 = system.initial_state(init)
-        batch = run_ensemble(
-            system, psi0, t_final, 6, dt=0.5, master_seed=11, record_every=record_every,
-            method="direct",
-        )
-        for traj_index in range(6):
-            ref = references[(init, t_final, record_every, traj_index)]
-            assert_row_equals(batch, traj_index, ref)
-            _, jumps, _, states = ref
-            rec = run_trajectory(
-                system, psi0, t_final, dt=0.5, seed=11, traj_index=traj_index,
-                record_every=record_every, store_states=True,
-            )
-            assert_row_equals(rec, 0, ref)
-            if record_every == 1:
-                assert rec.top_fock_peak == mcwf._top_fock(states).max()
-                peaks.append(rec.top_fock_peak)
-            n_jumps += len(jumps)
-        if record_every == 1:
-            assert batch.top_fock_peak == max(peaks[-6:])
-    assert n_jumps > 20
-
-
-@pytest.mark.parametrize("block", [1, 7, mcwf._WORD_BLOCK])
-def test_kernel_equals_the_per_step_reference(busy_system, busy_references, block, monkeypatch):
-    # word blocks of 1 and 7 steps end inside every run
-    monkeypatch.setattr(mcwf, "_WORD_BLOCK", block)
-    _assert_kernel_equals_the_references(busy_system, busy_references)
-
-
-@pytest.mark.parametrize("word_block, history_rows", [(1, 4), (3, 5)])
-def test_chunked_engine_equals_the_per_step_reference(
-    busy_system, busy_references, word_block, history_rows, monkeypatch
-):
-    # the kernel works in two kinds of chunk: random words read a block of
-    # steps at a time and visited states reduced a buffer at a time; both
-    # end inside every run here, out of step with each other
-    monkeypatch.setattr(mcwf, "_WORD_BLOCK", word_block)
-    monkeypatch.setattr(mcwf, "_HISTORY_ROWS", history_rows)
-    _assert_kernel_equals_the_references(busy_system, busy_references)
-
-
-@pytest.mark.parametrize("history_rows", [1, mcwf._HISTORY_ROWS])
-def test_shared_row_trajectories_equal_single_runs(busy_system, history_rows, monkeypatch):
-    # all twelve start on the shared row and split off at their first jumps;
-    # with history_rows = 1 the top-Fock history is reduced at every step
-    monkeypatch.setattr(mcwf, "_HISTORY_ROWS", history_rows)
-    psi0 = busy_system.initial_state("1gg")
-    common = dict(dt=0.5, record_every=3)
-    batch = run_ensemble(busy_system, psi0, 800.0, 12, master_seed=3, method="direct", **common)
-    singles = [
-        run_trajectory(busy_system, psi0, 800.0, seed=3, traj_index=j, **common)
-        for j in range(12)
     ]
+]
+_STRONG_CASES = [
+    Case(system, init, t_final, 0.1, 13, 3, record_every, channels, drift)
+    for system, init, t_final, record_every, channels, drift in [
+        ("strong", "1gg", 60.0, 1, CHANNEL_LABELS, "qsd"),
+        ("strong", "1gg", 60.0, 3, CHANNEL_LABELS, "as-printed"),
+        ("strong", "1gg", 60.0, 7, CHANNEL_LABELS, "as-printed"),
+        ("strong", "0ee", 150.0, 5, ("cavity",), "qsd"),
+        ("strong", "0ee", 150.0, 4, ("cavity",), "as-printed"),
+        ("strong", "0ee", 150.0, 1, ("cavity", "collective"), "as-printed"),
+        ("strong-full", "0ee", 150.0, 5, ("cavity",), "qsd"),
+        ("strong", "0ee", 150.0, 5, (), "qsd"),
+    ]
+]
+
+
+# Word blocks of 1, 3 and 7 steps end inside every run, so the noise words
+# a jump left unread are read again at many refills.  The kernel works in
+# two kinds of chunk, random words read a block of steps at a time and
+# visited states reduced a buffer at a time: at (1, 4) and (3, 5) both end
+# inside every run, out of step with each other.  The selected jump norms
+# of the strong cases lie between 0.985 and 1: at a floor of 0.995 some
+# jumps collapse and others raise, and the kernel must do exactly what the
+# reference does under that floor.
+@pytest.mark.parametrize(
+    "cases, knobs, min_jumps, raises",
+    [
+        pytest.param(_WEAK_CASES, {"_WORD_BLOCK": 1}, 21, False, id="1"),
+        pytest.param(_WEAK_CASES, {"_WORD_BLOCK": 7}, 21, False, id="7"),
+        pytest.param(_WEAK_CASES, {}, 21, False, id="4096"),
+        pytest.param(_WEAK_CASES, {"_WORD_BLOCK": 1, "_HISTORY_ROWS": 4}, 21, False, id="1-4"),
+        pytest.param(_WEAK_CASES, {"_WORD_BLOCK": 3, "_HISTORY_ROWS": 5}, 21, False, id="3-5"),
+        pytest.param(_STRONG_CASES, {"_WORD_BLOCK": 1}, 10, False, id="strong-1"),
+        pytest.param(_STRONG_CASES, {"_WORD_BLOCK": 3}, 10, False, id="strong-3"),
+        pytest.param(_STRONG_CASES, {"_WORD_BLOCK": 7}, 10, False, id="strong-7"),
+        pytest.param(_STRONG_CASES, {}, 10, False, id="strong-4096"),
+        pytest.param(
+            _STRONG_CASES, {"JUMP_NORM_FLOOR": 0.995}, 1, True, id="strong-floor-0.995"
+        ),
+    ],
+)
+def test_kernel_equals_the_per_step_reference(
+    systems, references, cases, knobs, min_jumps, raises, monkeypatch
+):
+    for name, value in knobs.items():
+        monkeypatch.setattr(mcwf, name, value)
+    n_jumps, n_raised = _assert_kernel_equals_the_references(systems, cases, references)
+    assert n_jumps >= min_jumps
+    assert (n_raised > 0) is raises
+
+
+@pytest.mark.parametrize(
+    "case, purposes",
+    [(_STRONG_CASES[7], {PURPOSE_JUMP, PURPOSE_CHANNEL}), (_STRONG_CASES[0], {PURPOSE_NOISE})],
+    ids=["photodetection", "full-homodyne"],
+)
+def test_runs_that_need_no_words_draw_none(systems, references, case, purposes, monkeypatch):
+    # photodetection reads no noise words, full homodyne no threshold or
+    # channel words: the purposes the runs read are exactly those they need
+    # (the photodetection runs jump, so they read channel words)
+    read = set()
+
+    class Recorded(RawWords):
+        def __call__(self, master_seed, traj_index, purpose, start, count):
+            read.add(purpose)
+            return super().__call__(master_seed, traj_index, purpose, start, count)
+
+    monkeypatch.setattr(mcwf, "RawWords", Recorded)
+    _assert_kernel_equals_the_references(systems, [case], references)
+    assert read == purposes
+
+
+@pytest.mark.parametrize(
+    "case, knobs, min_first_jumps",
+    [
+        # all twelve start on the shared row and split off at their first
+        # jumps; with history_rows = 1 the top-Fock history is reduced at
+        # every step
+        pytest.param(
+            Case("weak", "1gg", 800.0, 0.5, 3, 12, 3), {"_HISTORY_ROWS": 1}, 8,
+            id="shared-row-history-1",
+        ),
+        pytest.param(Case("weak", "1gg", 800.0, 0.5, 3, 12, 3), {}, 8, id="shared-row"),
+        # a budget of 100 words cuts the 17-row batch into blocks of 2 steps
+        # and each single run into blocks of 50; the rows jump at different
+        # steps, so their noise offsets part
+        pytest.param(
+            Case("strong", "0ee", 150.0, 0.1, 13, 17, 5, ("cavity",)),
+            {"_WORD_BUDGET": 100}, 5, id="homodyne-word-budget-100",
+        ),
+    ],
+)
+def test_ensemble_rows_equal_single_runs(systems, case, knobs, min_first_jumps, monkeypatch):
+    for name, value in knobs.items():
+        monkeypatch.setattr(mcwf, name, value)
+    batch = _batch(systems, case)
+    singles = [_alone(systems, case, j) for j in range(case.n)]
     for j, rec in enumerate(singles):
         assert_row_equals(batch, j, rec)
     assert batch.top_fock_peak == max(rec.top_fock_peak for rec in singles)
-    # the trajectories leave the shared row at many different steps
+    # the trajectories first jump, and so leave any shared row, at many different steps
     first_jumps = {rec.jump_time[0] for rec in singles if rec.jump_time.size}
-    assert len(first_jumps) >= 8
+    assert len(first_jumps) >= min_first_jumps
 
 
-def _assert_batch_raises_the_earliest(system, psi0, t_final, dt, seed, n):
-    """Each row alone does what the reference does, and the batch of n rows
-    raises the error of the earliest step, the lowest row there.  Returns
-    the reference outcomes and that row."""
-    refs = [outcome(reference_run, system, psi0, t_final, dt, seed, j, 1) for j in range(n)]
+@pytest.mark.parametrize(
+    "case, floor, first_is_lowest, completes",
+    [
+        # the selected jump norms lie between 0.44 and 1; at this floor every
+        # row raises at a jump, row 5 first (t = 168) and row 0 at t = 236:
+        # the batch must raise row 5's error, not row 0's
+        pytest.param(
+            Case("weak", "0ee", 1500.0, 0.5, 11, 8), 0.99, False, False,
+            id="photodetection-jump-norm-floor",
+        ),
+        # at this floor rows 0 and 3..7 raise, row 5 first (step 255, row 0
+        # at 588): the batch must raise row 5's error, not row 0's
+        pytest.param(
+            Case("strong", "0ee", 150.0, 0.1, 13, 8, 1, ("cavity", "collective"), "as-printed"),
+            0.995, False, True, id="mixed-jump-norm-floor",
+        ),
+        # dp grows with the cavity population; a jump may come before the
+        # cap.  Rows that have not jumped reach the cap together, on the
+        # shared row, and the lowest of them raises
+        pytest.param(
+            Case("cavity", "0ee", 6000.0, 60.0, 2, 8), mcwf.JUMP_NORM_FLOOR,
+            True, True, id="timestep-cap",
+        ),
+    ],
+)
+def test_a_batch_raises_the_error_of_its_earliest_failing_row(
+    systems, references, case, floor, first_is_lowest, completes, monkeypatch
+):
+    monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", floor)
+    refs = references(case)
     for j, ref in enumerate(refs):
-        alone = outcome(run_trajectory, system, psi0, t_final, dt=dt, seed=seed, traj_index=j)
-        assert_batch_equals_references(alone, [ref])
-    batch = outcome(run_ensemble, system, psi0, t_final, n, dt=dt, master_seed=seed, method="direct")
-    first = assert_batch_equals_references(batch, refs)
-    assert first is not None
-    return refs, first
-
-
-def test_a_batch_stops_at_the_earliest_reference_timestep_error():
-    # dp grows with the cavity population; a jump may come before the cap.
-    # Rows that have not jumped reach the cap together, on the shared row.
-    layout = build_layout(4)
-    p = calibrate_resonance(SystemParams(kappa=2e-3), layout, which="effective")
-    system = build_system(p, n_fock=4, hamiltonian="effective")
-    refs, _ = _assert_batch_raises_the_earliest(
-        system, system.initial_state("0ee"), 6000.0, 60.0, 2, 8
-    )
-    assert sum(isinstance(ref, Raised) for ref in refs) > 1
-    assert any(not isinstance(ref, Raised) and ref[1] for ref in refs)
-
-
-def test_a_batch_raises_the_error_of_its_earliest_failing_row(busy_system, monkeypatch):
-    # the selected jump norms lie between 0.44 and 1; at this floor every
-    # row raises at a jump, row 5 first (t = 168) and row 0 at t = 236: the
-    # batch must raise row 5's error, not row 0's
-    monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", 0.99)
-    refs, first = _assert_batch_raises_the_earliest(
-        busy_system, busy_system.initial_state("0ee"), 1500.0, 0.5, 11, 8
-    )
-    assert first != min(j for j, ref in enumerate(refs) if isinstance(ref, Raised))
+        assert_batch_equals_references(_alone(systems, case, j), [ref])
+    first = assert_batch_equals_references(_batch(systems, case), refs)
+    raising = [j for j, ref in enumerate(refs) if isinstance(ref, Raised)]
+    assert first is not None and len(raising) > 1
+    assert (first == raising[0]) is first_is_lowest
+    # some row runs to the end after a jump
+    assert any(not isinstance(ref, Raised) and ref[1] for ref in refs) is completes
 
 
 def test_first_jump_follows_the_per_step_rule():
@@ -362,41 +495,93 @@ def test_first_jump_follows_the_per_step_rule():
             _fires(np.array([0.1, 0.0]), eps)
 
 
-def test_trajectories_live_together_on_the_shared_row_decide_alone(busy_system):
-    # at dt = 10 the jump bound passes MAX_DP_PER_STEP, so every trajectory
-    # is live at every step: all 6 are live together on the shared row at
-    # step 0, and those that have not jumped stay so until they do
-    dt, psi0 = 10.0, busy_system.initial_state("0ee")
-    scale = dt * busy_system.rates
-    assert mcwf._jump_reach(busy_system.plus_stack, scale, psi0) == np.inf
-    result = run_ensemble(busy_system, psi0, 400.0, 6, dt=dt, master_seed=11, method="direct")
-    for j in range(6):
-        alone = run_trajectory(busy_system, psi0, 400.0, dt=dt, seed=11, traj_index=j)
-        assert_row_equals(result, j, alone)
-        assert_row_equals(result, j, reference_run(busy_system, psi0, 400.0, dt, 11, j, 1))
-    first_jumps = result.jump_time[np.r_[True, np.diff(result.jump_traj) != 0]]
-    assert result.jump_traj.size and len(set(first_jumps.tolist())) > 1
+@pytest.mark.parametrize(
+    "case, raised_at, min_first_jumps",
+    [
+        # at dt = 10 every trajectory is live at every step: all 6 are live
+        # together on the shared row at step 0, and those that have not
+        # jumped stay so until they do
+        pytest.param(
+            Case("weak", "0ee", 400.0, 10.0, 11, 6), [None] * 6, 2, id="photodetection"
+        ),
+        # at dt = 6 every threshold word counts; from 0ee each row fails the
+        # dp guard at its first step, with the reference's error
+        pytest.param(
+            Case("strong", "0ee", 60.0, 6.0, 13, 5, 1, ("cavity",)), [0] * 5, 0, id="mixed"
+        ),
+    ],
+)
+def test_past_the_jump_bound_every_row_decides_alone(
+    systems, references, case, raised_at, min_first_jumps
+):
+    # the jump bound passes MAX_DP_PER_STEP, so no threshold word is skipped
+    system = systems[case.system]
+    jump_idx = [m for m, label in enumerate(CHANNEL_LABELS) if label not in case.homodyne_channels]
+    reach = mcwf._jump_reach(
+        system.plus_stack[jump_idx], case.dt * system.rates[jump_idx],
+        system.initial_state(case.init),
+    )
+    assert reach == np.inf
+    refs = references(case)
+    assert [ref.step if isinstance(ref, Raised) else None for ref in refs] == raised_at
+    _assert_kernel_equals_the_references(systems, [case], references)
+    first_jumps = {ref[1][0][0] for ref in refs if not isinstance(ref, Raised) and ref[1]}
+    assert len(first_jumps) >= min_first_jumps
 
 
-def test_top_fock_peak_covers_every_visited_state():
+def test_jump_reach_bounds_the_jump_probability_of_every_state(systems):
+    # worst cases are the top right-singular vectors of each S+; random
+    # states and an unnormalized psi0 must stay below the bound as well
+    rng = np.random.default_rng(0)
+    for system in (systems["strong"], systems["strong-full"]):
+        d = system.dimension
+        for jump_idx in ([1, 2, 3], [1, 3], [0, 1, 2, 3]):
+            stack, scale = system.plus_stack[jump_idx], 0.1 * system.rates[jump_idx]
+            for psi0 in (system.initial_state("0ee"), 2.0 * system.initial_state("1gg")):
+                reach = mcwf._jump_reach(stack, scale, psi0)
+                assert reach < mcwf.MAX_DP_PER_STEP
+                states = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+                states /= np.linalg.norm(states, axis=1)[:, None]
+                states = np.concatenate(
+                    [states, np.linalg.svd(stack)[2][:, 0].conj(), psi0[None]]
+                )
+                dp = scale * mcwf._chunk_amplitudes(states, stack)[1]
+                assert dp.sum(axis=1).max() < reach
+            assert mcwf._jump_reach(stack, 60 * scale, psi0) == np.inf
+
+
+def test_a_jump_bound_just_below_the_cap_is_kept():
+    # one channel with ||S+|| = 1 on a normalized state: the bound is the
+    # scale times the slack, a relative 1e-10 below MAX_DP_PER_STEP
+    stack, psi0 = np.eye(3, dtype=complex)[None], np.array([1.0, 0.0, 0.0], dtype=complex)
+    bound = mcwf.MAX_DP_PER_STEP * (1.0 - 1e-10)
+    scale = np.array([bound / (1.0 + mcwf._BOUND_SLACK)])
+    reach = mcwf._jump_reach(stack, scale, psi0)
+    assert reach < mcwf.MAX_DP_PER_STEP
+    assert reach == pytest.approx(bound, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        Case("pair", "0ee", 3000.0, None, 5, n, 1, channels)
+        for channels, n in [((), 6), (CHANNEL_LABELS, 1), (("cavity",), 1)]
+    ],
+    ids=["photodetection", "full-homodyne", "mixed"],
+)
+def test_top_fock_peak_covers_every_visited_state(systems, case):
     # at n_fock = 2 the pair exchange fills the top Fock level mid-run; with
     # record_every = 1 every visited state is a recorded row, pre-jump ones too
-    base = SystemParams(kappa=4e-4, gamma1=2e-4, gamma2=2e-4)
-    p = calibrate_resonance(base, build_layout(2), which="effective")
-    system = build_system(p, n_fock=2, hamiltonian="effective")
-    psi0 = system.initial_state("0ee")
     peaks = []
-    for traj_index in range(6):
-        rec = run_trajectory(
-            system, psi0, 3000.0, seed=5, traj_index=traj_index, store_states=True
-        )
+    for j in range(case.n):
+        rec = _alone(systems, case, j)
         top = np.sum(np.abs(rec.states[0, :, -4:]) ** 2, axis=1)
         assert rec.top_fock_peak == pytest.approx(top.max(), rel=1e-12)
         peaks.append((rec.top_fock_peak, top[0], top[-1]))
     # the peak lies inside the run, above both its ends
     assert any(peak > 0.5 and peak > max(first, last) for peak, first, last in peaks)
-    batch = run_ensemble(system, psi0, 3000.0, 6, master_seed=5, method="direct")
-    assert batch.top_fock_peak == max(peak for peak, _, _ in peaks)
+    if case.n > 1:  # a batch of one row is that row run alone
+        assert _batch(systems, case).top_fock_peak == max(peak for peak, _, _ in peaks)
 
 
 @pytest.mark.parametrize(

@@ -96,12 +96,13 @@ def test_every_case_runs_and_any_difference_exits_1(monkeypatch, capsys, tmp_pat
         head = workdir.name == "head"
         changed = head and case.name in ("a", "b")
         return gate.Result(0, "", "", {"x.csv": b"2\n" if changed else b"1\n"},
-                           wall_s=2.5 if head else 1.25, rss_mb=99.6 if head else 203.0)
+                           wall_s=2.5 if head else 1.25, cpu_s=2.25 if head else 1.0,
+                           rss_mb=99.6 if head else 203.0)
 
     monkeypatch.setattr(gate, "run_case", run_case)
     assert gate.main(["--base", "HEAD", "--scratch", str(tmp_path)]) == 1
     out = capsys.readouterr().out.splitlines()
-    usage = "base 1.25 s 203 MB, head 2.50 s 100 MB"
+    usage = "base 1.25 s (CPU 1.00 s) 203 MB, head 2.50 s (CPU 2.25 s) 100 MB"
     assert out == [
         f"DIFFERS a (ensemble): {usage}",
         "    x.csv line 1",
@@ -119,3 +120,5 @@ def test_a_case_reports_its_exit_code_streams_files_time_and_peak_rss(tmp_path):
     assert run.code == 2 and run.files == {} and run.stdout == ""
     assert run.stderr.startswith("error: ")
     assert run.wall_s > 0.0 and run.rss_mb > 10.0
+    # the CLI's own CPU time: its imports at least, about one core's worth at most
+    assert 0.0 < run.cpu_s < 1.5 * run.wall_s

@@ -16,8 +16,9 @@ Every case runs as one CLI process, one process at a time, base first.  A
 case is the same when both runs exit with the same code, write the same
 files with the same bytes, print the same stderr, and print the same stdout
 once each run's output directory is replaced by ``<out>``.  Each case's
-line also gives the wall time and peak RSS of its base and head runs
-(``os.wait4``'s ``ru_maxrss``); they inform and never change the verdict.
+line also gives the wall time, CPU time (``ru_utime + ru_stime``) and peak
+RSS (``ru_maxrss``) of its base and head runs, from ``os.wait4``; they
+inform and never change the verdict.
 This process imports no numpy, so a run's peak RSS is the CLI's own.
 
 Every case runs.  Each case that differs is named with every output that
@@ -112,10 +113,11 @@ class Result:
     stderr: str
     files: dict[str, bytes]
     wall_s: float = 0.0
+    cpu_s: float = 0.0
     rss_mb: float = 0.0
 
     def usage(self) -> str:
-        return f"{self.wall_s:.2f} s {self.rss_mb:.0f} MB"
+        return f"{self.wall_s:.2f} s (CPU {self.cpu_s:.2f} s) {self.rss_mb:.0f} MB"
 
 
 def run_case(tree: Path, case: Case, workdir: Path) -> Result:
@@ -153,7 +155,7 @@ def run_case(tree: Path, case: Case, workdir: Path) -> Result:
         files = {str(p.relative_to(out)): p.read_bytes()
                  for p in sorted(out.rglob("*")) if p.is_file()}
     return Result(proc.returncode, streams[0].replace(str(out), "<out>"), streams[1], files,
-                  wall, usage.ru_maxrss / 1024.0)
+                  wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0)
 
 
 def _first_differing_line(a: str, b: str) -> int:
