@@ -70,25 +70,35 @@ def test_final_state_stays_normalized(system_eff):
     assert abs(np.linalg.norm(rec.final_states[0]) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "system, t_repeat, t_differ, kwargs",
-    [
-        ("system_eff", 500.0, 3000.0, dict(dt=0.5, seed=9)),
-        ("hom_system", 200.0, 200.0, dict(
-            dt=0.1, seed=8, record_every=5, homodyne_channels=CHANNEL_LABELS, drift_mode="qsd",
-        )),
-    ],
-    ids=["photodetection", "homodyne"],
-)
-def test_a_trajectory_is_fixed_by_its_seed_and_index(request, system, t_repeat, t_differ, kwargs):
-    system = request.getfixturevalue(system)
-    psi0 = system.initial_state("1gg")
-    a, b = (run_trajectory(system, psi0, t_repeat, **kwargs) for _ in range(2))
+def test_trajectory_is_deterministic(system_eff):
+    psi0 = system_eff.initial_state("1gg")
+    a, b = (run_trajectory(system_eff, psi0, 500.0, dt=0.5, seed=9) for _ in range(2))
     np.testing.assert_array_equal(a.final_states, b.final_states)
     np.testing.assert_array_equal(a.rows[0], b.rows[0])
     np.testing.assert_array_equal(a.jump_time, b.jump_time)
     np.testing.assert_array_equal(a.jump_channel, b.jump_channel)
-    a, c = (run_trajectory(system, psi0, t_differ, traj_index=j, **kwargs) for j in (0, 1))
+
+
+def test_trajectories_differ_across_index(system_eff):
+    psi0 = system_eff.initial_state("1gg")
+    a, c = (run_trajectory(system_eff, psi0, 3000.0, dt=0.5, seed=9, traj_index=j) for j in (0, 1))
+    assert not np.array_equal(a.rows[0], c.rows[0])
+    assert not np.array_equal(a.final_states, c.final_states)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(dt=0.1, seed=8, record_every=5, homodyne_channels=CHANNEL_LABELS, drift_mode="qsd")],
+    ids=["homodyne"],
+)
+def test_a_trajectory_is_fixed_by_its_seed_and_index(hom_system, kwargs):
+    psi0 = hom_system.initial_state("1gg")
+    a, b = (run_trajectory(hom_system, psi0, 200.0, **kwargs) for _ in range(2))
+    np.testing.assert_array_equal(a.final_states, b.final_states)
+    np.testing.assert_array_equal(a.rows[0], b.rows[0])
+    np.testing.assert_array_equal(a.jump_time, b.jump_time)
+    np.testing.assert_array_equal(a.jump_channel, b.jump_channel)
+    a, c = (run_trajectory(hom_system, psi0, 200.0, traj_index=j, **kwargs) for j in (0, 1))
     assert not np.array_equal(a.rows[0], c.rows[0])
     assert not np.array_equal(a.final_states, c.final_states)
 
