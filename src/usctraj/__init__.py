@@ -13,6 +13,7 @@ Subpackage map:
 - ``oracles``: closed-form two-level subspace propagators and expectations
 - ``stats``: first-jump and conditional second-jump histograms from the jump columns
 - ``rng``: counter-based random words per trajectory and purpose, read by index
+- ``workers``: independent calls run side by side in forked processes, results in call order
 - ``errors``: exception types and the CLI exit codes they map to
 - ``cli``: reproducible experiment runner
 """

@@ -16,6 +16,13 @@ compare-lme  trajectory average vs master equation, with deviation report
 
 Named presets (fig1a .. fig7) ship with the package and can be passed
 directly to --config.
+
+A run uses every CPU of its affinity mask (``workers.W``) and writes the
+same bytes with any number of them: grouped ensembles build their flows
+and sample their trajectories in forked workers (``ensemble``), and
+compare-lme integrates the master equation in a worker beside the
+ensemble.  No worker outlives the run, and a worker that dies without a
+result exits 3.
 """
 
 from __future__ import annotations
@@ -30,12 +37,13 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, workers
 from .errors import ConfigError, TruncationError
 from .hilbert import build_layout
 from .mcwf import DRIFT_MODES, _monitored, ensemble_average
@@ -353,9 +361,8 @@ def _build_system(cfg: ExperimentConfig):
     )
 
 
-def _run_records(cfg: ExperimentConfig, check_truncation: bool):
-    """System and EnsembleResult of the configured stochastic solver."""
-    system = _build_system(cfg)
+def _run_records(cfg: ExperimentConfig, system, check_truncation: bool):
+    """EnsembleResult of the configured stochastic solver."""
     result = run_ensemble(
         system, system.initial_state(cfg.initial_state), cfg.t_final, cfg.n_trajectories,
         dt=cfg.dt, master_seed=cfg.master_seed, record_every=cfg.record_every,
@@ -363,7 +370,7 @@ def _run_records(cfg: ExperimentConfig, check_truncation: bool):
     )
     if check_truncation:
         _check_truncation(result.top_fock_peak, cfg.n_fock)
-    return system, result
+    return result
 
 
 def _lme_series(cfg: ExperimentConfig, system, check_truncation: bool):
@@ -379,7 +386,7 @@ def _lme_series(cfg: ExperimentConfig, system, check_truncation: bool):
 
 def cmd_trajectory(cfg, out: Path, check_truncation) -> list[Path]:
     cfg = _calibrated(cfg)
-    system, result = _run_records(cfg, check_truncation)
+    result = _run_records(cfg, _build_system(cfg), check_truncation)
     _make_dir(out)
     header = _header(cfg)
     written = []
@@ -430,7 +437,7 @@ def cmd_ensemble(cfg, out: Path, check_truncation) -> list[Path]:
         path = _make_dir(out) / f"{cfg.prefix}_lme.csv"
         _write_table(path, header, cols)
         return [path]
-    system, result = _run_records(cfg, check_truncation)
+    result = _run_records(cfg, _build_system(cfg), check_truncation)
     avg = ensemble_average(result)
     cols = [("time", avg.time_grid)]
     for label in cfg.observables:
@@ -443,8 +450,13 @@ def cmd_ensemble(cfg, out: Path, check_truncation) -> list[Path]:
 
 def cmd_compare_lme(cfg, out: Path, check_truncation) -> list[Path]:
     cfg = _calibrated(cfg)
-    system, result = _run_records(cfg, check_truncation)
-    series = _lme_series(cfg, system, check_truncation)
+    system = _build_system(cfg)
+    # the master equation runs in a worker beside the ensemble; the
+    # ensemble's error, its truncation check included, is raised first
+    result, series = workers.values(workers.run([
+        partial(_run_records, cfg, system, check_truncation),
+        partial(_lme_series, cfg, system, check_truncation),
+    ]))
     avg = ensemble_average(result)
     header = _header(cfg)
     cols = [("time", avg.time_grid)]

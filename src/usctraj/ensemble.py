@@ -53,6 +53,16 @@ words and top-Fock peaks; the jump probabilities of an age are formed
 from ``sq`` where they are read (``_Flow.dp``), with the multiply of the
 per-step rule.
 
+A grouped run uses every CPU of the process's affinity mask
+(``workers.W``) and gives the same bytes with any number.  Flows pending at
+once are built side by side, the popped one in this process and the
+others in forked workers (``workers.run``), and trajectories are sampled in
+W contiguous blocks, each with its own reader and columns, concatenated in
+trajectory order.  Each flow and each trajectory is computed by the same
+code from the same inputs wherever it runs, and an error is the one a
+single process meets first: that of the first flow, in order of
+discovery, whose build fails, and that of the lowest failing trajectory.
+
 Agreement with the direct kernel (``mcwf._run_rows``) is exact for the
 first segment and for all jump bookkeeping, and up to the arbitrary
 post-jump global phase (last-ulp differences in expectations, threshold
@@ -74,7 +84,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import expm
 
-from . import mcwf
+from . import mcwf, workers
 from .dressed import CHANNEL_LABELS
 from .errors import ConfigError, TimestepError
 from .mcwf import (
@@ -311,26 +321,52 @@ def _discover_flows(
     psi0: np.ndarray, system: DissipativeSystem, propagator: np.ndarray,
     n_steps: int, dt: float,
 ) -> list[_Flow]:
-    """Breadth-first closure of flows reachable from psi0 through jumps."""
-    flows = [_build_flow(psi0, system, propagator, n_steps, dt)]
-    pending = [0]
+    """Breadth-first closure of flows reachable from psi0 through jumps.
+
+    A flow gets its id when it is discovered, and is built by the time it
+    is popped: a popped flow not built yet is built together with up to
+    ``workers.W - 1`` other unbuilt pending flows from the top of the stack.
+    A failed build raises when its flow is popped, and the flow cap when it
+    is reached, each only once every flow discovered before is built: the
+    error is that of the first flow, in order of discovery, whose build
+    fails, as when each flow was built on discovery.
+    """
+    states, built, pending = [psi0], {}, [0]
+
+    def build(fids):
+        calls = [partial(_build_flow, states[f], system, propagator, n_steps, dt) for f in fids]
+        built.update(zip(fids, workers.run(calls)))
+
+    def fail(error: Exception, fid: int):
+        build([f for f in range(fid) if f not in built])
+        workers.values([built[f] for f in range(fid)])
+        raise error
+
     while pending:
         fid = pending.pop()
-        flow = flows[fid]
+        if fid not in built:
+            # a dark flow costs nothing and, built here, stays untouched zero pages
+            build([fid, *(
+                f for f in reversed(pending)
+                if f not in built and not _is_dark(states[f], system.plus_stack, propagator)
+            )][: workers.W])
+        ok, flow = built[fid]
+        if not ok:
+            fail(flow, fid)
         for m, image in enumerate(flow.image_state):
             if image is None:
                 continue
-            for gid, g in enumerate(flows):
-                if abs(np.vdot(g.state0, image)) > 1.0 - RAY_TOL:
+            for gid, state0 in enumerate(states):
+                if abs(np.vdot(state0, image)) > 1.0 - RAY_TOL:
                     flow.image_flow[m] = gid
                     break
             else:
-                if len(flows) >= FLOW_CAP:
-                    raise _Ungroupable(f"more than {FLOW_CAP} distinct flows")
-                flows.append(_build_flow(image, system, propagator, n_steps, dt))
-                flow.image_flow[m] = len(flows) - 1
-                pending.append(len(flows) - 1)
-    return flows
+                if len(states) >= FLOW_CAP:
+                    fail(_Ungroupable(f"more than {FLOW_CAP} distinct flows"), len(states))
+                states.append(image)
+                flow.image_flow[m] = len(states) - 1
+                pending.append(len(states) - 1)
+    return [built[f][1] for f in range(len(states))]
 
 
 def _binary_powers(propagator: np.ndarray, n_steps: int) -> list[np.ndarray]:
@@ -419,6 +455,20 @@ def _sample_grouped(
     return float(max(peak, flows[fid].top_peak[n_steps - entry]))
 
 
+def _sample_block(
+    flows: list[_Flow], system: DissipativeSystem, master_seed: int, n_steps: int, dt: float,
+    trajectories: range,
+) -> tuple[_JumpColumns, _Segments, float]:
+    """Sample trajectories in order into columns of their own; with their top-Fock peak."""
+    jumps, segments, peak = _JumpColumns(), _Segments(), 0.0
+    read_words = RawWords()
+    for i in trajectories:
+        peak = max(peak, _sample_grouped(
+            i, flows, system, master_seed, n_steps, dt, read_words, jumps, segments,
+        ))
+    return jumps, segments, peak
+
+
 def _final_state(
     states0: list[np.ndarray], powers: list[np.ndarray], n_steps: int, entries, flow_ids,
 ) -> np.ndarray:
@@ -457,6 +507,18 @@ class _Segments:
 
     def end_trajectory(self) -> None:
         self.starts.append(len(self.entries))
+
+    def extend(self, other: _Segments) -> None:
+        """Move the trajectories of other after these, emptying other column by column.
+
+        So no column is held twice while a worker's columns are appended.
+        """
+        offset = len(self.entries)
+        for mine, theirs in ((self.entries, other.entries), (self.flow_ids, other.flow_ids)):
+            mine.extend(theirs)
+            del theirs[:]
+        self.starts.extend(start + offset for start in other.starts[1:])
+        del other.starts[:]
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(entries, flow_ids, starts) as int arrays on the columns' buffers."""
@@ -545,13 +607,18 @@ def run_ensemble(
             system, psi0, t_final, dt, master_seed, range(n_trajectories), record_every,
             monitored, drift_mode,
         )
-    jumps, segments = _JumpColumns(), _Segments()
-    peak = 0.0
-    read_words = RawWords()
-    for i in range(n_trajectories):
-        peak = max(peak, _sample_grouped(
-            i, flows, system, master_seed, n_steps, dt, read_words, jumps, segments,
-        ))
+    # W contiguous blocks of trajectories, concatenated in order; the first
+    # error in block order is that of the lowest failing trajectory
+    bounds = [n_trajectories * b // workers.W for b in range(workers.W + 1)]
+    blocks = workers.values(workers.run([
+        partial(_sample_block, flows, system, master_seed, n_steps, dt, range(lo, hi))
+        for lo, hi in zip(bounds, bounds[1:]) if lo < hi
+    ]))
+    jumps, segments, peak = blocks[0]
+    for more_jumps, more_segments, more_peak in blocks[1:]:
+        jumps.extend(more_jumps)
+        segments.extend(more_segments)
+        peak = max(peak, more_peak)
     table = segments.columns()
     final_state = partial(
         _final_state, [f.state0 for f in flows], _binary_powers(propagator, n_steps), n_steps,

@@ -216,6 +216,15 @@ class _JumpColumns:
         self.channel.append(channel)
         self.dp.frombytes(np.asarray(dp, dtype=float).tobytes())
 
+    def extend(self, other: _JumpColumns) -> None:
+        """Move the jumps of other after these, emptying other column by column.
+
+        So no column is held twice while a worker's columns are appended.
+        """
+        for name in ("traj", "time", "channel", "dp"):
+            getattr(self, name).extend(getattr(other, name))
+            del getattr(other, name)[:]
+
     def columns(self) -> dict[str, np.ndarray]:
         cols = dict(
             jump_traj=np.frombuffer(self.traj, dtype=int),

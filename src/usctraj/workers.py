@@ -1,0 +1,96 @@
+"""Independent pieces of work on the CPUs this process may use.
+
+``run(calls)`` runs zero-argument calls, at most ``W`` at once, and returns
+their outcomes in call order: ``(True, value)`` or ``(False, exception)``.
+The calls go in waves of ``W``: the first call of a wave runs in this
+process, the others in ``os.fork``ed children, which pickle their outcome
+back through a pipe and leave with ``os._exit``.  ``W`` is the number of
+CPUs in the process's affinity mask, and 1 where ``os.fork`` does not
+exist; with ``W = 1`` every call runs here and nothing forks.  A forked
+child starts from this process's memory, so a call reads whatever state it
+closes over, and only its outcome comes back.  A fork copies only the
+calling thread; the CLI pins OpenBLAS to one thread, so it has no other.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+
+if not hasattr(os, "fork"):
+    W = 1
+elif hasattr(os, "sched_getaffinity"):
+    W = len(os.sched_getaffinity(0))
+else:
+    W = os.cpu_count() or 1
+
+
+def _outcome(call) -> tuple:
+    try:
+        return True, call()
+    except Exception as exc:
+        return False, exc
+
+
+def _fork(call):
+    """Start call in a child; return its pid and the read end of its pipe."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the child: send the outcome, then leave without unwinding the caller
+        code = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(_outcome(call), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb")
+
+
+def run(calls) -> list[tuple]:
+    """The outcomes of calls, in call order; at most ``W`` run at once.
+
+    Each child's outcome is read from its pipe before the child is reaped,
+    and every child is reaped on every path.  A child that exits without an
+    outcome gives ``(False, RuntimeError)``.
+    """
+    outcomes = []
+    for lo in range(0, len(calls), W):
+        wave, children, sent = calls[lo : lo + W], [], []
+        try:
+            for call in wave[1:]:
+                children.append(_fork(call))
+            outcomes.append(_outcome(wave[0]))
+            for _, pipe in children:
+                try:
+                    sent.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):
+                    sent.append(None)
+        finally:
+            statuses = []
+            for pid, pipe in children:
+                pipe.close()
+                statuses.append(os.waitpid(pid, 0)[1])
+        for outcome, status in zip(sent, statuses):
+            if status != 0 or outcome is None:
+                outcome = False, RuntimeError(
+                    "a worker process ended without a result "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            outcomes.append(outcome)
+    return outcomes
+
+
+def values(outcomes) -> list:
+    """The values of outcomes; raise the first exception in call order."""
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import usctraj
+import usctraj.workers
 from usctraj import __version__
 from usctraj.cli import (
     ExperimentConfig,
@@ -348,6 +349,54 @@ prefix = c
     assert "max deviation" in text
     data = np.loadtxt(os.path.join(out, "c_compare.csv"), delimiter=",", comments="#")
     assert data.shape[1] == 10  # time + (lme, mcwf, se) x 3
+
+
+FAILING_BOTH = """
+[system]
+n_fock = 2
+kappa = {kappa}
+calibrate = none
+
+[run]
+solver = mcwf
+hamiltonian = effective
+t_final = {t_final}
+dt = {dt}
+n_trajectories = 20
+initial_state = 0ee
+"""
+
+
+@pytest.mark.parametrize(
+    "kappa, t_final, dt",
+    [(0.25, 50, 1.0), (4e-3, 3000, 0.5)],
+    ids=["ensemble-exit-3", "both-exit-2"],
+)
+def test_compare_lme_reports_the_ensemble_error_before_the_lme_error(
+    tmp_path, capsys, monkeypatch, kappa, t_final, dt
+):
+    # the master equation fails its truncation check at n_fock = 2, and so
+    # does the ensemble (population 0.00742 against the LME's 0.0074) or it
+    # fails its dt guard first; with the LME in a worker or not, the
+    # ensemble's error is the one reported, and no worker outlives the run
+    cfg = tmp_path / "both.ini"
+    cfg.write_text(FAILING_BOTH.format(kappa=kappa, t_final=t_final, dt=dt))
+    config = load_config(str(cfg))
+    system = usctraj.cli._build_system(config)
+    with pytest.raises(Exception) as ensemble_error:
+        usctraj.cli._run_records(config, system, True)
+    with pytest.raises(ValueError) as lme_error:
+        usctraj.cli._lme_series(config, system, True)
+    assert str(ensemble_error.value) != str(lme_error.value)
+    code = 3 if isinstance(ensemble_error.value, RuntimeError) else 2
+    for w in (1, 2, 3):
+        monkeypatch.setattr(usctraj.workers, "W", w)
+        rc = main(["compare-lme", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--check-truncation"])
+        assert (rc, capsys.readouterr().err) == (code, f"error: {ensemble_error.value}\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "o").exists()
 
 
 def test_compare_lme_deviation_is_finite_while_trajectories_share_a_state(

@@ -16,7 +16,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import ndtri
 
-from usctraj import ensemble, mcwf
+from usctraj import ensemble, mcwf, workers
 from usctraj.dressed import CHANNEL_LABELS
 from usctraj.ensemble import ENSEMBLE_METHODS, run_ensemble
 from usctraj.errors import ConfigError, NumericalInconsistencyError, TimestepError
@@ -196,16 +196,19 @@ def _jump_probabilities(psi, dt, plus_stack, rates):
 
 def test_a_grouped_run_raises_the_kernel_norm_floor_error(busy_systems, monkeypatch):
     # the grouped sampler reads the kernel's floor and raises its message:
-    # trajectory 0 is sampled first and raises what it raises run alone
+    # trajectory 0 is sampled first and raises what it raises run alone,
+    # in the first of W blocks
     monkeypatch.setattr(mcwf, "JUMP_NORM_FLOOR", 0.99)
     system = busy_systems["effective"]
     psi0 = system.initial_state("1gg")
     with pytest.raises(NumericalInconsistencyError) as alone:
         run_trajectory(system, psi0, T_FINAL, dt=0.5, seed=11)
-    with pytest.raises(NumericalInconsistencyError) as grouped:
-        run_ensemble(system, psi0, T_FINAL, 8, dt=0.5, master_seed=11, method="grouped")
-    assert "selected but ||S^+ psi|| = " in str(grouped.value)
-    assert str(grouped.value) == str(alone.value)
+    for w in (1, 2, 3):
+        monkeypatch.setattr(workers, "W", w)
+        with pytest.raises(NumericalInconsistencyError) as grouped:
+            run_ensemble(system, psi0, T_FINAL, 8, dt=0.5, master_seed=11, method="grouped")
+        assert "selected but ||S^+ psi|| = " in str(grouped.value)
+        assert str(grouped.value) == str(alone.value)
 
 
 def _reference_build_flow(state0, system, propagator, n_steps, dt):
@@ -617,6 +620,7 @@ def test_each_threshold_word_is_read_once(busy_systems, monkeypatch):
             return super().__call__(master_seed, traj_index, purpose, start, count)
 
     monkeypatch.setattr(ensemble, "RawWords", Recorded)
+    monkeypatch.setattr(workers, "W", 1)  # the spy sees only this process's reads
     system = busy_systems["effective"]
     result = run_ensemble(
         system, system.initial_state("1gg"), T_FINAL, 12, dt=0.5, master_seed=11,
@@ -629,10 +633,11 @@ def test_each_threshold_word_is_read_once(busy_systems, monkeypatch):
         assert starts == [0] + ends[:-1]
 
 
-def test_grouped_statistics_hold_no_rows(system_eff):
+def test_grouped_statistics_hold_no_rows(system_eff, monkeypatch):
     # a grouped run and its average hold the jumps and one segment table
     # entry per trajectory and jump, never the (3, N, T) rows: 4500 more
     # trajectories grow the peak far less than their rows would
+    monkeypatch.setattr(workers, "W", 1)  # tracemalloc sees only this process
     psi0 = system_eff.initial_state("1gg")
 
     def traced_peak(n):
@@ -674,3 +679,187 @@ def test_grouped_means_match_the_master_equation(layout6):
             allowed = z * avg.standard_errors[label] + 3.0 / n
             worst = int(np.argmax(dev / allowed))
             assert dev[worst] <= allowed[worst], (gamma_c, label, avg.time_grid[worst])
+
+
+def test_each_jump_is_the_first_threshold_crossing_of_its_segment():
+    # brute force: a segment that entered flow f at step e jumps at the
+    # first step j >= e whose threshold word lies below f's threshold at
+    # age j - e, read here from a fresh reader over the rest of the run;
+    # the next segment enters at j + 1, and a last segment never crosses.
+    # At g = 0.24 the qubit exchange swaps |0,e,g> and |0,g,e> fast enough
+    # that the qubit1 jump probability moves by up to 1e-3 a step, so in
+    # about 1 segment in 70 a word falls between two adjacent thresholds
+    p = calibrate_resonance(
+        SystemParams(g=0.24, kappa=0.01, gamma1=0.1, gamma2=0.005, gamma_c=0.01),
+        build_layout(4), which="effective",
+    )
+    system = build_system(p, n_fock=4, hamiltonian="effective")
+    psi0 = system.initial_state("0ee")
+    n_steps, dt, seed = 400, 0.5, 3
+    result = run_ensemble(system, psi0, n_steps * dt, 600, dt=dt, master_seed=seed,
+                          method="grouped")
+    flows = ensemble._discover_flows(psi0, system, expm(-1j * system.h_nh * dt), n_steps, dt)
+    rows = result.rows
+    read_words = RawWords()
+    crossings = 0
+    for i in range(result.n_trajectories):
+        lo, hi = rows.starts[i], rows.starts[i + 1]
+        entries, flow_ids = rows.entries[lo:hi], rows.flow_ids[lo:hi]
+        times = result.jump_time[result.jump_traj == i]
+        assert times.size == entries.size - 1
+        for s, (entry, fid) in enumerate(zip(entries, flow_ids)):
+            words = read_words(seed, i, PURPOSE_JUMP, entry, n_steps - entry)
+            crossed = np.flatnonzero(words < flows[fid].threshold[: n_steps - entry])
+            if s + 1 < entries.size:
+                assert crossed.size and entry + crossed[0] == entries[s + 1] - 1
+                assert times[s] == (entry + crossed[0] + 1) * dt
+                crossings += 1
+            else:
+                assert crossed.size == 0
+    assert crossings > 1000
+
+
+def _discover_on_discovery(psi0, system, propagator, n_steps, dt):
+    """The flow closure with each flow built as soon as it is discovered.
+
+    The order in which ``ensemble._discover_flows`` raises its errors: the
+    first flow, in order of discovery, that fails, or the cap.
+    """
+    flows = [ensemble._build_flow(psi0, system, propagator, n_steps, dt)]
+    pending = [0]
+    while pending:
+        flow = flows[pending.pop()]
+        for m, image in enumerate(flow.image_state):
+            if image is None:
+                continue
+            for gid, g in enumerate(flows):
+                if abs(np.vdot(g.state0, image)) > 1.0 - ensemble.RAY_TOL:
+                    flow.image_flow[m] = gid
+                    break
+            else:
+                if len(flows) >= ensemble.FLOW_CAP:
+                    raise ensemble._Ungroupable(f"more than {ensemble.FLOW_CAP} distinct flows")
+                flows.append(ensemble._build_flow(image, system, propagator, n_steps, dt))
+                flow.image_flow[m] = len(flows) - 1
+                pending.append(len(flows) - 1)
+    return flows
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, ensemble.FLOW_CAP])
+@pytest.mark.parametrize(
+    "planted",
+    [{}, {2: "ray"}, {4: "ray"}, {2: "ray", 4: "ray"}, {3: "ray", 4: "step"},
+     {2: "step", 3: "ray"}, {1: "ray", 4: "ray"}, {0: "step"}],
+    ids=["none", "2", "4", "2+4", "3+4", "2+3", "dark+4", "root"],
+)
+def test_flow_discovery_is_that_of_building_each_flow_on_discovery(
+    busy_effective, monkeypatch, cap, planted
+):
+    # five flows: the root, its dark cavity image (1) and three qubit images
+    # (2-4), popped last in first out.  Builds planted to fail by flow id
+    # raise a ray break or a timestep error; with any W the flows, their ids
+    # and images, or the error are those of building each flow on discovery
+    system, propagator = busy_effective
+    psi0 = system.initial_state("1gg")
+    entries = [f.state0 for f in ensemble._discover_flows(psi0, system, propagator, 60, 0.5)]
+    assert len(entries) == 5
+    build = ensemble._build_flow
+
+    def planted_build(state0, *args):
+        flow = build(state0, *args)
+        for fid, kind in planted.items():
+            if abs(np.vdot(entries[fid], state0)) > 1.0 - ensemble.RAY_TOL:
+                error = ensemble._Ungroupable if kind == "ray" else TimestepError
+                raise error(f"planted in flow {fid}")
+        return flow
+
+    monkeypatch.setattr(ensemble, "_build_flow", planted_build)
+    monkeypatch.setattr(ensemble, "FLOW_CAP", cap)
+    want = _outcome(lambda: _discover_on_discovery(psi0, system, propagator, 60, 0.5))
+    for w in (1, 2, 3):
+        monkeypatch.setattr(workers, "W", w)
+        got = _outcome(lambda: ensemble._discover_flows(psi0, system, propagator, 60, 0.5))
+        if isinstance(want, tuple):
+            assert got == want, w
+            continue
+        assert [f.state0.tobytes() for f in got] == [f.state0.tobytes() for f in want]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.image_flow, b.image_flow, strict=True)
+            np.testing.assert_array_equal(a.sq, b.sq, strict=True)
+            np.testing.assert_array_equal(a.threshold, b.threshold, strict=True)
+
+
+def test_grouped_refusals_read_the_same_at_every_w(busy_systems, monkeypatch):
+    # the refusals of a grouped run read the same at every W
+    full, effective = busy_systems["full"], busy_systems["effective"]
+    messages = {}
+    for w in (1, 2, 3):
+        monkeypatch.setattr(workers, "W", w)
+        for name, system, cap in [("ray", full, 16), ("cap", effective, 1), ("cap3", effective, 3)]:
+            monkeypatch.setattr(ensemble, "FLOW_CAP", cap)
+            with pytest.raises(ConfigError) as refused:
+                run_ensemble(system, system.initial_state("1gg"), 200.0, 3, dt=0.5,
+                             master_seed=5, method="grouped")
+            messages.setdefault(name, set()).add(str(refused.value))
+    assert all(len(texts) == 1 for texts in messages.values())
+    assert "more than 3 distinct flows" in messages["cap3"].pop()
+
+
+@pytest.mark.parametrize("n", [1, 2, 13])
+def test_grouped_runs_are_the_same_bytes_at_every_w(busy_systems, monkeypatch, n):
+    # trajectories sampled in W contiguous blocks, concatenated in order
+    system = busy_systems["effective"]
+    psi0 = system.initial_state("1gg")
+    runs = []
+    for w in (1, 2, 3):
+        monkeypatch.setattr(workers, "W", w)
+        runs.append(run_ensemble(system, psi0, T_FINAL, n, dt=0.5, master_seed=11,
+                                 record_every=4, method="grouped"))
+    one = runs[0]
+    assert one.jump_traj.size > (n > 2)
+    for other in runs[1:]:
+        np.testing.assert_array_equal(np.asarray(other.rows), np.asarray(one.rows), strict=True)
+        np.testing.assert_array_equal(
+            np.asarray(other.final_states), np.asarray(one.final_states), strict=True
+        )
+        for name in ("jump_traj", "jump_time", "jump_channel", "jump_dp"):
+            np.testing.assert_array_equal(getattr(other, name), getattr(one, name), strict=True)
+        for name in ("entries", "flow_ids", "starts"):
+            np.testing.assert_array_equal(
+                getattr(other.rows, name), getattr(one.rows, name), strict=True
+            )
+        assert other.top_fock_peak == one.top_fock_peak
+
+
+@pytest.mark.parametrize("error", [TimestepError, NumericalInconsistencyError])
+@pytest.mark.parametrize(
+    "planted", [{1, 9}, {5, 6}, {9, 10}, {12}, {7, 3}],
+    ids=["first-block", "block-edge", "later-block", "last", "unordered"],
+)
+def test_a_grouped_run_raises_the_error_of_its_lowest_failing_trajectory(
+    busy_systems, monkeypatch, error, planted
+):
+    # 13 trajectories in 1, 2 or 3 blocks; the planted trajectories fail
+    # after they are sampled, whichever block holds them
+    sample = ensemble._sample_grouped
+
+    def planted_sample(traj_index, *args):
+        peak = sample(traj_index, *args)
+        if traj_index in planted:
+            raise error(f"planted in trajectory {traj_index}")
+        return peak
+
+    monkeypatch.setattr(ensemble, "_sample_grouped", planted_sample)
+    system = busy_systems["effective"]
+    for w in (1, 2, 3):
+        monkeypatch.setattr(workers, "W", w)
+        with pytest.raises(error, match=f"^planted in trajectory {min(planted)}$"):
+            run_ensemble(system, system.initial_state("1gg"), 200.0, 13, dt=0.5,
+                         master_seed=11, method="grouped")
