@@ -453,10 +453,10 @@ def cmd_compare_lme(cfg, out: Path, check_truncation) -> list[Path]:
     system = _build_system(cfg)
     # the master equation runs in a worker beside the ensemble; the
     # ensemble's error, its truncation check included, is raised first
-    result, series = workers.values(workers.run([
+    result, series = workers.run([
         partial(_run_records, cfg, system, check_truncation),
         partial(_lme_series, cfg, system, check_truncation),
-    ]))
+    ])
     avg = ensemble_average(result)
     header = _header(cfg)
     cols = [("time", avg.time_grid)]

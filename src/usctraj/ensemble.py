@@ -25,15 +25,15 @@ Random access makes the scans cheap: the threshold word for step k is
 word k of the trajectory's threshold stream regardless of history, and
 the channel word for the q-th jump is word q, so a segment draws its
 words in bulk without replaying earlier steps.  The scan reads raw 64-bit
-words (``rng.RawWords``, which also reads the channel words) in growing
-windows and compares them as integers with each flow's per-age
-``rng.raw_thresholds`` of its total jump probability, which decides
-exactly as the strict comparison sum(dp) > u with the uniform word.  A
-trajectory reads each word once: after a jump the next segment first
-scans the rest of the window that held it.  Flows whose jump
-probabilities vanish identically (the dark state) terminate a trajectory
-outright: with the strict threshold comparison a zero-probability step
-can never fire.
+words (``rng.RawWords``, which also reads the channel words) in windows
+of the direct kernel's ``mcwf._WORD_BLOCK`` words and compares them as
+integers with each flow's per-age ``rng.raw_thresholds`` of its total
+jump probability, which decides exactly as the strict comparison
+sum(dp) > u with the uniform word.  A trajectory reads each word once:
+after a jump the next segment first scans the rest of the window that
+held it.  Flows whose jump probabilities vanish identically (the dark
+state) terminate a trajectory outright: with the strict threshold
+comparison a zero-probability step can never fire.
 
 Building a flow is the one long sequential computation: the renormalized
 no-jump chain psi_{k+1} = U psi_k / ||U psi_k|| over the whole horizon.
@@ -54,10 +54,10 @@ from ``sq`` where they are read (``_Flow.dp``), with the multiply of the
 per-step rule.
 
 A grouped run uses every CPU of the process's affinity mask
-(``workers.W``) and gives the same bytes with any number.  Flows pending at
-once are built side by side, the popped one in this process and the
-others in forked workers (``workers.run``), and trajectories are sampled in
-W contiguous blocks, each with its own reader and columns, concatenated in
+(``workers.W``) and gives the same bytes with any number.  Flows are
+discovered in rounds, and the flows a round discovered are built side by
+side in forked workers (``workers.run``); trajectories are sampled in W
+contiguous blocks, each with its own reader and columns, concatenated in
 trajectory order.  Each flow and each trajectory is computed by the same
 code from the same inputs wherever it runs, and an error is the one a
 single process meets first: that of the first flow, in order of
@@ -113,9 +113,6 @@ FLOW_CAP = 16
 # close to 1; exact subspace cascades give 0 deviation, full-Hamiltonian
 # dressing gives O(g^2), so the gap is many orders of magnitude.
 RAY_TOL = 1e-10
-
-# Uniform words are scanned in growing chunks to amortize stream setup.
-_CHUNK0, _CHUNK_MAX = 8192, 65536
 
 # States per chunk of the flow builder.  Larger chunks amortize more
 # per-chunk overhead but hold (chunk x channels x dimension) amplitudes at
@@ -323,50 +320,45 @@ def _discover_flows(
 ) -> list[_Flow]:
     """Breadth-first closure of flows reachable from psi0 through jumps.
 
-    A flow gets its id when it is discovered, and is built by the time it
-    is popped: a popped flow not built yet is built together with up to
-    ``workers.W - 1`` other unbuilt pending flows from the top of the stack.
-    A failed build raises when its flow is popped, and the flow cap when it
-    is reached, each only once every flow discovered before is built: the
-    error is that of the first flow, in order of discovery, whose build
-    fails, as when each flow was built on discovery.
+    In rounds: a round builds every flow the last one discovered, the dark
+    ones in this process (they run no chain, so they raise nothing and stay
+    untouched zero pages) and the others side by side (``workers.run``),
+    then links their jump images in id order, each new image getting the
+    next id.  The first failing build in id order raises, and the flow cap
+    only once every flow discovered before it is built: the error is that
+    of building each flow on discovery.
     """
-    states, built, pending = [psi0], {}, [0]
+    states, flows = [psi0], []
 
-    def build(fids):
-        calls = [partial(_build_flow, states[f], system, propagator, n_steps, dt) for f in fids]
-        built.update(zip(fids, workers.run(calls)))
+    def build():
+        """Append the flows of the states discovered since the last build."""
+        new = states[len(flows):]
+        dark = {i: _build_flow(s, system, propagator, n_steps, dt)
+                for i, s in enumerate(new) if _is_dark(s, system.plus_stack, propagator)}
+        lit = iter(workers.run([
+            partial(_build_flow, s, system, propagator, n_steps, dt)
+            for i, s in enumerate(new) if i not in dark
+        ]))
+        flows.extend(dark[i] if i in dark else next(lit) for i in range(len(new)))
 
-    def fail(error: Exception, fid: int):
-        build([f for f in range(fid) if f not in built])
-        workers.values([built[f] for f in range(fid)])
-        raise error
-
-    while pending:
-        fid = pending.pop()
-        if fid not in built:
-            # a dark flow costs nothing and, built here, stays untouched zero pages
-            build([fid, *(
-                f for f in reversed(pending)
-                if f not in built and not _is_dark(states[f], system.plus_stack, propagator)
-            )][: workers.W])
-        ok, flow = built[fid]
-        if not ok:
-            fail(flow, fid)
-        for m, image in enumerate(flow.image_state):
-            if image is None:
-                continue
-            for gid, state0 in enumerate(states):
-                if abs(np.vdot(state0, image)) > 1.0 - RAY_TOL:
-                    flow.image_flow[m] = gid
-                    break
-            else:
-                if len(states) >= FLOW_CAP:
-                    fail(_Ungroupable(f"more than {FLOW_CAP} distinct flows"), len(states))
-                states.append(image)
-                flow.image_flow[m] = len(states) - 1
-                pending.append(len(states) - 1)
-    return [built[f][1] for f in range(len(states))]
+    while len(flows) < len(states):
+        lo = len(flows)
+        build()
+        for flow in flows[lo:]:
+            for m, image in enumerate(flow.image_state):
+                if image is None:
+                    continue
+                for gid, state0 in enumerate(states):
+                    if abs(np.vdot(state0, image)) > 1.0 - RAY_TOL:
+                        flow.image_flow[m] = gid
+                        break
+                else:
+                    if len(states) >= FLOW_CAP:
+                        build()
+                        raise _Ungroupable(f"more than {FLOW_CAP} distinct flows")
+                    states.append(image)
+                    flow.image_flow[m] = len(states) - 1
+    return flows
 
 
 def _binary_powers(propagator: np.ndarray, n_steps: int) -> list[np.ndarray]:
@@ -419,13 +411,11 @@ def _sample_grouped(
         if flow.dark:  # all dp are zero, so no guard can be violated
             break
         hit = -1
-        chunk = _CHUNK0
         j = entry
         while j < n_steps:
             if j == base + words.size:
-                count = min(chunk, n_steps - j)
+                count = min(mcwf._WORD_BLOCK, n_steps - j)
                 base, words = j, read_words(master_seed, traj_index, PURPOSE_JUMP, j, count)
-                chunk = min(2 * chunk, _CHUNK_MAX)
             w = words[j - base :]
             cmp = w < flow.threshold[j - entry : j - entry + w.size]
             off = int(np.argmax(cmp))
@@ -610,10 +600,10 @@ def run_ensemble(
     # W contiguous blocks of trajectories, concatenated in order; the first
     # error in block order is that of the lowest failing trajectory
     bounds = [n_trajectories * b // workers.W for b in range(workers.W + 1)]
-    blocks = workers.values(workers.run([
+    blocks = workers.run([
         partial(_sample_block, flows, system, master_seed, n_steps, dt, range(lo, hi))
         for lo, hi in zip(bounds, bounds[1:]) if lo < hi
-    ]))
+    ])
     jumps, segments, peak = blocks[0]
     for more_jumps, more_segments, more_peak in blocks[1:]:
         jumps.extend(more_jumps)

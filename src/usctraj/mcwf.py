@@ -128,7 +128,8 @@ DRIFT_MODES = ("as-printed", "qsd")
 # covers the rounding of ||S+ psi||^2, of dp and of their sum, and the
 # few-ulp distance of a renormalized state's norm from 1.
 _BOUND_SLACK = 1e-6
-# Steps whose random words are drawn in one call per trajectory and stream.
+# Steps whose random words are drawn in one call per trajectory and stream;
+# the grouped sampler reads its threshold words in windows of this size too.
 _WORD_BLOCK = 4096
 # Most words one block holds for all rows together (8 MB of doubles).  An
 # uncapped block of 2000 rows with 4 monitored channels over 3000 steps

@@ -1,15 +1,17 @@
 """Independent pieces of work on the CPUs this process may use.
 
 ``run(calls)`` runs zero-argument calls, at most ``W`` at once, and returns
-their outcomes in call order: ``(True, value)`` or ``(False, exception)``.
-The calls go in waves of ``W``: the first call of a wave runs in this
-process, the others in ``os.fork``ed children, which pickle their outcome
-back through a pipe and leave with ``os._exit``.  ``W`` is the number of
-CPUs in the process's affinity mask, and 1 where ``os.fork`` does not
-exist; with ``W = 1`` every call runs here and nothing forks.  A forked
-child starts from this process's memory, so a call reads whatever state it
-closes over, and only its outcome comes back.  A fork copies only the
-calling thread; the CLI pins OpenBLAS to one thread, so it has no other.
+their values in call order.  The calls go in waves of ``W``: the first call
+of a wave runs in this process, the others in ``os.fork``ed children, which
+pickle their outcome back through a pipe and leave with ``os._exit``.  Once
+a wave is reaped, the first exception in call order is raised and no later
+wave starts, so a failing run raises what running the calls one by one
+would.  ``W`` is the number of CPUs in the process's affinity mask, and 1
+where ``os.fork`` does not exist; with ``W = 1`` every call runs here and
+nothing forks.  A forked child starts from this process's memory, so a call
+reads whatever state it closes over, and only its outcome comes back.  A
+fork copies only the calling thread; the CLI pins OpenBLAS to one thread, so
+it has no other.
 """
 
 from __future__ import annotations
@@ -54,20 +56,21 @@ def _fork(call):
     return pid, os.fdopen(read_end, "rb")
 
 
-def run(calls) -> list[tuple]:
-    """The outcomes of calls, in call order; at most ``W`` run at once.
+def run(calls) -> list:
+    """The values of calls, in call order; at most ``W`` run at once.
 
     Each child's outcome is read from its pipe before the child is reaped,
-    and every child is reaped on every path.  A child that exits without an
-    outcome gives ``(False, RuntimeError)``.
+    and every child is reaped on every path.  The first exception in call
+    order is raised once its wave is reaped; a child that exits without an
+    outcome raises ``RuntimeError``.
     """
-    outcomes = []
+    values = []
     for lo in range(0, len(calls), W):
         wave, children, sent = calls[lo : lo + W], [], []
         try:
             for call in wave[1:]:
                 children.append(_fork(call))
-            outcomes.append(_outcome(wave[0]))
+            outcomes = [_outcome(wave[0])]
             for _, pipe in children:
                 try:
                     sent.append(pickle.load(pipe))
@@ -85,12 +88,8 @@ def run(calls) -> list[tuple]:
                     f"(exit code {os.waitstatus_to_exitcode(status)})"
                 )
             outcomes.append(outcome)
-    return outcomes
-
-
-def values(outcomes) -> list:
-    """The values of outcomes; raise the first exception in call order."""
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+            values.append(value)
+    return values

@@ -608,9 +608,16 @@ def test_a_total_probability_of_one_raises_before_its_decision_is_read():
         )
 
 
-def test_each_threshold_word_is_read_once(busy_systems, monkeypatch):
+# word windows of the grouped sampler: one word, a few, and the default,
+# which the 6000 steps of T_FINAL also cross
+WINDOWS = pytest.mark.parametrize("window", [1, 7, mcwf._WORD_BLOCK], ids=["1", "7", "default"])
+
+
+@WINDOWS
+def test_each_threshold_word_is_read_once(busy_systems, monkeypatch, window):
     # a segment scans the words its predecessor read past the jump before
     # it reads on; per trajectory the windows tile the stream from word 0
+    monkeypatch.setattr(mcwf, "_WORD_BLOCK", window)
     windows = {}
 
     class Recorded(RawWords):
@@ -631,6 +638,7 @@ def test_each_threshold_word_is_read_once(busy_systems, monkeypatch):
         starts = [start for start, _ in traj_windows]
         ends = [start + count for start, count in traj_windows]
         assert starts == [0] + ends[:-1]
+        assert max(count for _, count in traj_windows) <= window
 
 
 def test_grouped_statistics_hold_no_rows(system_eff, monkeypatch):
@@ -681,11 +689,13 @@ def test_grouped_means_match_the_master_equation(layout6):
             assert dev[worst] <= allowed[worst], (gamma_c, label, avg.time_grid[worst])
 
 
-def test_each_jump_is_the_first_threshold_crossing_of_its_segment():
+@WINDOWS
+def test_each_jump_is_the_first_threshold_crossing_of_its_segment(monkeypatch, window):
     # brute force: a segment that entered flow f at step e jumps at the
     # first step j >= e whose threshold word lies below f's threshold at
     # age j - e, read here from a fresh reader over the rest of the run;
     # the next segment enters at j + 1, and a last segment never crosses.
+    # Windows shorter than a segment make its scan cross window edges.
     # At g = 0.24 the qubit exchange swaps |0,e,g> and |0,g,e> fast enough
     # that the qubit1 jump probability moves by up to 1e-3 a step, so in
     # about 1 segment in 70 a word falls between two adjacent thresholds
@@ -696,6 +706,7 @@ def test_each_jump_is_the_first_threshold_crossing_of_its_segment():
     system = build_system(p, n_fock=4, hamiltonian="effective")
     psi0 = system.initial_state("0ee")
     n_steps, dt, seed = 400, 0.5, 3
+    monkeypatch.setattr(mcwf, "_WORD_BLOCK", window)
     result = run_ensemble(system, psi0, n_steps * dt, 600, dt=dt, master_seed=seed,
                           method="grouped")
     flows = ensemble._discover_flows(psi0, system, expm(-1j * system.h_nh * dt), n_steps, dt)
@@ -728,7 +739,7 @@ def _discover_on_discovery(psi0, system, propagator, n_steps, dt):
     flows = [ensemble._build_flow(psi0, system, propagator, n_steps, dt)]
     pending = [0]
     while pending:
-        flow = flows[pending.pop()]
+        flow = flows[pending.pop(0)]
         for m, image in enumerate(flow.image_state):
             if image is None:
                 continue
@@ -796,6 +807,71 @@ def test_flow_discovery_is_that_of_building_each_flow_on_discovery(
             np.testing.assert_array_equal(a.threshold, b.threshold, strict=True)
 
 
+@pytest.fixture(scope="module")
+def cascade():
+    """Two photons and two excited qubits, uncoupled: 12 flows in five rounds.
+
+    The rounds hold flows 0, 1-3, 4-7, 8-10 and the dark 11, and every
+    flow but the last has two or three images.
+    """
+    p = SystemParams(g=0.0, omega_c=2.0, kappa=2e-3, gamma1=2e-3, gamma2=3e-3)
+    system = build_system(p, n_fock=4, hamiltonian="effective")
+    return system, expm(-1j * system.h_nh * 0.5), system.layout.basis_state(2, 1, 1)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 5, ensemble.FLOW_CAP])
+@pytest.mark.parametrize(
+    "planted", [{}, {2: "ray"}, {3: "step", 5: "ray"}, {6: "ray"}],
+    ids=["none", "2", "3+5", "6"],
+)
+def test_deep_flow_discovery_is_that_of_building_each_flow_on_discovery(
+    cascade, monkeypatch, cap, planted
+):
+    # five rounds tell breadth-first ids from any other order; flows are
+    # planted to fail by their place in the reference, caps 2 and 3 fall
+    # among the flows of round 2 and cap 5 among those of round 3
+    system, propagator, psi0 = cascade
+    reference = _discover_on_discovery(psi0, system, propagator, 60, 0.5)
+    assert len(reference) == 12 and reference[11].dark
+    entries = [f.state0 for f in reference]
+    build = ensemble._build_flow
+
+    def planted_build(state0, *args):
+        flow = build(state0, *args)
+        for fid, kind in planted.items():
+            if abs(np.vdot(entries[fid], state0)) > 1.0 - ensemble.RAY_TOL:
+                error = ensemble._Ungroupable if kind == "ray" else TimestepError
+                raise error(f"planted in flow {fid}")
+        return flow
+
+    monkeypatch.setattr(ensemble, "_build_flow", planted_build)
+    monkeypatch.setattr(ensemble, "FLOW_CAP", cap)
+    want = _outcome(lambda: _discover_on_discovery(psi0, system, propagator, 60, 0.5))
+    for w in (1, 2, 3):
+        monkeypatch.setattr(workers, "W", w)
+        got = _outcome(lambda: ensemble._discover_flows(psi0, system, propagator, 60, 0.5))
+        if isinstance(want, tuple):
+            assert got == want, w
+            continue
+        assert [f.state0.tobytes() for f in got] == [f.state0.tobytes() for f in want]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.image_flow, b.image_flow, strict=True)
+            np.testing.assert_array_equal(a.sq, b.sq, strict=True)
+            np.testing.assert_array_equal(a.threshold, b.threshold, strict=True)
+
+
+def test_a_deep_cascade_runs_the_same_bytes_at_every_w(cascade, monkeypatch):
+    # trajectories that walk several rounds of flows deep
+    system, _, psi0 = cascade
+    runs = []
+    for w in (1, 2, 3):
+        monkeypatch.setattr(workers, "W", w)
+        runs.append(run_ensemble(system, psi0, 1500.0, 13, dt=0.5, master_seed=4,
+                                 record_every=10, method="grouped"))
+    assert runs[0].jump_traj.size > 2 * 13 and len(set(runs[0].rows.flow_ids)) > 5
+    _assert_same_runs(runs)
+
+
 def test_grouped_refusals_read_the_same_at_every_w(busy_systems, monkeypatch):
     # the refusals of a grouped run read the same at every W
     full, effective = busy_systems["full"], busy_systems["effective"]
@@ -822,8 +898,13 @@ def test_grouped_runs_are_the_same_bytes_at_every_w(busy_systems, monkeypatch, n
         monkeypatch.setattr(workers, "W", w)
         runs.append(run_ensemble(system, psi0, T_FINAL, n, dt=0.5, master_seed=11,
                                  record_every=4, method="grouped"))
+    assert runs[0].jump_traj.size > (n > 2)
+    _assert_same_runs(runs)
+
+
+def _assert_same_runs(runs):
+    """Grouped results with the same bytes: rows, final states, jumps, segments, peak."""
     one = runs[0]
-    assert one.jump_traj.size > (n > 2)
     for other in runs[1:]:
         np.testing.assert_array_equal(np.asarray(other.rows), np.asarray(one.rows), strict=True)
         np.testing.assert_array_equal(

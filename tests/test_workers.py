@@ -1,4 +1,4 @@
-"""Forked workers: outcomes in call order, errors in call order, no child left behind."""
+"""Forked workers: values in call order, the first error in call order, no child left behind."""
 
 import os
 import signal
@@ -38,9 +38,9 @@ def test_results_come_back_in_call_order(monkeypatch, w):
     # the later calls finish first; more calls than W run in waves
     monkeypatch.setattr(workers, "W", w)
     calls = [after(0.05 * (4 - k), np.arange(k)) for k in range(5)]
-    outcomes = workers.run(calls)
-    assert [ok for ok, _ in outcomes] == [True] * 5
-    for k, (_, value) in enumerate(outcomes):
+    values = workers.run(calls)
+    assert len(values) == 5
+    for k, value in enumerate(values):
         np.testing.assert_array_equal(value, np.arange(k), strict=True)
     assert workers.run([]) == []
 
@@ -49,12 +49,11 @@ def test_results_come_back_in_call_order(monkeypatch, w):
 def test_the_first_error_in_call_order_is_raised(monkeypatch, w):
     # call 2 fails at once, call 1 later: call 1's error is raised
     monkeypatch.setattr(workers, "W", w)
-    outcomes = workers.run([after(0.0, "a"), fail_after(0.3, "first"), fail_after(0.0, "second")])
-    assert outcomes[0] == (True, "a")
-    assert [(ok, str(exc)) for ok, exc in outcomes[1:]] == [(False, "first"), (False, "second")]
     with pytest.raises(ValueError, match="^first$"):
-        workers.values(outcomes)
-    assert workers.values(workers.run([after(0.0, 1), after(0.0, 2)])) == [1, 2]
+        workers.run([after(0.0, "a"), fail_after(0.3, "first"), fail_after(0.0, "second")])
+    with pytest.raises(ValueError, match="^first$"):
+        workers.run([fail_after(0.3, "first"), fail_after(0.0, "second")])
+    assert workers.run([after(0.0, 1), after(0.0, 2)]) == [1, 2]
 
 
 def test_a_child_killed_without_a_result_gives_a_runtime_error(monkeypatch):
@@ -64,13 +63,9 @@ def test_a_child_killed_without_a_result_gives_a_runtime_error(monkeypatch):
         os.kill(os.getpid(), signal.SIGKILL)
 
     start = time.perf_counter()
-    (ok0, value0), (ok1, error) = workers.run([after(0.0, "parent"), killed])
-    assert time.perf_counter() - start < 10.0
-    assert (ok0, value0) == (True, "parent")
-    assert not ok1 and isinstance(error, RuntimeError)
-    assert "without a result" in str(error)
     with pytest.raises(RuntimeError, match="without a result"):
-        workers.values([(ok1, error)])
+        workers.run([after(0.0, "parent"), killed])
+    assert time.perf_counter() - start < 10.0
 
 
 def test_children_are_reaped_when_the_parent_call_raises(monkeypatch):
@@ -91,14 +86,31 @@ def test_one_worker_forks_nothing(monkeypatch):
 
     monkeypatch.setattr(workers, "W", 1)
     monkeypatch.setattr(os, "fork", no_fork)
-    pids = workers.values(workers.run([os.getpid, os.getpid, os.getpid]))
-    assert pids == [os.getpid()] * 3
+    assert workers.run([os.getpid, os.getpid, os.getpid]) == [os.getpid()] * 3
 
 
 def test_calls_after_the_first_of_a_wave_run_in_children(monkeypatch):
     monkeypatch.setattr(workers, "W", 2)
-    pids = workers.values(workers.run([os.getpid, os.getpid, os.getpid]))
+    pids = workers.run([os.getpid, os.getpid, os.getpid])
     assert pids[0] == pids[2] == os.getpid() != pids[1]
+
+
+def test_no_wave_starts_after_the_wave_of_a_failing_call(monkeypatch, tmp_path):
+    # waves [0, 1], [2, 3], [4]: call 1 fails, so calls 2-4 never start
+    monkeypatch.setattr(workers, "W", 2)
+
+    def touch(k):
+        def call():
+            (tmp_path / str(k)).touch()
+            if k == 1:
+                raise ValueError("call 1")
+            return k
+
+        return call
+
+    with pytest.raises(ValueError, match="^call 1$"):
+        workers.run([touch(k) for k in range(5)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1"]
 
 
 def test_w_is_the_affinity_mask():
