@@ -227,6 +227,52 @@ def _pair_gap(h: np.ndarray, idx_a: int, idx_b: int) -> float:
     return abs(evals[i] - evals[j])
 
 
+# SciPy's rounded golden ratio conjugate 2 / (1 + sqrt(5)), kept for its bits
+_GOLDEN_R = 0.61803399
+_GOLDEN_C = 1.0 - _GOLDEN_R
+
+
+def _golden_minimum(f, xa, xb, xc):
+    """Golden-section minimum of f inside the bracket xa < xb < xc.
+
+    Step for step the arithmetic of SciPy's ``minimize_scalar(f,
+    bracket=(xa, xb, xc), method="golden", options={"xtol": 1e-8})``: the
+    same bracket checks, first interior point, stop test
+    |x3 - x0| <= 1e-8 (|x1| + |x2|) and cap of 5000 iterations, so the
+    minimum it returns has the same bits and costs the same 5 + iterations
+    calls of f.
+
+    Raises
+    ------
+    CalibrationError
+        Unless xa < xb < xc and f(xb) is below both f(xa) and f(xc).
+    """
+    if not (xa < xb < xc):
+        raise CalibrationError(f"bracket ({xa}, {xb}, {xc}) is not increasing")
+    fa, fb, fc = f(xa), f(xb), f(xc)
+    if not (fb < fa and fb < fc):
+        raise CalibrationError(
+            f"bracket ({xa}, {xb}, {xc}) does not enclose a minimum: "
+            f"its values are ({fa}, {fb}, {fc})"
+        )
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+    else:
+        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= 1e-8 * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLDEN_R * x1 + _GOLDEN_C * x0
+            f2, f1 = f1, f(x1)
+    return x1 if f1 < f2 else x2
+
+
 def calibrate_resonance(
     p: SystemParams, layout: BasisLayout, which: str = "full"
 ) -> SystemParams:
@@ -234,19 +280,22 @@ def calibrate_resonance(
 
     For ``which="full"`` the gap between the two full-Hamiltonian dressed
     levels with maximal weight on |1,g,g> and |0,e,e> is minimized by a
-    coarse scan followed by a golden-section refinement (tolerance 1e-7 on
-    omega_c).  At the minimum the residual gap is the avoided-crossing width
-    2|omega3|.  For ``which="effective"`` the second-order shifts are known
-    in closed form and the resonance omega_c = 2 omega0 - 2 (a1 + a2) is
-    exact; no scan is needed.
+    coarse scan followed by a golden-section refinement (``_golden_minimum``).
+    That stops once its bracket is at most 1e-8 times the sum of its two
+    inner points wide, about 4e-8 at omega_c ~ 2.  At the minimum the
+    residual gap is the avoided-crossing width 2|omega3|.  For
+    ``which="effective"`` the second-order shifts are known in closed form
+    and the resonance omega_c = 2 omega0 - 2 (a1 + a2) is exact; no scan is
+    needed.
 
     Returns a copy of ``p`` with omega_c replaced.
 
     Raises
     ------
     CalibrationError
-        If the starting omega_c is more than 0.2 omega0 from 2 omega0, or
-        the scan finds no interior gap minimum.
+        If the starting omega_c is more than 0.2 omega0 from 2 omega0, the
+        scan finds no interior gap minimum, or that minimum ties with its
+        neighbour.
     """
     two_w0 = 2.0 * p.omega0
     if abs(p.omega_c - two_w0) > 0.2 * p.omega0:
@@ -261,10 +310,6 @@ def calibrate_resonance(
         raise ConfigError(f"which must be 'full' or 'effective', got {which!r}")
     if p.g == 0:
         return replace(p, omega_c=p.omega_q1 + p.omega_q2)
-    # imported here: only this scan uses it, and the import costs about
-    # 0.1 s and 17 MB of RSS (2-core Xeon) that no other run needs
-    from scipy.optimize import minimize_scalar
-
     idx_1gg = layout.index(1, 0, 0)
     idx_0ee = layout.index(0, 1, 1)
     terms = _full_terms(p, layout)
@@ -281,10 +326,4 @@ def calibrate_resonance(
             "no interior gap minimum in the scan window; the one-photon "
             "anticrossing is outside omega_c in [1.8, 2.2] omega0"
         )
-    res = minimize_scalar(
-        gap,
-        bracket=(grid[k - 1], grid[k], grid[k + 1]),
-        method="golden",
-        options={"xtol": 1e-8},
-    )
-    return replace(p, omega_c=float(res.x))
+    return replace(p, omega_c=float(_golden_minimum(gap, grid[k - 1], grid[k], grid[k + 1])))

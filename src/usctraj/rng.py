@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 PURPOSE_JUMP = 0
 PURPOSE_CHANNEL = 1
@@ -94,6 +93,10 @@ def raw_normals(words: np.ndarray) -> np.ndarray:
     the uniforms live in [0, 1)) is nudged to the smallest positive double
     to keep the quantile finite.
     """
+    # imported here: only diffusive noise needs it, and photodetection runs
+    # would otherwise pay for loading scipy.special
+    from scipy.special import ndtri
+
     return ndtri(np.maximum(raw_uniforms(words), np.finfo(float).tiny))
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import usctraj
+import usctraj.model
 import usctraj.workers
 from usctraj import __version__
 from usctraj.cli import (
@@ -262,6 +263,20 @@ prefix = h
     rc = main(["trajectory", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "error" in capsys.readouterr().err.lower()
+
+
+def test_a_tied_calibration_scan_exits_3(tmp_path, capsys, monkeypatch):
+    # a scan minimum level with its neighbour brackets no minimum: a failed
+    # calibration, like a scan with no interior minimum
+    monkeypatch.setattr(usctraj.model, "_full_matrix", lambda wc, terms: wc)
+    monkeypatch.setattr(usctraj.model, "_pair_gap", lambda wc, a, b: max(2.0 - wc, 0.0))
+    cfg = tmp_path / "tie.ini"
+    cfg.write_text(BASE_SYSTEM.replace("calibrate = effective", "calibrate = full")
+                   + "\n[run]\nhamiltonian = effective\nt_final = 10\n")
+    out = tmp_path / "o"
+    assert main(["trajectory", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: bracket ")
+    assert not out.exists()
 
 
 def test_truncation_check_trips_on_shallow_fock_space(tmp_path):
@@ -666,28 +681,49 @@ def test_cli_defaults_to_one_blas_thread(given, expected):
     assert out.strip() == expected
 
 
-@pytest.mark.parametrize("calibrate, imported", [("effective", False), ("none", False),
-                                                 ("full", True)])
-def test_only_the_full_calibration_imports_scipy_optimize(tmp_path, calibrate, imported):
-    # the golden-section scan of the full calibration is its one user: a run
-    # that calibrates in closed form, or not at all, loads its config,
-    # calibrates and builds its system without importing it
+_RUN_AND_REPORT_SCIPY = (
+    "import sys\n"
+    "from usctraj import cli\n"
+    "{work}\n"
+    "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)\n"
+)
+_SETUP = "cli._build_system(cli._calibrated(cli.load_config({config!r})))"
+_TRAJECTORY = "assert cli.main(['trajectory', '--config', {config!r}, '--out', {out!r}]) == 0"
+
+
+@pytest.mark.parametrize(
+    "calibrate, solver, work, imported",
+    [
+        ("effective", "mcwf", _SETUP, "False False"),
+        ("none", "mcwf", _SETUP, "False False"),
+        ("full", "mcwf", _SETUP, "False False"),
+        ("full", "mcwf", _TRAJECTORY, "False False"),
+        ("effective", "homodyne", _TRAJECTORY, "False True"),
+    ],
+    ids=["setup-effective", "setup-none", "setup-full", "photodetection", "homodyne"],
+)
+def test_no_run_imports_scipy_optimize_and_only_diffusive_noise_imports_scipy_special(
+    tmp_path, calibrate, solver, work, imported
+):
+    # every calibration mode, and a photodetection run to its end, imports
+    # neither module; scipy.special is loaded by the first normal a
+    # homodyne run draws
     cfg = tmp_path / "c.ini"
-    cfg.write_text(BASE_SYSTEM.replace("calibrate = effective", f"calibrate = {calibrate}"))
+    cfg.write_text(
+        BASE_SYSTEM.replace("calibrate = effective", f"calibrate = {calibrate}")
+        + f"\n[run]\nsolver = {solver}\nhamiltonian = effective\nt_final = 20\n"
+        "dt = 0.5\nn_trajectories = 1\n"
+    )
     env = dict(os.environ)
     src = str(Path(usctraj.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "from usctraj import cli\n"
-        f"cfg = cli._calibrated(cli.load_config({str(cfg)!r}))\n"
-        "cli._build_system(cfg)\n"
-        "print('scipy.optimize' in sys.modules)\n"
+    code = _RUN_AND_REPORT_SCIPY.format(
+        work=work.format(config=str(cfg), out=str(tmp_path / "out"))
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == str(imported)
+    assert out.splitlines()[-1] == imported
 
 
 @pytest.mark.parametrize(

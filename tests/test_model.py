@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from usctraj import model
 from usctraj.errors import CalibrationError
 from usctraj.hilbert import build_layout, elementary_operators
 from usctraj.model import (
@@ -169,6 +170,80 @@ def test_calibration_actually_centers_the_anticrossing(layout10):
 def test_calibration_rejects_far_detuned_start(layout6):
     with pytest.raises(CalibrationError):
         calibrate_resonance(SystemParams(omega_c=1.5), layout6, which="full")
+
+
+# (g, delta, theta, starting omega_c, n_fock): the presets' point, their
+# detunings and fig5's delta_max, weaker and stronger couplings, other mixing
+# angles, starts off 2 omega0 and the three truncations the presets and
+# workloads use
+GOLDEN_CASES = [
+    (0.1, 0.0, np.pi / 6, 2.0, 10),
+    (0.1, 0.15, np.pi / 6, 2.0, 10),
+    (0.1, 0.3, np.pi / 6, 2.0, 10),
+    (0.1, 0.0, np.pi / 6, 2.0, 6),
+    (0.1, 0.0, np.pi / 6, 2.0, 4),
+    (0.1, 0.01, np.pi / 6, 1.9, 10),
+    (0.1, 0.05, np.pi / 6, 2.1, 6),
+    (0.02, 0.0, np.pi / 6, 2.0, 10),
+    (0.02, 0.05, 0.3, 2.1, 4),
+    (0.02, 0.01, 1.0, 1.9, 6),
+    (0.05, 0.0, 0.3, 2.0, 6),
+    (0.05, 0.15, 1.0, 2.0, 10),
+    (0.05, 0.01, np.pi / 6, 2.1, 4),
+    (0.05, 0.05, np.pi / 6, 1.9, 10),
+    (0.15, 0.0, np.pi / 6, 2.0, 10),
+    (0.15, 0.01, 0.3, 2.0, 10),
+    (0.15, 0.05, 1.0, 2.1, 6),
+    (0.15, 0.15, np.pi / 6, 1.9, 4),
+    (0.1, 0.0, 0.3, 2.0, 10),
+    (0.1, 0.0, 1.0, 2.0, 10),
+]
+
+
+@pytest.mark.parametrize("g, delta, theta, omega_c, n_fock", GOLDEN_CASES)
+def test_full_calibration_is_scipy_golden_section_bit_for_bit(
+    monkeypatch, g, delta, theta, omega_c, n_fock
+):
+    from scipy.optimize import minimize_scalar
+
+    evaluations = []
+    pair_gap = model._pair_gap
+    monkeypatch.setattr(model, "_pair_gap", lambda *a: evaluations.append(a) or pair_gap(*a))
+    refinements = []
+    golden = model._golden_minimum
+
+    def spy(f, xa, xb, xc):
+        refinements.append((f, (xa, xb, xc), len(evaluations)))
+        return golden(f, xa, xb, xc)
+
+    monkeypatch.setattr(model, "_golden_minimum", spy)
+    p = SystemParams(g=g, delta=delta, theta=theta, omega_c=omega_c)
+    calibrated = calibrate_resonance(p, build_layout(n_fock), which="full")
+    total = len(evaluations)
+    [(gap, bracket, scanned)] = refinements
+    res = minimize_scalar(gap, bracket=bracket, method="golden", options={"xtol": 1e-8})
+    assert calibrated.omega_c == res.x
+    assert total - scanned == res.nfev
+    if (g, delta, theta, omega_c, n_fock) == GOLDEN_CASES[0]:
+        assert total == 112
+
+
+def test_a_bracket_whose_minimum_ties_is_a_calibration_error():
+    # the scan's argmin is the first minimum, so a tie is with the right neighbour
+    for f in (lambda x: max(x, 1.0), lambda x: min(x, 1.0), lambda x: 1.0):
+        with pytest.raises(CalibrationError, match="does not enclose a minimum"):
+            model._golden_minimum(f, 0.0, 1.0, 2.0)
+    with pytest.raises(CalibrationError, match="not increasing"):
+        model._golden_minimum(lambda x: abs(x - 1.0), 2.0, 1.0, 0.0)
+
+
+def test_a_scan_minimum_tied_with_its_neighbour_is_a_calibration_error(monkeypatch, layout6):
+    # gaps fall to 0 at omega_c = 2 and stay there, so the first scan minimum
+    # ties with the point after it
+    monkeypatch.setattr(model, "_full_matrix", lambda wc, terms: wc)
+    monkeypatch.setattr(model, "_pair_gap", lambda wc, a, b: max(2.0 - wc, 0.0))
+    with pytest.raises(CalibrationError, match="does not enclose a minimum"):
+        calibrate_resonance(SystemParams(), layout6, which="full")
 
 
 def test_params_validation():

@@ -122,3 +122,38 @@ def test_a_case_reports_its_exit_code_streams_files_time_and_peak_rss(tmp_path):
     assert run.wall_s > 0.0 and run.rss_mb > 10.0
     # the CLI's own CPU time: its imports at least, about one core's worth at most
     assert 0.0 < run.cpu_s < 1.5 * run.wall_s
+
+
+def test_repeats_alternate_which_tree_runs_first_and_report_medians(
+    monkeypatch, capsys, tmp_path
+):
+    cases = [gate.Case(name, "ensemble") for name in ("a", "b")]
+    monkeypatch.setattr(gate, "preset_cases", lambda tree: cases)
+    monkeypatch.setattr(gate, "workload_cases", lambda tree: [])
+    monkeypatch.setattr(gate, "_git", lambda *args: "")
+    monkeypatch.setattr(gate.subprocess, "run", lambda *args, **kwargs: None)
+    calls = []
+
+    def run_case(tree, case, workdir):
+        role = workdir.name
+        n = sum(1 for c, r in calls if (c, r) == (case.name, role))
+        calls.append((case.name, role))
+        # case b's head differs in its third pair only
+        changed = case.name == "b" and role == "head" and n == 2
+        wall, cpu, rss = [(1.0, 0.5, 100.0), (9.0, 4.0, 300.0), (2.0, 1.5, 90.0)][n]
+        if role == "head":
+            wall, cpu, rss = wall + 10.0, cpu + 10.0, rss + 1.0
+        return gate.Result(0, "", "", {"x.csv": b"2\n" if changed else b"1\n"},
+                           wall_s=wall, cpu_s=cpu, rss_mb=rss)
+
+    monkeypatch.setattr(gate, "run_case", run_case)
+    assert gate.main(["--base", "HEAD", "--repeat", "3", "--scratch", str(tmp_path)]) == 1
+    alternating = ["base", "head", "head", "base", "base", "head"]
+    assert calls == [("a", role) for role in alternating] + [("b", role) for role in alternating]
+    usage = "base 2.00 s (CPU 1.50 s) 100 MB, head 12.00 s (CPU 11.50 s) 101 MB"
+    assert capsys.readouterr().out.splitlines() == [
+        f"same    a (ensemble): exit 0, 1 files; {usage}",
+        f"DIFFERS b (ensemble): {usage}",
+        "    repeat 3: x.csv line 1",
+        "1 of 2 cases differ: b",
+    ]

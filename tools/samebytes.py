@@ -1,7 +1,7 @@
 """Same-bytes gate: run two trees of usctraj on the same inputs, compare outputs.
 
     python tools/samebytes.py --base <rev> [--head <rev> | --tree <dir>]
-                              [--cases a,b,...] [--scratch <dir>]
+                              [--cases a,b,...] [--repeat k] [--scratch <dir>]
 
 The base revision is checked out with ``git worktree`` under a scratch
 directory (a new one in ``--scratch``, default the system temp
@@ -12,14 +12,18 @@ or any directory with a ``src/usctraj`` (``--tree``).
 The inputs are the shipped presets, each through the subcommand the
 README's preset table pairs it with, and the workloads of
 ``perfbench/run.py`` (``WORKLOADS``, read from the head tree) at seed 7.
-Every case runs as one CLI process, one process at a time, base first.  A
-case is the same when both runs exit with the same code, write the same
-files with the same bytes, print the same stderr, and print the same stdout
-once each run's output directory is replaced by ``<out>``.  Each case's
-line also gives the wall time, CPU time (``ru_utime + ru_stime``) and peak
-RSS (``ru_maxrss``) of its base and head runs, from ``os.wait4``; they
-inform and never change the verdict.
-This process imports no numpy, so a run's peak RSS is the CLI's own.
+Every run is one CLI process, one process at a time.  Each case runs k
+times per tree (``--repeat``, default 1) in pairs, base first in the 1st,
+3rd, ... pair and head first in the others, so that neither tree always
+runs on a machine warmed by the other.  A pair is the same when both runs
+exit with the same code, write the same files with the same bytes, print
+the same stderr, and print the same stdout once each run's output directory
+is replaced by ``<out>``; a case is the same when every pair is.  Each
+case's line also gives the median wall time, CPU time
+(``ru_utime + ru_stime``) and peak RSS (``ru_maxrss``) of each tree's runs,
+from ``os.wait4``; they inform and never change the verdict.
+This process imports no numpy and keeps no run's outputs past its pair, so
+a run's peak RSS is the CLI's own.
 
 Every case runs.  Each case that differs is named with every output that
 differs (exit code, files, stderr, stdout) and, for text, the number of its
@@ -34,6 +38,7 @@ import json
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -116,8 +121,11 @@ class Result:
     cpu_s: float = 0.0
     rss_mb: float = 0.0
 
-    def usage(self) -> str:
-        return f"{self.wall_s:.2f} s (CPU {self.cpu_s:.2f} s) {self.rss_mb:.0f} MB"
+
+def median_usage(runs: list[tuple[float, float, float]]) -> str:
+    """The median wall time, CPU time and peak RSS of (wall_s, cpu_s, rss_mb) runs."""
+    wall, cpu, rss = (statistics.median(column) for column in zip(*runs))
+    return f"{wall:.2f} s (CPU {cpu:.2f} s) {rss:.0f} MB"
 
 
 def run_case(tree: Path, case: Case, workdir: Path) -> Result:
@@ -195,8 +203,12 @@ def main(argv=None) -> int:
     head.add_argument("--head", help="git revision to test (default: this checkout)")
     head.add_argument("--tree", type=Path, help="directory to test (default: this checkout)")
     parser.add_argument("--cases", help="comma-separated case names (default: all)")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs of each case per tree, alternating which runs first")
     parser.add_argument("--scratch", type=Path, help="parent of the scratch directory")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     scratch = Path(tempfile.mkdtemp(prefix="samebytes-", dir=args.scratch)).resolve()
     worktrees = []
@@ -225,18 +237,24 @@ def main(argv=None) -> int:
             cases = [c for c in cases if c.name in wanted]
         differing = []
         for case in cases:
-            base = run_case(trees["base"], case, scratch / "runs" / "base")
-            head_result = run_case(trees["head"], case, scratch / "runs" / "head")
-            found = differences(base, head_result)
-            usage = f"base {base.usage()}, head {head_result.usage()}"
+            runs = {"base": [], "head": []}
+            found = []
+            for repeat in range(args.repeat):
+                pair = {}
+                for role in ("base", "head") if repeat % 2 == 0 else ("head", "base"):
+                    pair[role] = run_case(trees[role], case, scratch / "runs" / role)
+                    runs[role].append((pair[role].wall_s, pair[role].cpu_s, pair[role].rss_mb))
+                prefix = f"repeat {repeat + 1}: " if args.repeat > 1 else ""
+                found += [prefix + item for item in differences(pair["base"], pair["head"])]
+            usage = f"base {median_usage(runs['base'])}, head {median_usage(runs['head'])}"
             if found:
                 differing.append(case.name)
                 print(f"DIFFERS {case.name} ({case.command}): {usage}", flush=True)
                 for item in found:
                     print(f"    {item}", flush=True)
             else:
-                print(f"same    {case.name} ({case.command}): exit {base.code}, "
-                      f"{len(head_result.files)} files; {usage}", flush=True)
+                print(f"same    {case.name} ({case.command}): exit {pair['base'].code}, "
+                      f"{len(pair['head'].files)} files; {usage}", flush=True)
         if differing:
             print(f"{len(differing)} of {len(cases)} cases differ: {', '.join(differing)}")
             return 1
