@@ -681,33 +681,9 @@ def test_cli_defaults_to_one_blas_thread(given, expected):
     assert out.strip() == expected
 
 
-_RUN_AND_REPORT_SCIPY = (
-    "import sys\n"
-    "from usctraj import cli\n"
-    "{work}\n"
-    "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)\n"
-)
-_SETUP = "cli._build_system(cli._calibrated(cli.load_config({config!r})))"
-_TRAJECTORY = "assert cli.main(['trajectory', '--config', {config!r}, '--out', {out!r}]) == 0"
-
-
-@pytest.mark.parametrize(
-    "calibrate, solver, work, imported",
-    [
-        ("effective", "mcwf", _SETUP, "False False"),
-        ("none", "mcwf", _SETUP, "False False"),
-        ("full", "mcwf", _SETUP, "False False"),
-        ("full", "mcwf", _TRAJECTORY, "False False"),
-        ("effective", "homodyne", _TRAJECTORY, "False True"),
-    ],
-    ids=["setup-effective", "setup-none", "setup-full", "photodetection", "homodyne"],
-)
-def test_no_run_imports_scipy_optimize_and_only_diffusive_noise_imports_scipy_special(
-    tmp_path, calibrate, solver, work, imported
-):
-    # every calibration mode, and a photodetection run to its end, imports
-    # neither module; scipy.special is loaded by the first normal a
-    # homodyne run draws
+def _run_and_report(tmp_path, calibrate, solver, work):
+    # runs `work` in a fresh interpreter on a small config and returns the
+    # last line it prints
     cfg = tmp_path / "c.ini"
     cfg.write_text(
         BASE_SYSTEM.replace("calibrate = effective", f"calibrate = {calibrate}")
@@ -717,13 +693,46 @@ def test_no_run_imports_scipy_optimize_and_only_diffusive_noise_imports_scipy_sp
     env = dict(os.environ)
     src = str(Path(usctraj.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = _RUN_AND_REPORT_SCIPY.format(
-        work=work.format(config=str(cfg), out=str(tmp_path / "out"))
+    code = "import sys\nfrom usctraj import cli, model\n" + work.format(
+        config=str(cfg), out=str(tmp_path / "out")
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.splitlines()[-1] == imported
+    return out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("calibrate, golden", [("effective", False), ("none", False),
+                                               ("full", True)])
+def test_only_the_full_calibration_imports_scipy_optimize(tmp_path, calibrate, golden):
+    # the full calibration was once scipy.optimize's one user; its
+    # golden-section refinement is now model._golden_minimum, so no mode
+    # imports scipy.optimize (or scipy.special) while it loads its config,
+    # calibrates and builds its system, and only the full one runs the search
+    work = (
+        "calls = []\n"
+        "golden = model._golden_minimum\n"
+        "model._golden_minimum = lambda *a: calls.append(a) or golden(*a)\n"
+        "cli._build_system(cli._calibrated(cli.load_config({config!r})))\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules,"
+        " bool(calls))\n"
+    )
+    assert _run_and_report(tmp_path, calibrate, "mcwf", work) == f"False False {golden}"
+
+
+@pytest.mark.parametrize("solver, imported", [("mcwf", "False False"),
+                                              ("homodyne", "False True")],
+                         ids=["photodetection", "homodyne"])
+def test_no_run_imports_scipy_optimize_and_only_diffusive_noise_imports_scipy_special(
+    tmp_path, solver, imported
+):
+    # a fully calibrated photodetection run to its end imports neither
+    # module; scipy.special is loaded by the first normal a homodyne run draws
+    work = (
+        "assert cli.main(['trajectory', '--config', {config!r}, '--out', {out!r}]) == 0\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)\n"
+    )
+    assert _run_and_report(tmp_path, "full", solver, work) == imported
 
 
 @pytest.mark.parametrize(
