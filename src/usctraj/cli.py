@@ -22,7 +22,7 @@ same bytes with any number of them: grouped ensembles build their flows
 and sample their trajectories in forked workers (``ensemble``), and
 compare-lme integrates the master equation in a worker beside the
 ensemble.  No worker outlives the run, and a worker that dies without a
-result exits 3.
+result, or cannot be started, exits 3.
 """
 
 from __future__ import annotations

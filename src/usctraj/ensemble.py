@@ -54,14 +54,17 @@ from ``sq`` where they are read (``_Flow.dp``), with the multiply of the
 per-step rule.
 
 A grouped run uses every CPU of the process's affinity mask
-(``workers.W``) and gives the same bytes with any number.  Flows are
-discovered in rounds, and the flows a round discovered are built side by
-side in forked workers (``workers.run``); trajectories are sampled in W
-contiguous blocks, each with its own reader and columns, concatenated in
-trajectory order.  Each flow and each trajectory is computed by the same
-code from the same inputs wherever it runs, and an error is the one a
-single process meets first: that of the first flow, in order of
-discovery, whose build fails, and that of the lowest failing trajectory.
+(``workers.W``) and gives the same bytes with any number.  The flow graph
+is first found from each flow's first chunk, which fixes every jump image
+the flow reports, in this process; the full builds of all the lit flows
+it found then start at once in forked workers (``workers.run``), and
+later rounds build only the flows whose images it missed.  Trajectories
+are sampled in W contiguous blocks, each with its own reader and columns,
+concatenated in trajectory order.  Each flow and each trajectory is
+computed by the same code from the same inputs wherever it runs, and an
+error is the one a single process meets first: that of the first flow,
+in order of discovery, whose build fails, and that of the lowest failing
+trajectory.
 
 Agreement with the direct kernel (``mcwf._run_rows``) is exact for the
 first segment and for all jump bookkeeping, and up to the arbitrary
@@ -119,7 +122,9 @@ RAY_TOL = 1e-10
 # once.  On a 2-core Xeon the fig2b preset's CLI process peaks at 103 MB
 # with 256 or 512 and at 110 MB with 2048 (grouped-conditional: 97, 99
 # and 110 MB), while its flows take 2.5-2.9 s at every size, within the
-# spread between runs.
+# spread between runs.  It also sets the head horizon of flow discovery:
+# the graph is found from flows built over their first chunk alone,
+# _FLOW_CHUNK - 1 steps (``_discover_flows``).
 _FLOW_CHUNK = 512
 
 
@@ -314,36 +319,22 @@ class _Ungroupable(Exception):
     """
 
 
-def _discover_flows(
-    psi0: np.ndarray, system: DissipativeSystem, propagator: np.ndarray,
-    n_steps: int, dt: float,
+def _closure(
+    states: list[np.ndarray], build: Callable[[list[np.ndarray]], list[_Flow]],
 ) -> list[_Flow]:
-    """Breadth-first closure of flows reachable from psi0 through jumps.
+    """Breadth-first closure of the flows reachable from ``states[0]`` through jumps.
 
-    In rounds: a round builds every flow the last one discovered, the dark
-    ones in this process (they run no chain, so they raise nothing and stay
-    untouched zero pages) and the others side by side (``workers.run``),
-    then links their jump images in id order, each new image getting the
-    next id.  The first failing build in id order raises, and the flow cap
-    only once every flow discovered before it is built: the error is that
-    of building each flow on discovery.
+    In rounds: ``build`` returns the flows of the states the last round
+    discovered, and their jump images are linked in id order, each new
+    image appended to ``states`` with the next id.  The flow cap raises only
+    once every flow discovered before it is built, so with a ``build`` that
+    raises its first failing flow in id order, the error is that of building
+    each flow on discovery.
     """
-    states, flows = [psi0], []
-
-    def build():
-        """Append the flows of the states discovered since the last build."""
-        new = states[len(flows):]
-        dark = {i: _build_flow(s, system, propagator, n_steps, dt)
-                for i, s in enumerate(new) if _is_dark(s, system.plus_stack, propagator)}
-        lit = iter(workers.run([
-            partial(_build_flow, s, system, propagator, n_steps, dt)
-            for i, s in enumerate(new) if i not in dark
-        ]))
-        flows.extend(dark[i] if i in dark else next(lit) for i in range(len(new)))
-
+    flows = []
     while len(flows) < len(states):
         lo = len(flows)
-        build()
+        flows += build(states[lo:])
         for flow in flows[lo:]:
             for m, image in enumerate(flow.image_state):
                 if image is None:
@@ -354,11 +345,81 @@ def _discover_flows(
                         break
                 else:
                     if len(states) >= FLOW_CAP:
-                        build()
+                        build(states[len(flows):])
                         raise _Ungroupable(f"more than {FLOW_CAP} distinct flows")
                     states.append(image)
                     flow.image_flow[m] = len(states) - 1
     return flows
+
+
+def _built_or_error(
+    state0: np.ndarray, system: DissipativeSystem, propagator: np.ndarray,
+    n_steps: int, dt: float,
+) -> _Flow | Exception:
+    """``_build_flow``'s flow, or the exception it raised."""
+    try:
+        return _build_flow(state0, system, propagator, n_steps, dt)
+    except Exception as exc:
+        return exc
+
+
+def _discover_flows(
+    psi0: np.ndarray, system: DissipativeSystem, propagator: np.ndarray,
+    n_steps: int, dt: float,
+) -> list[_Flow]:
+    """Breadth-first closure of flows reachable from psi0 through jumps.
+
+    First a head discovery, in this process: the closure (``_closure``) of
+    flows built over their first chunk only, ``head`` steps.  A flow's first
+    chunk fixes every image it ever reports bit for bit, since a channel's
+    image is its first live amplitude and the chunk's states are those of
+    the full build.  When the head is the horizon, that closure is the
+    answer.  Otherwise it is a hint, which any error ends: the full builds of
+    every state it found that is not dark start in one ``workers.run`` call,
+    each returning its error as a value.  Then the closure proper takes each
+    flow from those builds by its entry state's bytes.  A state the head
+    missed (a channel first live after the first chunk) is built in a later
+    round, side by side with the others of its round, and a dark one in this
+    process (it runs no chain, so it stays untouched zero pages).  A round
+    raises its first failing build in id order: the error is that of
+    building each flow on discovery.
+    """
+    head = min(n_steps, _FLOW_CHUNK - 1)
+    hinted = [psi0]
+
+    def build_head(new):
+        return [_build_flow(s, system, propagator, head, dt) for s in new]
+
+    if head == n_steps:
+        return _closure(hinted, build_head)
+    try:
+        _closure(hinted, build_head)
+    except Exception:
+        pass  # a hint only: the closure below meets every error in its own order
+    built = {}
+
+    def start(new):
+        """Build those of new not built yet: the lit ones at once, the dark ones here."""
+        new = [s for s in new if s.tobytes() not in built]
+        dark = [_is_dark(s, system.plus_stack, propagator) for s in new]
+        lit = [partial(_built_or_error, s, system, propagator, n_steps, dt)
+               for s, d in zip(new, dark) if not d]
+        lit = iter(workers.run(lit) if lit else ())
+        for s, d in zip(new, dark):
+            built[s.tobytes()] = (
+                _built_or_error(s, system, propagator, n_steps, dt) if d else next(lit)
+            )
+
+    def build(new):
+        start(new)
+        flows = [built.pop(s.tobytes()) for s in new]
+        for flow in flows:
+            if isinstance(flow, Exception):
+                raise flow
+        return flows
+
+    start(hinted)
+    return _closure([psi0], build)
 
 
 def _binary_powers(propagator: np.ndarray, n_steps: int) -> list[np.ndarray]:

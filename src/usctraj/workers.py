@@ -1,17 +1,18 @@
 """Independent pieces of work on the CPUs this process may use.
 
-``run(calls)`` runs zero-argument calls, at most ``W`` at once, and returns
-their values in call order.  The calls go in waves of ``W``: the first call
-of a wave runs in this process, the others in ``os.fork``ed children, which
-pickle their outcome back through a pipe and leave with ``os._exit``.  Once
-a wave is reaped, the first exception in call order is raised and no later
-wave starts, so a failing run raises what running the calls one by one
-would.  ``W`` is the number of CPUs in the process's affinity mask, and 1
-where ``os.fork`` does not exist; with ``W = 1`` every call runs here and
-nothing forks.  A forked child starts from this process's memory, so a call
-reads whatever state it closes over, and only its outcome comes back.  A
-fork copies only the calling thread; the CLI pins OpenBLAS to one thread, so
-it has no other.
+``run(calls)`` runs zero-argument calls and returns their values in call
+order.  With ``W > 1`` they all run at once: the first call in this
+process, every other one in an ``os.fork``ed child of its own, which
+pickles its outcome back through a pipe and leaves with ``os._exit``.  Once
+every child is reaped, the first exception in call order is raised, so a
+failing run raises what running the calls one by one would.  Callers bound
+the number of calls: W sampling blocks, the two of ``compare-lme``, at most
+``ensemble.FLOW_CAP`` flow builds.  ``W`` is the number of CPUs in the
+process's affinity mask, and 1 where ``os.fork`` does not exist; with
+``W = 1`` the calls run here one by one and nothing forks.  A forked child
+starts from this process's memory, so a call reads whatever state it
+closes over, and only its outcome comes back.  A fork copies only the
+calling thread; the CLI pins OpenBLAS to one thread, so it has no other.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ def _fork(call):
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except OSError as exc:
         os.close(read_end)
         os.close(write_end)
-        raise
+        raise RuntimeError(f"cannot start a worker process: {exc}") from exc
     if pid == 0:  # the child: send the outcome, then leave without unwinding the caller
         code = 1
         try:
@@ -57,39 +58,38 @@ def _fork(call):
 
 
 def run(calls) -> list:
-    """The values of calls, in call order; at most ``W`` run at once.
+    """The values of calls, in call order; with ``W > 1`` all run at once.
 
     Each child's outcome is read from its pipe before the child is reaped,
     and every child is reaped on every path.  The first exception in call
-    order is raised once its wave is reaped; a child that exits without an
-    outcome raises ``RuntimeError``.
+    order is raised once every child is reaped; a child that exits without
+    an outcome raises ``RuntimeError``, and so does a failed fork, after
+    the children already started are reaped.
     """
-    values = []
-    for lo in range(0, len(calls), W):
-        wave, children, sent = calls[lo : lo + W], [], []
-        try:
-            for call in wave[1:]:
-                children.append(_fork(call))
-            outcomes = [_outcome(wave[0])]
-            for _, pipe in children:
-                try:
-                    sent.append(pickle.load(pipe))
-                except (EOFError, pickle.UnpicklingError):
-                    sent.append(None)
-        finally:
-            statuses = []
-            for pid, pipe in children:
-                pipe.close()
-                statuses.append(os.waitpid(pid, 0)[1])
-        for outcome, status in zip(sent, statuses):
-            if status != 0 or outcome is None:
-                outcome = False, RuntimeError(
-                    "a worker process ended without a result "
-                    f"(exit code {os.waitstatus_to_exitcode(status)})"
-                )
-            outcomes.append(outcome)
-        for ok, value in outcomes:
-            if not ok:
-                raise value
-            values.append(value)
-    return values
+    if W == 1 or len(calls) < 2:
+        return [call() for call in calls]
+    children, sent, statuses = [], [], []
+    try:
+        for call in calls[1:]:
+            children.append(_fork(call))
+        outcomes = [_outcome(calls[0])]
+        for _, pipe in children:
+            try:
+                sent.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                sent.append(None)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for outcome, status in zip(sent, statuses):
+        if status != 0 or outcome is None:
+            outcome = False, RuntimeError(
+                "a worker process ended without a result "
+                f"(exit code {os.waitstatus_to_exitcode(status)})"
+            )
+        outcomes.append(outcome)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]

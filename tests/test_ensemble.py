@@ -771,12 +771,15 @@ def _outcome(call):
     ids=["none", "2", "4", "2+4", "3+4", "2+3", "dark+4", "root"],
 )
 def test_flow_discovery_is_that_of_building_each_flow_on_discovery(
-    busy_effective, monkeypatch, cap, planted
+    busy_effective, monkeypatch, cap, planted, chunk=ensemble._FLOW_CHUNK
 ):
     # five flows: the root, its dark cavity image (1) and three qubit images
     # (2-4), popped last in first out.  Builds planted to fail by flow id
     # raise a ray break or a timestep error; with any W the flows, their ids
-    # and images, or the error are those of building each flow on discovery
+    # and images, or the error are those of building each flow on discovery.
+    # The default chunk holds all 60 steps, so the head discovery is the
+    # whole closure; the short heads below see a part of the steps
+    monkeypatch.setattr(ensemble, "_FLOW_CHUNK", chunk)
     system, propagator = busy_effective
     psi0 = system.initial_state("1gg")
     entries = [f.state0 for f in ensemble._discover_flows(psi0, system, propagator, 60, 0.5)]
@@ -807,6 +810,24 @@ def test_flow_discovery_is_that_of_building_each_flow_on_discovery(
             np.testing.assert_array_equal(a.threshold, b.threshold, strict=True)
 
 
+@pytest.mark.parametrize("chunk", [1, 16])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, ensemble.FLOW_CAP])
+@pytest.mark.parametrize(
+    "planted",
+    [{}, {2: "ray"}, {4: "ray"}, {2: "ray", 4: "ray"}, {3: "ray", 4: "step"},
+     {2: "step", 3: "ray"}, {1: "ray", 4: "ray"}, {0: "step"}],
+    ids=["none", "2", "4", "2+4", "3+4", "2+3", "dark+4", "root"],
+)
+def test_flow_discovery_from_a_short_head_is_that_of_building_each_flow_on_discovery(
+    busy_effective, monkeypatch, cap, planted, chunk
+):
+    # a head of age 0 alone, or of 15 of the 60 steps: the qubit channels of
+    # the root first light up after age 0, so chunk 1 finds them in later rounds
+    test_flow_discovery_is_that_of_building_each_flow_on_discovery(
+        busy_effective, monkeypatch, cap, planted, chunk
+    )
+
+
 @pytest.fixture(scope="module")
 def cascade():
     """Two photons and two excited qubits, uncoupled: 12 flows in five rounds.
@@ -825,11 +846,12 @@ def cascade():
     ids=["none", "2", "3+5", "6"],
 )
 def test_deep_flow_discovery_is_that_of_building_each_flow_on_discovery(
-    cascade, monkeypatch, cap, planted
+    cascade, monkeypatch, cap, planted, chunk=ensemble._FLOW_CHUNK
 ):
     # five rounds tell breadth-first ids from any other order; flows are
     # planted to fail by their place in the reference, caps 2 and 3 fall
     # among the flows of round 2 and cap 5 among those of round 3
+    monkeypatch.setattr(ensemble, "_FLOW_CHUNK", chunk)
     system, propagator, psi0 = cascade
     reference = _discover_on_discovery(psi0, system, propagator, 60, 0.5)
     assert len(reference) == 12 and reference[11].dark
@@ -858,6 +880,50 @@ def test_deep_flow_discovery_is_that_of_building_each_flow_on_discovery(
             np.testing.assert_array_equal(a.image_flow, b.image_flow, strict=True)
             np.testing.assert_array_equal(a.sq, b.sq, strict=True)
             np.testing.assert_array_equal(a.threshold, b.threshold, strict=True)
+
+
+@pytest.mark.parametrize("chunk", [1, 16])
+@pytest.mark.parametrize("cap", [2, 3, 5, ensemble.FLOW_CAP])
+@pytest.mark.parametrize(
+    "planted", [{}, {2: "ray"}, {3: "step", 5: "ray"}, {6: "ray"}],
+    ids=["none", "2", "3+5", "6"],
+)
+def test_deep_flow_discovery_from_a_short_head_is_that_of_building_each_flow_on_discovery(
+    cascade, monkeypatch, cap, planted, chunk
+):
+    test_deep_flow_discovery_is_that_of_building_each_flow_on_discovery(
+        cascade, monkeypatch, cap, planted, chunk
+    )
+
+
+def test_one_call_builds_every_lit_flow_and_no_state_twice(busy_effective, monkeypatch, tmp_path):
+    # 600 steps, more than one chunk: the head discovery finds all five
+    # flows, so one workers.run call builds the root and its lit images
+    # side by side, the dark one is built here, and no later round builds
+    system, propagator = busy_effective
+    psi0 = system.initial_state("1gg")
+    monkeypatch.setattr(workers, "W", 2)
+    build, run, log, calls = ensemble._build_flow, workers.run, tmp_path / "builds", []
+
+    def logged_build(state0, *args):
+        with open(log, "a") as builds:  # appended to by forked workers too
+            builds.write(f"{state0.tobytes().hex()} {args[2]}\n")
+        return build(state0, *args)
+
+    def logged_run(batch):
+        calls.append([call.args[0].tobytes().hex() for call in batch])
+        return run(batch)
+
+    monkeypatch.setattr(ensemble, "_build_flow", logged_build)
+    monkeypatch.setattr(workers, "run", logged_run)
+    flows = ensemble._discover_flows(psi0, system, propagator, 600, 0.5)
+    assert [f.dark for f in flows] == [False, True, False, False, False]
+    assert calls == [[f.state0.tobytes().hex() for f in flows if not f.dark]]
+    builds = [line.split() for line in log.read_text().splitlines()]
+    full = sorted(state for state, n_steps in builds if n_steps == "600")
+    assert full == sorted(f.state0.tobytes().hex() for f in flows)
+    head = [n_steps for _, n_steps in builds if n_steps != "600"]
+    assert head == [str(ensemble._FLOW_CHUNK - 1)] * 5
 
 
 def test_a_deep_cascade_runs_the_same_bytes_at_every_w(cascade, monkeypatch):

@@ -1,6 +1,9 @@
 """The same-bytes gate script: its inputs and its comparison rule."""
 
 import importlib.util
+import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -157,3 +160,68 @@ def test_repeats_alternate_which_tree_runs_first_and_report_medians(
         "    repeat 3: x.csv line 1",
         "1 of 2 cases differ: b",
     ]
+
+
+def test_bench_writes_each_cases_usage_quartiles_the_revisions_and_the_machine(
+    monkeypatch, tmp_path
+):
+    cases = [gate.Case(name, command) for name, command in (("a", "ensemble"), ("b", "trajectory"))]
+    monkeypatch.setattr(gate, "preset_cases", lambda tree: cases)
+    monkeypatch.setattr(gate, "workload_cases", lambda tree: [])
+    monkeypatch.setattr(gate.subprocess, "run", lambda *args, **kwargs: None)
+    revisions = {("rev-parse", "v1"): "b" * 40 + "\n", ("rev-parse", "HEAD"): "h" * 40 + "\n"}
+    monkeypatch.setattr(gate, "_git", lambda *args: revisions.get(
+        args[-2:], " M src/usctraj/ensemble.py\n" if "status" in args else ""))
+    machine = {"cores": 2, "blas": {"name": "scipy-openblas", "version": "0.3.31"},
+               "openblas_num_threads": "1", "python": "3.11.7", "numpy": "2.4.6",
+               "scipy": "1.17.1"}
+    monkeypatch.setattr(gate, "machine_facts", lambda: machine)
+    usage = {"base": [(4.0, 2.0, 100.0), (1.0, 3.0, 102.0), (2.0, 1.0, 101.0)],
+             "head": [(3.0, 1.5, 90.0), (3.0, 1.5, 91.0), (5.0, 2.5, 92.0)]}
+    seen = []
+
+    def run_case(tree, case, workdir):
+        role = workdir.name
+        n = seen.count((case.name, role))
+        seen.append((case.name, role))
+        wall, cpu, rss = usage[role][n]
+        changed = case.name == "b" and role == "head" and n == 1
+        return gate.Result(0, "", "", {"x.csv": b"2\n" if changed else b"1\n"},
+                           wall_s=wall, cpu_s=cpu, rss_mb=rss)
+
+    monkeypatch.setattr(gate, "run_case", run_case)
+    path = tmp_path / "BENCH.json"
+    argv = ["--base", "v1", "--repeat", "3", "--bench", str(path), "--scratch", str(tmp_path)]
+    assert gate.main(argv) == 1
+    sides = {
+        "base": {"wall_s": {"q1": 1.5, "median": 2.0, "q3": 3.0},
+                 "cpu_s": {"q1": 1.5, "median": 2.0, "q3": 2.5},
+                 "rss_mb": {"q1": 100.5, "median": 101.0, "q3": 101.5}},
+        "head": {"wall_s": {"q1": 3.0, "median": 3.0, "q3": 4.0},
+                 "cpu_s": {"q1": 1.5, "median": 1.5, "q3": 2.0},
+                 "rss_mb": {"q1": 90.5, "median": 91.0, "q3": 91.5}},
+    }
+    assert json.loads(path.read_text()) == {
+        "base": "b" * 40,
+        "head": "h" * 40,
+        "head_dirty": True,
+        "repeat": 3,
+        "machine": machine,
+        "cases": [{"name": "a", "command": "ensemble", "same": True, **sides},
+                  {"name": "b", "command": "trajectory", "same": False, **sides}],
+    }
+
+
+def test_one_run_is_its_own_median_and_quartiles():
+    assert gate.quartiles([2.5]) == {"q1": 2.5, "median": 2.5, "q3": 2.5}
+
+
+def test_the_machine_facts_are_those_of_a_child_process():
+    facts = gate.machine_facts()
+    assert set(facts) == {"cores", "blas", "openblas_num_threads", "python", "numpy", "scipy"}
+    if hasattr(os, "sched_getaffinity"):
+        assert facts["cores"] == len(os.sched_getaffinity(0))
+    assert facts["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert facts["python"] == platform.python_version()
+    assert set(facts["blas"]) == {"name", "version"} and facts["blas"]["name"]
+    assert facts["numpy"] and facts["scipy"]

@@ -35,7 +35,7 @@ def fail_after(seconds, message):
 
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_results_come_back_in_call_order(monkeypatch, w):
-    # the later calls finish first; more calls than W run in waves
+    # the later calls finish first; with W > 1 all five run at once
     monkeypatch.setattr(workers, "W", w)
     calls = [after(0.05 * (4 - k), np.arange(k)) for k in range(5)]
     values = workers.run(calls)
@@ -70,7 +70,7 @@ def test_a_child_killed_without_a_result_gives_a_runtime_error(monkeypatch):
 
 def test_children_are_reaped_when_the_parent_call_raises(monkeypatch):
     # an exception that is not an outcome (an interrupt) leaves the parent's
-    # call; the children of its wave are reaped before it propagates
+    # call; the children are reaped before it propagates
     monkeypatch.setattr(workers, "W", 3)
 
     def interrupted():
@@ -89,28 +89,52 @@ def test_one_worker_forks_nothing(monkeypatch):
     assert workers.run([os.getpid, os.getpid, os.getpid]) == [os.getpid()] * 3
 
 
-def test_calls_after_the_first_of_a_wave_run_in_children(monkeypatch):
+def test_every_call_after_the_first_runs_in_a_child_of_its_own(monkeypatch):
+    # more calls than W: no waves, each later call forks at once
     monkeypatch.setattr(workers, "W", 2)
-    pids = workers.run([os.getpid, os.getpid, os.getpid])
-    assert pids[0] == pids[2] == os.getpid() != pids[1]
+    pids = workers.run([os.getpid] * 4)
+    assert pids[0] == os.getpid()
+    assert len(set(pids[1:])) == 3 and os.getpid() not in pids[1:]
 
 
-def test_no_wave_starts_after_the_wave_of_a_failing_call(monkeypatch, tmp_path):
-    # waves [0, 1], [2, 3], [4]: call 1 fails, so calls 2-4 never start
+def test_every_call_runs_and_the_first_error_is_raised_once_all_are_reaped(
+    monkeypatch, tmp_path
+):
+    # call 1 fails at once, the others later: all five still run, and call
+    # 1's error is raised after every child is reaped
     monkeypatch.setattr(workers, "W", 2)
 
     def touch(k):
         def call():
-            (tmp_path / str(k)).touch()
             if k == 1:
                 raise ValueError("call 1")
+            time.sleep(0.1)
+            (tmp_path / str(k)).touch()
             return k
 
         return call
 
     with pytest.raises(ValueError, match="^call 1$"):
         workers.run([touch(k) for k in range(5)])
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "2", "3", "4"]
+
+
+def test_a_failed_fork_is_a_runtime_error_once_the_started_children_are_reaped(monkeypatch):
+    # the first fork succeeds, the second fails: the one child started is
+    # reaped before the error propagates (the autouse fixture checks it)
+    monkeypatch.setattr(workers, "W", 3)
+    fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(RuntimeError, match="^cannot start a worker process: .*unavailable$"):
+        workers.run([after(0.0, 0), after(0.2, 1), after(0.0, 2)])
+    assert len(forks) == 2
 
 
 def test_w_is_the_affinity_mask():

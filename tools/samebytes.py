@@ -1,7 +1,8 @@
 """Same-bytes gate: run two trees of usctraj on the same inputs, compare outputs.
 
     python tools/samebytes.py --base <rev> [--head <rev> | --tree <dir>]
-                              [--cases a,b,...] [--repeat k] [--scratch <dir>]
+                              [--cases a,b,...] [--repeat k] [--bench <file>]
+                              [--scratch <dir>]
 
 The base revision is checked out with ``git worktree`` under a scratch
 directory (a new one in ``--scratch``, default the system temp
@@ -22,6 +23,9 @@ is replaced by ``<out>``; a case is the same when every pair is.  Each
 case's line also gives the median wall time, CPU time
 (``ru_utime + ru_stime``) and peak RSS (``ru_maxrss``) of each tree's runs,
 from ``os.wait4``; they inform and never change the verdict.
+``--bench <file>`` also writes them as JSON (``bench_record``): each case's
+median and quartiles of each tree's runs, the two revisions, and the
+machine facts a child process sees (``machine_facts``).
 This process imports no numpy and keeps no run's outputs past its pair, so
 a run's peak RSS is the CLI's own.
 
@@ -43,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,6 +125,76 @@ class Result:
     wall_s: float = 0.0
     cpu_s: float = 0.0
     rss_mb: float = 0.0
+
+
+# Prints the machine facts of a process started like a CLI run, as JSON.
+_PRINT_MACHINE = """
+import json, os, platform, numpy, scipy
+blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+print(json.dumps({
+    "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count(),
+    "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "python": platform.python_version(),
+    "numpy": numpy.__version__,
+    "scipy": scipy.__version__,
+}))
+"""
+
+USAGE = ("wall_s", "cpu_s", "rss_mb")
+
+
+def machine_facts() -> dict:
+    """Cores in the affinity mask, the BLAS numpy links, its thread setting, versions.
+
+    Read in a child process, for the reason ``workload_cases`` gives.
+    """
+    out = subprocess.run([sys.executable, "-c", _PRINT_MACHINE],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def quartiles(values: Sequence[float]) -> dict[str, float]:
+    """The first quartile, median and third quartile of values ("inclusive" method)."""
+    if len(values) == 1:
+        return dict.fromkeys(("q1", "median", "q3"), values[0])
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": statistics.median(values), "q3": q3}
+
+
+def bench_record(revisions: dict, machine: dict, repeat: int, cases: list[dict]) -> dict:
+    """The --bench JSON: each case's name, command, verdict and per-tree usage quartiles.
+
+    Each item of cases holds ``name``, ``command``, ``same`` and, per tree
+    (``base``, ``head``), its runs as (wall_s, cpu_s, rss_mb) tuples.
+    """
+    return {
+        **revisions,
+        "repeat": repeat,
+        "machine": machine,
+        "cases": [
+            {"name": c["name"], "command": c["command"], "same": c["same"],
+             **{role: {name: quartiles(column)
+                       for name, column in zip(USAGE, zip(*c[role]))}
+                for role in ("base", "head")}}
+            for c in cases
+        ],
+    }
+
+
+def _revisions(base: str, head: str | None, tree: Path) -> dict:
+    """The base and head commits; ``head_dirty`` when the head tree's src/ has changes."""
+    record = {"base": _git("rev-parse", base).strip(), "head": None, "head_dirty": None}
+    if head is not None:
+        record.update(head=_git("rev-parse", head).strip(), head_dirty=False)
+        return record
+    try:
+        record["head"] = _git("-C", str(tree), "rev-parse", "HEAD").strip()
+        record["head_dirty"] = bool(_git("-C", str(tree), "status", "--porcelain", "--", "src"))
+    except subprocess.CalledProcessError:
+        pass  # a --tree outside any git checkout
+    return record
 
 
 def median_usage(runs: list[tuple[float, float, float]]) -> str:
@@ -205,6 +280,8 @@ def main(argv=None) -> int:
     parser.add_argument("--cases", help="comma-separated case names (default: all)")
     parser.add_argument("--repeat", type=int, default=1,
                         help="runs of each case per tree, alternating which runs first")
+    parser.add_argument("--bench", type=Path,
+                        help="also write each case's usage quartiles and the machine as JSON")
     parser.add_argument("--scratch", type=Path, help="parent of the scratch directory")
     args = parser.parse_args(argv)
     if args.repeat < 1:
@@ -235,7 +312,7 @@ def main(argv=None) -> int:
                 print(f"error: unknown cases {sorted(unknown)}", file=sys.stderr)
                 return 2
             cases = [c for c in cases if c.name in wanted]
-        differing = []
+        differing, measured = [], []
         for case in cases:
             runs = {"base": [], "head": []}
             found = []
@@ -246,6 +323,8 @@ def main(argv=None) -> int:
                     runs[role].append((pair[role].wall_s, pair[role].cpu_s, pair[role].rss_mb))
                 prefix = f"repeat {repeat + 1}: " if args.repeat > 1 else ""
                 found += [prefix + item for item in differences(pair["base"], pair["head"])]
+            measured.append({"name": case.name, "command": case.command, "same": not found,
+                             **runs})
             usage = f"base {median_usage(runs['base'])}, head {median_usage(runs['head'])}"
             if found:
                 differing.append(case.name)
@@ -255,6 +334,10 @@ def main(argv=None) -> int:
             else:
                 print(f"same    {case.name} ({case.command}): exit {pair['base'].code}, "
                       f"{len(pair['head'].files)} files; {usage}", flush=True)
+        if args.bench is not None:
+            record = bench_record(_revisions(args.base, args.head, trees["head"]),
+                                  machine_facts(), args.repeat, measured)
+            args.bench.write_text(json.dumps(record, indent=1) + "\n")
         if differing:
             print(f"{len(differing)} of {len(cases)} cases differ: {', '.join(differing)}")
             return 1
