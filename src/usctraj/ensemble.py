@@ -373,10 +373,9 @@ def _discover_flows(
     flows built over their first chunk only, ``head`` steps.  A flow's first
     chunk fixes every image it ever reports bit for bit, since a channel's
     image is its first live amplitude and the chunk's states are those of
-    the full build.  When the head is the horizon, that closure is the
-    answer.  Otherwise it is a hint, which any error ends: the full builds of
-    every state it found that is not dark start in one ``workers.run`` call,
-    each returning its error as a value.  Then the closure proper takes each
+    the full build.  That closure is a hint, which any error ends: the full
+    builds of every state it found that is not dark start in one
+    ``workers.run`` call, each returning its error as a value.  Then the closure proper takes each
     flow from those builds by its entry state's bytes.  A state the head
     missed (a channel first live after the first chunk) is built in a later
     round, side by side with the others of its round, and a dark one in this
@@ -390,8 +389,6 @@ def _discover_flows(
     def build_head(new):
         return [_build_flow(s, system, propagator, head, dt) for s in new]
 
-    if head == n_steps:
-        return _closure(hinted, build_head)
     try:
         _closure(hinted, build_head)
     except Exception:
@@ -404,7 +401,7 @@ def _discover_flows(
         dark = [_is_dark(s, system.plus_stack, propagator) for s in new]
         lit = [partial(_built_or_error, s, system, propagator, n_steps, dt)
                for s, d in zip(new, dark) if not d]
-        lit = iter(workers.run(lit) if lit else ())
+        lit = iter(workers.run(lit))
         for s, d in zip(new, dark):
             built[s.tobytes()] = (
                 _built_or_error(s, system, propagator, n_steps, dt) if d else next(lit)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -216,12 +218,18 @@ def test_one_run_is_its_own_median_and_quartiles():
     assert gate.quartiles([2.5]) == {"q1": 2.5, "median": 2.5, "q3": 2.5}
 
 
-def test_the_machine_facts_are_those_of_a_child_process():
+@pytest.mark.parametrize("given", [None, "3"])
+def test_the_machine_facts_are_those_of_a_child_process(monkeypatch, given):
+    # an unset OPENBLAS_NUM_THREADS reads as the 1 the CLI's runs set
+    if given is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
     facts = gate.machine_facts()
     assert set(facts) == {"cores", "blas", "openblas_num_threads", "python", "numpy", "scipy"}
     if hasattr(os, "sched_getaffinity"):
         assert facts["cores"] == len(os.sched_getaffinity(0))
-    assert facts["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert facts["openblas_num_threads"] == (given or "1")
     assert facts["python"] == platform.python_version()
     assert set(facts["blas"]) == {"name", "version"} and facts["blas"]["name"]
     assert facts["numpy"] and facts["scipy"]

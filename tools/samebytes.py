@@ -135,7 +135,8 @@ print(json.dumps({
     "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count(),
     "blas": {"name": blas.get("name"), "version": blas.get("version")},
-    "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    # the CLI sets this to 1 when it is unset (usctraj/cli.py)
+    "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
     "python": platform.python_version(),
     "numpy": numpy.__version__,
     "scipy": scipy.__version__,
