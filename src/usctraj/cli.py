@@ -21,8 +21,10 @@ A run uses every CPU of its affinity mask (``workers.W``) and writes the
 same bytes with any number of them: grouped ensembles build their flows
 and sample their trajectories in forked workers (``ensemble``), and
 compare-lme integrates the master equation in a worker beside the
-ensemble.  No worker outlives the run, and a worker that dies without a
-result, or cannot be started, exits 3.
+ensemble.  A worker that dies without a result, or cannot be started,
+makes the run exit 3.  On an error the workers finish and are reaped before the CLI
+exits, and on an interrupt they are killed first; a CLI killed by a
+signal it cannot catch (SIGKILL) leaves its workers to finish.
 """
 
 from __future__ import annotations

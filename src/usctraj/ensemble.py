@@ -58,13 +58,14 @@ A grouped run uses every CPU of the process's affinity mask
 is first found from each flow's first chunk, which fixes every jump image
 the flow reports, in this process; the full builds of all the lit flows
 it found then start at once in forked workers (``workers.run``), and
-later rounds build only the flows whose images it missed.  Trajectories
-are sampled in W contiguous blocks, each with its own reader and columns,
-concatenated in trajectory order.  Each flow and each trajectory is
-computed by the same code from the same inputs wherever it runs, and an
-error is the one a single process meets first: that of the first flow,
-in order of discovery, whose build fails, and that of the lowest failing
-trajectory.
+discovery proper takes each flow the moment it finds it: from those
+builds, or built in this process for a dark flow or one the head missed.
+Trajectories are sampled in W contiguous blocks, each with its own reader
+and columns, concatenated in trajectory order.  Each flow and each
+trajectory is computed by the same code from the same inputs wherever it
+runs, and an error is the one a single process meets first: that of the
+first flow, in order of discovery, whose build fails, and that of the
+lowest failing trajectory.
 
 Agreement with the direct kernel (``mcwf._run_rows``) is exact for the
 first segment and for all jump bookkeeping, and up to the arbitrary
@@ -123,8 +124,8 @@ RAY_TOL = 1e-10
 # with 256 or 512 and at 110 MB with 2048 (grouped-conditional: 97, 99
 # and 110 MB), while its flows take 2.5-2.9 s at every size, within the
 # spread between runs.  It also sets the head horizon of flow discovery:
-# the graph is found from flows built over their first chunk alone,
-# _FLOW_CHUNK - 1 steps (``_discover_flows``).
+# its hint builds flows over their first chunk alone, _FLOW_CHUNK - 1
+# steps, to prefetch the full builds (``_discover_flows``).
 _FLOW_CHUNK = 512
 
 
@@ -319,48 +320,30 @@ class _Ungroupable(Exception):
     """
 
 
-def _closure(
-    states: list[np.ndarray], build: Callable[[list[np.ndarray]], list[_Flow]],
-) -> list[_Flow]:
-    """Breadth-first closure of the flows reachable from ``states[0]`` through jumps.
+def _closure(psi0: np.ndarray, build: Callable[[np.ndarray], _Flow]) -> list[_Flow]:
+    """Breadth-first closure of the flows reachable from psi0 through jumps.
 
-    In rounds: ``build`` returns the flows of the states the last round
-    discovered, and their jump images are linked in id order, each new
-    image appended to ``states`` with the next id.  The flow cap raises only
-    once every flow discovered before it is built, so with a ``build`` that
-    raises its first failing flow in id order, the error is that of building
-    each flow on discovery.
+    ``build(state)`` gives the flow of an entry state, and runs the moment
+    that state is discovered: each new jump image takes the next id, in
+    first-in first-out order over the flows.  The cap raises at the first
+    distinct state beyond ``FLOW_CAP``, so the error is that of the first
+    failing build in order of discovery, or the cap.
     """
-    flows = []
-    while len(flows) < len(states):
-        lo = len(flows)
-        flows += build(states[lo:])
-        for flow in flows[lo:]:
-            for m, image in enumerate(flow.image_state):
-                if image is None:
-                    continue
-                for gid, state0 in enumerate(states):
-                    if abs(np.vdot(state0, image)) > 1.0 - RAY_TOL:
-                        flow.image_flow[m] = gid
-                        break
-                else:
-                    if len(states) >= FLOW_CAP:
-                        build(states[len(flows):])
-                        raise _Ungroupable(f"more than {FLOW_CAP} distinct flows")
-                    states.append(image)
-                    flow.image_flow[m] = len(states) - 1
+    flows = [build(psi0)]
+    for flow in flows:  # the flows appended below are reached in turn
+        for m, image in enumerate(flow.image_state):
+            if image is None:
+                continue
+            for gid, other in enumerate(flows):
+                if abs(np.vdot(other.state0, image)) > 1.0 - RAY_TOL:
+                    flow.image_flow[m] = gid
+                    break
+            else:
+                if len(flows) >= FLOW_CAP:
+                    raise _Ungroupable(f"more than {FLOW_CAP} distinct flows")
+                flows.append(build(image))
+                flow.image_flow[m] = len(flows) - 1
     return flows
-
-
-def _built_or_error(
-    state0: np.ndarray, system: DissipativeSystem, propagator: np.ndarray,
-    n_steps: int, dt: float,
-) -> _Flow | Exception:
-    """``_build_flow``'s flow, or the exception it raised."""
-    try:
-        return _build_flow(state0, system, propagator, n_steps, dt)
-    except Exception as exc:
-        return exc
 
 
 def _discover_flows(
@@ -369,54 +352,45 @@ def _discover_flows(
 ) -> list[_Flow]:
     """Breadth-first closure of flows reachable from psi0 through jumps.
 
-    First a head discovery, in this process: the closure (``_closure``) of
-    flows built over their first chunk only, ``head`` steps.  A flow's first
-    chunk fixes every image it ever reports bit for bit, since a channel's
-    image is its first live amplitude and the chunk's states are those of
-    the full build.  That closure is a hint, which any error ends: the full
-    builds of every state it found that is not dark start in one
-    ``workers.run`` call, each returning its error as a value.  Then the closure proper takes each
-    flow from those builds by its entry state's bytes.  A state the head
-    missed (a channel first live after the first chunk) is built in a later
-    round, side by side with the others of its round, and a dark one in this
-    process (it runs no chain, so it stays untouched zero pages).  A round
-    raises its first failing build in id order: the error is that of
-    building each flow on discovery.
+    First a head hint, in this process: the closure (``_closure``) of flows
+    built over their first chunk only, ``head`` steps, which any error
+    ends.  A flow's first chunk fixes every image it ever reports bit for
+    bit, since a channel's image is its first live amplitude and the
+    chunk's states are those of the full build.  The full builds of every
+    hinted state that is not dark then start in one ``workers.run`` call,
+    each returning its outcome, error or flow.  Then the closure proper
+    builds each flow on discovery: it takes the prefetched outcome of its
+    entry state's bytes, or builds the state in this process.  That is a
+    dark state (it runs no chain, so it stays untouched zero pages) or one
+    the head missed (a channel first live after the first chunk).
     """
     head = min(n_steps, _FLOW_CHUNK - 1)
-    hinted = [psi0]
+    hinted = []
 
-    def build_head(new):
-        return [_build_flow(s, system, propagator, head, dt) for s in new]
+    def build_head(state0):
+        hinted.append(state0)
+        return _build_flow(state0, system, propagator, head, dt)
 
     try:
-        _closure(hinted, build_head)
+        _closure(psi0, build_head)
     except Exception:
         pass  # a hint only: the closure below meets every error in its own order
-    built = {}
+    lit = [s for s in hinted if not _is_dark(s, system.plus_stack, propagator)]
+    outcomes = workers.run([
+        partial(workers._outcome, partial(_build_flow, s, system, propagator, n_steps, dt))
+        for s in lit
+    ])
+    prefetched = {s.tobytes(): outcome for s, outcome in zip(lit, outcomes)}
 
-    def start(new):
-        """Build those of new not built yet: the lit ones at once, the dark ones here."""
-        new = [s for s in new if s.tobytes() not in built]
-        dark = [_is_dark(s, system.plus_stack, propagator) for s in new]
-        lit = [partial(_built_or_error, s, system, propagator, n_steps, dt)
-               for s, d in zip(new, dark) if not d]
-        lit = iter(workers.run(lit))
-        for s, d in zip(new, dark):
-            built[s.tobytes()] = (
-                _built_or_error(s, system, propagator, n_steps, dt) if d else next(lit)
-            )
+    def build(state0):
+        if (outcome := prefetched.pop(state0.tobytes(), None)) is None:
+            return _build_flow(state0, system, propagator, n_steps, dt)
+        ok, flow = outcome
+        if not ok:
+            raise flow
+        return flow
 
-    def build(new):
-        start(new)
-        flows = [built.pop(s.tobytes()) for s in new]
-        for flow in flows:
-            if isinstance(flow, Exception):
-                raise flow
-        return flows
-
-    start(hinted)
-    return _closure([psi0], build)
+    return _closure(psi0, build)
 
 
 def _binary_powers(propagator: np.ndarray, n_steps: int) -> list[np.ndarray]:

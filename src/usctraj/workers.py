@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 
 if not hasattr(os, "fork"):
     W = 1
@@ -64,7 +65,9 @@ def run(calls) -> list:
     and every child is reaped on every path.  The first exception in call
     order is raised once every child is reaped; a child that exits without
     an outcome raises ``RuntimeError``, and so does a failed fork, after
-    the children already started are reaped.
+    the children already started are reaped.  A ``KeyboardInterrupt`` or
+    ``SystemExit`` in this process, in its own call or while it waits,
+    kills every child with ``SIGKILL`` before they are reaped.
     """
     if W == 1 or len(calls) < 2:
         return [call() for call in calls]
@@ -78,6 +81,10 @@ def run(calls) -> list:
                 sent.append(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError):
                 sent.append(None)
+    except (KeyboardInterrupt, SystemExit):
+        for pid, _ in children:  # an interrupt does not wait for the calls
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for pid, pipe in children:
             pipe.close()

@@ -7,6 +7,7 @@ loop; observables agree exactly on the first segment and to rounding noise
 after jumps (post-jump states are stored with a canonical global phase).
 """
 
+import os
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -897,37 +898,61 @@ def test_deep_flow_discovery_from_a_short_head_is_that_of_building_each_flow_on_
     )
 
 
-def test_one_call_builds_every_lit_flow_and_no_state_twice(busy_effective, monkeypatch, tmp_path):
-    # 600 steps, more than one chunk: the head discovery finds all five
-    # flows, so one workers.run call builds the root and its lit images
-    # side by side, the dark one is built here, and no later round builds
+def _logged_discovery(busy_effective, monkeypatch, log, n_steps):
+    """The flows from 1gg over n_steps at W = 2, with the builds in log and the workers.run batches.
+
+    A build is logged as its entry state's hex bytes, its horizon and the
+    pid of the process that ran it; a batch as the hex bytes of its states.
+    """
     system, propagator = busy_effective
-    psi0 = system.initial_state("1gg")
     monkeypatch.setattr(workers, "W", 2)
-    build, run, log, calls = ensemble._build_flow, workers.run, tmp_path / "builds", []
+    build, run, calls = ensemble._build_flow, workers.run, []
 
     def logged_build(state0, *args):
         with open(log, "a") as builds:  # appended to by forked workers too
-            builds.write(f"{state0.tobytes().hex()} {args[2]}\n")
+            builds.write(f"{state0.tobytes().hex()} {args[2]} {os.getpid()}\n")
         return build(state0, *args)
 
     def logged_run(batch):
-        calls.append([call.args[0].tobytes().hex() for call in batch])
+        calls.append([call.args[0].args[0].tobytes().hex() for call in batch])
         return run(batch)
 
     monkeypatch.setattr(ensemble, "_build_flow", logged_build)
     monkeypatch.setattr(workers, "run", logged_run)
-    flows = ensemble._discover_flows(psi0, system, propagator, 600, 0.5)
+    flows = ensemble._discover_flows(system.initial_state("1gg"), system, propagator, n_steps, 0.5)
+    return flows, calls, [line.split() for line in log.read_text().splitlines()]
+
+
+def test_one_call_builds_every_lit_flow_and_no_state_twice(busy_effective, monkeypatch, tmp_path):
+    # 600 steps, more than one chunk: the head discovery finds all five
+    # flows, so one workers.run call builds the root and its lit images
+    # side by side, and the dark one is built here
+    flows, calls, builds = _logged_discovery(busy_effective, monkeypatch, tmp_path / "log", 600)
     assert [f.dark for f in flows] == [False, True, False, False, False]
-    # later rounds find their flows built and pass no call on
-    assert [batch for batch in calls if batch] == [
-        [f.state0.tobytes().hex() for f in flows if not f.dark]
-    ]
-    builds = [line.split() for line in log.read_text().splitlines()]
-    full = sorted(state for state, n_steps in builds if n_steps == "600")
+    assert calls == [[f.state0.tobytes().hex() for f in flows if not f.dark]]
+    full = sorted(state for state, n_steps, _ in builds if n_steps == "600")
     assert full == sorted(f.state0.tobytes().hex() for f in flows)
-    head = [n_steps for _, n_steps in builds if n_steps != "600"]
+    head = [n_steps for _, n_steps, _ in builds if n_steps != "600"]
     assert head == [str(ensemble._FLOW_CHUNK - 1)] * 5
+
+
+def test_a_state_the_head_missed_is_built_here_once(busy_effective, monkeypatch, tmp_path):
+    # a head of age 0 alone misses the qubit images of the root: the one
+    # workers.run call prefetches the lit states the head found, and each
+    # state it missed is built here, at full horizon, when discovery reaches it
+    monkeypatch.setattr(ensemble, "_FLOW_CHUNK", 1)
+    flows, calls, builds = _logged_discovery(busy_effective, monkeypatch, tmp_path / "log", 60)
+    states = [f.state0.tobytes().hex() for f in flows]
+    assert len(states) == 5
+    dark = {s for s, f in zip(states, flows) if f.dark}
+    hinted = [state for state, n_steps, _ in builds if n_steps == "0"]
+    assert calls == [[s for s in hinted if s not in dark]]
+    full = [(state, pid) for state, n_steps, pid in builds if n_steps == "60"]
+    assert sorted(state for state, _ in full) == sorted(states)
+    missed = [s for s in states if s not in hinted]
+    assert len(missed) == 3
+    here = {state for state, pid in full if pid == str(os.getpid())}
+    assert here.issuperset(missed)
 
 
 def test_a_deep_cascade_runs_the_same_bytes_at_every_w(cascade, monkeypatch):

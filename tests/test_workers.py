@@ -80,6 +80,20 @@ def test_children_are_reaped_when_the_parent_call_raises(monkeypatch):
         workers.run([interrupted, after(0.2, 1), after(0.1, 2)])
 
 
+def test_an_interrupt_kills_the_children_without_waiting_for_their_calls(monkeypatch):
+    # the child would sleep 30 s; the interrupt kills it, and the autouse
+    # fixture finds it reaped
+    monkeypatch.setattr(workers, "W", 2)
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        workers.run([interrupted, after(30.0, 1)])
+    assert time.perf_counter() - start < 5.0
+
+
 def test_one_worker_forks_nothing(monkeypatch):
     def no_fork():
         raise AssertionError("W = 1 must not fork")
